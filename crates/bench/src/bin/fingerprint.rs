@@ -13,10 +13,8 @@
 //!
 //! Two trees implementing the same simulated machine must print the
 //! same line; anything else is a semantic change, not a refactor.
-//! `FLEXTM_FP_OS_THREADS=1` runs the OS-thread engine instead of the
-//! fiber engine and `FLEXTM_FP_EPOCH=n` overrides the lease batching
-//! width (`MachineConfig::epoch_width`) — both must reproduce the
-//! exact same digests, which `scripts/verify.sh` checks on every run.
+//! `scripts/verify.sh` checks the recorded digests on every run, on
+//! both fiber switch backends.
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_bench::cell::{fnv1a, FNV_OFFSET};
@@ -31,10 +29,6 @@ fn main() {
 
     let mut config = MachineConfig::paper_default().with_cores(threads);
     config.record_events = true;
-    config.os_threads = envcfg::or_exit(envcfg::flag("FLEXTM_FP_OS_THREADS"));
-    if let Some(width) = envcfg::or_exit(envcfg::parse_opt("FLEXTM_FP_EPOCH")) {
-        config.epoch_width = width;
-    }
     let machine = Machine::new(config);
     let mut wl = HashTable::paper();
     wl.setup(&machine);

@@ -21,13 +21,10 @@
 //! are given. Passing `--trace` enables the per-attempt trace: the
 //! abort-attribution/cycle-bucket table goes to stderr and the JSONL
 //! trace to `FLEXTM_TRACE_OUT` (or stderr when unset), keeping the
-//! stdout JSON line machine-readable either way.
-//! `FLEXTM_SCHED_EPOCH` overrides the lease batching width
-//! (`MachineConfig::epoch_width`; simulated results are
-//! width-invariant, only host speed moves). Passing `--json` (or
+//! stdout JSON line machine-readable either way. Passing `--json` (or
 //! setting `FLEXTM_SCHED_JSON=1`) extends the stdout record with the
 //! run parameters a sampling harness needs to archive the sample
-//! as-is: engine, epoch width, warmup and seed.
+//! as-is: warmup and seed.
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_bench::envcfg;
@@ -62,10 +59,6 @@ fn main() {
         config = config.with_cores(threads);
     }
     config.strict_lockstep = strict;
-    if let Some(width) = envcfg::or_exit(envcfg::parse_opt("FLEXTM_SCHED_EPOCH")) {
-        config.epoch_width = width;
-    }
-    let epoch_width = config.epoch_width;
     let machine = Machine::new(config);
     let mut wl = HashTable::paper();
     wl.setup(&machine);
@@ -108,21 +101,13 @@ fn main() {
         sim_ops: ops,
         sim_cycles: report.elapsed_cycles(),
         fast_ops: report.sched.fast_ops,
-        epoch_ops: report.sched.epoch_ops,
         slow_ops: report.sched.slow_ops,
         grants: report.sched.grants,
-        bank_conflict_grants: report.sched.bank_conflict_grants,
         rendezvous_per_op: report.rendezvous_per_op(),
         wall_s,
         sim_ops_per_s: ops_per_s,
         sim_cycles_per_s: cycles_per_s,
         params: json_mode.then(|| SchedRunParams {
-            engine: if cfg!(target_arch = "x86_64") {
-                "fiber"
-            } else {
-                "os_threads"
-            },
-            epoch_width,
             warmup_per_thread: 8,
             seed: "0xF1E7".to_string(),
         }),

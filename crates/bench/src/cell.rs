@@ -235,10 +235,6 @@ pub fn run_cell_timed(spec: &CellSpec) -> CellResult {
 /// sample without consulting the invoking environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedRunParams {
-    /// Execution engine ("fiber" or "os_threads").
-    pub engine: &'static str,
-    /// Lease batching width (`MachineConfig::epoch_width`).
-    pub epoch_width: usize,
     /// Untimed warm-up transactions per thread.
     pub warmup_per_thread: u64,
     /// Workload RNG seed, in hex.
@@ -269,14 +265,10 @@ pub struct SchedRecord {
     pub sim_cycles: u64,
     /// Scheduler fast-path ops.
     pub fast_ops: u64,
-    /// Ops granted from the epoch buffer.
-    pub epoch_ops: u64,
     /// Full-rendezvous ops.
     pub slow_ops: u64,
     /// Lease grants.
     pub grants: u64,
-    /// Grants whose op conflicted on a bank lease.
-    pub bank_conflict_grants: u64,
     /// Rendezvous per simulated op.
     pub rendezvous_per_op: f64,
     /// Host wall seconds.
@@ -290,9 +282,7 @@ pub struct SchedRecord {
 }
 
 impl SchedRecord {
-    /// The exact one-line JSON encoding `sched_bench` has always
-    /// printed (ready to paste into `BENCH_sched.json` /
-    /// `BENCH_protocol.json`).
+    /// The one-line JSON encoding `sched_bench` prints.
     pub fn to_json(&self) -> String {
         let mut line = format!(
             concat!(
@@ -301,8 +291,7 @@ impl SchedRecord {
                 "\"threads\": {}, \"txns_per_thread\": {}, ",
                 "\"committed\": {}, \"attempts\": {}, ",
                 "\"sim_ops\": {}, \"sim_cycles\": {}, ",
-                "\"fast_ops\": {}, \"epoch_ops\": {}, \"slow_ops\": {}, ",
-                "\"grants\": {}, \"bank_conflict_grants\": {}, ",
+                "\"fast_ops\": {}, \"slow_ops\": {}, \"grants\": {}, ",
                 "\"rendezvous_per_op\": {:.4}, ",
                 "\"wall_s\": {:.3}, ",
                 "\"sim_ops_per_s\": {:.0}, \"sim_cycles_per_s\": {:.0}"
@@ -316,10 +305,8 @@ impl SchedRecord {
             self.sim_ops,
             self.sim_cycles,
             self.fast_ops,
-            self.epoch_ops,
             self.slow_ops,
             self.grants,
-            self.bank_conflict_grants,
             self.rendezvous_per_op,
             self.wall_s,
             self.sim_ops_per_s,
@@ -327,11 +314,8 @@ impl SchedRecord {
         );
         if let Some(p) = &self.params {
             line.push_str(&format!(
-                concat!(
-                    ", \"engine\": \"{}\", \"epoch_width\": {}, ",
-                    "\"warmup_per_thread\": {}, \"seed\": \"{}\""
-                ),
-                p.engine, p.epoch_width, p.warmup_per_thread, p.seed,
+                ", \"warmup_per_thread\": {}, \"seed\": \"{}\"",
+                p.warmup_per_thread, p.seed,
             ));
         }
         line.push('}');

@@ -55,22 +55,6 @@ pub fn parse_value<T: FromStr>(
     }
 }
 
-/// Parses `value` as an optional `T`: unset stays `None`, anything set
-/// must parse.
-pub fn parse_opt_value<T: FromStr>(
-    var: &'static str,
-    value: Option<&str>,
-) -> Result<Option<T>, EnvParseError> {
-    match value {
-        None => Ok(None),
-        Some(raw) => raw.trim().parse().map(Some).map_err(|_| EnvParseError {
-            var,
-            value: raw.to_string(),
-            expected: std::any::type_name::<T>(),
-        }),
-    }
-}
-
 /// Parses `value` as a boolean flag: unset, empty or `0` is off, `1`
 /// is on, anything else is an error (the old `== Ok("1")` pattern read
 /// `FLEXTM_SCHED_STRICT=yes` as *off*).
@@ -105,11 +89,6 @@ pub fn parse<T: FromStr>(var: &'static str, default: T) -> Result<T, EnvParseErr
     parse_value(var, read(var)?.as_deref(), default)
 }
 
-/// Reads and parses `var` as an optional override.
-pub fn parse_opt<T: FromStr>(var: &'static str) -> Result<Option<T>, EnvParseError> {
-    parse_opt_value(var, read(var)?.as_deref())
-}
-
 /// Reads `var` as a boolean flag (`1` on; unset/empty/`0` off).
 pub fn flag(var: &'static str) -> Result<bool, EnvParseError> {
     flag_value(var, read(var)?.as_deref())
@@ -131,7 +110,6 @@ mod tests {
     #[test]
     fn unset_uses_default() {
         assert_eq!(parse_value("FLEXTM_TXNS", None, 96u64), Ok(96));
-        assert_eq!(parse_opt_value::<u64>("FLEXTM_SCHED_EPOCH", None), Ok(None));
         assert_eq!(flag_value("FLEXTM_SCHED_STRICT", None), Ok(false));
     }
 
@@ -139,10 +117,6 @@ mod tests {
     fn valid_values_parse() {
         assert_eq!(parse_value("FLEXTM_TXNS", Some("128"), 96u64), Ok(128));
         assert_eq!(parse_value("FLEXTM_TXNS", Some(" 128 "), 96u64), Ok(128));
-        assert_eq!(
-            parse_opt_value::<usize>("FLEXTM_SCHED_EPOCH", Some("8")),
-            Ok(Some(8))
-        );
         assert_eq!(flag_value("FLEXTM_SCHED_STRICT", Some("1")), Ok(true));
         assert_eq!(flag_value("FLEXTM_SCHED_STRICT", Some("0")), Ok(false));
     }
@@ -160,7 +134,6 @@ mod tests {
 
         assert!(parse_value("FLEXTM_TXNS", Some(""), 96u64).is_err());
         assert!(parse_value("FLEXTM_TXNS", Some("-3"), 96u64).is_err());
-        assert!(parse_opt_value::<u64>("FLEXTM_SCHED_EPOCH", Some("wide")).is_err());
     }
 
     #[test]

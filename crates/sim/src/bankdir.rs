@@ -7,11 +7,9 @@
 //! table, and 40-byte entries scattered wherever the allocator put the
 //! backing store. This module replaces it with:
 //!
-//! * **64 banks**, selected by the same `line.index() & 63` hash the
-//!   scheduler's bank leases use, so a directory probe lands in the
-//!   bank that the granting core already "owns" under the lease regime
-//!   and consecutive lines spread across banks exactly like their
-//!   coherence traffic does;
+//! * **64 banks**, selected by `line.index() & 63`, so consecutive
+//!   lines spread across banks exactly like their coherence traffic
+//!   does;
 //! * **open addressing with linear probing** inside each bank, slots
 //!   packed into cache-line-sized slabs (`#[repr(align(64))]`, one
 //!   host line per slot: tag + both `ProcSet` words of the entry), so a
@@ -28,8 +26,7 @@
 use crate::l2::DirEntry;
 use flextm_sig::LineAddr;
 
-/// Number of directory banks. Matches the scheduler's bank-lease count
-/// (`machine::SCHED_BANKS`): both hash with `line.index() & 63`.
+/// Number of directory banks; a line's bank is `line.index() & 63`.
 pub const DIR_BANKS: usize = 64;
 
 /// Vacant-slot sentinel. Line indexes are physical addresses shifted

@@ -111,32 +111,14 @@ pub struct MachineConfig {
     /// Record a detailed event log (tests use this; benchmarks leave it
     /// off).
     pub record_events: bool,
-    /// Disable the scheduler's lock-free local fast path and the
-    /// batched lease: every operation then goes through the full
-    /// posted-op rendezvous, one at a time, exactly like the original
-    /// conservative-lockstep engine. The schedule (and therefore every
-    /// event, counter, and clock) is identical either way — this knob
-    /// exists so the determinism suite can pin that equivalence and so
-    /// regressions can be bisected to scheduling vs. protocol changes.
+    /// Disable the scheduler's fast paths (the lease horizon and the
+    /// local `work`/`stall`/`now` ops): every operation then goes
+    /// through the full posted-op rendezvous, one at a time. The
+    /// schedule (and therefore every event, counter, and clock) is
+    /// identical either way — this knob is the reference the
+    /// determinism suite holds the fast paths to, and lets regressions
+    /// be bisected to scheduling vs. protocol changes.
     pub strict_lockstep: bool,
-    /// Run each simulated thread on its own OS thread instead of the
-    /// default stackful-fiber engine. The schedule — and every event,
-    /// counter, and clock — is identical either way; the fiber engine
-    /// just replaces futex park/unpark with userspace context switches.
-    /// Off x86_64 (where the fiber engine's context switch is not
-    /// implemented) OS threads are always used and this knob is moot.
-    pub os_threads: bool,
-    /// Epoch width for batched grant scans. The granter keeps the
-    /// `epoch_width + 1` smallest posted `(clock, core)` keys in a
-    /// sorted grant buffer and serves grants from it, rescanning the
-    /// full mailbox only when the buffer drains — amortizing the
-    /// `O(cores)` scan over ~`epoch_width` grants instead of paying it
-    /// per grant. Values `0` and `1` both mean "rescan every grant"
-    /// (the original strict engine, byte for byte). The grant sequence
-    /// — and therefore every simulated event, counter, and clock — is
-    /// identical for every width (pinned by the determinism suite's
-    /// epoch sweep); only host-side speed moves.
-    pub epoch_width: usize,
 }
 
 impl MachineConfig {
@@ -162,8 +144,6 @@ impl MachineConfig {
             unbounded_tmi_victim: false,
             record_events: false,
             strict_lockstep: false,
-            os_threads: false,
-            epoch_width: 8,
         }
     }
 

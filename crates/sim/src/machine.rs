@@ -1,5 +1,5 @@
-//! The machine: shared simulator state plus the deterministic
-//! mailbox/lease scheduler that simulated threads synchronize through.
+//! The machine: simulator state plus the deterministic scheduler that
+//! simulated threads synchronize through.
 //!
 //! # The deterministic order
 //!
@@ -13,263 +13,95 @@
 //!
 //! # How it is scheduled
 //!
-//! The original engine realized that order with a global
-//! `Mutex<SimState>` and a per-core `Condvar` ping-pong: one lock
-//! round-trip and usually one context switch *per simulated operation*.
-//! The current engine keeps the order bit-for-bit but decouples
-//! scheduling from the protocol state:
+//! Every simulated thread is a stackful fiber (`fiber.rs`) on the one
+//! host thread that called [`Machine::run`]; exactly one of them — or
+//! the driver loop in `run` — executes at any instant.
 //!
-//! * **Mailboxes.** Each core owns a slot in the scheduler table. To
-//!   run an operation it posts the op's issue clock there and parks
-//!   once. The operation itself (a closure over `&mut SimState`) stays
-//!   on the worker thread — only the timestamp travels.
-//! * **Driver decisions.** Whenever a post or a thread exit completes
-//!   the "all live cores posted" condition, the next core is picked by
-//!   min-`(clock, id)` and granted a *lease* on the state. The driver
-//!   is a migrating role played by whichever thread noticed the
-//!   condition; there is no extra scheduler thread to wake.
-//! * **Batching.** A grant carries a *horizon*: the smallest
-//!   `(clock, id)` posted by any other live core. While the holder's
-//!   next operation is issued strictly below the horizon, the
-//!   one-at-a-time scheduler would pick this core again anyway — all
-//!   other cores are parked with their posted timestamps frozen — so
-//!   the holder executes it immediately with **zero synchronization**.
-//!   Only when its clock crosses the horizon does it hand the lease
-//!   back (one lock round-trip for a whole batch). A single-threaded
-//!   run has horizon `(∞, ∞)`: after the first operation every call
-//!   degenerates to a plain function call.
-//! * **Epoch-batched grants.** The granter does not rescan every
-//!   mailbox on every grant. It keeps a sorted *grant buffer* of the
-//!   `epoch_width + 1` smallest posted keys, bounded by an *epoch
-//!   horizon* (the largest buffered key): every posted key below the
-//!   horizon is provably in the buffer, so successive grants pop the
-//!   buffered minimum — `O(width)` instead of `O(cores)` — and the full
-//!   scan runs only when the buffer drains. The grant *sequence* is
-//!   identical for every width (always the global minimum key); only
-//!   host-side scan work moves, which `tests/determinism.rs` pins with
-//!   an epoch-width sweep.
-//! * **Lock-free local ops.** `work(n)` adds to the issuing core's
-//!   clock and `now()` reads it; neither touches protocol state,
-//!   produces events, or observes other cores, so they commute with
-//!   every remote operation and complete without the scheduler even
-//!   when the core does not hold the lease (see `work_op`).
+//! * **Post.** To run an operation a core inserts its issue key
+//!   `(clock, id)` into the [`GrantQueue`] and parks. The operation
+//!   itself (a closure over `&mut SimState`) stays on the fiber's
+//!   stack — only the key travels.
+//! * **Grant.** Whenever a post or a thread exit leaves every live
+//!   core posted, the minimum key is popped and its core granted the
+//!   *lease*; the poster switches straight into the grantee's context
+//!   (or carries on, if it granted itself).
+//! * **Horizon.** A grant carries the smallest key still queued — the
+//!   strict second minimum. While the holder's next operation is
+//!   issued strictly below it the scheduler would pick this core again
+//!   anyway (every rival is parked, its key frozen), so the operation
+//!   runs at once with no rendezvous. A single-threaded run has horizon
+//!   `(∞, ∞)`: after the first operation every call is a plain
+//!   function call. DESIGN.md shows why nothing may run *past* the
+//!   horizon.
+//! * **Local ops.** `work(n)` adds to the issuing core's clock and
+//!   `now()` reads it; neither touches protocol state, produces events,
+//!   or observes other cores, so they commute with every remote
+//!   operation and complete without a rendezvous even when the core
+//!   does not hold the lease (see `local_op`).
 //!
-//! [`crate::MachineConfig::strict_lockstep`] disables the batching and
-//! the lock-free paths, forcing the original one-op-at-a-time
-//! rendezvous. The schedule — and therefore every event, counter and
-//! clock — is identical either way; `tests/determinism.rs` pins that
-//! equivalence.
-//!
-//! # Execution engines
-//!
-//! The *schedule* above is engine-independent; what varies is how a
-//! parked core waits for its grant:
-//!
-//! * **Fibers** (default on x86_64). Every simulated thread is a
-//!   stackful fiber on the one OS thread that called [`Machine::run`];
-//!   a lease handoff is a ~50 ns userspace context switch straight
-//!   into the grantee (`fiber.rs`). With one runnable OS thread the
-//!   host scheduler is never involved, and host-side counters such as
-//!   `grants` become exactly repeatable too.
-//! * **OS threads** ([`crate::MachineConfig::os_threads`], and the
-//!   only engine on other architectures). One scoped thread per
-//!   simulated thread; a handoff is an unpark plus a futex wait —
-//!   microseconds, and worse when host cores are scarce.
-//!
-//! Both engines run the same `try_grant`/mailbox code, so every
-//! simulated event, counter, and clock is bit-identical across them;
-//! the cross-engine test in this module pins that.
+//! [`crate::MachineConfig::strict_lockstep`] disables the horizon and
+//! the local-op paths, forcing one rendezvous per operation. The
+//! schedule — and therefore every event, counter and clock — is
+//! identical either way; `tests/determinism.rs` pins that equivalence,
+//! which makes the knob the reference the fast paths are tested
+//! against.
 //!
 //! # Safety discipline
 //!
-//! `SimState` lives in an [`UnsafeCell`] next to (not inside) the
-//! scheduler mutex. It is touched only (a) by the unique lease holder,
-//! between two critical sections on the scheduler lock, or (b) through
-//! `Machine` methods that hold the lock and assert no run is live.
-//! Lease handoff always happens inside the lock, so the previous
-//! holder's writes are published to the next. Per-core clocks live in
-//! cache-line-padded atomics (`Lanes`) shared by `SimState` and the
-//! fast paths; each lane is written only by its owning worker (or by
-//! the machine between runs), so relaxed ordering suffices.
+//! Nothing here is shared between host threads: [`Machine`] and
+//! [`crate::ProcHandle`] hold an `Rc` and are neither `Send` nor
+//! `Sync`, so the compiler confines a machine, its handles and its run
+//! bodies to one host thread. Scheduler fields are `Cell`s; the state
+//! and the queue sit in `RefCell`s that are borrowed for the length of
+//! one operation or one post and never across a fiber switch — a
+//! borrow that did straddle a switch would make the next fiber's
+//! borrow panic rather than alias. The only `unsafe` left is the
+//! context switch itself and the hand-off of each fiber's job pointer.
 
 use crate::config::ConfigError;
 use crate::config::MachineConfig;
 use crate::core_state::CoreState;
-#[cfg(target_arch = "x86_64")]
 use crate::fiber;
 use crate::l2::L2;
 use crate::mem::Memory;
+use crate::proc::ProcHandle;
 use crate::stats::{EventLog, MachineReport, SchedStats};
 use flextm_sig::{LineAddr, LineHasher, ProcSet, SigKey};
-#[cfg(target_arch = "x86_64")]
-use std::cell::Cell;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{
-    AtomicBool, AtomicU64, AtomicUsize,
-    Ordering::{Acquire, Relaxed, Release},
-};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::Thread;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::time::Instant;
 
-/// One core's scheduler lane: the clock and fast-path bookkeeping that
-/// must be accessible without the scheduler lock. Padded so that
-/// neighbouring cores' lanes do not false-share a cache line.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct CoreLane {
-    /// The core's local clock, in cycles. Written only by the owning
-    /// worker thread (via `SimState::advance` or the `work` fast path)
-    /// or by the machine between runs (`align_clocks`).
-    clock: AtomicU64,
-    /// Cycles charged through `work` — kept here so the lock-free path
-    /// can account them without touching `SimState`; folded into
+/// One core's clock and the counters the scheduler's local paths bump
+/// without entering the protocol. Plain fields: [`SimState`] must stay
+/// `Send + Sync` (the model checker's snapshots cross worker threads).
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    /// The core's local clock, in cycles.
+    clock: u64,
+    /// Cycles charged through `work`; folded into
     /// [`crate::CoreStats::work_cycles`] at report time.
-    work_cycles: AtomicU64,
+    work_cycles: u64,
     /// Cycles charged through `stall` (contention-manager backoff and
-    /// stall spins) plus end-of-run clock alignment; folded into
+    /// stall spins) plus clock alignment; folded into
     /// [`crate::CoreStats::stall_cycles`] at report time.
-    stall_cycles: AtomicU64,
+    stall_cycles: u64,
     /// Operations completed without a scheduler rendezvous.
-    fast_ops: AtomicU64,
-    /// Owner-thread cache: does this core currently hold the lease?
-    holds_lease: AtomicBool,
-    /// Grant flag: set (with the horizon below) by the granter inside
-    /// the scheduler's critical section, consumed by the parked owner.
-    granted: AtomicBool,
-    /// The lease horizon, written by the granter before `granted`. An
-    /// op issued at `(clock, id)` strictly below
-    /// `(horizon_clock, horizon_id)` may run on the fast path.
-    horizon_clock: AtomicU64,
-    horizon_id: AtomicUsize,
+    fast_ops: u64,
 }
 
-/// The per-core lanes, shared between [`SimState`] (the protocol
-/// charges time through [`SimState::advance`]) and the scheduler.
-#[derive(Debug, Clone)]
-struct Lanes(Arc<[CoreLane]>);
+// The checker shares `Arc<Driver>` snapshots across its workers.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SimState>();
+};
 
-impl Lanes {
-    fn new(cores: usize) -> Self {
-        Lanes((0..cores).map(|_| CoreLane::default()).collect())
-    }
-
-    fn clock(&self, core: usize) -> u64 {
-        self.0[core].clock.load(Relaxed)
-    }
-}
-
-/// Adds to a single-writer atomic counter without a locked RMW.
-///
-/// Every `CoreLane` counter (`clock`, `work_cycles`, `fast_ops`) is
-/// written only by the lane's owning worker thread — the protocol only
-/// ever advances the *requesting* core, and the lock-free `work`/`now`
-/// paths touch only the issuing core's lane — so a plain load + store
-/// cannot lose an update. `fetch_add` would compile to a full fence on
-/// x86 and sits on the per-operation fast path; this is the cheap
-/// equivalent for the one-writer case.
-#[inline]
-fn lane_add(counter: &AtomicU64, delta: u64) {
-    counter.store(counter.load(Relaxed).wrapping_add(delta), Relaxed);
-}
-
-/// Number of scheduler banks the simulated line space is sharded into
-/// for ownership leases. A power of two; the bank of a line is a
-/// line-hash (its low index bits), mirroring how the directory indexes
-/// lines. 64 banks keep the blocked-bank set a single `u64` while
-/// giving 128 cores enough spread that disjoint working sets land in
-/// disjoint banks.
-pub(crate) const SCHED_BANKS: usize = 64;
-
-/// The scheduler bank of a cache line.
-#[inline]
-pub(crate) fn bank_of(line: LineAddr) -> usize {
-    (line.index() as usize) & (SCHED_BANKS - 1)
-}
-
-/// What a parked core's posted operation is about to touch, from the
-/// scheduler's point of view. Posted alongside the issue clock and
-/// mirrored into the bank-ownership table (`BankLeases`): the granter
-/// uses it to attribute rendezvous to line-bank conflicts
-/// (`SchedStats::bank_conflict_grants`) and to cross-check the
-/// ownership table on every grant.
-#[derive(Debug, Clone, Copy)]
-enum OpClass {
-    /// Touches only the posting core's own state (and its clock):
-    /// alert/CST/signature reads, attempt bookkeeping, aborts.
-    Pure,
-    /// A memory access to the named line (load/store/tload/tstore/
-    /// cas/aload): touches the line, the posting core's own state, and
-    /// — via the directory — other cores' metadata *for that line and
-    /// its signature image*.
-    Line(LineAddr),
-    /// A CAS-Commit on the named TSW line: everything `Line` touches,
-    /// plus a drain of the committer's write set into memory.
-    Commit(LineAddr),
-    /// May read or write anything (save/restore, summary install,
-    /// descheduling, `with_sync`).
-    Global,
-}
-
-impl OpClass {
-    /// The named line, for classes that name one.
-    fn line(self) -> Option<LineAddr> {
-        match self {
-            OpClass::Line(l) | OpClass::Commit(l) => Some(l),
-            OpClass::Pure | OpClass::Global => None,
-        }
-    }
-}
-
-/// Scheduler-side bank ownership table, mirroring the directory: bank
-/// `b` is owned by every core whose posted op targets a line hashing
-/// to `b`. Maintained by the post/grant/deregister transitions under
-/// the scheduler lock. The granter consults it on every grant: a
-/// granted `Line`/`Commit` op whose bank is simultaneously owned by
-/// another parked core is a *bank-conflict rendezvous*
-/// (`SchedStats::bank_conflict_grants`) — the host-side mirror of the
-/// paper's line-conflict taxonomy, and the signal that a finer-grained
-/// lease could not have avoided this handoff.
-#[derive(Debug)]
-struct BankLeases {
-    owners: Box<[ProcSet]>,
-}
-
-impl BankLeases {
-    fn new() -> Self {
-        BankLeases {
-            owners: vec![ProcSet::empty(); SCHED_BANKS].into_boxed_slice(),
-        }
-    }
-
-    /// Records `core`'s posted op as owning `line`'s bank.
-    fn post(&mut self, core: usize, class: OpClass) {
-        if let Some(line) = class.line() {
-            self.owners[bank_of(line)].insert(core);
-        }
-    }
-
-    /// Releases the ownership `post` recorded (grant or deregister).
-    fn consume(&mut self, core: usize, class: OpClass) {
-        if let Some(line) = class.line() {
-            self.owners[bank_of(line)].remove(core);
-        }
-    }
-
-    /// True if any core other than `me` owns `bank`. Resumable
-    /// `ProcSet` scan: skip `me` without collecting the set.
-    fn any_other_owner(&self, bank: usize, me: usize) -> bool {
-        match self.owners[bank].first_set_from(0) {
-            Some(p) if p != me => true,
-            Some(p) => self.owners[bank].first_set_from(p + 1).is_some(),
-            None => false,
-        }
-    }
-}
-
-/// All mutable simulator state. Exclusive access is enforced by the
-/// scheduler's lease discipline (see the module doc), not by a lock
-/// around this struct.
+/// All mutable simulator state. During a run it is reached only through
+/// the scheduler (one operation at a time, see the module doc); between
+/// runs through [`Machine::with_state`].
 #[derive(Debug)]
 pub struct SimState {
     /// Machine configuration (immutable after construction).
@@ -282,7 +114,8 @@ pub struct SimState {
     pub l2: L2,
     /// Optional protocol event log.
     pub log: EventLog,
-    lanes: Lanes,
+    /// Per-core clocks and local-op counters.
+    lanes: Vec<Lane>,
     /// The signature hasher every core shares (same configuration), so
     /// one access hashes its line exactly once into a [`SigKey`].
     hasher: LineHasher,
@@ -312,7 +145,7 @@ impl SimState {
         let cores = (0..config.cores).map(|_| CoreState::new(&config)).collect();
         let l2 = L2::new(config.l2_sets(), config.l2_ways, config.signature.clone());
         let log = EventLog::new(config.record_events);
-        let lanes = Lanes::new(config.cores);
+        let lanes = vec![Lane::default(); config.cores];
         let hasher = config.signature.hasher();
         SimState {
             config,
@@ -420,25 +253,12 @@ impl SimState {
 
     /// Advances `core`'s clock by `cycles`.
     pub fn advance(&mut self, core: usize, cycles: u64) {
-        lane_add(&self.lanes.0[core].clock, cycles);
+        self.lanes[core].clock += cycles;
     }
 
     /// The current local time of `core`.
     pub fn now(&self, core: usize) -> u64 {
-        self.lanes.clock(core)
-    }
-
-    /// Accounts `cycles` of computation to `core` (the slow-path `work`
-    /// uses this; the fast path bumps the lane directly).
-    pub(crate) fn charge_work(&mut self, core: usize, cycles: u64) {
-        lane_add(&self.lanes.0[core].work_cycles, cycles);
-    }
-
-    /// Accounts `cycles` of contention-manager stall/backoff to `core`
-    /// (the slow-path `stall` uses this; the fast path bumps the lane
-    /// directly).
-    pub(crate) fn charge_stall(&mut self, core: usize, cycles: u64) {
-        lane_add(&self.lanes.0[core].stall_cycles, cycles);
+        self.lanes[core].clock
     }
 
     /// Advances `core` by `cycles` and charges them to the memory
@@ -454,7 +274,7 @@ impl SimState {
     /// [`SimState::abandon_attempt`] reclassifies everything accrued
     /// since this mark into `wasted_cycles`.
     pub fn begin_attempt(&mut self, core: usize) {
-        let work = self.lanes.0[core].work_cycles.load(Relaxed);
+        let work = self.lanes[core].work_cycles;
         let mem = self.cores[core].stats.mem_cycles;
         self.cores[core].attempt_mark = Some((work, mem));
     }
@@ -474,52 +294,23 @@ impl SimState {
         let Some((work0, mem0)) = self.cores[core].attempt_mark.take() else {
             return;
         };
-        let lane_work = &self.lanes.0[core].work_cycles;
-        let dw = lane_work.load(Relaxed) - work0;
+        let dw = self.lanes[core].work_cycles - work0;
         let dm = self.cores[core].stats.mem_cycles - mem0;
-        lane_add(lane_work, dw.wrapping_neg());
+        self.lanes[core].work_cycles -= dw;
         self.cores[core].stats.mem_cycles -= dm;
         self.cores[core].stats.wasted_cycles += dw + dm;
     }
 
-    /// Cycles accounted to `core`'s work bucket so far (lane-resident
-    /// until [`Machine::report`] folds them into the stats copy).
-    #[cfg(any(test, feature = "check"))]
-    pub fn lane_work_cycles(&self, core: usize) -> u64 {
-        self.lanes.0[core].work_cycles.load(Relaxed)
-    }
-
-    /// Cycles accounted to `core`'s stall bucket so far.
-    #[cfg(any(test, feature = "check"))]
-    pub fn lane_stall_cycles(&self, core: usize) -> u64 {
-        self.lanes.0[core].stall_cycles.load(Relaxed)
-    }
-
-    /// Deep copy for the model checker's state forking. The scheduler
-    /// lanes hold the clocks and work/stall buckets in atomics shared
-    /// with worker threads; the copy gets fresh, unshared lanes seeded
-    /// with the current values (lease/grant bookkeeping starts clear —
-    /// checker states are never mid-run).
+    /// Deep copy for the model checker's state forking.
     #[cfg(any(test, feature = "check"))]
     pub fn clone_for_check(&self) -> Self {
-        let lanes = Lanes::new(self.config.cores);
-        for (fresh, old) in lanes.0.iter().zip(self.lanes.0.iter()) {
-            fresh.clock.store(old.clock.load(Relaxed), Relaxed);
-            fresh
-                .work_cycles
-                .store(old.work_cycles.load(Relaxed), Relaxed);
-            fresh
-                .stall_cycles
-                .store(old.stall_cycles.load(Relaxed), Relaxed);
-            fresh.fast_ops.store(old.fast_ops.load(Relaxed), Relaxed);
-        }
         SimState {
             config: self.config.clone(),
             mem: self.mem.clone(),
             cores: self.cores.iter().map(CoreState::clone_for_check).collect(),
             l2: self.l2.clone(),
             log: self.log.clone(),
-            lanes,
+            lanes: self.lanes.clone(),
             hasher: self.hasher.clone(),
             sig_live: self.sig_live,
             ot_present: self.ot_present,
@@ -563,9 +354,9 @@ impl SimState {
             // the lanes until report time), and every abort/failed
             // commit carries exactly one recorded cause.
             let s = &core.stats;
-            let buckets = self.lane_work_cycles(i)
+            let buckets = self.lanes[i].work_cycles
                 + s.work_cycles
-                + self.lane_stall_cycles(i)
+                + self.lanes[i].stall_cycles
                 + s.stall_cycles
                 + s.mem_cycles
                 + s.wasted_cycles;
@@ -626,620 +417,272 @@ impl SimState {
     }
 }
 
-/// Sentinel in [`Sched::posted`]: the core is computing natively, no
-/// operation is posted. Simulated clocks start at zero and advance by
-/// small latencies; they can never reach `u64::MAX`.
-const NOT_POSTED: u64 = u64::MAX;
+/// The horizon of a grant with no rival left in the queue: every key a
+/// core can issue sorts below it.
+const NO_RIVAL: (u64, usize) = (u64::MAX, usize::MAX);
 
-/// The scheduler table: who is live, what each live core has posted,
-/// and who currently holds the lease on the state. Kept as dense
-/// structure-of-arrays — a [`ProcSet`] of live cores plus a flat clock
-/// array with a sentinel — so the grant scan at 64 or 128 cores walks
-/// set bits and one contiguous `u64` row instead of chasing
-/// `Vec<Option<_>>` tags.
+/// The horizon while nobody holds the lease: no key sorts below it, so
+/// every op takes the rendezvous.
+const NO_LEASE: (u64, usize) = (0, 0);
+
+/// The scheduler's mailbox: the issue key `(clock, core)` of every
+/// posted operation in a min-heap, plus the number of live cores. Post
+/// is a push, grant pops the minimum, and the horizon is a peek at
+/// what remains — the queue always holds *every* posted key, so no
+/// grant ever rescans the cores. (A sorted `Vec` was measured as the
+/// alternative and lost to the heap on every interleaved pair at 16
+/// and 64 cores; CHANGES.md, PR 12.)
+///
+/// Public (but hidden) only so `tests/grant_queue_props.rs` can drive
+/// it against a full-scan oracle.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct GrantQueue {
+    /// Posted keys, minimum on top.
+    keys: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Cores between run entry and deregister. A grant needs a key from
+    /// each of them (the conservative all-posted rule), which is
+    /// `keys.len() == live`.
+    live: usize,
+}
+
+impl GrantQueue {
+    /// A queue for a machine of `cores` cores, sized so that no post
+    /// ever allocates.
+    pub fn with_capacity(cores: usize) -> Self {
+        GrantQueue {
+            keys: BinaryHeap::with_capacity(cores),
+            live: 0,
+        }
+    }
+
+    /// Starts a run of `live` cores, none of them posted.
+    pub fn start(&mut self, live: usize) {
+        self.keys.clear();
+        self.live = live;
+    }
+
+    /// Number of cores that have not deregistered.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Posts `core`'s next operation, issued at `clock`.
+    pub fn post(&mut self, clock: u64, core: usize) {
+        debug_assert!(
+            self.keys.iter().all(|k| k.0 .1 != core),
+            "core {core} posted twice"
+        );
+        self.keys.push(Reverse((clock, core)));
+    }
+
+    /// Once every live core has posted: removes the minimum key and
+    /// returns its core with the grant's horizon — the smallest key
+    /// left, i.e. the strict second minimum, frozen while its poster is
+    /// parked. `None` while some live core is still computing, or when
+    /// no core is live.
+    pub fn grant(&mut self) -> Option<(usize, (u64, usize))> {
+        if self.keys.len() != self.live {
+            return None;
+        }
+        let Reverse((_, next)) = self.keys.pop()?;
+        Some((next, self.keys.peek().map_or(NO_RIVAL, |rival| rival.0)))
+    }
+
+    /// Removes an exiting core. A worker normally exits while computing
+    /// (nothing posted); one bailing out of a poisoned run unwinds out
+    /// of a rendezvous and takes its key with it.
+    pub fn deregister(&mut self, core: usize) {
+        self.live -= 1;
+        self.keys.retain(|k| k.0 .1 != core);
+    }
+}
+
+/// A context slot holding no suspended fiber. Both backends hand out
+/// non-zero contexts (a stack pointer, a heap address).
+const DEAD: u64 = 0;
+
+/// The message every use of a poisoned machine panics with.
+const POISONED: &str = "a simulated thread panicked; the machine is poisoned";
+
+/// Scheduler state touched only inside a post or an exit.
 #[derive(Debug)]
 struct Sched {
-    /// Set of cores with a worker between `run` entry and deregister.
-    live: ProcSet,
-    /// Mailbox slots: the issue clock of each core's posted operation,
-    /// or [`NOT_POSTED`] while the core is computing natively.
-    posted: Box<[u64]>,
-    /// What each posted op is about to touch (parallel to `posted`;
-    /// meaningful only while the slot is posted).
-    classes: Box<[OpClass]>,
-    /// Bank-ownership mirror of the posted `Line`/`Commit` ops.
-    banks: BankLeases,
-    /// The epoch grant buffer: posted keys in *descending* order (the
-    /// minimum lives at the tail, so a grant is an `O(1)` pop),
-    /// refilled with the `epoch_width + 1` smallest keys when it
-    /// drains. Between refills it stays exact — every posted key
-    /// strictly below `buf_horizon` is inserted in order on post and
-    /// only the tail is popped on grant — so the tail is always the
-    /// global minimum.
-    scratch: Vec<(u64, usize)>,
-    /// The epoch horizon: the largest key captured by the last refill
-    /// when the buffer filled to capacity (else `(MAX, MAX)`, meaning
-    /// the refill captured *every* posted key). Posts below it must
-    /// enter the buffer; posts above it wait for the next refill.
-    buf_horizon: (u64, usize),
-    /// Number of live cores whose mailbox slot is [`NOT_POSTED`]
-    /// (computing natively). Grants require zero — the conservative
-    /// all-posted rule — checked in O(1) instead of scanning for the
-    /// sentinel.
-    unposted: usize,
-    /// Handles for waking parked workers (registered on first post;
-    /// OS-thread engine only — fibers are resumed by direct switch).
-    threads: Vec<Option<std::thread::Thread>>,
-    /// The core holding the exclusive lease on `Shared::state`.
-    lease: Option<usize>,
+    queue: GrantQueue,
     /// Rendezvous counters, folded into [`MachineReport`].
     stats: SchedStats,
 }
 
-/// Per-core fiber contexts for the single-OS-thread engine. Plain
-/// `Cell`s: everything here is touched only by the one OS thread
-/// driving [`Machine::run`] (the driver loop and the fibers it resumes
-/// all share that thread), and runs are serialized by the scheduler
-/// lock, which also publishes these cells across host threads between
-/// runs.
-#[cfg(target_arch = "x86_64")]
-struct FiberHub {
-    /// The driver's suspended context while a fiber runs.
-    driver: Cell<u64>,
-    /// Each fiber's suspended context (or prepared initial context).
-    ctx: Vec<Cell<u64>>,
-    /// Fiber `i` has been switched into at least once this run.
-    started: Vec<Cell<bool>>,
-    /// Fiber `i`'s job has completed (its context is dead).
-    finished: Vec<Cell<bool>>,
-}
-
-#[cfg(target_arch = "x86_64")]
-impl FiberHub {
-    fn new(cores: usize) -> Self {
-        FiberHub {
-            driver: Cell::new(0),
-            ctx: (0..cores).map(|_| Cell::new(0)).collect(),
-            started: (0..cores).map(|_| Cell::new(false)).collect(),
-            finished: (0..cores).map(|_| Cell::new(false)).collect(),
-        }
-    }
-}
-
-/// State shared between the [`Machine`] handle and its worker threads.
+/// Everything a [`Machine`] and its [`ProcHandle`]s share. One host
+/// thread owns it (see the module doc), so the fields are plain cells.
 pub(crate) struct Shared {
-    state: UnsafeCell<SimState>,
-    sched: Mutex<Sched>,
-    lanes: Lanes,
-    /// A worker body panicked; everyone must bail out. Atomic (not in
-    /// `Sched`) so parked workers can check it without the lock.
-    poisoned: AtomicBool,
+    state: RefCell<SimState>,
+    sched: RefCell<Sched>,
+    /// The lease: the running fiber may run an op issued at
+    /// `(clock, id)` strictly below this horizon without a rendezvous.
+    /// [`NO_LEASE`] between a post or an exit and the next grant; once
+    /// granted, the grantee is the only fiber that runs until it posts
+    /// or exits, so the horizon needs no owner field beside it.
+    horizon: Cell<(u64, usize)>,
+    /// A run body panicked; every fiber must bail out and the machine
+    /// refuses further use rather than expose half-mutated state.
+    poisoned: Cell<bool>,
     strict: bool,
-    /// Run simulated threads as stackful fibers on the calling OS
-    /// thread instead of one OS thread each. Same schedule, same
-    /// results; handoffs cost a userspace switch instead of a futex.
-    use_fibers: bool,
-    /// Effective epoch width (`MachineConfig::epoch_width`, clamped to
-    /// at least 1). Widths above 1 enable the batched grant buffer.
-    epoch: usize,
-    #[cfg(target_arch = "x86_64")]
-    fibers: FiberHub,
+    /// The driver loop's suspended context while a fiber runs.
+    driver: Cell<u64>,
+    /// Each fiber's suspended (or prepared initial) context; [`DEAD`]
+    /// once its job has returned.
+    ctx: Box<[Cell<u64>]>,
 }
 
-// SAFETY: `state` is accessed only by the unique lease holder between
-// two critical sections on `sched`, or through `Machine` methods that
-// hold `sched` and assert no run is live; handoff through the lock
-// publishes the previous holder's writes (module doc, "Safety
-// discipline"). The `fibers` hub's cells are touched only on
-// the OS thread inside `Machine::run` (driver and fibers share it),
-// and runs are serialized — and published across host threads — by the
-// `sched` lock. Everything else in `Shared` is Sync on its own.
-#[allow(unsafe_code)]
-unsafe impl Sync for Shared {}
+pub(crate) type SharedMachine = Rc<Shared>;
 
-/// Rebuilds the grant buffer: the `epoch_width + 1` smallest posted
-/// keys, ascending, and the epoch horizon (the largest buffered key
-/// when the buffer filled to capacity, else `(MAX, MAX)` — the scan
-/// captured every posted key). Skips [`NOT_POSTED`] slots; the only
-/// one possible mid-grant is the grantee's own, just consumed.
-fn refill(shared: &Shared, sched: &mut Sched) {
-    // `shared.epoch` is clamped to >= 1 at construction (`try_new`);
-    // the clamp is re-applied here so the `scratch.last().unwrap()`
-    // below can never see an empty capped buffer even if a future
-    // construction path forgets it.
-    let epoch = if shared.strict {
-        1
-    } else {
-        shared.epoch.max(1)
-    };
-    let cap = epoch + 1;
-    debug_assert!(cap >= 2, "grant-buffer capacity must be at least 2");
-    sched.scratch.clear();
-    for i in sched.live.iter() {
-        let clock = sched.posted[i];
-        if clock == NOT_POSTED {
-            continue;
-        }
-        let key = (clock, i);
-        if sched.scratch.len() < cap || key < *sched.scratch.last().unwrap() {
-            let at = sched.scratch.partition_point(|&k| k < key);
-            sched.scratch.insert(at, key);
-            sched.scratch.truncate(cap);
-        }
-    }
-    sched.buf_horizon = if sched.scratch.len() == cap {
-        *sched.scratch.last().unwrap()
-    } else {
-        (u64::MAX, usize::MAX)
-    };
-    // The buffer is kept descending (minimum at the tail) so grants
-    // pop in O(1); the capped build above is easiest done ascending.
-    sched.scratch.reverse();
-}
-
-/// Grants the lease to the next runnable core, if any: the minimum
-/// `(posted clock, id)` over live cores, but only when every live core
-/// has posted — the original engine's conservative-lockstep rule,
-/// verbatim.
-///
-/// The minimum comes from the epoch grant buffer. The buffer invariant
-/// — every posted key strictly below `buf_horizon` is buffered, every
-/// unbuffered key is above it — makes the buffered head *exactly* the
-/// global minimum, because entries only leave through grants (head
-/// pops) and every new post below the horizon is inserted in order. A
-/// drained buffer triggers a full mailbox rescan (`refill`), so the
-/// `O(cores)` scan runs once per ~`epoch_width` grants instead of on
-/// every grant; grants served without a rescan count as
-/// `SchedStats::epoch_ops`. Epoch width 1 (and `strict_lockstep`)
-/// degenerate to a rescan per grant — the original strict
-/// second-minimum rule, byte for byte.
-///
-/// The granter does the bookkeeping while it holds the lock: it
-/// consumes the grantee's mailbox slot, computes the grantee's horizon
-/// (the smallest `(clock, id)` among the *other* posted cores — frozen
-/// while they are parked, i.e. the second-smallest key overall), and
-/// publishes both through the grantee's lane. The woken core touches no
-/// lock at all. `caller` (if posting) skips its own wakeup: it
-/// re-checks its lane before parking.
-///
-/// Returns the core to wake, if any (the grantee, when it is not the
-/// caller itself). On the OS-thread engine the caller must drop the
-/// `sched` guard *before* unparking it: waking the grantee while still
-/// holding the lock invites the OS to preempt the granter in favour of
-/// the grantee, which then blocks on this same lock at its next
-/// rendezvous — an extra futex round-trip on every handoff. On the
-/// fiber engine the caller switches directly into the grantee's
-/// context (also after dropping the guard, or the grantee's next lock
-/// would self-deadlock the shared OS thread).
-#[must_use]
-fn try_grant(shared: &Shared, sched: &mut Sched, caller: Option<usize>) -> Option<usize> {
-    if sched.lease.is_some() || shared.poisoned.load(Relaxed) {
-        return None;
-    }
-    if sched.unposted > 0 {
-        return None; // someone is still computing natively
-    }
-    let batching = !shared.strict && shared.epoch > 1;
-    if !batching {
-        // Width 1 / strict: rescan every grant (the buffer would serve
-        // grants scan-free even at width 1, but the knob's contract is
-        // "strict second-minimum only").
-        sched.scratch.clear();
-    }
-    let mut rescanned = false;
-    if sched.scratch.is_empty() {
-        refill(shared, sched);
-        rescanned = true;
-    }
-    let Some((_, next)) = sched.scratch.pop() else {
-        return None; // no live cores remain
-    };
-    sched.lease = Some(next);
-    sched.posted[next] = NOT_POSTED;
-    sched.unposted += 1;
-    let consumed = sched.classes[next];
-    sched.classes[next] = OpClass::Global;
-    if let Some(line) = consumed.line() {
-        let bank = bank_of(line);
-        debug_assert!(
-            sched.banks.owners[bank].contains(next),
-            "granted line op's bank lost its owner bit"
-        );
-        if sched.banks.any_other_owner(bank, next) {
-            sched.stats.bank_conflict_grants += 1;
-        }
-    }
-    sched.banks.consume(next, consumed);
-    // The strict horizon is the true second-smallest key: after the
-    // head pop the buffer's new head is the smallest rival (everything
-    // unbuffered sits above the epoch horizon). A drained buffer is
-    // refilled first — legal mid-grant, since every rival is still
-    // posted and the grantee's consumed slot is skipped.
-    if sched.scratch.is_empty() {
-        refill(shared, sched);
-        rescanned = true;
-    }
-    // A grant that never touched `refill` — neither to find its head
-    // nor to publish its horizon — ran O(log width) total instead of
-    // O(cores): that is the batching win the counter tracks.
-    if batching && !rescanned {
-        sched.stats.epoch_ops += 1;
-    }
-    let second = sched
-        .scratch
-        .last()
-        .copied()
-        .unwrap_or((u64::MAX, usize::MAX));
-    let lane = &shared.lanes.0[next];
-    lane.horizon_clock.store(second.0, Relaxed);
-    lane.horizon_id.store(second.1, Relaxed);
-    lane.granted.store(true, Release);
-    if caller != Some(next) {
-        sched.stats.grants += 1;
-        return Some(next);
-    }
-    None
-}
-
-/// True while `core` holds the lease and an op issued now sits below
-/// the strict horizon: the one-at-a-time scheduler would pick `core`
-/// again anyway, so the op may run with no synchronization at all.
-#[inline]
-fn below_strict_horizon(shared: &Shared, core: usize) -> bool {
-    let lane = &shared.lanes.0[core];
-    if !lane.holds_lease.load(Relaxed) {
-        return false;
-    }
-    let issue = lane.clock.load(Relaxed);
-    let horizon = (
-        lane.horizon_clock.load(Relaxed),
-        lane.horizon_id.load(Relaxed),
-    );
-    (issue, core) < horizon
+/// Grants the lease to the minimum posted key, if every live core has
+/// posted, and publishes its horizon.
+fn grant(shared: &Shared, sched: &mut Sched) -> Option<usize> {
+    let (next, horizon) = sched.queue.grant()?;
+    shared.horizon.set(horizon);
+    Some(next)
 }
 
 /// Executes one simulated operation for `core`: `f` runs exactly when
 /// the deterministic order reaches the op's `(issue clock, core)`.
 ///
 /// Fast path: while `core` holds the lease and the op is issued below
-/// the cached horizon, the one-at-a-time scheduler would pick `core`
-/// again anyway — run `f` directly, no synchronization at all.
-///
-/// `f` may touch anything (`OpClass::Global`): rivals can never run
-/// ahead of it. Memory accesses go through [`sync_mem_op`] /
-/// [`sync_commit_op`] and core-local ops through [`sync_pure_op`],
-/// which post precise classes instead.
+/// the horizon, the one-at-a-time scheduler would pick `core` again
+/// anyway — run `f` directly. `f` may touch anything in the state:
+/// rivals never run ahead of it.
 pub(crate) fn sync_op<R>(shared: &Shared, core: usize, f: impl FnOnce(&mut SimState) -> R) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: this thread holds the lease (only it sets and
-        // clears its own `holds_lease`), so it has exclusive
-        // access to the state.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
+    if !shared.strict {
+        let mut st = shared.state.borrow_mut();
+        if (st.now(core), core) < shared.horizon.get() {
+            st.lanes[core].fast_ops += 1;
+            return f(&mut st);
+        }
     }
-    slow_op(shared, core, OpClass::Global, f)
+    rendezvous(shared, core);
+    f(&mut shared.state.borrow_mut())
 }
 
-/// [`sync_op`] for operations that touch only the issuing core's own
-/// state (alert/CST/signature bookkeeping, attempt marks, aborts):
-/// identical execution, but the rendezvous posts [`OpClass::Pure`] so
-/// rivals' run-ahead is never blocked by it.
-pub(crate) fn sync_pure_op<R>(
-    shared: &Shared,
-    core: usize,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: as in `sync_op` — this thread holds the lease.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
-    }
-    slow_op(shared, core, OpClass::Pure, f)
-}
-
-/// [`sync_op`] for a memory access to `line` (load/store/tload/
-/// tstore/cas/aload): identical execution, but the rendezvous posts
-/// [`OpClass::Line`] keyed by the line so the scheduler's bank table
-/// and conflict attribution see what the op is about to touch.
-pub(crate) fn sync_mem_op<R>(
-    shared: &Shared,
-    core: usize,
-    line: LineAddr,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: as in `sync_op` — this thread holds the lease.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
-    }
-    let class = OpClass::Line(line);
-    slow_op(shared, core, class, f)
-}
-
-/// [`sync_op`] for a CAS-Commit on the TSW at `tsw_line`: posts
-/// [`OpClass::Commit`] so the scheduler knows both the TSW line and
-/// the write-set drain are pending.
-pub(crate) fn sync_commit_op<R>(
-    shared: &Shared,
-    core: usize,
-    tsw_line: LineAddr,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    if !shared.strict && below_strict_horizon(shared, core) {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        // SAFETY: as in `sync_op` — this thread holds the lease.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *shared.state.get() };
-        return f(st);
-    }
-    let class = OpClass::Commit(tsw_line);
-    slow_op(shared, core, class, f)
-}
-
-/// The rendezvous path: post the issue clock in the mailbox, hand the
-/// lease back, park until granted, then run `f` under the horizon the
-/// granter computed. "Park" is a futex wait on the OS-thread engine
-/// and a context switch (to the grantee, or back to the driver) on the
-/// fiber engine.
+/// The slow path: post the issue key, give the lease up, and park until
+/// it comes back — by switching into the grantee's context, or to the
+/// driver while the schedule waits on a fiber that has not started.
+/// Returns with the lease held; a core that grants itself never leaves.
 #[cold]
-fn slow_op<R>(
-    shared: &Shared,
-    core: usize,
-    class: OpClass,
-    f: impl FnOnce(&mut SimState) -> R,
-) -> R {
-    let lane = &shared.lanes.0[core];
-    let (wake, wake_thread) = {
-        let mut sched = shared.sched.lock().expect("scheduler lock poisoned");
-        if !shared.use_fibers && sched.threads[core].is_none() {
-            sched.threads[core] = Some(std::thread::current());
-        }
-        let clock = lane.clock.load(Relaxed);
-        sched.posted[core] = clock;
-        sched.classes[core] = class;
-        sched.banks.post(core, class);
-        sched.unposted -= 1;
-        // Keep the grant buffer exact: a post below the epoch horizon
-        // enters it in (descending) order — small keys sit near the
-        // tail, so the memmove is short for the common near-minimum
-        // post. Posts above the horizon wait for the next refill.
-        if !shared.strict && shared.epoch > 1 {
-            let key = (clock, core);
-            if key < sched.buf_horizon {
-                let at = sched.scratch.partition_point(|&k| k > key);
-                sched.scratch.insert(at, key);
-            }
-        }
+fn rendezvous(shared: &Shared, core: usize) {
+    assert!(!shared.poisoned.get(), "{POISONED}");
+    let clock = shared.state.borrow().now(core);
+    let next = {
+        let mut sched = shared.sched.borrow_mut();
+        sched.queue.post(clock, core);
         sched.stats.slow_ops += 1;
-        if sched.lease == Some(core) {
-            sched.lease = None;
-            lane.holds_lease.store(false, Relaxed);
+        shared.horizon.set(NO_LEASE);
+        let next = grant(shared, &mut sched);
+        if next.is_some_and(|n| n != core) {
+            sched.stats.grants += 1;
         }
-        let wake = try_grant(shared, &mut sched, Some(core));
-        let wake_thread = if shared.use_fibers {
-            None
-        } else {
-            wake.and_then(|next| sched.threads[next].clone())
-        };
-        (wake, wake_thread)
+        next
     };
-    #[cfg(target_arch = "x86_64")]
-    if shared.use_fibers {
-        fiber_park(shared, core, wake);
-    } else {
-        thread_park(shared, lane, wake_thread);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = wake;
-        thread_park(shared, lane, wake_thread);
-    }
-    lane.granted.store(false, Relaxed);
-    lane.holds_lease.store(true, Relaxed);
-    // SAFETY: the grant was published with release ordering from inside
-    // the scheduler's critical section, after the previous holder's
-    // release of the lease — its writes to the state happen-before
-    // ours.
-    #[allow(unsafe_code)]
-    let st = unsafe { &mut *shared.state.get() };
-    f(st)
-}
-
-/// OS-thread park: unpark the grantee (if the caller's post granted
-/// one), then futex-wait until this core's own grant flag shows up. An
-/// unpark can arrive before the park — the park token absorbs it.
-fn thread_park(shared: &Shared, lane: &CoreLane, wake: Option<Thread>) {
-    if let Some(t) = wake {
-        t.unpark();
-    }
-    while !lane.granted.load(Acquire) {
-        if shared.poisoned.load(Relaxed) {
-            panic!("a simulated thread panicked; the machine is poisoned");
-        }
-        std::thread::park();
-    }
-}
-
-/// Fiber park: switch straight into the grantee's context (no driver
-/// round-trip), or back to the driver when the schedule is blocked on
-/// a fiber that has not started yet. Resumed exactly when granted — or
-/// when the driver is unwinding a poisoned run, in which case the
-/// panic unwinds this fiber's stack into its `catch_unwind`.
-#[cfg(target_arch = "x86_64")]
-fn fiber_park(shared: &Shared, core: usize, grant: Option<usize>) {
-    let lane = &shared.lanes.0[core];
-    let mut resume_to = grant;
-    while !lane.granted.load(Acquire) {
-        if shared.poisoned.load(Relaxed) {
-            panic!("a simulated thread panicked; the machine is poisoned");
-        }
-        let hub = &shared.fibers;
-        let save = hub.ctx[core].as_ptr();
-        let resume = match resume_to.take() {
-            Some(next) => hub.ctx[next].get(),
-            None => hub.driver.get(),
-        };
-        // SAFETY: `resume` is the suspended context of a live parked
-        // fiber (the grantee `try_grant` just picked) or of the driver
-        // — both saved by this same switch function on this OS thread
-        // and resumed exactly once, here. `save` is this core's own
-        // context cell, which whoever grants us next will resume.
-        #[allow(unsafe_code)]
-        unsafe {
-            fiber::flextm_sim_fiber_switch(save, resume)
-        };
-    }
-}
-
-/// Driver-side resume of fiber `i` (initial start, grant-blocked
-/// handback, or poison unwinding).
-#[cfg(target_arch = "x86_64")]
-fn resume_fiber(hub: &FiberHub, i: usize) {
-    let save = hub.driver.as_ptr();
-    let resume = hub.ctx[i].get();
-    // SAFETY: `ctx[i]` holds the prepared initial context of a
-    // not-yet-started fiber or the suspended context of a started,
-    // unfinished one (the driver loop checks `started`/`finished`);
-    // either is resumed at most once before being re-saved.
-    #[allow(unsafe_code)]
-    unsafe {
-        fiber::flextm_sim_fiber_switch(save, resume)
-    };
-}
-
-/// A finished fiber's last act: mark itself dead and switch to the
-/// grantee its deregistration unblocked, or back to the driver. Its
-/// own context is never resumed again.
-#[cfg(target_arch = "x86_64")]
-fn fiber_finish(shared: &Shared, core: usize, grant: Option<usize>) -> ! {
-    let hub = &shared.fibers;
-    hub.finished[core].set(true);
-    let save = hub.ctx[core].as_ptr();
-    let resume = match grant {
-        Some(next) => hub.ctx[next].get(),
-        None => hub.driver.get(),
-    };
-    // SAFETY: as in `fiber_park`; the saved context is dead (guarded by
-    // `finished`), so saving into it merely discards this stack.
-    #[allow(unsafe_code)]
-    unsafe {
-        fiber::flextm_sim_fiber_switch(save, resume)
-    };
-    unreachable!("finished fiber was resumed");
-}
-
-/// `work`: charges `cycles` of local computation. Touches only the
-/// issuing core's lane — no protocol traffic, no events, no reads of
-/// shared state — so it commutes with every remote operation: removing
-/// it from the rendezvous changes no other core's issue clocks and
-/// therefore no scheduling decision.
-pub(crate) fn work_op(shared: &Shared, core: usize, cycles: u64) {
-    if !shared.strict {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.clock, cycles);
-        lane_add(&lane.work_cycles, cycles);
-        lane_add(&lane.fast_ops, 1);
+    if next == Some(core) {
         return;
     }
-    sync_op(shared, core, |st| {
-        st.advance(core, cycles);
-        st.charge_work(core, cycles);
-    });
+    let resume = next.map_or(shared.driver.get(), |n| shared.ctx[n].get());
+    // SAFETY: `resume` is the suspended context of a live parked fiber
+    // (the grantee just picked, which parked right here) or of the
+    // driver — saved by this same switch on this host thread and
+    // resumed exactly once, now. `save` is this core's own slot, which
+    // whoever grants us next will resume. No `RefCell` borrow is live.
+    #[allow(unsafe_code)]
+    unsafe {
+        fiber::switch(shared.ctx[core].as_ptr(), resume)
+    };
+    // Resumed: either granted, or the driver is unwinding a poisoned
+    // run and this panic unwinds our stack into the job's
+    // `catch_unwind`.
+    assert!(!shared.poisoned.get(), "{POISONED}");
 }
 
-/// `stall`: charges `cycles` of contention-manager backoff/stall.
-/// Identical scheduling behaviour to [`work_op`] (same clock advance,
-/// same commutation argument) — only the accounting bucket differs.
-pub(crate) fn stall_op(shared: &Shared, core: usize, cycles: u64) {
-    if !shared.strict {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.clock, cycles);
-        lane_add(&lane.stall_cycles, cycles);
-        lane_add(&lane.fast_ops, 1);
-        return;
+/// Which cycle bucket a local op charges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Bucket {
+    /// `work`: computation.
+    Work,
+    /// `stall`: contention-manager backoff and stall spins.
+    Stall,
+}
+
+/// `work` / `stall`: charges `cycles` to the issuing core's clock and
+/// one bucket. Touches only that core's lane — no protocol traffic, no
+/// events, no reads of shared state — so it commutes with every remote
+/// operation: removing it from the rendezvous changes no other core's
+/// issue clocks and therefore no scheduling decision.
+pub(crate) fn local_op(shared: &Shared, core: usize, cycles: u64, bucket: Bucket) {
+    let charge = |st: &mut SimState| {
+        let lane = &mut st.lanes[core];
+        lane.clock += cycles;
+        match bucket {
+            Bucket::Work => lane.work_cycles += cycles,
+            Bucket::Stall => lane.stall_cycles += cycles,
+        }
+    };
+    if shared.strict {
+        return sync_op(shared, core, charge);
     }
-    sync_op(shared, core, |st| {
-        st.advance(core, cycles);
-        st.charge_stall(core, cycles);
-    });
+    let mut st = shared.state.borrow_mut();
+    charge(&mut st);
+    st.lanes[core].fast_ops += 1;
 }
 
-/// `now`: reads the issuing core's clock, which only it writes — the
-/// lock-free read returns exactly what the rendezvous would.
+/// `now`: reads the issuing core's clock, which only it advances — the
+/// direct read returns exactly what the rendezvous would.
 pub(crate) fn now_op(shared: &Shared, core: usize) -> u64 {
-    if !shared.strict {
-        let lane = &shared.lanes.0[core];
-        lane_add(&lane.fast_ops, 1);
-        return lane.clock.load(Relaxed);
+    if shared.strict {
+        return sync_op(shared, core, |st| st.now(core));
     }
-    sync_op(shared, core, |st| st.now(core))
+    let mut st = shared.state.borrow_mut();
+    st.lanes[core].fast_ops += 1;
+    st.now(core)
 }
 
-/// Removes an exiting worker from the schedule; its absence may make
-/// the remaining cores runnable (or, on panic, poisons the machine and
-/// unparks everyone so they can bail out). Returns the granted core,
-/// which a finishing *fiber* must switch into ([`fiber_finish`]); the
-/// OS-thread engine has already unparked it.
-fn deregister(shared: &Shared, core: usize, panicked: bool) -> Option<usize> {
-    let mut wake_all = Vec::new();
-    let (grant, wake_thread) = {
-        let mut sched = shared.sched.lock().expect("scheduler lock poisoned");
-        if panicked {
-            shared.poisoned.store(true, Relaxed);
-        }
-        sched.live.remove(core);
-        // A worker normally exits mid-computation (slot already the
-        // sentinel, counted in `unposted`); a poison-bail instead
-        // unwinds out of a posted rendezvous with its clock still in
-        // the mailbox (and possibly in the grant buffer — harmless:
-        // a poisoned machine grants nothing, and `run` resets the
-        // buffer).
-        if sched.posted[core] == NOT_POSTED {
-            sched.unposted -= 1;
-        } else {
-            sched.posted[core] = NOT_POSTED;
-        }
-        let stale = sched.classes[core];
-        sched.classes[core] = OpClass::Global;
-        sched.banks.consume(core, stale);
-        sched.threads[core] = None;
-        if sched.lease == Some(core) {
-            sched.lease = None;
-            shared.lanes.0[core].holds_lease.store(false, Relaxed);
-        }
-        if shared.poisoned.load(Relaxed) {
-            // Unpark every OS thread; parked workers see the flag and
-            // bail. Parked fibers are instead resumed one by one by
-            // the driver loop so each unwinds its own stack.
-            wake_all = sched.threads.iter().flatten().cloned().collect();
-            (None, None)
-        } else {
-            let grant = try_grant(shared, &mut sched, None);
-            let wake_thread = if shared.use_fibers {
-                None
-            } else {
-                grant.and_then(|next| sched.threads[next].clone())
-            };
-            (grant, wake_thread)
-        }
-    };
-    for t in wake_all {
-        t.unpark();
+/// An exiting fiber's last act: leave the schedule — its absence may
+/// make the remaining cores runnable — and name the context to resume
+/// in its place: the grantee its exit unblocked, else the driver. A
+/// panicked body poisons the machine instead; the driver then resumes
+/// each parked survivor so it unwinds its own stack.
+fn deregister(shared: &Shared, core: usize, panicked: bool) -> u64 {
+    shared.ctx[core].set(DEAD);
+    shared.horizon.set(NO_LEASE);
+    if panicked {
+        shared.poisoned.set(true);
     }
-    if let Some(t) = wake_thread {
-        t.unpark();
+    let mut sched = shared.sched.borrow_mut();
+    sched.queue.deregister(core);
+    if shared.poisoned.get() {
+        return shared.driver.get();
     }
-    grant
+    match grant(shared, &mut sched) {
+        Some(next) => {
+            sched.stats.grants += 1;
+            shared.ctx[next].get()
+        }
+        None => shared.driver.get(),
+    }
+}
+
+/// A fiber's one-shot job, reached through the thin pointer its stack
+/// was prepared with. Returns the context to resume once it is done.
+type Job<'a> = Option<Box<dyn FnOnce() -> u64 + 'a>>;
+
+extern "C" fn fiber_main(arg: *mut u8) -> u64 {
+    // SAFETY: `arg` is the `*mut Job` this fiber was prepared with in
+    // `Machine::run`, which keeps the slot alive and untouched until
+    // every fiber has returned. The cast also erases the job's borrow
+    // lifetime: every job runs to completion — normally or by
+    // poison-unwinding — inside `run`'s driver loop, strictly before
+    // the results, the body and the stacks it borrows are dropped.
+    #[allow(unsafe_code)]
+    let job = unsafe { &mut *arg.cast::<Job<'static>>() };
+    (job.take().expect("fiber started twice"))()
 }
 
 /// The simulated chip multiprocessor.
@@ -1257,8 +700,16 @@ fn deregister(shared: &Shared, core: usize, panicked: bool) -> Option<usize> {
 /// });
 /// assert_eq!(results, vec![7, 7]);
 /// ```
+///
+/// A machine belongs to the host thread that built it: scheduler state
+/// is unsynchronized by design, so sharing one is a compile error.
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<flextm_sim::Machine>();
+/// ```
 pub struct Machine {
-    shared: Arc<Shared>,
+    shared: SharedMachine,
 }
 
 impl std::fmt::Debug for Machine {
@@ -1288,52 +739,31 @@ impl Machine {
         config.validate()?;
         let cores = config.cores;
         let strict = config.strict_lockstep;
-        let use_fibers = cfg!(target_arch = "x86_64") && !config.os_threads;
-        // Widths 0 and 1 both mean "rescan every grant"; clamping here
-        // keeps `refill`'s `cap = epoch + 1 >= 2` invariant explicit so
-        // a zero-width config cannot reach the scheduler.
-        let epoch = config.epoch_width.max(1);
-        let state = SimState::new(config);
-        let lanes = state.lanes.clone();
         Ok(Machine {
-            shared: Arc::new(Shared {
-                state: UnsafeCell::new(state),
-                sched: Mutex::new(Sched {
-                    live: ProcSet::empty(),
-                    posted: vec![NOT_POSTED; cores].into_boxed_slice(),
-                    classes: vec![OpClass::Global; cores].into_boxed_slice(),
-                    banks: BankLeases::new(),
-                    scratch: Vec::with_capacity(epoch + 1),
-                    buf_horizon: (0, 0),
-                    unposted: 0,
-                    threads: vec![None; cores],
-                    lease: None,
+            shared: Rc::new(Shared {
+                state: RefCell::new(SimState::new(config)),
+                sched: RefCell::new(Sched {
+                    queue: GrantQueue::with_capacity(cores),
                     stats: SchedStats::default(),
                 }),
-                lanes,
-                poisoned: AtomicBool::new(false),
+                horizon: Cell::new(NO_LEASE),
+                poisoned: Cell::new(false),
                 strict,
-                use_fibers,
-                epoch,
-                #[cfg(target_arch = "x86_64")]
-                fibers: FiberHub::new(cores),
+                driver: Cell::new(DEAD),
+                ctx: (0..cores).map(|_| Cell::new(DEAD)).collect(),
             }),
         })
     }
 
-    /// Locks the scheduler after checking the machine is quiescent, so
-    /// the state may be borrowed through this handle.
-    fn quiesced(&self, caller: &str) -> MutexGuard<'_, Sched> {
-        let sched = self.shared.sched.lock().expect("scheduler lock poisoned");
+    /// Checks that the state may be borrowed through this handle: the
+    /// machine is healthy and no run is live (a run body calling back
+    /// into its own machine is the one way to get here mid-run).
+    fn assert_quiesced(&self, caller: &str) {
+        assert!(!self.shared.poisoned.get(), "{caller}: {POISONED}");
         assert!(
-            !self.shared.poisoned.load(Relaxed),
-            "{caller}: a simulated thread panicked; the machine is poisoned"
-        );
-        assert!(
-            sched.live.is_empty(),
+            self.shared.sched.borrow().queue.live() == 0,
             "{caller} called while a run is in progress"
         );
-        sched
     }
 
     /// Direct access to simulator state. Only valid while no `run` is
@@ -1341,12 +771,8 @@ impl Machine {
     /// run and to inspect state afterwards. Accesses made here cost no
     /// simulated time and leave caches untouched.
     pub fn with_state<R>(&self, f: impl FnOnce(&mut SimState) -> R) -> R {
-        let _sched = self.quiesced("with_state");
-        // SAFETY: no run is live and we hold the scheduler lock, so no
-        // worker thread can touch the state.
-        #[allow(unsafe_code)]
-        let st = unsafe { &mut *self.shared.state.get() };
-        f(st)
+        self.assert_quiesced("with_state");
+        f(&mut self.shared.state.borrow_mut())
     }
 
     /// Runs `threads` simulated threads to completion; thread `i`
@@ -1355,205 +781,111 @@ impl Machine {
     /// run (take a [`Machine::report`] before and after to measure a
     /// region).
     ///
-    /// # Panics
-    ///
-    /// Panics if `threads` exceeds the configured core count or a body
-    /// panics (the panic is propagated; the machine is then poisoned).
-    pub fn run<R: Send>(
-        &self,
-        threads: usize,
-        body: impl Fn(crate::proc::ProcHandle) -> R + Sync,
-    ) -> Vec<R> {
-        let t0 = Instant::now();
-        {
-            let mut sched = self.quiesced("run");
-            let cores = self.shared.lanes.0.len();
-            assert!(
-                threads <= cores,
-                "asked for {threads} threads on a {cores}-core machine"
-            );
-            for i in 0..threads {
-                sched.live.insert(i);
-                sched.posted[i] = NOT_POSTED;
-            }
-            sched.unposted = threads;
-            sched.scratch.clear();
-            sched.buf_horizon = (0, 0);
-            for lane in self.shared.lanes.0.iter() {
-                lane.holds_lease.store(false, Relaxed);
-                lane.granted.store(false, Relaxed);
-                lane.horizon_clock.store(0, Relaxed);
-                lane.horizon_id.store(0, Relaxed);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        let results = if self.shared.use_fibers {
-            self.run_fibers(threads, &body)
-        } else {
-            self.run_threads(threads, &body)
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let results = self.run_threads(threads, &body);
-        let mut sched = self.shared.sched.lock().expect("scheduler lock poisoned");
-        sched.stats.host_nanos += t0.elapsed().as_nanos() as u64;
-        drop(sched);
-        results
-    }
-
-    /// The OS-thread engine: one scoped thread per simulated thread,
-    /// synchronized through the mailbox scheduler. The only engine off
-    /// x86_64; on x86_64 it is kept behind
-    /// [`MachineConfig::os_threads`] so the cross-engine determinism
-    /// suite can pin fiber/thread equivalence.
-    fn run_threads<R: Send>(
-        &self,
-        threads: usize,
-        body: &(impl Fn(crate::proc::ProcHandle) -> R + Sync),
-    ) -> Vec<R> {
-        let shared = &self.shared;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let proc = crate::proc::ProcHandle::new(Arc::clone(shared), i);
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(proc)));
-                        // Deregister even on panic, or parked siblings
-                        // would wait forever on this core's mailbox.
-                        let _ = deregister(shared, i, result.is_err());
-                        match result {
-                            Ok(r) => r,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulated thread panicked"))
-                .collect()
-        })
-    }
-
-    /// The fiber engine: every simulated thread is a stackful fiber on
-    /// the calling OS thread. The schedule is decided by exactly the
-    /// same mailbox/lease logic as the OS-thread engine — the only
-    /// difference is that "park/unpark" is a ~50 ns userspace context
-    /// switch instead of a futex round-trip (microseconds, plus a full
-    /// OS scheduler trip when host cores are scarce).
-    ///
-    /// The driver starts fibers one at a time; each runs natively until
+    /// Every thread is a fiber on the calling host thread. The driver
+    /// loop below starts them one at a time; each runs natively until
     /// its first rendezvous. Once all are started, grants flow directly
     /// fiber-to-fiber and the driver is only resumed when everyone has
     /// finished — or, after a poisoning panic, to resume each parked
     /// survivor so it unwinds its own stack before the stacks are
     /// freed.
-    #[cfg(target_arch = "x86_64")]
-    fn run_fibers<R: Send>(
-        &self,
-        threads: usize,
-        body: &(impl Fn(crate::proc::ProcHandle) -> R + Sync),
-    ) -> Vec<R> {
-        use std::cell::RefCell;
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-        /// One fiber's one-shot job, reached through the raw pointer
-        /// its stack was prepared with.
-        struct Task {
-            job: Option<Box<dyn FnOnce()>>,
-        }
-        extern "C" fn fiber_main(arg: *mut u8) -> ! {
-            // SAFETY: `arg` is the `*mut Task` this fiber's stack was
-            // prepared with below; the boxed task outlives the fiber.
-            #[allow(unsafe_code)]
-            let task = unsafe { &mut *arg.cast::<Task>() };
-            (task.job.take().expect("fiber started twice"))();
-            // The job's last act is `fiber_finish`, which never
-            // returns here.
-            std::process::abort();
-        }
-
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` exceeds the configured core count or a body
+    /// panics (the first panic is propagated; the machine is then
+    /// poisoned).
+    pub fn run<R>(&self, threads: usize, body: impl Fn(ProcHandle) -> R) -> Vec<R> {
+        let t0 = Instant::now();
         let shared = &self.shared;
-        let hub = &shared.fibers;
-        for i in 0..threads {
-            hub.started[i].set(false);
-            hub.finished[i].set(false);
-        }
+        self.assert_quiesced("run");
+        let cores = shared.ctx.len();
+        assert!(
+            threads <= cores,
+            "asked for {threads} threads on a {cores}-core machine"
+        );
+        shared.sched.borrow_mut().queue.start(threads);
+        shared.horizon.set(NO_LEASE);
 
-        let outcomes: Vec<RefCell<Option<std::thread::Result<R>>>> =
-            (0..threads).map(|_| RefCell::new(None)).collect();
-        let mut tasks: Vec<Box<Task>> = (0..threads)
+        let results: Vec<Cell<Option<R>>> = (0..threads).map(|_| Cell::new(None)).collect();
+        let first_panic: RefCell<Option<Box<dyn Any + Send>>> = RefCell::new(None);
+        let mut jobs: Vec<Job<'_>> = (0..threads)
             .map(|i| {
-                let outcome = &outcomes[i];
-                let job: Box<dyn FnOnce() + '_> = Box::new(move || {
-                    let proc = crate::proc::ProcHandle::new(Arc::clone(shared), i);
-                    let result = catch_unwind(AssertUnwindSafe(|| body(proc)));
-                    let panicked = result.is_err();
-                    *outcome.borrow_mut() = Some(result);
+                let (body, results, first_panic) = (&body, &results, &first_panic);
+                let job: Box<dyn FnOnce() -> u64 + '_> = Box::new(move || {
+                    let proc = ProcHandle::new(Rc::clone(shared), i);
+                    let panicked = match catch_unwind(AssertUnwindSafe(|| body(proc))) {
+                        Ok(r) => {
+                            results[i].set(Some(r));
+                            false
+                        }
+                        Err(payload) => {
+                            // Keep the original: the survivors' poison
+                            // bail-outs land here after it.
+                            first_panic.borrow_mut().get_or_insert(payload);
+                            true
+                        }
+                    };
                     // Deregister even on panic, or the schedule would
-                    // wait forever on this core's mailbox.
-                    let grant = deregister(shared, i, panicked);
-                    fiber_finish(shared, i, grant);
+                    // wait forever on this core's key.
+                    deregister(shared, i, panicked)
                 });
-                // SAFETY: lifetime erasure only. Every job finishes —
-                // normally or by poison-unwinding — inside the driver
-                // loop below, strictly before `outcomes`, `body`, and
-                // the stacks are dropped.
-                #[allow(unsafe_code)]
-                let job: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(job) };
-                Box::new(Task { job: Some(job) })
+                Some(job)
             })
             .collect();
-        let stacks: Vec<fiber::FiberStack> =
-            (0..threads).map(|_| fiber::FiberStack::new()).collect();
-        for (i, stack) in stacks.iter().enumerate() {
-            let arg = (&mut *tasks[i] as *mut Task).cast::<u8>();
-            hub.ctx[i].set(stack.prepare(fiber_main, arg));
-        }
+        let stacks: Vec<fiber::FiberStack> = jobs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, job)| {
+                let (stack, ctx) =
+                    fiber::FiberStack::prepare(fiber_main, std::ptr::from_mut(job).cast());
+                shared.ctx[i].set(ctx);
+                stack
+            })
+            .collect();
 
-        let mut next_start = 0;
+        let mut started = 0;
         loop {
-            if shared.poisoned.load(Relaxed) {
-                // Resume parked survivors (never-started fibers have
-                // nothing to unwind) until all have bailed out.
-                match (0..threads).find(|&i| hub.started[i].get() && !hub.finished[i].get()) {
-                    Some(i) => resume_fiber(hub, i),
+            let i = if shared.poisoned.get() {
+                // Never-started fibers have nothing to unwind.
+                match (0..started).find(|&i| shared.ctx[i].get() != DEAD) {
+                    Some(parked) => parked,
                     None => break,
                 }
-                continue;
-            }
-            if next_start < threads {
-                let i = next_start;
-                next_start += 1;
-                hub.started[i].set(true);
-                resume_fiber(hub, i);
-                continue;
-            }
-            if (0..threads).all(|i| hub.finished[i].get()) {
+            } else if started < threads {
+                started += 1;
+                started - 1
+            } else {
+                // With every fiber started, grants flow fiber-to-fiber:
+                // the schedule hands control back only when all are
+                // done (or the run is poisoned).
+                assert!(
+                    shared.ctx[..threads].iter().all(|c| c.get() == DEAD),
+                    "fiber driver resumed while fibers are runnable"
+                );
                 break;
-            }
-            // All fibers started, none runnable, no poison: the lease
-            // logic guarantees this cannot happen.
-            unreachable!("fiber driver resumed while fibers are runnable");
+            };
+            // SAFETY: `ctx[i]` is the prepared context of a fiber not
+            // yet started or the suspended context of a started,
+            // unfinished one (not `DEAD`); either is resumed once
+            // before being saved again. The driver's own context goes
+            // to `driver`, which the fiber that hands control back
+            // resumes. No `RefCell` borrow is live.
+            #[allow(unsafe_code)]
+            unsafe {
+                fiber::switch(shared.driver.as_ptr(), shared.ctx[i].get())
+            };
         }
-        drop(tasks);
         drop(stacks);
+        drop(jobs);
 
-        let mut results = Vec::with_capacity(threads);
-        let mut first_panic = None;
-        for cell in outcomes {
-            match cell.into_inner() {
-                Some(Ok(r)) => results.push(r),
-                Some(Err(payload)) => {
-                    first_panic.get_or_insert(payload);
-                }
-                None => {} // poisoned before this fiber started
-            }
-        }
-        if let Some(payload) = first_panic {
+        if let Some(payload) = first_panic.into_inner() {
             resume_unwind(payload);
         }
+        shared.sched.borrow_mut().stats.host_nanos += t0.elapsed().as_nanos() as u64;
         results
+            .into_iter()
+            .map(|r| r.into_inner().expect("fiber finished without a result"))
+            .collect()
     }
 
     /// Aligns every core's local clock to the current global maximum —
@@ -1569,50 +901,38 @@ impl Machine {
     ///
     /// Panics if called while a run is in progress.
     pub fn align_clocks(&self) {
-        let _sched = self.quiesced("align_clocks");
-        let lanes = &self.shared.lanes;
-        let max = (0..lanes.0.len())
-            .map(|i| lanes.clock(i))
-            .max()
-            .unwrap_or(0);
-        for lane in lanes.0.iter() {
+        self.assert_quiesced("align_clocks");
+        let mut st = self.shared.state.borrow_mut();
+        let max = st.lanes.iter().map(|l| l.clock).max().unwrap_or(0);
+        for lane in &mut st.lanes {
             // The alignment skip is idle waiting at a barrier: charge
             // it to the stall bucket so the four buckets keep summing
             // to the clock.
-            let skipped = max - lane.clock.load(Relaxed);
-            lane_add(&lane.stall_cycles, skipped);
-            lane.clock.store(max, Relaxed);
+            lane.stall_cycles += max - lane.clock;
+            lane.clock = max;
         }
     }
 
     /// Snapshot of counters, clocks and scheduler statistics.
     pub fn report(&self) -> MachineReport {
-        let sched = self.quiesced("report");
-        // SAFETY: no run is live and we hold the scheduler lock.
-        #[allow(unsafe_code)]
-        let st = unsafe { &*self.shared.state.get() };
-        let lanes = &self.shared.lanes;
-        let mut sched_stats = sched.stats;
-        sched_stats.fast_ops = lanes.0.iter().map(|l| l.fast_ops.load(Relaxed)).sum();
+        self.assert_quiesced("report");
+        let st = self.shared.state.borrow();
+        let mut sched = self.shared.sched.borrow().stats;
+        sched.fast_ops = st.lanes.iter().map(|l| l.fast_ops).sum();
         MachineReport {
-            core_cycles: (0..lanes.0.len()).map(|i| lanes.clock(i)).collect(),
-            cores: st
-                .cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
+            core_cycles: st.lanes.iter().map(|l| l.clock).collect(),
+            cores: (st.cores.iter().zip(&st.lanes))
+                .map(|(c, lane)| {
                     let mut s = c.stats;
-                    s.work_cycles = lanes.0[i].work_cycles.load(Relaxed);
-                    s.stall_cycles = lanes.0[i].stall_cycles.load(Relaxed);
+                    s.work_cycles = lane.work_cycles;
+                    s.stall_cycles = lane.stall_cycles;
                     s
                 })
                 .collect(),
-            sched: sched_stats,
+            sched,
         }
     }
 }
-
-pub(crate) type SharedMachine = Arc<Shared>;
 
 #[cfg(test)]
 mod tests {
@@ -1756,70 +1076,7 @@ mod tests {
         });
         let r = m.report();
         assert_eq!(r.sched.fast_ops, 0);
-        assert_eq!(r.sched.epoch_ops, 0);
         assert!(r.sched.slow_ops >= 4);
-    }
-
-    #[test]
-    fn epoch_batching_relaxes_ops_without_changing_results() {
-        // Three cores hammering disjoint private lines: at width 1
-        // every grant pays a full mailbox rescan, while the epoch
-        // buffer serves most grants from the sorted batch. The batched
-        // path must (a) actually fire and (b) leave every simulated
-        // observable bit-identical to a width-1 run.
-        let run = |width: usize| {
-            let mut cfg = MachineConfig::small_test();
-            cfg.epoch_width = width;
-            let m = Machine::new(cfg);
-            m.run(3, |p| {
-                let base = crate::mem::Addr::new(0x1000 + p.core() as u64 * 0x400);
-                for i in 0..32u64 {
-                    p.store(base.offset(i % 4), i);
-                    let v = p.load(base.offset(i % 4));
-                    p.work(1 + v % 3);
-                }
-            });
-            let r = m.report();
-            let events = m.with_state(|st| st.log.take());
-            (r.core_cycles.clone(), r.cores.clone(), events, r.sched)
-        };
-        let (strict_clocks, strict_cores, strict_events, strict_sched) = run(1);
-        let (clocks, cores, events, sched) = run(8);
-        assert_eq!(strict_clocks, clocks);
-        assert_eq!(strict_cores, cores);
-        assert_eq!(strict_events, events);
-        assert_eq!(strict_sched.epoch_ops, 0, "width 1 must stay strict");
-        assert!(
-            sched.epoch_ops > 0,
-            "no op took the relaxed epoch path: {sched:?}"
-        );
-    }
-
-    #[test]
-    fn zero_epoch_width_runs_like_width_one() {
-        // epoch_width 0 must not panic deep in the grant buffer (the
-        // refill's `cap >= 1` reliance) and must behave exactly like
-        // the strict width-1 engine.
-        let run = |width: usize| {
-            let mut cfg = MachineConfig::small_test();
-            cfg.epoch_width = width;
-            let m = Machine::new(cfg);
-            m.run(3, |p| {
-                let a = crate::mem::Addr::new(0x200);
-                for i in 0..16u64 {
-                    p.store(a.offset(i % 4), i);
-                    p.work(1 + p.core() as u64);
-                }
-            });
-            let r = m.report();
-            (r.core_cycles.clone(), r.cores.clone(), r.sched.epoch_ops)
-        };
-        let (w0_clocks, w0_cores, w0_epoch_ops) = run(0);
-        let (w1_clocks, w1_cores, w1_epoch_ops) = run(1);
-        assert_eq!(w0_clocks, w1_clocks);
-        assert_eq!(w0_cores, w1_cores);
-        assert_eq!(w0_epoch_ops, 0, "width 0 must stay strict");
-        assert_eq!(w1_epoch_ops, 0);
     }
 
     #[test]
@@ -1860,56 +1117,6 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn fiber_and_thread_engines_simulate_identically() {
-        // The execution engine must be invisible to the simulation:
-        // same clocks, same per-core counters, same event order. (Host
-        // `sched` stats are excluded — the thread engine's `grants`
-        // depends on which racing thread wins the handoff lock.)
-        let run = |os_threads: bool| {
-            let mut cfg = MachineConfig::small_test();
-            cfg.os_threads = os_threads;
-            let m = Machine::new(cfg);
-            m.with_state(|st| st.mem.write(crate::mem::Addr::new(0x40), 1));
-            m.run(4, |p| {
-                let a = crate::mem::Addr::new(0x40);
-                for i in 0..12 {
-                    let v = p.load(a.offset((p.core() as u64 + i) % 7));
-                    p.store(a.offset(7 + v % 5), v + 1);
-                    p.work(1 + p.core() as u64);
-                }
-            });
-            let r = m.report();
-            let events = m.with_state(|st| st.log.take());
-            (r.core_cycles.clone(), r.cores.clone(), events)
-        };
-        let (fiber_clocks, fiber_cores, fiber_events) = run(false);
-        let (thread_clocks, thread_cores, thread_events) = run(true);
-        assert_eq!(fiber_clocks, thread_clocks);
-        assert_eq!(fiber_cores, thread_cores);
-        assert_eq!(fiber_events, thread_events);
-    }
-
-    #[test]
-    fn worker_panic_propagates_and_poisons_on_thread_engine() {
-        let mut cfg = MachineConfig::small_test();
-        cfg.os_threads = true;
-        let m = Machine::new(cfg);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.run(2, |p| {
-                if p.core() == 1 {
-                    panic!("boom");
-                }
-                for _ in 0..4 {
-                    p.load(crate::mem::Addr::new(0x100));
-                }
-            });
-        }));
-        assert!(result.is_err());
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.report())).is_err());
-    }
-
     #[test]
     fn worker_panic_propagates_and_poisons() {
         let m = Machine::new(MachineConfig::small_test());
@@ -1927,5 +1134,90 @@ mod tests {
         // The machine must refuse further use rather than expose
         // half-mutated state.
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.report())).is_err());
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("did not panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => (*payload.downcast::<&str>().expect("non-string panic")).to_owned(),
+        }
+    }
+
+    fn assert_poisoned(m: &Machine) {
+        let msg = panic_message(|| drop(m.report()));
+        assert_eq!(msg, format!("report: {POISONED}"));
+    }
+
+    #[test]
+    fn reentering_the_machine_from_a_run_body_panics_and_poisons() {
+        // The scheduler mutex used to serialize these against a live
+        // run; now the live-core count does, and the body's panic
+        // poisons the machine like any other.
+        type Reenter = fn(&Machine);
+        let cases: [(&str, Reenter); 4] = [
+            ("with_state", |m| m.with_state(|_| ())),
+            ("report", |m| drop(m.report())),
+            ("align_clocks", |m| m.align_clocks()),
+            ("run", |m| drop(m.run(1, |_| ()))),
+        ];
+        for (name, reenter) in cases {
+            let m = Machine::new(MachineConfig::small_test());
+            let msg = panic_message(|| {
+                m.run(2, |p| {
+                    p.load(crate::mem::Addr::new(0x100));
+                    if p.core() == 1 {
+                        reenter(&m);
+                    }
+                });
+            });
+            assert_eq!(msg, format!("{name} called while a run is in progress"));
+            assert_poisoned(&m);
+        }
+    }
+
+    #[test]
+    fn nested_operation_panics_instead_of_aliasing_the_state() {
+        // An op issued from inside another op's closure would need a
+        // second `&mut SimState`; the `RefCell` refuses it.
+        let m = Machine::new(MachineConfig::small_test());
+        let msg = panic_message(|| {
+            m.run(2, |p| p.with_sync(|| p.load(crate::mem::Addr::new(0x100))));
+        });
+        assert!(msg.contains("already"), "unexpected panic: {msg}");
+        assert_poisoned(&m);
+    }
+
+    #[test]
+    fn panic_mid_lease_unwinds_parked_siblings_and_keeps_the_payload() {
+        // One core panics several granted ops into the run, holding the
+        // lease, while its three siblings are parked in a rendezvous —
+        // each with a guard on its fiber stack. The original payload
+        // must come out of `run` (not a sibling's poison bail-out), and
+        // every stack must be unwound, not just freed.
+        struct Guard<'a>(&'a Cell<usize>);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let m = Machine::new(MachineConfig::small_test());
+        let unwound = Cell::new(0);
+        let msg = panic_message(|| {
+            m.run(4, |p| {
+                let _guard = Guard(&unwound);
+                let a = crate::mem::Addr::new(0x1000 + p.core() as u64 * 0x400);
+                for i in 0..8 {
+                    p.store(a, i);
+                    if p.core() == 2 && i == 5 {
+                        panic!("boom at op {i}");
+                    }
+                }
+            });
+        });
+        assert_eq!(msg, "boom at op 5");
+        assert_eq!(unwound.get(), 4, "a parked sibling's stack was not unwound");
+        assert_poisoned(&m);
     }
 }

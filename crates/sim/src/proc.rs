@@ -1,18 +1,16 @@
-//! [`ProcHandle`]: the per-core "instruction set" worker threads use.
+//! [`ProcHandle`]: the per-core "instruction set" run bodies use.
 //!
 //! Every method is one simulated operation, executed atomically against
 //! the machine at this core's position in the deterministic schedule
 //! (see the `machine` module doc): either immediately on the
-//! scheduler's fast path, or after a mailbox rendezvous. Methods mirror
+//! scheduler's fast path, or after a rendezvous. Methods mirror
 //! the paper's ISA additions: `TLoad`/`TStore` (PDI), `ALoad` (AOU),
 //! CAS-Commit, CST copy-and-clear, the signature instructions of
 //! Table 4(a), and the OS-level virtualization hooks of §5.
 
 use crate::core_state::AlertCause;
 use crate::cst::CstKind;
-use crate::machine::{
-    now_op, stall_op, sync_commit_op, sync_mem_op, sync_op, sync_pure_op, work_op, SharedMachine,
-};
+use crate::machine::{local_op, now_op, sync_op, Bucket, SharedMachine};
 use crate::mem::Addr;
 use crate::proto::{AccessKind, AccessResult, CasCommitOutcome};
 use crate::stats::{AbortCause, CmEvent};
@@ -28,13 +26,15 @@ pub enum SigKind {
     Write,
 }
 
-/// Handle to one simulated processor, usable only from the worker
-/// thread `Machine::run` spawned for it.
+/// Handle to one simulated processor, usable only from the run body
+/// `Machine::run` handed it to.
 ///
 /// Cloning is allowed so that software can multiplex several logical
 /// threads over one hardware context (the §5 context-switch scenarios);
-/// all clones must stay on the worker thread that owns the core — the
-/// scheduler assumes one OS thread per core.
+/// all clones must stay inside that body — every core is a fiber on
+/// the machine's one host thread (the handle is neither `Send` nor
+/// `Sync`), and the scheduler takes the calling fiber to be the core's
+/// own.
 #[derive(Clone)]
 pub struct ProcHandle {
     shared: SharedMachine,
@@ -60,23 +60,23 @@ impl ProcHandle {
     }
 
     /// Models `cycles` of non-memory computation (IPC = 1). Purely
-    /// local — completes lock-free without a scheduler rendezvous.
+    /// local — completes without a scheduler rendezvous.
     pub fn work(&self, cycles: u64) {
         if cycles == 0 {
             return;
         }
-        work_op(&self.shared, self.core, cycles);
+        local_op(&self.shared, self.core, cycles, Bucket::Work);
     }
 
     /// Models `cycles` of contention-manager stall/backoff spinning.
     /// Scheduled exactly like [`ProcHandle::work`] (same clock advance,
-    /// same lock-free fast path) but charged to the `stall_cycles`
+    /// same local fast path) but charged to the `stall_cycles`
     /// bucket so the work/mem split stays honest.
     pub fn stall(&self, cycles: u64) {
         if cycles == 0 {
             return;
         }
-        stall_op(&self.shared, self.core, cycles);
+        local_op(&self.shared, self.core, cycles, Bucket::Stall);
     }
 
     /// [`ProcHandle::stall`] fused with one alert poll: the waiting
@@ -87,9 +87,9 @@ impl ProcHandle {
     /// `stall(); take_alert()` sequence would have seen it.
     pub fn stall_poll(&self, cycles: u64) -> Option<AlertCause> {
         if cycles > 0 {
-            stall_op(&self.shared, self.core, cycles);
+            local_op(&self.shared, self.core, cycles, Bucket::Stall);
         }
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.cores[self.core].alert_pending.take()
         })
     }
@@ -98,13 +98,13 @@ impl ProcHandle {
     /// work/mem cycles accrued from here are reclassified into
     /// `wasted_cycles` if the attempt aborts. Zero simulated cost.
     pub fn begin_attempt(&self) {
-        sync_pure_op(&self.shared, self.core, |st| st.begin_attempt(self.core));
+        sync_op(&self.shared, self.core, |st| st.begin_attempt(self.core));
     }
 
     /// Records a zero-latency contention-management note into the
     /// abort-attribution diagnostics (tie-breaks taken, enemy kills).
     pub fn note_cm_event(&self, event: CmEvent) {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             let causes = &mut st.cores[self.core].stats.abort_causes;
             match event {
                 CmEvent::PriorityTie => causes.mutual_abort += 1,
@@ -115,14 +115,14 @@ impl ProcHandle {
 
     /// Non-transactional load.
     pub fn load(&self, addr: Addr) -> u64 {
-        sync_mem_op(&self.shared, self.core, addr.line(), |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.access(self.core, addr, AccessKind::Load, 0).value
         })
     }
 
     /// Non-transactional store.
     pub fn store(&self, addr: Addr, value: u64) {
-        sync_mem_op(&self.shared, self.core, addr.line(), |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.access(self.core, addr, AccessKind::Store, value);
         });
     }
@@ -136,7 +136,7 @@ impl ProcHandle {
     /// Returns the pending [`AlertCause`] when this core has been
     /// alerted (aborted remotely, strong-isolation kill, …).
     pub fn tload(&self, addr: Addr) -> Result<AccessResult, AlertCause> {
-        sync_mem_op(&self.shared, self.core, addr.line(), |st| {
+        sync_op(&self.shared, self.core, |st| {
             if let Some(cause) = st.cores[self.core].alert_pending.take() {
                 return Err(cause);
             }
@@ -152,7 +152,7 @@ impl ProcHandle {
     /// Returns the pending [`AlertCause`] when this core has been
     /// alerted.
     pub fn tstore(&self, addr: Addr, value: u64) -> Result<AccessResult, AlertCause> {
-        sync_mem_op(&self.shared, self.core, addr.line(), |st| {
+        sync_op(&self.shared, self.core, |st| {
             if let Some(cause) = st.cores[self.core].alert_pending.take() {
                 return Err(cause);
             }
@@ -162,7 +162,7 @@ impl ProcHandle {
 
     /// Plain atomic compare-and-swap; returns the previous value.
     pub fn cas(&self, addr: Addr, expected: u64, new: u64) -> u64 {
-        sync_mem_op(&self.shared, self.core, addr.line(), |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.cas(self.core, addr, expected, new).0
         })
     }
@@ -179,7 +179,7 @@ impl ProcHandle {
         expected: u64,
         new: u64,
     ) -> Result<CasCommitOutcome, AlertCause> {
-        sync_commit_op(&self.shared, self.core, tsw.line(), |st| {
+        sync_op(&self.shared, self.core, |st| {
             if let Some(cause) = st.cores[self.core].alert_pending.take() {
                 return Err(cause);
             }
@@ -191,28 +191,26 @@ impl ProcHandle {
     /// CSTs and the AOU mark, recording `cause` in the abort
     /// attribution counters. Returns the number of lines discarded.
     pub fn abort_tx(&self, cause: AbortCause) -> usize {
-        sync_pure_op(&self.shared, self.core, |st| st.abort_tx(self.core, cause))
+        sync_op(&self.shared, self.core, |st| st.abort_tx(self.core, cause))
     }
 
     /// ALoad: cache `addr`'s line with the alert mark set, returning the
     /// current value.
     pub fn aload(&self, addr: Addr) -> u64 {
-        sync_mem_op(&self.shared, self.core, addr.line(), |st| {
-            st.aload(self.core, addr)
-        })
+        sync_op(&self.shared, self.core, |st| st.aload(self.core, addr))
     }
 
     /// Consumes and returns a pending alert, if any (zero simulated
     /// cost: the trap logic polls for free).
     pub fn take_alert(&self) -> Option<AlertCause> {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.cores[self.core].alert_pending.take()
         })
     }
 
     /// Reads a CST register.
     pub fn read_cst(&self, kind: CstKind) -> ProcSet {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             st.cores[self.core].csts.read(kind)
         })
@@ -220,7 +218,7 @@ impl ProcHandle {
 
     /// Atomic copy-and-clear of a CST register (Fig. 3, line 1).
     pub fn copy_and_clear_cst(&self, kind: CstKind) -> ProcSet {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             st.cores[self.core].csts.copy_and_clear(kind)
         })
@@ -229,7 +227,7 @@ impl ProcHandle {
     /// Clears one bit of a CST register (the "clean myself out of X's
     /// W-R" optimization — here applied to the local CSTs).
     pub fn clear_cst_bit(&self, kind: CstKind, proc: usize) {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             st.cores[self.core].csts.clear_bit(kind, proc);
         });
@@ -238,7 +236,7 @@ impl ProcHandle {
     /// `insert [%r], Sig` (Table 4(a)): adds `addr`'s line to a
     /// signature without touching the cache.
     pub fn sig_insert(&self, kind: SigKind, addr: Addr) {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             let me = self.core;
             let core = &mut st.cores[me];
@@ -252,7 +250,7 @@ impl ProcHandle {
 
     /// `member [%r], Sig`: conservative membership test.
     pub fn sig_member(&self, kind: SigKind, addr: Addr) -> bool {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             let core = &st.cores[self.core];
             match kind {
@@ -264,7 +262,7 @@ impl ProcHandle {
 
     /// `clear Sig`: zeroes a signature.
     pub fn sig_clear(&self, kind: SigKind) {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             let me = self.core;
             let core = &mut st.cores[me];
@@ -279,7 +277,7 @@ impl ProcHandle {
     /// `activate Sig` (FlexWatcher, §8): screen local loads (reads) and
     /// stores (writes) against the corresponding signature.
     pub fn watch_activate(&self, reads: bool, writes: bool) {
-        sync_pure_op(&self.shared, self.core, |st| {
+        sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             st.cores[self.core].watch_reads = reads;
             st.cores[self.core].watch_writes = writes;
@@ -333,7 +331,7 @@ impl ProcHandle {
         });
     }
 
-    /// This core's current clock (diagnostic; zero cost, lock-free).
+    /// This core's current clock (diagnostic; zero cost, no rendezvous).
     pub fn now(&self) -> u64 {
         now_op(&self.shared, self.core)
     }

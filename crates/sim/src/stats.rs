@@ -236,24 +236,14 @@ impl CoreStats {
 /// measurement of the engine itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedStats {
-    /// Operations completed on a fast path (lease batching or the
-    /// lock-free `work`/`now` paths) — no scheduler rendezvous.
+    /// Operations completed on a fast path (below the lease horizon, or
+    /// the local `work`/`stall`/`now` paths) — no scheduler rendezvous.
     pub fast_ops: u64,
-    /// Lease grants served from the epoch grant buffer — no full
-    /// mailbox rescan, just a pop of the buffered minimum key. A
-    /// subset of the grant decisions behind `slow_ops`; zero at epoch
-    /// width 1 (strict second-minimum, rescan every grant).
-    pub epoch_ops: u64,
-    /// Operations that went through the full mailbox rendezvous.
+    /// Operations that went through the full rendezvous.
     pub slow_ops: u64,
-    /// Driver wakeups: lease grants that unparked a waiting worker
-    /// (grants a core gave itself while posting are not counted).
+    /// Lease grants that switched to another core's fiber (grants a
+    /// core gave itself while posting are not counted).
     pub grants: u64,
-    /// Grants of a `Line`/`Commit` op whose scheduler bank was
-    /// simultaneously owned by another posted core — rendezvous that
-    /// even a per-bank lease could not have avoided (true line-space
-    /// contention, by bank hash).
-    pub bank_conflict_grants: u64,
     /// Host wall-clock nanoseconds spent inside [`crate::Machine::run`].
     pub host_nanos: u64,
 }
@@ -263,10 +253,8 @@ impl SchedStats {
     pub fn minus(&self, earlier: &SchedStats) -> SchedStats {
         SchedStats {
             fast_ops: self.fast_ops - earlier.fast_ops,
-            epoch_ops: self.epoch_ops - earlier.epoch_ops,
             slow_ops: self.slow_ops - earlier.slow_ops,
             grants: self.grants - earlier.grants,
-            bank_conflict_grants: self.bank_conflict_grants - earlier.bank_conflict_grants,
             host_nanos: self.host_nanos - earlier.host_nanos,
         }
     }
@@ -278,10 +266,8 @@ impl SchedStats {
 impl PartialEq for SchedStats {
     fn eq(&self, other: &Self) -> bool {
         self.fast_ops == other.fast_ops
-            && self.epoch_ops == other.epoch_ops
             && self.slow_ops == other.slow_ops
             && self.grants == other.grants
-            && self.bank_conflict_grants == other.bank_conflict_grants
     }
 }
 
@@ -575,10 +561,8 @@ mod tests {
             cores: vec![CoreStats::default()],
             sched: SchedStats {
                 fast_ops: 3,
-                epoch_ops: 7,
                 slow_ops: 2,
                 grants: 1,
-                bank_conflict_grants: 1,
                 host_nanos: 123,
             },
         };
@@ -588,12 +572,9 @@ mod tests {
         b.sched.fast_ops = 4;
         assert_ne!(a, b);
         b.sched.fast_ops = 3;
-        b.sched.epoch_ops = 8;
-        assert_ne!(a, b, "epoch_ops must participate in equality");
-        b.sched.epoch_ops = 7;
-        b.sched.bank_conflict_grants = 2;
-        assert_ne!(a, b, "bank_conflict_grants must participate in equality");
-        b.sched.bank_conflict_grants = 1;
+        b.sched.grants = 2;
+        assert_ne!(a, b, "grants must participate in equality");
+        b.sched.grants = 1;
         a.cores[0].commits = 1;
         assert_ne!(a, b);
     }
@@ -619,10 +600,8 @@ mod tests {
             cores: vec![CoreStats::default(); 2],
             sched: SchedStats {
                 fast_ops: 10,
-                epoch_ops: 4,
                 slow_ops: 5,
                 grants: 2,
-                bank_conflict_grants: 1,
                 host_nanos: 1_000,
             },
         };

@@ -24,10 +24,8 @@ fn sample_record(params: Option<SchedRunParams>) -> SchedRecord {
         sim_ops: 683699,
         sim_cycles: 531018,
         fast_ops: 212195,
-        epoch_ops: 31337,
         slow_ops: 137300,
         grants: 137299,
-        bank_conflict_grants: 44444,
         rendezvous_per_op: 0.8571,
         wall_s: 0.432,
         sim_ops_per_s: 1591007.0,
@@ -39,8 +37,6 @@ fn sample_record(params: Option<SchedRunParams>) -> SchedRecord {
 #[test]
 fn sched_record_round_trips_through_the_sweep_parser() {
     let record = sample_record(Some(SchedRunParams {
-        engine: "fiber",
-        epoch_width: 8,
         warmup_per_thread: 8,
         seed: "0xF1E7".to_string(),
     }));
@@ -64,11 +60,8 @@ fn sched_record_round_trips_through_the_sweep_parser() {
         ("sim_ops", 683699),
         ("sim_cycles", 531018),
         ("fast_ops", 212195),
-        ("epoch_ops", 31337),
         ("slow_ops", 137300),
         ("grants", 137299),
-        ("bank_conflict_grants", 44444),
-        ("epoch_width", 8),
         ("warmup_per_thread", 8),
     ] {
         assert_eq!(doc.get(key).and_then(Json::as_u64), Some(want), "{key}");
@@ -81,7 +74,6 @@ fn sched_record_round_trips_through_the_sweep_parser() {
     ] {
         assert_eq!(doc.get(key).and_then(Json::as_f64), Some(want), "{key}");
     }
-    assert_eq!(doc.get("engine").and_then(Json::as_str), Some("fiber"));
     assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(0xF1E7));
 
     // Byte-exact re-encoding: the parser holds the full information
@@ -93,7 +85,7 @@ fn sched_record_round_trips_through_the_sweep_parser() {
 fn sched_record_without_params_also_round_trips() {
     let line = sample_record(None).to_json();
     let doc = parse(&line).expect("parses");
-    assert_eq!(doc.get("engine"), None);
+    assert_eq!(doc.get("seed"), None);
     assert_eq!(doc.encode(), line);
 }
 

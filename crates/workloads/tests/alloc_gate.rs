@@ -129,7 +129,7 @@ fn steady_state_adds_zero_host_allocations() {
     machine.align_clocks();
 
     // Warm-up: populate the runtime's recycled scratch, the cache data
-    // pool, lazy statics, and the OS-thread/fiber machinery; then a
+    // pool, lazy statics, and the fiber machinery; then a
     // full-length settle phase so every retained buffer (victim
     // vectors, spill scratch, data pools) reaches its steady-state
     // capacity before counting starts.

@@ -1,8 +1,7 @@
 //! Determinism regression suite for the execution engine.
 //!
-//! The mailbox scheduler must replay the exact op interleaving of the
-//! original lockstep engine no matter how the host schedules its
-//! threads: ops retire in min-(clock, id) order, so two runs of the
+//! The scheduler must replay the exact op interleaving of the original
+//! lockstep engine: ops retire in min-(clock, id) order, so two runs of the
 //! same workload produce the same protocol events, the same counters
 //! and the same simulated cycle counts. These tests pin that down:
 //!
@@ -10,7 +9,7 @@
 //!   machine reports (scheduler wall-clock excluded by `SchedStats`'s
 //!   `PartialEq`), and
 //! * a `strict_lockstep` run — every fast path disabled, every op
-//!   through the full mailbox rendezvous — yields the same protocol
+//!   through the full rendezvous — yields the same protocol
 //!   events and simulated state as the default engine, proving the
 //!   fast paths are pure performance, not semantics.
 
@@ -251,65 +250,5 @@ fn strict_lockstep_is_semantically_identical() {
     assert_eq!(
         report_strict.sched.fast_ops, 0,
         "strict_lockstep left a fast path enabled"
-    );
-    assert_eq!(
-        report_strict.sched.epoch_ops, 0,
-        "strict_lockstep left the epoch-batched lease enabled"
-    );
-}
-
-/// One traced, event-recorded run at an explicit epoch width.
-fn run_epoch(width: usize) -> (Vec<Event>, MachineReport, String) {
-    let mut config = MachineConfig::paper_default().with_cores(THREADS);
-    config.record_events = true;
-    config.epoch_width = width;
-    let machine = Machine::new(config);
-    let mut workload: Box<dyn Workload> = Box::new(HashTable::paper());
-    workload.setup(&machine);
-    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(THREADS));
-    tm.set_tracing(true);
-    run_measured(&machine, &tm, workload.as_ref(), small_run());
-    let trace = flextm_trace::to_jsonl(&tm.take_trace());
-    let events = machine.with_state(|st| st.log.take());
-    (events, machine.report(), trace)
-}
-
-/// The epoch-batched lease horizon is pure performance: every width
-/// must produce the same protocol events, the same per-core counters,
-/// the same simulated cycles and the same attempt trace. Only the
-/// host-side fast/epoch/slow split may move. Width 1 is the strict
-/// second-minimum rule, so this also pins "batching off" against
-/// "batching on".
-#[test]
-fn epoch_width_sweep_is_semantically_identical() {
-    let (events_1, report_1, trace_1) = run_epoch(1);
-    let mut batched_ran = 0u64;
-    for width in [4usize, 16] {
-        let (events_w, report_w, trace_w) = run_epoch(width);
-        assert_eq!(
-            events_1, events_w,
-            "epoch width {width} changed the protocol event stream"
-        );
-        assert_eq!(
-            report_1.cores, report_w.cores,
-            "epoch width {width} changed simulated per-core counters"
-        );
-        assert_eq!(
-            report_1.core_cycles, report_w.core_cycles,
-            "epoch width {width} changed simulated time"
-        );
-        assert_eq!(
-            trace_1, trace_w,
-            "epoch width {width} changed the attempt trace"
-        );
-        batched_ran += report_w.sched.epoch_ops;
-    }
-    assert_eq!(
-        report_1.sched.epoch_ops, 0,
-        "width 1 must mean strict second-minimum only"
-    );
-    assert!(
-        batched_ran > 0,
-        "no op ever took the relaxed epoch path — the sweep is vacuous"
     );
 }

@@ -27,15 +27,25 @@
 #      (a 16-core HashTable run must add zero host heap allocations per
 #      transaction once warm)
 #  10. fingerprint gate: the 16-core HashTable event/counter digests
-#      must match the recorded values on the fiber engine at epoch
-#      widths 1 and 16 and on the OS-thread engine — any drift is a
-#      semantic change to the simulated machine, not a refactor
-#  11. bench-crate tests (flextm-bench is not a workspace
+#      at 96 and 384 transactions per thread must match the recorded
+#      values — any drift is a semantic change to the simulated
+#      machine, not a refactor
+#  11. fallback switch backend: hosts without the assembly context
+#      switch get a thread-baton backend selected by cfg in
+#      crates/sim/src/fiber.rs; `--cfg flextm_fiber_fallback` builds it
+#      here (separate target dir), and the simulator's tests and both
+#      fingerprint digests must hold on it too
+#  12. bench-crate tests (flextm-bench is not a workspace
 #      default-member, so tier-1 `cargo test` skips it): env parsing,
 #      cell records, entry points
-#  12. sweep farm smoke: the 2x2 smoke matrix runs twice against a
+#  13. sweep farm smoke: the 2x2 smoke matrix runs twice against a
 #      fresh store; the second run must execute zero cells (pure cache)
 #      and emit byte-identical tables/JSON
+#  14. repo benchmark (BENCHMARK.json): the standalone benchmark/
+#      package is outside the workspace, so nothing above builds it —
+#      its smoke run and its own tests keep a flextm-sim API change
+#      from silently breaking it (read-only: nothing under benchmark/
+#      is edited)
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -166,28 +176,40 @@ cargo test -q --release -p flextm-sim --test bankdir_props
 echo "== steady-state allocation gate (zero host allocs per txn) =="
 cargo test -q --release -p flextm-workloads --test alloc_gate
 
-echo "== fingerprint gate (16-core digests, both engines, epoch widths 1 and 16) =="
-expect_event="b91bf014cd6135a9"
-expect_counter="578f521ae8b7bc3c"
+echo "== fingerprint gate (16-core digests, 96 and 384 txns/thread) =="
 check_fp() {
-    # $1: label, rest: env assignments for the run.
-    local label="$1"
-    shift
+    # $1: label, $2: event digest, $3: counter digest, rest: the
+    # command that prints the fingerprint line.
+    local label="$1" event="$2" counter="$3"
+    shift 3
     local line
-    line="$(env "$@" cargo run -q --release -p flextm-bench --bin fingerprint)"
+    line="$("$@")"
     echo "$line"
     case "$line" in
-    *"\"event_digest\": \"$expect_event\""*"\"counter_digest\": \"$expect_counter\""*) ;;
+    *"\"event_digest\": \"$event\""*"\"counter_digest\": \"$counter\""*) ;;
     *)
-        echo "fingerprint drift ($label): expected $expect_event/$expect_counter"
+        echo "fingerprint drift ($label): expected $event/$counter"
         exit 1
         ;;
     esac
 }
-check_fp "fiber, default epoch" FLEXTM_FP_DUMMY=0
-check_fp "fiber, epoch width 1" FLEXTM_FP_EPOCH=1
-check_fp "fiber, epoch width 16" FLEXTM_FP_EPOCH=16
-check_fp "os threads, default epoch" FLEXTM_FP_OS_THREADS=1
+check_both_fp() {
+    # $1: label, rest: cargo arguments selecting the build.
+    local label="$1"
+    shift
+    check_fp "$label, 96 txns" b91bf014cd6135a9 578f521ae8b7bc3c \
+        cargo run -q --release -p flextm-bench --bin fingerprint "$@"
+    check_fp "$label, 384 txns" f0cd4189940a6860 f95be49b738edeb6 \
+        env FLEXTM_FP_TXNS=384 cargo run -q --release -p flextm-bench --bin fingerprint "$@"
+}
+check_both_fp "assembly switch"
+
+echo "== fallback switch backend (--cfg flextm_fiber_fallback): sim tests + fingerprints =="
+(
+    export RUSTFLAGS="--cfg flextm_fiber_fallback"
+    cargo test -q --release -p flextm-sim --target-dir target/fiber-fallback
+    check_both_fp "thread-baton switch" --target-dir target/fiber-fallback
+)
 
 echo "== bench-crate tests (not a default-member; env parsing, cell records) =="
 cargo test -q -p flextm-bench
@@ -213,5 +235,9 @@ if ! diff -r "$sweep_tmp/cold" "$sweep_tmp/warm"; then
     exit 1
 fi
 rm -rf "$sweep_tmp"
+
+echo "== repo benchmark: smoke run + the suite's own tests =="
+bash benchmark/run.sh --quick > /dev/null
+(cd benchmark && cargo test -q --release --offline)
 
 echo "verify: all checks passed"
