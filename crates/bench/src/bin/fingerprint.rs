@@ -17,8 +17,8 @@
 //! both fiber switch backends.
 
 use flextm::{FlexTm, FlexTmConfig};
-use flextm_bench::cell::{fnv1a, FNV_OFFSET};
-use flextm_bench::{envcfg, sim_ops};
+use flextm_bench::cell::{counter_digest, fnv1a, FNV_OFFSET};
+use flextm_bench::envcfg;
 use flextm_sim::{Machine, MachineConfig};
 use flextm_workloads::harness::{run_measured, RunConfig, Workload};
 use flextm_workloads::HashTable;
@@ -52,13 +52,6 @@ fn main() {
     for ev in &events {
         fnv1a(&mut digest, format!("{ev:?}").as_bytes());
     }
-    let mut counters: u64 = FNV_OFFSET;
-    for (i, core) in report.cores.iter().enumerate() {
-        fnv1a(
-            &mut counters,
-            format!("{i}:{core:?}:{}", report.core_cycles[i]).as_bytes(),
-        );
-    }
 
     println!(
         concat!(
@@ -71,10 +64,10 @@ fn main() {
         txns,
         result.committed,
         result.attempts,
-        sim_ops(&report),
+        report.sim_ops(),
         report.elapsed_cycles(),
         events.len(),
         digest,
-        counters,
+        counter_digest(&report),
     );
 }

@@ -21,26 +21,25 @@
 //! are given. Passing `--trace` enables the per-attempt trace: the
 //! abort-attribution/cycle-bucket table goes to stderr and the JSONL
 //! trace to `FLEXTM_TRACE_OUT` (or stderr when unset), keeping the
-//! stdout JSON line machine-readable either way. Passing `--json` (or
-//! setting `FLEXTM_SCHED_JSON=1`) extends the stdout record with the
-//! run parameters a sampling harness needs to archive the sample
-//! as-is: warmup and seed.
+//! stdout JSON line machine-readable either way. The record always
+//! carries its run parameters (warm-up and seed), so a pasted sample
+//! is self-describing.
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_bench::envcfg;
-use flextm_bench::{sim_ops, SchedRecord, SchedRunParams};
 use flextm_sim::{Machine, MachineConfig};
 use flextm_workloads::harness::{run_measured, RunConfig, Workload};
 use flextm_workloads::HashTable;
 use std::time::Instant;
+
+const WARMUP_PER_THREAD: u64 = 8;
+const SEED: u64 = 0xF1E7;
 
 fn main() {
     let txns: u64 = envcfg::or_exit(envcfg::parse("FLEXTM_SCHED_TXNS", 96));
     let strict = envcfg::or_exit(envcfg::flag("FLEXTM_SCHED_STRICT"));
     let protocol_mode = std::env::args().any(|a| a == "--protocol");
     let trace_mode = std::env::args().any(|a| a == "--trace");
-    let json_mode = std::env::args().any(|a| a == "--json")
-        || envcfg::or_exit(envcfg::flag("FLEXTM_SCHED_JSON"));
     let threads: usize = envcfg::or_exit(envcfg::parse(
         "FLEXTM_SCHED_THREADS",
         if protocol_mode { 1 } else { 16 },
@@ -73,46 +72,49 @@ fn main() {
         RunConfig {
             threads,
             txns_per_thread: txns,
-            warmup_per_thread: 8,
-            seed: 0xF1E7,
+            warmup_per_thread: WARMUP_PER_THREAD,
+            seed: SEED,
         },
     );
     let wall = t0.elapsed();
 
     let report = machine.report();
-    let ops = sim_ops(&report);
+    let ops = report.sim_ops();
     let wall_s = wall.as_secs_f64();
-    let ops_per_s = ops as f64 / wall_s;
-    let cycles_per_s = report.elapsed_cycles() as f64 / wall_s;
 
     // One JSON object per line, ready to paste into BENCH_sched.json
-    // or BENCH_protocol.json. `--json` appends the run parameters a
-    // sampling harness needs to archive the record without consulting
-    // the invoking environment. The record type (and its exact
-    // encoding) lives in the library so the sweep farm's parser can
-    // round-trip it in a test.
-    let record = SchedRecord {
-        bench: bench_name,
-        strict_lockstep: strict,
+    // or BENCH_protocol.json.
+    println!(
+        concat!(
+            "{{\"bench\": \"{}\", ",
+            "\"strict_lockstep\": {}, ",
+            "\"threads\": {}, \"txns_per_thread\": {}, ",
+            "\"committed\": {}, \"attempts\": {}, ",
+            "\"sim_ops\": {}, \"sim_cycles\": {}, ",
+            "\"fast_ops\": {}, \"slow_ops\": {}, \"grants\": {}, ",
+            "\"rendezvous_per_op\": {:.4}, ",
+            "\"wall_s\": {:.3}, ",
+            "\"sim_ops_per_s\": {:.0}, \"sim_cycles_per_s\": {:.0}, ",
+            "\"warmup_per_thread\": {}, \"seed\": \"0x{:X}\"}}"
+        ),
+        bench_name,
+        strict,
         threads,
-        txns_per_thread: txns,
-        committed: result.committed,
-        attempts: result.attempts,
-        sim_ops: ops,
-        sim_cycles: report.elapsed_cycles(),
-        fast_ops: report.sched.fast_ops,
-        slow_ops: report.sched.slow_ops,
-        grants: report.sched.grants,
-        rendezvous_per_op: report.rendezvous_per_op(),
+        txns,
+        result.committed,
+        result.attempts,
+        ops,
+        report.elapsed_cycles(),
+        report.sched.fast_ops,
+        report.sched.slow_ops,
+        report.sched.grants,
+        report.rendezvous_per_op(),
         wall_s,
-        sim_ops_per_s: ops_per_s,
-        sim_cycles_per_s: cycles_per_s,
-        params: json_mode.then(|| SchedRunParams {
-            warmup_per_thread: 8,
-            seed: "0xF1E7".to_string(),
-        }),
-    };
-    println!("{}", record.to_json());
+        ops as f64 / wall_s,
+        report.elapsed_cycles() as f64 / wall_s,
+        WARMUP_PER_THREAD,
+        SEED,
+    );
 
     if trace_mode {
         eprint!("{}", result.abort_table());

@@ -24,10 +24,7 @@
 pub mod cell;
 pub mod envcfg;
 
-pub use cell::{
-    cm_from_label, cm_label, run_cell, run_cell_timed, sim_ops, CellResult, CellSpec, SchedRecord,
-    SchedRunParams,
-};
+pub use cell::{cm_from_label, cm_label, run_cell, run_cell_timed, CellResult, CellSpec};
 
 use flextm::{CmKind, FlexTm, FlexTmConfig, Mode};
 use flextm_sim::api::TmRuntime;

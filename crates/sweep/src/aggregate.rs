@@ -191,9 +191,8 @@ pub fn emit_tables(spec_name: &str, series: &[Series]) -> String {
 /// Renders the BENCH-style JSON document: every cell's deterministic
 /// simulated result (config, counters, digest) in canonical order,
 /// ready to archive next to `BENCH_sched.json` — and diffable
-/// byte-for-byte against any other path that claims to run the same
-/// matrix (the serial `--in-process` mode, a cached re-run, another
-/// host).
+/// byte-for-byte against any other run of the same matrix (another
+/// worker count, a cached re-run, another host).
 pub fn emit_cells_json(spec_name: &str, outcomes: &[Outcome]) -> String {
     let mut out = format!(
         concat!(
@@ -304,10 +303,10 @@ mod tests {
         let json = emit_cells_json("smoke2x2", &outcomes);
         assert_eq!(json, emit_cells_json("smoke2x2", &outcomes));
         // And it parses back with our own codec.
-        let doc = crate::json::parse(&json).expect("emitted JSON parses");
+        let doc = flextm_trace::json::parse(&json).expect("emitted JSON parses");
         assert_eq!(
             doc.get("cells")
-                .and_then(crate::json::Json::as_arr)
+                .and_then(flextm_trace::json::Json::as_arr)
                 .map(<[_]>::len),
             Some(4)
         );

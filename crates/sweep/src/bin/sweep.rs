@@ -20,27 +20,22 @@
 //!   (default `target/sweep-store`)
 //! - `--emit DIR` — where tables/JSON are written
 //!   (default `target/sweep-out`)
-//! - `--jobs N` — concurrent workers (default: host parallelism)
-//! - `--timeout-s N` — per-cell wall-clock timeout (default 300)
-//! - `--retries N` — extra attempts per failed cell (default 1)
+//! - `--jobs N` — worker threads (default: host parallelism; `1` is
+//!   the serial run — same code, same emitted bytes)
 //! - `--quiet` — suppress per-cell progress on stderr
-//! - `--in-process` — run every cell serially in this process,
-//!   bypassing store and children (the serial-baseline mode; emits the
-//!   same files, so `diff` against a farmed run proves bit-identity)
 //! - `--hash-spec` — print each cell's canonical config and content
 //!   hash, then exit (the cross-process hash-determinism probe)
-//! - `--run-cell JSON` — internal: execute one cell and print its
-//!   record (the child-process entry point)
 //!
-//! Exit status: 0 on a clean sweep, 1 if any cell failed, 2 on usage
-//! or spec errors.
+//! Exit status: 0 on a clean sweep, 1 if any cell failed (each is
+//! reported on stderr with its panic message; every other cell's
+//! result is still emitted), 2 on usage or spec errors.
 
 use flextm_sweep::aggregate::{aggregate, emit_cells_json, emit_tables};
 use flextm_sweep::runner::{run_sweep, Outcome, RunnerConfig};
-use flextm_sweep::spec::{cell_from_json, MatrixSpec};
+use flextm_sweep::spec::MatrixSpec;
 use flextm_sweep::store::{binary_fingerprint, config_hash, git_rev, Store};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn usage(msg: &str) -> ! {
     eprintln!("sweep: {msg} (see crates/sweep/src/bin/sweep.rs for usage)");
@@ -52,13 +47,9 @@ struct Args {
     spec_file: Option<PathBuf>,
     store: PathBuf,
     emit: PathBuf,
-    jobs: Option<usize>,
-    timeout_s: u64,
-    retries: u32,
+    jobs: usize,
     quiet: bool,
-    in_process: bool,
     hash_spec: bool,
-    run_cell: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -67,13 +58,9 @@ fn parse_args() -> Args {
         spec_file: None,
         store: PathBuf::from("target/sweep-store"),
         emit: PathBuf::from("target/sweep-out"),
-        jobs: None,
-        timeout_s: 300,
-        retries: 1,
+        jobs: std::thread::available_parallelism().map_or(1, usize::from),
         quiet: false,
-        in_process: false,
         hash_spec: false,
-        run_cell: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -87,46 +74,16 @@ fn parse_args() -> Args {
             "--store" => args.store = PathBuf::from(value("--store")),
             "--emit" => args.emit = PathBuf::from(value("--emit")),
             "--jobs" => {
-                args.jobs = Some(
-                    value("--jobs")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--jobs needs a number")),
-                )
-            }
-            "--timeout-s" => {
-                args.timeout_s = value("--timeout-s")
+                args.jobs = value("--jobs")
                     .parse()
-                    .unwrap_or_else(|_| usage("--timeout-s needs a number"))
-            }
-            "--retries" => {
-                args.retries = value("--retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--retries needs a number"))
+                    .unwrap_or_else(|_| usage("--jobs needs a number"))
             }
             "--quiet" => args.quiet = true,
-            "--in-process" => args.in_process = true,
             "--hash-spec" => args.hash_spec = true,
-            "--run-cell" => args.run_cell = Some(value("--run-cell")),
             other => usage(&format!("unknown flag {other:?}")),
         }
     }
     args
-}
-
-/// Child mode: run exactly one cell, print its record, exit. Kept
-/// first and minimal — everything after this line is farm machinery
-/// the child never touches.
-fn child_main(cell_json: &str) -> ! {
-    let cell = match cell_from_json(cell_json) {
-        Ok(cell) => cell,
-        Err(e) => {
-            eprintln!("sweep --run-cell: {e}");
-            std::process::exit(2);
-        }
-    };
-    let result = flextm_bench::run_cell_timed(&cell);
-    println!("{}", result.to_json(&cell));
-    std::process::exit(0);
 }
 
 fn load_spec(args: &Args) -> MatrixSpec {
@@ -139,7 +96,7 @@ fn load_spec(args: &Args) -> MatrixSpec {
                 .unwrap_or_else(|e| usage(&format!("reading {}: {e}", path.display())));
             MatrixSpec::from_json(&text).unwrap_or_else(|e| usage(&e.to_string()))
         }
-        (None, None) => usage("need --spec or --spec-file (or --run-cell)"),
+        (None, None) => usage("need --spec or --spec-file"),
     }
 }
 
@@ -165,9 +122,6 @@ fn write_outputs(args: &Args, spec: &MatrixSpec, outcomes: &[Outcome]) {
 
 fn main() {
     let args = parse_args();
-    if let Some(cell_json) = &args.run_cell {
-        child_main(cell_json);
-    }
     let spec = load_spec(&args);
     let cells = spec.expand();
 
@@ -182,58 +136,23 @@ fn main() {
     }
 
     let t0 = Instant::now();
-    let (outcomes, executed, cached, failed) = if args.in_process {
-        // Serial baseline: the exact work a `cargo bench` target does,
-        // one cell after another in this process.
-        let outcomes: Vec<Outcome> = cells
-            .iter()
-            .map(|cell| {
-                let cell_t0 = Instant::now();
-                let result = flextm_bench::run_cell_timed(cell);
-                if !args.quiet {
-                    eprintln!(
-                        "{} (serial, {:.2}s)",
-                        cell.label(),
-                        cell_t0.elapsed().as_secs_f64()
-                    );
-                }
-                Outcome {
-                    cell: cell.clone(),
-                    result,
-                    from_cache: false,
-                }
-            })
-            .collect();
-        let executed = outcomes.len();
-        (outcomes, executed, 0, 0)
-    } else {
-        let worker_exe = std::env::current_exe()
-            .unwrap_or_else(|e| usage(&format!("cannot locate own binary: {e}")));
-        let bin_fp = binary_fingerprint(&worker_exe)
-            .unwrap_or_else(|e| usage(&format!("fingerprinting {}: {e}", worker_exe.display())));
-        let rev = git_rev(worker_exe.parent().unwrap_or(std::path::Path::new(".")));
-        let store = Store::open(&args.store, bin_fp, rev)
-            .unwrap_or_else(|e| usage(&format!("opening store {}: {e}", args.store.display())));
-        let mut runner_config = RunnerConfig::new(worker_exe);
-        if let Some(jobs) = args.jobs {
-            runner_config.jobs = jobs;
-        }
-        runner_config.timeout = Duration::from_secs(args.timeout_s);
-        runner_config.max_attempts = args.retries + 1;
-        runner_config.progress = !args.quiet;
-        let sweep = run_sweep(&cells, &store, &runner_config);
-        for failure in &sweep.failures {
-            eprintln!("FAILED {}: {}", failure.cell.label(), failure.error);
-        }
-        (
-            sweep.outcomes,
-            sweep.executed,
-            sweep.cached,
-            sweep.failures.len(),
-        )
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| usage(&format!("cannot locate own binary: {e}")));
+    let bin_fp = binary_fingerprint(&exe)
+        .unwrap_or_else(|e| usage(&format!("fingerprinting {}: {e}", exe.display())));
+    let rev = git_rev(exe.parent().unwrap_or(std::path::Path::new(".")));
+    let store = Store::open(&args.store, bin_fp, rev)
+        .unwrap_or_else(|e| usage(&format!("opening store {}: {e}", args.store.display())));
+    let runner_config = RunnerConfig {
+        jobs: args.jobs,
+        progress: !args.quiet,
     };
+    let sweep = run_sweep(&cells, &store, &runner_config);
+    for failure in &sweep.failures {
+        eprintln!("FAILED {}: {}", failure.cell.label(), failure.error);
+    }
 
-    write_outputs(&args, &spec, &outcomes);
+    write_outputs(&args, &spec, &sweep.outcomes);
 
     // The machine-readable summary the smoke test asserts on.
     println!(
@@ -243,18 +162,13 @@ fn main() {
         ),
         spec.name,
         cells.len(),
-        executed,
-        cached,
-        failed,
-        if args.in_process {
-            1
-        } else {
-            args.jobs
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
-        },
+        sweep.executed,
+        sweep.cached,
+        sweep.failures.len(),
+        runner_config.jobs,
         t0.elapsed().as_secs_f64(),
     );
-    if failed > 0 {
+    if !sweep.failures.is_empty() {
         std::process::exit(1);
     }
 }

@@ -8,9 +8,9 @@
 //! `(txns / 4).max(8)` warm-up rule, so a spec cell and a `cargo
 //! bench` point describe identical runs.
 
-use crate::json::{parse, Json};
 use flextm::CmKind;
 use flextm_bench::{cm_from_label, cm_label, CellSpec, RuntimeKind, WorkloadKind};
+use flextm_trace::json::{parse, Json};
 
 /// A declarative matrix: every combination of the axis vectors.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,7 +186,10 @@ impl MatrixSpec {
     }
 
     /// Rejects matrices a cell would panic on (so a bad spec fails
-    /// here, once, instead of as N children dying).
+    /// here, once, instead of as N cells failing) and repeated axis
+    /// entries (which would expand to identical cells: one
+    /// deterministic sample reported as `n` of them, and two workers
+    /// filing the same store key at once).
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.workloads.is_empty()
             || self.runtimes.is_empty()
@@ -197,6 +200,27 @@ impl MatrixSpec {
         {
             return Err(SpecError("every axis needs at least one entry".to_string()));
         }
+        fn no_repeats<T: PartialEq>(
+            axis: &str,
+            entries: &[T],
+            show: impl Fn(&T) -> String,
+        ) -> Result<(), SpecError> {
+            for (i, entry) in entries.iter().enumerate() {
+                if entries[..i].contains(entry) {
+                    return Err(SpecError(format!(
+                        "\"{axis}\" lists {} more than once",
+                        show(entry)
+                    )));
+                }
+            }
+            Ok(())
+        }
+        no_repeats("workloads", &self.workloads, |w| w.label().to_string())?;
+        no_repeats("runtimes", &self.runtimes, |r| r.label().to_string())?;
+        no_repeats("cm", &self.cms, |&c| cm_label(c).to_string())?;
+        no_repeats("threads", &self.threads, usize::to_string)?;
+        no_repeats("sig_bits", &self.sig_bits, usize::to_string)?;
+        no_repeats("seeds", &self.seeds, |s| format!("0x{s:X}"))?;
         for &t in &self.threads {
             if t == 0 || t > 128 {
                 return Err(SpecError(format!(
@@ -320,8 +344,8 @@ impl MatrixSpec {
     }
 }
 
-/// Parses a [`CellSpec`] from its canonical JSON (the `--run-cell`
-/// transport and the store's config echo).
+/// Parses a [`CellSpec`] from its canonical JSON (the store's config
+/// echo).
 pub fn cell_from_json(text: &str) -> Result<CellSpec, SpecError> {
     let doc = parse(text).map_err(|e| SpecError(e.to_string()))?;
     let field = |key: &str| {
@@ -427,8 +451,19 @@ mod tests {
             ("non-power-of-two signature", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [1], \"sig_bits\": [1000]}"),
             ("empty axis", "{\"name\": \"t\", \"workloads\": [], \"runtimes\": [\"CGL\"], \"threads\": [1]}"),
             ("bad name", "{\"name\": \"a/b\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [1]}"),
+            ("repeated threads", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [2, 2, 2, 2]}"),
+            ("repeated seeds", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [2], \"seeds\": [7, \"0x7\"]}"),
+            ("repeated runtime", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\", \"RSTM\", \"CGL\"], \"threads\": [1]}"),
         ] {
             assert!(MatrixSpec::from_json(text).is_err(), "{label} should fail");
         }
+        // The message names the axis and the value.
+        let err = MatrixSpec {
+            seeds: vec![7, 9, 7],
+            ..MatrixSpec::builtin("smoke2x2").unwrap()
+        }
+        .validate()
+        .unwrap_err();
+        assert_eq!(err.0, "\"seeds\" lists 0x7 more than once");
     }
 }

@@ -16,10 +16,10 @@
 //! fingerprint covers both; the revision is recorded in each entry for
 //! audit.
 
-use crate::json::{parse, Json};
 use crate::spec::cell_from_json;
 use flextm_bench::cell::{fnv1a, FNV_OFFSET};
 use flextm_bench::{CellResult, CellSpec};
+use flextm_trace::json::{parse, Json};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -1,46 +1,48 @@
-//! Bit-identity of the farmed path: a cell executed in a `--run-cell`
-//! child process must produce exactly the simulated results of the
-//! serial in-process path (`flextm_bench::run_point`, what the `cargo
-//! bench` targets call) — same committed/attempts/sim_ops/sim_cycles
-//! and the same per-core counter digest. This is the property that
-//! lets EXPERIMENTS.md regenerate through the farm without changing a
-//! single reported number.
+//! Bit-identity of the farmed path: a cell executed on a sweep worker
+//! thread must produce exactly the simulated results of the serial
+//! path (`flextm_bench::run_point` on the calling thread, what the
+//! `cargo bench` targets do) — same committed/attempts/sim_ops/
+//! sim_cycles and the same per-core counter digest. This is the
+//! property that lets EXPERIMENTS.md regenerate through the farm
+//! without changing a single reported number.
 //!
 //! Also exercises the farm end to end: a tiny sweep through the real
-//! runner (worker processes, store) twice, asserting the second pass
-//! is served entirely from cache with identical results.
+//! runner (worker threads, store) twice, asserting the second pass is
+//! served entirely from cache with identical results.
 
-use flextm_bench::{point_spec, run_point, CellResult, CellSpec, RuntimeKind, WorkloadKind};
-use flextm_sweep::runner::parse_cell_record;
+use flextm_bench::{point_spec, run_point, CellResult, RuntimeKind, WorkloadKind};
 use flextm_sweep::{run_sweep, MatrixSpec, RunnerConfig, Store};
 use std::path::PathBuf;
-use std::process::Command;
-use std::time::Duration;
-
-fn run_cell_in_child(cell: &CellSpec) -> CellResult {
-    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args(["--run-cell", &cell.canonical_json()])
-        .output()
-        .expect("sweep --run-cell runs");
-    assert!(
-        out.status.success(),
-        "child failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let line = String::from_utf8(out.stdout).expect("utf8");
-    parse_cell_record(cell, line.trim()).expect("child record parses")
-}
 
 #[test]
-fn child_process_results_match_the_serial_path_bit_for_bit() {
+fn worker_thread_results_match_the_serial_path_bit_for_bit() {
     // Two cells of the Fig. 4 HashTable matrix at the serial path's
     // exact sizing (seed 0xF1E7, txns 96 — `point_spec` with the
-    // default base), one contended.
-    for (runtime, threads) in [(RuntimeKind::Cgl, 1), (RuntimeKind::FlexTmEager, 4)] {
-        let cell = point_spec(WorkloadKind::HashTable, runtime, threads, 96);
+    // default base), one contended; one sweep at jobs=2, so each runs
+    // on its own worker thread.
+    let points = [(RuntimeKind::Cgl, 1), (RuntimeKind::FlexTmEager, 4)];
+    let cells: Vec<_> = points
+        .iter()
+        .map(|&(runtime, threads)| point_spec(WorkloadKind::HashTable, runtime, threads, 96))
+        .collect();
+    let dir = std::env::temp_dir().join(format!(
+        "flextm-sweep-worker-thread-test-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::open(&dir, "0".repeat(16), "test".to_string()).expect("store opens");
+    let config = RunnerConfig {
+        jobs: 2,
+        progress: false,
+    };
+    let sweep = run_sweep(&cells, &store, &config);
+    assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
+    assert_eq!(sweep.executed, 2);
+
+    for ((runtime, threads), outcome) in points.into_iter().zip(&sweep.outcomes) {
         let serial = run_point(WorkloadKind::HashTable, runtime, threads);
         let serial = CellResult::from_run(&serial, 0.0);
-        let farmed = run_cell_in_child(&cell);
+        let farmed = &outcome.result;
         assert_eq!(farmed.committed, serial.committed, "{runtime:?}@{threads}T");
         assert_eq!(farmed.attempts, serial.attempts, "{runtime:?}@{threads}T");
         assert_eq!(farmed.sim_ops, serial.sim_ops, "{runtime:?}@{threads}T");
@@ -50,6 +52,7 @@ fn child_process_results_match_the_serial_path_bit_for_bit() {
         );
         assert_eq!(farmed.digest, serial.digest, "{runtime:?}@{threads}T");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -68,10 +71,7 @@ fn sweep_is_incremental_and_cache_hits_are_bit_identical() {
     };
     let cells = spec.expand();
     let config = RunnerConfig {
-        worker_exe: worker,
         jobs: 2,
-        timeout: Duration::from_secs(120),
-        max_attempts: 2,
         progress: false,
     };
 
@@ -119,8 +119,9 @@ fn sweep_is_incremental_and_cache_hits_are_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A crashing cell must cost exactly that cell: bounded retries, a
-/// per-cell failure report, and every other cell still completes.
+/// A panicking cell must cost exactly that cell: a per-cell failure
+/// report carrying its panic message, and every other cell still
+/// completes.
 #[test]
 fn a_failing_cell_does_not_kill_the_batch() {
     let dir =
@@ -135,25 +136,24 @@ fn a_failing_cell_does_not_kill_the_batch() {
         ..MatrixSpec::builtin("smoke2x2").unwrap()
     };
     let mut cells = spec.expand();
-    // A cell the child must reject: wider than the 128-core machine
+    // A cell `Machine::new` rejects: wider than the 128-core machine
     // cap (spec validation would refuse it; the runner handles a
-    // hostile queue anyway, because that is the crash-isolation
+    // hostile queue anyway, because that is the failure-containment
     // contract).
     cells[1].threads = 4096;
 
     let config = RunnerConfig {
-        worker_exe: worker,
         jobs: 2,
-        timeout: Duration::from_secs(120),
-        max_attempts: 2,
         progress: false,
     };
     let outcome = run_sweep(&cells, &store, &config);
     assert_eq!(outcome.failures.len(), 1);
     assert_eq!(outcome.failures[0].cell.threads, 4096);
     assert!(
-        outcome.failures[0].error.contains("attempt 2/2"),
-        "retries must be bounded and reported: {}",
+        outcome.failures[0]
+            .error
+            .contains("machine configuration requests 4096 cores"),
+        "the failure must carry the cell's own ConfigError text: {}",
         outcome.failures[0].error
     );
     assert_eq!(outcome.outcomes.len(), 3, "the other cells completed");

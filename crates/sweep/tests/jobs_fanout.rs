@@ -8,7 +8,6 @@
 use flextm_sweep::aggregate::{aggregate, emit_cells_json, emit_tables};
 use flextm_sweep::{run_sweep, MatrixSpec, RunnerConfig, Store};
 use std::path::PathBuf;
-use std::time::Duration;
 
 #[test]
 fn jobs4_and_jobs1_sweeps_render_byte_identical_results() {
@@ -29,10 +28,7 @@ fn jobs4_and_jobs1_sweeps_render_byte_identical_results() {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir, bin_fp.clone(), "test".to_string()).expect("store opens");
         let config = RunnerConfig {
-            worker_exe: worker.clone(),
             jobs,
-            timeout: Duration::from_secs(120),
-            max_attempts: 2,
             progress: false,
         };
         let out = run_sweep(&cells, &store, &config);

@@ -1,17 +1,15 @@
-//! A small, dependency-free JSON codec for the sweep farm.
+//! A small, dependency-free JSON codec — the one parser in the tree.
 //!
-//! The offline build environment has no serde, so — like the
-//! `flextm-trace` crate before it — the farm carries its own codec.
-//! Unlike trace's schema-specific scanner, this one parses arbitrary
-//! JSON values (the matrix specs, cell records, store entries, and
-//! `sched_bench` output all flow through it). Two properties matter
-//! here more than generality:
+//! The offline build environment has no serde, so the repo carries its
+//! own codec here, in the lowest crate that reads JSON: the attempt
+//! trace ([`crate::parse_jsonl`]) and, in `flextm-sweep`, the matrix
+//! specs and store entries all flow through it. Two properties matter
+//! more than generality:
 //!
 //! - **Numbers keep their source text.** A [`Json::Num`] stores the
 //!   raw token and only converts on access, so serializing a parsed
-//!   document reproduces it byte-for-byte — which is what lets the
-//!   schema round-trip tests assert *exact* re-encoding, and the cache
-//!   smoke test assert byte-identical emitted files.
+//!   document reproduces it byte-for-byte, and a 128-bit commit mask
+//!   survives where an `f64` would not.
 //! - **Objects keep insertion order** (a `Vec` of pairs, not a map),
 //!   for the same reason.
 
@@ -64,6 +62,15 @@ impl Json {
                     t.parse().ok()
                 }
             }
+            _ => None,
+        }
+    }
+
+    /// The value as a `u128` (plain decimals only — the trace's commit
+    /// enemy mask is the one field wider than 64 bits).
+    pub fn as_u128(&self) -> Option<u128> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
             _ => None,
         }
     }

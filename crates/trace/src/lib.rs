@@ -5,9 +5,11 @@
 //! commit — tagged with the software thread id, the attempt sequence
 //! number and the core's simulated clock. This crate owns the record
 //! type, a dependency-free JSONL encoding ([`to_jsonl`] /
-//! [`parse_jsonl`] round-trip exactly), and the human-readable
-//! abort-breakdown table ([`abort_table`]) that `sched_bench --trace`
-//! and the workload harness print.
+//! [`parse_jsonl`] round-trip exactly), the tree's one JSON parser
+//! ([`json`], which `parse_jsonl` and the sweep farm both read
+//! through), and the human-readable abort-breakdown table
+//! ([`abort_table`]) that `sched_bench --trace` and the workload
+//! harness print.
 //!
 //! The encoder is deterministic: fixed key order, no whitespace
 //! variation, records pre-sorted by the producer — so two runs of the
@@ -16,7 +18,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod json;
+
 use flextm_sim::{AbortCause, ConflictKind, MachineReport};
+use json::Json;
 
 /// Classification of a conflict observed by a running attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,57 +199,6 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// A parsed JSON scalar: this schema only ever holds unsigned integers
-/// and plain (escape-free) strings. Numbers are carried at the widest
-/// width any field needs (the commit enemy mask is 128-bit); narrower
-/// fields range-check on extraction.
-enum Val<'a> {
-    Num(u128),
-    Str(&'a str),
-}
-
-/// Parses one `{"key":value,...}` object of the trace schema into
-/// key/value pairs. Not a general JSON parser: values are unsigned
-/// integers or escape-free strings, which is all the encoder emits.
-fn parse_object(line: &str) -> Result<Vec<(&str, Val<'_>)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a {...} object")?;
-    let mut pairs = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let r = rest.strip_prefix('"').ok_or("expected '\"' before key")?;
-        let (key, r) = r.split_once('"').ok_or("unterminated key")?;
-        let r = r.strip_prefix(':').ok_or("expected ':' after key")?;
-        let (val, r) = if let Some(s) = r.strip_prefix('"') {
-            let (v, r) = s.split_once('"').ok_or("unterminated string value")?;
-            (Val::Str(v), r)
-        } else {
-            let end = r.find(',').unwrap_or(r.len());
-            let (digits, tail) = r.split_at(end);
-            let n = digits
-                .parse::<u128>()
-                .map_err(|_| format!("bad number {digits:?}"))?;
-            (Val::Num(n), tail)
-        };
-        pairs.push((key, val));
-        rest = val_rest_comma(r)?;
-    }
-    Ok(pairs)
-}
-
-fn val_rest_comma(r: &str) -> Result<&str, String> {
-    if r.is_empty() {
-        Ok(r)
-    } else {
-        r.strip_prefix(',')
-            .map(|s| s.trim_start())
-            .ok_or_else(|| format!("expected ',' before {r:?}"))
-    }
-}
-
 /// Parses a JSONL trace produced by [`to_jsonl`].
 ///
 /// # Errors
@@ -260,14 +214,12 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
             line: i + 1,
             message,
         };
-        let pairs = parse_object(line).map_err(err)?;
+        let doc = json::parse(line).map_err(|e| err(e.to_string()))?;
+        // Numbers are read at the widest width any field needs (the
+        // commit enemy mask is 128-bit); narrower fields range-check.
         let wide = |key: &str| -> Result<u128, TraceParseError> {
-            pairs
-                .iter()
-                .find_map(|(k, v)| match v {
-                    Val::Num(n) if *k == key => Some(*n),
-                    _ => None,
-                })
+            doc.get(key)
+                .and_then(Json::as_u128)
                 .ok_or_else(|| err(format!("missing numeric field {key:?}")))
         };
         let num = |key: &str| -> Result<u64, TraceParseError> {
@@ -276,12 +228,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
                 .map_err(|_| err(format!("field {key:?} overflows u64")))
         };
         let text_field = |key: &str| -> Result<&str, TraceParseError> {
-            pairs
-                .iter()
-                .find_map(|(k, v)| match v {
-                    Val::Str(s) if *k == key => Some(*s),
-                    _ => None,
-                })
+            doc.get(key)
+                .and_then(Json::as_str)
                 .ok_or_else(|| err(format!("missing string field {key:?}")))
         };
         let ev = match text_field("ev")? {

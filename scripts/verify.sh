@@ -38,9 +38,10 @@
 #  12. bench-crate tests (flextm-bench is not a workspace
 #      default-member, so tier-1 `cargo test` skips it): env parsing,
 #      cell records, entry points
-#  13. sweep farm smoke: the 2x2 smoke matrix runs twice against a
-#      fresh store; the second run must execute zero cells (pure cache)
-#      and emit byte-identical tables/JSON
+#  13. sweep farm smoke: the 2x2 smoke matrix runs cold at --jobs 1 and
+#      at --jobs 2 into separate stores, then warm against the second;
+#      the warm run must execute zero cells (pure cache) and all three
+#      must emit byte-identical tables/JSON
 #  14. repo benchmark (BENCHMARK.json): the standalone benchmark/
 #      package is outside the workspace, so nothing above builds it —
 #      its smoke run and its own tests keep a flextm-sim API change
@@ -214,12 +215,18 @@ echo "== fallback switch backend (--cfg flextm_fiber_fallback): sim tests + fing
 echo "== bench-crate tests (not a default-member; env parsing, cell records) =="
 cargo test -q -p flextm-bench
 
-echo "== sweep farm smoke (2x2 matrix; warm re-run must be pure cache) =="
+echo "== sweep farm smoke (2x2 matrix; jobs 1 == jobs 2 == warm, warm is pure cache) =="
 sweep_tmp="$(mktemp -d)"
-cargo run -q --release -p flextm-sweep --bin sweep -- \
-    --spec smoke2x2 --store "$sweep_tmp/store" --emit "$sweep_tmp/cold" --quiet
-warm_json="$(cargo run -q --release -p flextm-sweep --bin sweep -- \
-    --spec smoke2x2 --store "$sweep_tmp/store" --emit "$sweep_tmp/warm" --quiet)"
+sweep_smoke() {
+    # $1: store name, $2: emit name, rest: extra flags.
+    local store="$1" emit="$2"
+    shift 2
+    cargo run -q --release -p flextm-sweep --bin sweep -- \
+        --spec smoke2x2 --store "$sweep_tmp/$store" --emit "$sweep_tmp/$emit" --quiet "$@"
+}
+sweep_smoke store1 jobs1 --jobs 1
+sweep_smoke store2 jobs2 --jobs 2
+warm_json="$(sweep_smoke store2 warm)"
 echo "$warm_json"
 case "$warm_json" in
 *'"executed": 0, "cached": 4'*) ;;
@@ -229,11 +236,13 @@ case "$warm_json" in
     exit 1
     ;;
 esac
-if ! diff -r "$sweep_tmp/cold" "$sweep_tmp/warm"; then
-    echo "cached sweep emitted different bytes than the cold run"
-    rm -rf "$sweep_tmp"
-    exit 1
-fi
+for other in jobs2 warm; do
+    if ! diff -r "$sweep_tmp/jobs1" "$sweep_tmp/$other"; then
+        echo "the $other sweep emitted different bytes than the cold --jobs 1 run"
+        rm -rf "$sweep_tmp"
+        exit 1
+    fi
+done
 rm -rf "$sweep_tmp"
 
 echo "== repo benchmark: smoke run + the suite's own tests =="
