@@ -4,10 +4,9 @@
 //! × CM policy × threads × signature size × seed × transaction count —
 //! described exactly (no environment variables, no derived sizing) so
 //! that the same [`CellSpec`] produces the same simulated results in
-//! any process and on any thread: the serial `cargo bench` path
-//! ([`crate::run_point`] expands to a spec and calls [`run_cell`]),
-//! the sweep farm's worker threads, and tests all share this one entry
-//! point.
+//! any process and on any thread. The sweep farm's worker threads —
+//! the one generator of the Fig. 4(a–g) and Fig. 5(a–d) matrices — and
+//! the tests share this one entry point.
 //!
 //! [`CellResult`] carries the deterministic simulated outcome
 //! (committed / attempts / sim_ops / sim_cycles plus
@@ -173,12 +172,9 @@ impl CellResult {
     }
 }
 
-/// Runs one cell on a fresh machine, exactly as described by `spec`.
-///
-/// This is the entry point everything shares: [`crate::run_point`]
-/// (the serial bench path) and the sweep farm's worker threads both
-/// call it, which is what makes "sweep output is bit-identical to the
-/// serial path" a property of construction rather than a hope.
+/// Runs one cell on a fresh machine, exactly as described by `spec`:
+/// the paper machine widened to `spec.threads` if that exceeds 16,
+/// one measured run per machine.
 pub fn run_cell(spec: &CellSpec) -> RunResult {
     let mut config = MachineConfig::paper_default().with_cores(spec.threads.max(16));
     config.signature.total_bits = spec.sig_bits;

@@ -155,12 +155,6 @@ impl SummarySignature {
         self.contributors.len()
     }
 
-    /// Ids of all contributors (the paper's "Cores Summary" register
-    /// content, virtualized to thread ids here).
-    pub fn contributor_ids(&self) -> Vec<usize> {
-        self.contributors.keys().copied().collect()
-    }
-
     /// Read access to the combined union signature.
     pub fn union(&self) -> &Signature {
         &self.union

@@ -55,11 +55,6 @@ impl L1State {
     pub fn readable(self) -> bool {
         matches!(self, L1State::M | L1State::E | L1State::S)
     }
-
-    /// True if a local plain store can proceed without a request.
-    pub fn writable(self) -> bool {
-        matches!(self, L1State::M | L1State::E)
-    }
 }
 
 /// Vacant-slot sentinel in the tag plane. Line indexes are byte

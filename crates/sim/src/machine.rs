@@ -73,7 +73,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::time::Instant;
 
 /// One core's clock and the counters the scheduler's local paths bump
 /// without entering the protocol. Plain fields: [`SimState`] must stay
@@ -795,7 +794,6 @@ impl Machine {
     /// panics (the first panic is propagated; the machine is then
     /// poisoned).
     pub fn run<R>(&self, threads: usize, body: impl Fn(ProcHandle) -> R) -> Vec<R> {
-        let t0 = Instant::now();
         let shared = &self.shared;
         self.assert_quiesced("run");
         let cores = shared.ctx.len();
@@ -881,7 +879,6 @@ impl Machine {
         if let Some(payload) = first_panic.into_inner() {
             resume_unwind(payload);
         }
-        shared.sched.borrow_mut().stats.host_nanos += t0.elapsed().as_nanos() as u64;
         results
             .into_iter()
             .map(|r| r.into_inner().expect("fiber finished without a result"))

@@ -168,11 +168,6 @@ impl Memory {
         p[off..off + WORDS_PER_LINE].copy_from_slice(data);
     }
 
-    /// Number of pages touched so far (test/diagnostic aid).
-    pub fn touched_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Base byte addresses of every touched 4 KiB page, ascending.
     /// The workload harness uses this for functional cache warming:
     /// sweeping all live data once before timing removes cold-miss

@@ -234,7 +234,7 @@ impl CoreStats {
 /// operations. Host-side observability — these have no simulated-time
 /// meaning, but every benchmark gets a built-in before/after
 /// measurement of the engine itself.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Operations completed on a fast path (below the lease horizon, or
     /// the local `work`/`stall`/`now` paths) — no scheduler rendezvous.
@@ -244,8 +244,6 @@ pub struct SchedStats {
     /// Lease grants that switched to another core's fiber (grants a
     /// core gave itself while posting are not counted).
     pub grants: u64,
-    /// Host wall-clock nanoseconds spent inside [`crate::Machine::run`].
-    pub host_nanos: u64,
 }
 
 impl SchedStats {
@@ -255,23 +253,9 @@ impl SchedStats {
             fast_ops: self.fast_ops - earlier.fast_ops,
             slow_ops: self.slow_ops - earlier.slow_ops,
             grants: self.grants - earlier.grants,
-            host_nanos: self.host_nanos - earlier.host_nanos,
         }
     }
 }
-
-/// Equality ignores `host_nanos`: wall-clock is noise, while the op and
-/// grant counts are functions of the deterministic schedule — the
-/// determinism suite compares whole reports across runs.
-impl PartialEq for SchedStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.fast_ops == other.fast_ops
-            && self.slow_ops == other.slow_ops
-            && self.grants == other.grants
-    }
-}
-
-impl Eq for SchedStats {}
 
 /// Whole-machine report returned by [`crate::Machine::report`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -280,7 +264,8 @@ pub struct MachineReport {
     pub core_cycles: Vec<u64>,
     /// Per-core counters.
     pub cores: Vec<CoreStats>,
-    /// Scheduler counters (equality ignores the wall-clock part).
+    /// Scheduler counters — functions of the deterministic schedule,
+    /// so the determinism suite compares whole reports across runs.
     pub sched: SchedStats,
 }
 
@@ -335,16 +320,6 @@ impl MachineReport {
             0.0
         } else {
             self.sched.grants as f64 / ops as f64
-        }
-    }
-
-    /// Simulator-side throughput: simulated operations per host
-    /// wall-clock second (0.0 when no time was recorded).
-    pub fn sim_ops_per_sec(&self) -> f64 {
-        if self.sched.host_nanos == 0 {
-            0.0
-        } else {
-            self.sim_ops() as f64 * 1e9 / self.sched.host_nanos as f64
         }
     }
 
@@ -555,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn report_equality_ignores_wall_clock() {
+    fn report_equality_covers_sched_and_core_counters() {
         let mut a = MachineReport {
             core_cycles: vec![7],
             cores: vec![CoreStats::default()],
@@ -563,11 +538,9 @@ mod tests {
                 fast_ops: 3,
                 slow_ops: 2,
                 grants: 1,
-                host_nanos: 123,
             },
         };
         let mut b = a.clone();
-        b.sched.host_nanos = 456_789;
         assert_eq!(a, b);
         b.sched.fast_ops = 4;
         assert_ne!(a, b);
@@ -602,7 +575,6 @@ mod tests {
                 fast_ops: 10,
                 slow_ops: 5,
                 grants: 2,
-                host_nanos: 1_000,
             },
         };
         before.cores[0].loads = 8;
@@ -611,13 +583,11 @@ mod tests {
         after.cores[0].loads = 20;
         after.cores[1].commits = 3;
         after.sched.fast_ops = 25;
-        after.sched.host_nanos = 4_000;
         let d = after.delta(&before);
         assert_eq!(d.core_cycles, vec![60, 40]);
         assert_eq!(d.cores[0].loads, 12);
         assert_eq!(d.cores[1].commits, 3);
         assert_eq!(d.sched.fast_ops, 15);
-        assert_eq!(d.sched.host_nanos, 3_000);
         assert_eq!(d.sim_ops(), 15); // 12 loads + 3 commits
     }
 

@@ -5,9 +5,10 @@
 //! hand: simulated results are deterministic, so the seed axis gives
 //! independent deterministic samples; a series point is the **median**
 //! across seeds with the min–max range as the (nonparametric)
-//! confidence interval. Normalization follows Fig. 4: each workload's
-//! series divide by that workload's 1-thread CGL median when the spec
-//! includes it.
+//! confidence interval. One normalization rule: each workload's series
+//! divide by the 1-thread median of that workload's first series in
+//! canonical order — the first runtime the spec lists, so CGL in the
+//! Fig. 4 specs and FlexTM(E) in Fig. 5, the paper's baselines.
 //!
 //! Everything emitted here is deterministic — host wall times never
 //! appear — so `scripts/verify.sh` can assert that a cached re-run
@@ -112,19 +113,24 @@ pub fn aggregate(outcomes: &[Outcome]) -> Vec<Series> {
         .collect()
 }
 
-/// The 1-thread CGL median for `workload`, if the matrix ran it.
-fn cgl_base(series: &[Series], workload: WorkloadKind) -> Option<f64> {
-    series
-        .iter()
-        .find(|s| s.workload == workload && s.runtime == RuntimeKind::Cgl)
-        .and_then(|s| s.points.iter().find(|p| p.threads == 1))
-        .map(|p| p.median)
+fn series_label(s: &Series) -> String {
+    if s.cm == CmKind::Polka && s.sig_bits == 2048 {
+        s.runtime.label().to_string()
+    } else {
+        format!(
+            "{} cm={} sig={}",
+            s.runtime.label(),
+            cm_label(s.cm),
+            s.sig_bits
+        )
+    }
 }
 
 /// Renders the EXPERIMENTS.md-style markdown tables: one table per
-/// workload, rows = series, columns = thread axis. Values are
-/// normalized to the workload's 1-thread CGL median when present
-/// (Fig. 4 convention), otherwise raw txns per million cycles.
+/// workload, rows = series, columns = the thread counts any of its
+/// series has (a failed cell leaves a `—`). Values are normalized to
+/// the 1-thread median of the workload's first series, or raw txns per
+/// million cycles if that point is missing.
 pub fn emit_tables(spec_name: &str, series: &[Series]) -> String {
     let mut out = format!("# sweep `{spec_name}` — median series\n");
     let mut seen: Vec<WorkloadKind> = Vec::new();
@@ -134,18 +140,26 @@ pub fn emit_tables(spec_name: &str, series: &[Series]) -> String {
         }
     }
     for workload in seen {
-        let base = cgl_base(series, workload);
         let in_workload: Vec<&Series> = series.iter().filter(|s| s.workload == workload).collect();
-        let threads: Vec<usize> = in_workload
-            .first()
-            .map(|s| s.points.iter().map(|p| p.threads).collect())
-            .unwrap_or_default();
+        let first = in_workload[0];
+        let base = first
+            .points
+            .iter()
+            .find(|p| p.threads == 1)
+            .map(|p| p.median)
+            .filter(|&b| b > 0.0);
+        let mut threads: Vec<usize> = in_workload
+            .iter()
+            .flat_map(|s| s.points.iter().map(|p| p.threads))
+            .collect();
+        threads.sort_unstable();
+        threads.dedup();
         out.push_str(&format!(
             "\n## {} ({})\n\n",
             workload.label(),
             match base {
-                Some(_) => "normalized to 1T CGL median",
-                None => "txns per million cycles",
+                Some(_) => format!("normalized to 1T {} median", series_label(first)),
+                None => "txns per million cycles".to_string(),
             }
         ));
         out.push_str("| series |");
@@ -155,31 +169,20 @@ pub fn emit_tables(spec_name: &str, series: &[Series]) -> String {
         out.push_str("\n|---|");
         out.push_str(&"---|".repeat(threads.len()));
         out.push('\n');
+        let scale = base.unwrap_or(1.0);
         for s in in_workload {
-            let label = if s.cm == CmKind::Polka && s.sig_bits == 2048 {
-                s.runtime.label().to_string()
-            } else {
-                format!(
-                    "{} cm={} sig={}",
-                    s.runtime.label(),
-                    cm_label(s.cm),
-                    s.sig_bits
-                )
-            };
-            out.push_str(&format!("| {label} |"));
-            for p in &s.points {
-                let value = match base {
-                    Some(b) if b > 0.0 => p.median / b,
-                    _ => p.median,
-                };
-                if p.n > 1 {
-                    let (lo, hi) = match base {
-                        Some(b) if b > 0.0 => (p.lo / b, p.hi / b),
-                        _ => (p.lo, p.hi),
-                    };
-                    out.push_str(&format!(" {value:.3} [{lo:.3}–{hi:.3}, n={}] |", p.n));
-                } else {
-                    out.push_str(&format!(" {value:.3} |"));
+            out.push_str(&format!("| {} |", series_label(s)));
+            for &t in &threads {
+                match s.points.iter().find(|p| p.threads == t) {
+                    None => out.push_str(" — |"),
+                    Some(p) if p.n > 1 => out.push_str(&format!(
+                        " {:.3} [{:.3}–{:.3}, n={}] |",
+                        p.median / scale,
+                        p.lo / scale,
+                        p.hi / scale,
+                        p.n
+                    )),
+                    Some(p) => out.push_str(&format!(" {:.3} |", p.median / scale)),
                 }
             }
             out.push('\n');
@@ -268,6 +271,42 @@ mod tests {
         // CGL base = 10 txns/Mcyc at 1T; FlexTM(L) = 2x/4x that.
         assert!(table.contains("| CGL | 1.000 | 2.000 |"), "{table}");
         assert!(table.contains("| FlexTM(L) | 2.000 | 4.000 |"), "{table}");
+    }
+
+    #[test]
+    fn the_first_series_in_spec_order_is_the_baseline() {
+        // Fig. 5 lists no CGL: its tables divide by 1T of the runtime
+        // the spec names first.
+        let mut outcomes = smoke_outcomes();
+        outcomes.rotate_left(2); // FlexTM(L) cells first
+        let table = emit_tables("s", &aggregate(&outcomes));
+        assert!(
+            table.contains("(normalized to 1T FlexTM(L) median)"),
+            "{table}"
+        );
+        assert!(table.contains("| FlexTM(L) | 1.000 | 2.000 |"), "{table}");
+        assert!(table.contains("| CGL | 0.500 | 1.000 |"), "{table}");
+    }
+
+    #[test]
+    fn a_failed_cell_leaves_a_gap_under_its_own_header() {
+        // Without CGL@1T (the baseline cell) the values fall back to
+        // raw; either way the surviving 2T value stays in the 2T column.
+        let mut outcomes = smoke_outcomes();
+        outcomes.remove(0);
+        let table = emit_tables("s", &aggregate(&outcomes));
+        assert!(table.contains("(txns per million cycles)"), "{table}");
+        assert!(table.contains("| series | 1T | 2T |"), "{table}");
+        assert!(table.contains("| CGL | — | 20.000 |"), "{table}");
+        assert!(table.contains("| FlexTM(L) | 20.000 | 40.000 |"), "{table}");
+
+        // Without FlexTM(L)@1T the baseline is intact.
+        let mut outcomes = smoke_outcomes();
+        outcomes.remove(2);
+        let table = emit_tables("s", &aggregate(&outcomes));
+        assert!(table.contains("| series | 1T | 2T |"), "{table}");
+        assert!(table.contains("| CGL | 1.000 | 2.000 |"), "{table}");
+        assert!(table.contains("| FlexTM(L) | — | 4.000 |"), "{table}");
     }
 
     #[test]

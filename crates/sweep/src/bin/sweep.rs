@@ -1,9 +1,9 @@
 //! `sweep` — parallel, cached, incremental evaluation of the paper
-//! matrix.
+//! matrix; the one generator of Fig. 4(a–g) and Fig. 5(a–d).
 //!
 //! ```text
 //! # cold run: expand the matrix, fan cells across cores, fill the store
-//! cargo run --release -p flextm-sweep --bin sweep -- --spec fig4_hashtable
+//! cargo run --release -p flextm-sweep --bin sweep -- --spec fig4_ws1
 //!
 //! # warm run: same command; unchanged cells are served from the store
 //! # (summary line reports "executed": 0)
@@ -14,7 +14,8 @@
 //!
 //! Flags:
 //!
-//! - `--spec NAME` — a built-in spec (`smoke2x2`, `fig4_hashtable`)
+//! - `--spec NAME` — a built-in spec (`smoke2x2`, `fig4_ws1`,
+//!   `fig4_ws2`, `fig5_eager_lazy`)
 //! - `--spec-file PATH` — a JSON matrix spec (see EXPERIMENTS.md)
 //! - `--store DIR` — content-addressed results store
 //!   (default `target/sweep-store`)

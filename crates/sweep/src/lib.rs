@@ -1,9 +1,9 @@
 //! `flextm-sweep`: the evaluation matrix as one parallel, cached,
 //! incremental batch service.
 //!
-//! The serial `cargo bench` path regenerates every EXPERIMENTS.md
-//! figure one cell at a time in one process. This crate treats the
-//! same evaluation as production traffic: a declarative [`spec`]
+//! This crate is the only thing in the tree that iterates workload ×
+//! runtime × threads: a declarative [`spec`] (one built in per paper
+//! matrix — Fig. 4 Workload-Sets 1 and 2, Fig. 5 eager vs. lazy)
 //! expands into cells, the [`runner`] fans them across host cores on
 //! worker threads (each cell an in-process `flextm_bench::
 //! run_cell_timed` call under `catch_unwind`), the [`store`] serves

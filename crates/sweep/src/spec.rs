@@ -2,11 +2,12 @@
 //!
 //! A spec is a cross product over the evaluation axes — workload ×
 //! runtime × CM policy × threads × signature size × seed — plus scalar
-//! sizing (timed transactions per thread). Expansion applies the same
-//! derivations the serial bench path applies ([`flextm_bench::
-//! point_spec`]): per-workload transaction scaling and the
-//! `(txns / 4).max(8)` warm-up rule, so a spec cell and a `cargo
-//! bench` point describe identical runs.
+//! sizing (base timed transactions per thread). [`MatrixSpec::expand`]
+//! holds the tree's one sizing rule: the base count scaled per
+//! workload ([`WorkloadKind::txn_scale`], floor 8) and a
+//! `(txns / 4).max(8)` warm-up. The built-in specs are the paper's two
+//! throughput-vs-threads matrices, Fig. 4(a–g) and Fig. 5(a–d), plus
+//! the CI smoke.
 
 use flextm::CmKind;
 use flextm_bench::{cm_from_label, cm_label, CellSpec, RuntimeKind, WorkloadKind};
@@ -46,37 +47,47 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 impl MatrixSpec {
-    /// The built-in specs. `smoke2x2` is the CI smoke (2 runtimes × 2
-    /// thread counts on HashTable, small sizing); `fig4_hashtable` is
-    /// the full Fig. 4(a) matrix the serial `fig4_throughput` bench
-    /// runs for HashTable.
+    /// The built-in specs: `smoke2x2` is the CI smoke (2 runtimes × 2
+    /// thread counts on HashTable, small sizing); `fig4_ws1` is
+    /// Fig. 4(a–e) (Workload-Set 1 × CGL / FlexTM(E) / RTM-F / RSTM),
+    /// `fig4_ws2` is Fig. 4(f–g) (Vacation × CGL / FlexTM(E) / TL2)
+    /// and `fig5_eager_lazy` is Fig. 5(a–d) (eager vs. lazy FlexTM) —
+    /// the paper's system matrix, all with Polka, at threads
+    /// {1, 2, 4, 8, 16}. The first runtime listed is the one each
+    /// table is normalized to (`aggregate::emit_tables`).
     pub fn builtin(name: &str) -> Option<MatrixSpec> {
+        use RuntimeKind::{Cgl, FlexTmEager, FlexTmLazy, Rstm, RtmF, Tl2};
+        use WorkloadKind::{
+            Delaunay, HashTable, LfuCache, RandomGraph, RbTree, VacationHigh, VacationLow,
+        };
+        let paper = |workloads: &[WorkloadKind], runtimes: &[RuntimeKind]| MatrixSpec {
+            name: name.to_string(),
+            workloads: workloads.to_vec(),
+            runtimes: runtimes.to_vec(),
+            cms: vec![CmKind::Polka],
+            threads: vec![1, 2, 4, 8, 16],
+            sig_bits: vec![2048],
+            seeds: vec![0xF1E7],
+            txns_per_thread: 96,
+        };
         match name {
             "smoke2x2" => Some(MatrixSpec {
-                name: name.to_string(),
-                workloads: vec![WorkloadKind::HashTable],
-                runtimes: vec![RuntimeKind::Cgl, RuntimeKind::FlexTmLazy],
-                cms: vec![CmKind::Polka],
                 threads: vec![1, 2],
-                sig_bits: vec![2048],
-                seeds: vec![0xF1E7],
                 txns_per_thread: 16,
+                ..paper(&[HashTable], &[Cgl, FlexTmLazy])
             }),
-            "fig4_hashtable" => Some(MatrixSpec {
-                name: name.to_string(),
-                workloads: vec![WorkloadKind::HashTable],
-                runtimes: vec![
-                    RuntimeKind::Cgl,
-                    RuntimeKind::FlexTmEager,
-                    RuntimeKind::RtmF,
-                    RuntimeKind::Rstm,
-                ],
-                cms: vec![CmKind::Polka],
-                threads: vec![1, 2, 4, 8, 16],
-                sig_bits: vec![2048],
-                seeds: vec![0xF1E7],
-                txns_per_thread: 96,
-            }),
+            "fig4_ws1" => Some(paper(
+                &[HashTable, RbTree, LfuCache, RandomGraph, Delaunay],
+                &[Cgl, FlexTmEager, RtmF, Rstm],
+            )),
+            "fig4_ws2" => Some(paper(
+                &[VacationLow, VacationHigh],
+                &[Cgl, FlexTmEager, Tl2],
+            )),
+            "fig5_eager_lazy" => Some(paper(
+                &[RbTree, VacationHigh, LfuCache, RandomGraph],
+                &[FlexTmEager, FlexTmLazy],
+            )),
             _ => None,
         }
     }
@@ -255,13 +266,17 @@ impl MatrixSpec {
     }
 
     /// Expands the cross product in canonical (nested-axis) order:
-    /// workload, runtime, cm, threads, sig_bits, seed.
+    /// workload, runtime, cm, threads, sig_bits, seed. Sizing is per
+    /// workload: high-conflict workloads run fewer, heavier
+    /// transactions, and the warm-up (on top of the harness's
+    /// functional L2 warm) steady-states the data structure and the
+    /// per-thread caches.
     pub fn expand(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
         for &workload in &self.workloads {
-            // Same sizing derivation as the serial bench path.
-            let base =
-                flextm_bench::point_spec(workload, RuntimeKind::Cgl, 1, self.txns_per_thread);
+            let txns_per_thread =
+                (self.txns_per_thread as f64 * workload.txn_scale()).max(8.0) as u64;
+            let warmup_per_thread = (txns_per_thread / 4).max(8);
             for &runtime in &self.runtimes {
                 for &cm in &self.cms {
                     for &threads in &self.threads {
@@ -274,8 +289,8 @@ impl MatrixSpec {
                                     threads,
                                     sig_bits,
                                     seed,
-                                    txns_per_thread: base.txns_per_thread,
-                                    warmup_per_thread: base.warmup_per_thread,
+                                    txns_per_thread,
+                                    warmup_per_thread,
                                 });
                             }
                         }
@@ -395,35 +410,62 @@ mod tests {
         assert_eq!(cells[0].threads, 1);
         assert_eq!(cells[1].threads, 2);
         assert_eq!(cells[2].runtime, RuntimeKind::FlexTmLazy);
-        // Sizing derivations match the serial path: 16 txns, warmup
-        // (16/4).max(8) = 8.
+        // Sizing: 16 txns, warm-up (16/4).max(8) = 8.
         assert!(cells.iter().all(|c| c.txns_per_thread == 16));
         assert!(cells.iter().all(|c| c.warmup_per_thread == 8));
     }
 
     #[test]
-    fn fig4_hashtable_matches_the_serial_matrix() {
-        let spec = MatrixSpec::builtin("fig4_hashtable").unwrap();
-        let cells = spec.expand();
-        assert_eq!(cells.len(), 4 * 5);
-        for cell in &cells {
+    fn builtin_figure_specs_are_the_paper_matrices() {
+        for (name, workloads, runtimes) in [
+            ("fig4_ws1", 5, 4),
+            ("fig4_ws2", 2, 3),
+            ("fig5_eager_lazy", 4, 2),
+        ] {
+            let spec = MatrixSpec::builtin(name).unwrap();
+            spec.validate().unwrap();
+            assert_eq!(spec.name, name);
+            assert_eq!(spec.expand().len(), workloads * runtimes * 5, "{name}");
+        }
+        assert_eq!(MatrixSpec::builtin("fig4_hashtable"), None);
+    }
+
+    #[test]
+    fn expand_sizes_each_workload_from_the_base_count() {
+        let spec = MatrixSpec {
+            workloads: flextm_bench::ALL_WORKLOADS.to_vec(),
+            ..MatrixSpec::builtin("fig4_ws1").unwrap()
+        };
+        assert_eq!(spec.txns_per_thread, 96);
+        for cell in spec.expand() {
+            let expected = match cell.workload {
+                WorkloadKind::RandomGraph => (24, 8),
+                WorkloadKind::Delaunay => (48, 12),
+                _ => (96, 24),
+            };
             assert_eq!(
-                *cell,
-                flextm_bench::point_spec(cell.workload, cell.runtime, cell.threads, 96)
+                (cell.txns_per_thread, cell.warmup_per_thread),
+                expected,
+                "{}",
+                cell.label()
+            );
+            assert_eq!(
+                (cell.cm, cell.sig_bits, cell.seed),
+                (CmKind::Polka, 2048, 0xF1E7)
             );
         }
     }
 
     #[test]
     fn spec_json_round_trips() {
-        let spec = MatrixSpec::builtin("fig4_hashtable").unwrap();
+        let spec = MatrixSpec::builtin("fig4_ws1").unwrap();
         let parsed = MatrixSpec::from_json(&spec.canonical_json()).unwrap();
         assert_eq!(parsed, spec);
     }
 
     #[test]
     fn cell_json_round_trips() {
-        for cell in MatrixSpec::builtin("fig4_hashtable").unwrap().expand() {
+        for cell in MatrixSpec::builtin("fig4_ws1").unwrap().expand() {
             let parsed = cell_from_json(&cell.canonical_json()).unwrap();
             assert_eq!(parsed, cell);
         }

@@ -1,30 +1,33 @@
 //! Bit-identity of the farmed path: a cell executed on a sweep worker
-//! thread must produce exactly the simulated results of the serial
-//! path (`flextm_bench::run_point` on the calling thread, what the
-//! `cargo bench` targets do) — same committed/attempts/sim_ops/
-//! sim_cycles and the same per-core counter digest. This is the
-//! property that lets EXPERIMENTS.md regenerate through the farm
-//! without changing a single reported number.
+//! thread must produce exactly the simulated results of
+//! `flextm_bench::run_cell` on the calling thread — same committed/
+//! attempts/sim_ops/sim_cycles and the same per-core counter digest.
+//! This is the property that lets any `--jobs` regenerate
+//! EXPERIMENTS.md without changing a single reported number.
 //!
 //! Also exercises the farm end to end: a tiny sweep through the real
 //! runner (worker threads, store) twice, asserting the second pass is
 //! served entirely from cache with identical results.
 
-use flextm_bench::{point_spec, run_point, CellResult, RuntimeKind, WorkloadKind};
+use flextm_bench::{run_cell, CellResult, RuntimeKind};
 use flextm_sweep::{run_sweep, MatrixSpec, RunnerConfig, Store};
 use std::path::PathBuf;
 
 #[test]
 fn worker_thread_results_match_the_serial_path_bit_for_bit() {
-    // Two cells of the Fig. 4 HashTable matrix at the serial path's
-    // exact sizing (seed 0xF1E7, txns 96 — `point_spec` with the
-    // default base), one contended; one sweep at jobs=2, so each runs
-    // on its own worker thread.
-    let points = [(RuntimeKind::Cgl, 1), (RuntimeKind::FlexTmEager, 4)];
-    let cells: Vec<_> = points
-        .iter()
-        .map(|&(runtime, threads)| point_spec(WorkloadKind::HashTable, runtime, threads, 96))
+    // Two cells of Fig. 4(a) exactly as `fig4_ws1` sizes them (seed
+    // 0xF1E7, 96 txns), one contended; one sweep at jobs=2, so one of
+    // them runs on a spawned worker thread.
+    let cells: Vec<_> = MatrixSpec::builtin("fig4_ws1")
+        .unwrap()
+        .expand()
+        .into_iter()
+        .filter(|c| {
+            [(RuntimeKind::Cgl, 1), (RuntimeKind::FlexTmEager, 4)].contains(&(c.runtime, c.threads))
+        })
+        .take(2)
         .collect();
+    assert_eq!(cells.len(), 2);
     let dir = std::env::temp_dir().join(format!(
         "flextm-sweep-worker-thread-test-{}",
         std::process::id()
@@ -39,18 +42,15 @@ fn worker_thread_results_match_the_serial_path_bit_for_bit() {
     assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
     assert_eq!(sweep.executed, 2);
 
-    for ((runtime, threads), outcome) in points.into_iter().zip(&sweep.outcomes) {
-        let serial = run_point(WorkloadKind::HashTable, runtime, threads);
-        let serial = CellResult::from_run(&serial, 0.0);
+    for (cell, outcome) in cells.iter().zip(&sweep.outcomes) {
+        let here = CellResult::from_run(&run_cell(cell), 0.0);
         let farmed = &outcome.result;
-        assert_eq!(farmed.committed, serial.committed, "{runtime:?}@{threads}T");
-        assert_eq!(farmed.attempts, serial.attempts, "{runtime:?}@{threads}T");
-        assert_eq!(farmed.sim_ops, serial.sim_ops, "{runtime:?}@{threads}T");
-        assert_eq!(
-            farmed.sim_cycles, serial.sim_cycles,
-            "{runtime:?}@{threads}T"
-        );
-        assert_eq!(farmed.digest, serial.digest, "{runtime:?}@{threads}T");
+        let label = cell.label();
+        assert_eq!(farmed.committed, here.committed, "{label}");
+        assert_eq!(farmed.attempts, here.attempts, "{label}");
+        assert_eq!(farmed.sim_ops, here.sim_ops, "{label}");
+        assert_eq!(farmed.sim_cycles, here.sim_cycles, "{label}");
+        assert_eq!(farmed.digest, here.digest, "{label}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -81,7 +81,7 @@ fn every_field_change_moves_the_hash() {
 
 #[test]
 fn expansion_has_no_duplicate_keys() {
-    let cells = MatrixSpec::builtin("fig4_hashtable").unwrap().expand();
+    let cells = MatrixSpec::builtin("fig4_ws1").unwrap().expand();
     let mut keys: Vec<String> = cells.iter().map(config_hash).collect();
     keys.sort();
     keys.dedup();
@@ -97,7 +97,7 @@ fn expansion_has_no_duplicate_keys() {
 fn two_processes_agree_on_every_key() {
     let run = || {
         let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
-            .args(["--spec", "fig4_hashtable", "--hash-spec"])
+            .args(["--spec", "fig4_ws1", "--hash-spec"])
             .output()
             .expect("sweep --hash-spec runs");
         assert!(out.status.success(), "{out:?}");
@@ -106,9 +106,9 @@ fn two_processes_agree_on_every_key() {
     let first = run();
     let second = run();
     assert_eq!(first, second);
-    assert_eq!(first.lines().count(), 20, "fig4_hashtable is 4×5 cells");
+    assert_eq!(first.lines().count(), 100, "fig4_ws1 is 5×4×5 cells");
     // And the in-process hash agrees with what the binary printed.
-    let cells = MatrixSpec::builtin("fig4_hashtable").unwrap().expand();
+    let cells = MatrixSpec::builtin("fig4_ws1").unwrap().expand();
     for (line, cell) in first.lines().zip(&cells) {
         let key = line.split_whitespace().next().unwrap();
         assert_eq!(key, config_hash(cell));

@@ -115,9 +115,7 @@ fn mutated_documents_never_panic_a_parser() {
     let cell = smoke_cells().remove(0);
     let corpus = [
         trace_text(),
-        MatrixSpec::builtin("fig4_hashtable")
-            .unwrap()
-            .canonical_json(),
+        MatrixSpec::builtin("fig4_ws1").unwrap().canonical_json(),
         cell.canonical_json(),
         std::fs::read_to_string(&entry).expect("entry reads"),
     ];

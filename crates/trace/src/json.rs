@@ -379,11 +379,6 @@ impl Json {
         Json::Num(v.to_string())
     }
 
-    /// A float with fixed decimal places (deterministic emission).
-    pub fn num_fixed(v: f64, places: usize) -> Json {
-        Json::Num(format!("{v:.places$}"))
-    }
-
     /// A string.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())

@@ -83,20 +83,6 @@ pub struct RunConfig {
     pub seed: u64,
 }
 
-impl RunConfig {
-    /// A default sizing that keeps full sweeps tractable: 128 timed +
-    /// 16 warm-up transactions per thread. Override per experiment via
-    /// the `FLEXTM_TXNS` environment variable in the bench binaries.
-    pub fn standard(threads: usize) -> Self {
-        RunConfig {
-            threads,
-            txns_per_thread: 128,
-            warmup_per_thread: 16,
-            seed: 0xF1E7,
-        }
-    }
-}
-
 /// Result of one measured run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -221,19 +207,4 @@ pub fn run_measured(
         cycles: report.elapsed_cycles(),
         report,
     }
-}
-
-/// Normalizes a series against a baseline throughput (the paper plots
-/// everything relative to 1-thread CGL).
-pub fn normalize(results: &[RunResult], baseline_throughput: f64) -> Vec<f64> {
-    results
-        .iter()
-        .map(|r| {
-            if baseline_throughput == 0.0 {
-                0.0
-            } else {
-                r.throughput() / baseline_throughput
-            }
-        })
-        .collect()
 }

@@ -41,7 +41,9 @@
 #  13. sweep farm smoke: the 2x2 smoke matrix runs cold at --jobs 1 and
 #      at --jobs 2 into separate stores, then warm against the second;
 #      the warm run must execute zero cells (pure cache) and all three
-#      must emit byte-identical tables/JSON
+#      must emit byte-identical tables/JSON; and, without simulating
+#      anything, the three figure specs must expand to the paper's
+#      matrices (100 / 30 / 40 cells)
 #  14. repo benchmark (BENCHMARK.json): the standalone benchmark/
 #      package is outside the workspace, so nothing above builds it —
 #      its smoke run and its own tests keep a flextm-sim API change
@@ -244,6 +246,17 @@ for other in jobs2 warm; do
     fi
 done
 rm -rf "$sweep_tmp"
+
+echo "== figure specs expand to the paper's matrices (no simulation) =="
+for spec_cells in fig4_ws1:100 fig4_ws2:30 fig5_eager_lazy:40; do
+    spec="${spec_cells%:*}"
+    cells="$(cargo run -q --release -p flextm-sweep --bin sweep -- --spec "$spec" --hash-spec | wc -l)"
+    echo "$spec: $cells cells"
+    if [ "$cells" -ne "${spec_cells#*:}" ]; then
+        echo "$spec should expand to ${spec_cells#*:} cells"
+        exit 1
+    fi
+done
 
 echo "== repo benchmark: smoke run + the suite's own tests =="
 bash benchmark/run.sh --quick > /dev/null

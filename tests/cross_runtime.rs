@@ -1,11 +1,8 @@
 //! Cross-runtime equivalence: a single-threaded, deterministic op
 //! sequence must leave *identical* committed state under every runtime
-//! (property-based). With one thread there is exactly one serial order,
-//! so any divergence is a runtime bug.
-
-// Needs the external `proptest` crate: see the `proptests` feature
-// note in this package's Cargo.toml.
-#![cfg(feature = "proptests")]
+//! (seeded random sequences; a failure names its seed). With one
+//! thread there is exactly one serial order, so any divergence is a
+//! runtime bug.
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_repro::*;
@@ -17,7 +14,6 @@ use flextm_workloads::harness::Workload;
 use flextm_workloads::rng::WlRng;
 use flextm_workloads::tmap::TMap;
 use flextm_workloads::{HashTable, RandomGraph};
-use proptest::prelude::*;
 
 fn final_map_state(runtime_idx: usize, ops: &[(u8, u64, u64)]) -> Vec<(u64, u64)> {
     let m = Machine::new(MachineConfig::small_test().with_cores(1));
@@ -54,16 +50,20 @@ fn final_map_state(runtime_idx: usize, ops: &[(u8, u64, u64)]) -> Vec<(u64, u64)
     m.with_state(|st| map.collect_direct(st))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    #[test]
-    fn all_runtimes_agree_on_single_thread_map_ops(
-        ops in prop::collection::vec((any::<u8>(), 0..64u64, 0..1000u64), 1..60)
-    ) {
+#[test]
+fn all_runtimes_agree_on_single_thread_map_ops() {
+    for seed in 0..12 {
+        let mut rng = WlRng::new(0xC055_0000 + seed, 0);
+        let ops: Vec<(u8, u64, u64)> = (0..1 + rng.below(59))
+            .map(|_| (rng.below(256) as u8, rng.below(64), rng.below(1000)))
+            .collect();
         let reference = final_map_state(0, &ops);
         for rt in 1..6 {
-            let got = final_map_state(rt, &ops);
-            prop_assert_eq!(&got, &reference, "runtime {} diverged", rt);
+            assert_eq!(
+                final_map_state(rt, &ops),
+                reference,
+                "seed {seed}: runtime {rt} diverged on {ops:?}"
+            );
         }
     }
 }
