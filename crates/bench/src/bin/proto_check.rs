@@ -228,13 +228,14 @@ fn main() {
                     "{{\"bench\": \"proto_check\", {params}, \
                      \"depth\": {}, \"jobs\": {}, \"states\": {}, \"transitions\": {}, \
                      \"max_depth\": {}, \"truncated\": {}, \"wall_s\": {wall:.3}, \
-                     \"violations\": 0}}",
+                     \"transitions_per_s\": {:.0}, \"violations\": 0}}",
                     a.depth.map_or(-1i64, |d| d as i64),
                     a.jobs,
                     out.states,
                     out.transitions,
                     out.max_depth,
                     out.depth_truncated,
+                    out.transitions as f64 / wall.max(1e-9),
                 )
             }
         }

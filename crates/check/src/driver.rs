@@ -9,6 +9,7 @@ use flextm_sim::{
     ConflictKind, CstKind, MachineConfig, ProcSet, SimState,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// TSW encodings. Deliberately attempt-free (unlike the production
 /// runtime's sequence-tagged words) so restarted transactions reach
@@ -64,7 +65,9 @@ pub struct Driver {
     pub shadow: Vec<ShadowCore>,
     /// Shadow committed memory, one word per data line.
     pub shadow_mem: Vec<u64>,
-    cfg: CheckConfig,
+    /// Immutable after construction and shared by every fork, so a
+    /// fork never copies the `core_ids` vector.
+    cfg: Arc<CheckConfig>,
 }
 
 impl Driver {
@@ -75,7 +78,7 @@ impl Driver {
             st: SimState::for_tests(mc),
             shadow: vec![ShadowCore::default(); cfg.cores],
             shadow_mem: vec![0; cfg.lines],
-            cfg,
+            cfg: Arc::new(cfg),
         }
     }
 
@@ -84,14 +87,17 @@ impl Driver {
         &self.cfg
     }
 
-    /// Deep copy for state forking (the `SimState` side goes through
-    /// `clone_for_check`, which rebuilds the scheduler lanes).
+    /// Deep copy for state forking. The `SimState` side goes through
+    /// `clone_for_check`: a plain clone (scheduler lanes included)
+    /// minus each L1's line-buffer free list. Its cost follows the
+    /// cores the schedule has touched — an undriven core's L1 planes
+    /// are unallocated and clone for free — not the machine's width.
     pub fn fork(&self) -> Self {
         Driver {
             st: self.st.clone_for_check(),
             shadow: self.shadow.clone(),
             shadow_mem: self.shadow_mem.clone(),
-            cfg: self.cfg.clone(),
+            cfg: Arc::clone(&self.cfg),
         }
     }
 

@@ -1,0 +1,121 @@
+//! Fork cost follows the cores a schedule drives, not the machine's
+//! width.
+//!
+//! `CheckConfig::wide(2, 1)` explores the same state graph as
+//! `CheckConfig::new(2, 1)` on a 65-core machine whose other 63 cores
+//! no transition ever touches. Per-core heap state is allocated on
+//! first touch (the L1 planes materialise on the first fill, the OT on
+//! the first overflow), so an undriven core must fork as a flat inline
+//! copy. This test pins that with a counting allocator: after the same
+//! four ops, the wide fork may allocate only what an undriven core
+//! still owns eagerly — its two signature word vectors (making those
+//! lazy too was measured and rejected, DESIGN.md "Cost follows touched
+//! state") — and may copy only those words, the inline `CoreState` and
+//! the core's scheduler lane on top of the narrow fork.
+
+// The counting `GlobalAlloc` below needs `unsafe impl`; everything it
+// does is delegate to `System` around two thread-local counter bumps.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use flextm_check::canon::canon;
+use flextm_check::{CheckConfig, Driver, Op};
+use flextm_sim::CoreState;
+
+/// Counts allocation calls and requested bytes on the calling thread
+/// only, so the libtest harness thread cannot perturb a measurement.
+struct CountingAlloc;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(size: usize) {
+    CALLS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|b| b.set(b.get() + size as u64));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Both cores read and write the one line: every driven core has
+/// materialised L1 planes, live signatures and CST bits by the fork.
+const PREFIX: [Op; 4] = [
+    Op::TRead(0, 0),
+    Op::TWrite(1, 0),
+    Op::TRead(1, 0),
+    Op::TWrite(0, 0),
+];
+
+/// Replays [`PREFIX`] and forks, returning the fork with the
+/// allocation calls and bytes the fork alone performed. The fork must
+/// be the state it was forked from.
+fn fork_after_prefix(cfg: CheckConfig) -> (Driver, u64, u64) {
+    let mut d = Driver::new(cfg);
+    for op in PREFIX {
+        assert!(d.enabled_ops().contains(&op), "{op} is not enabled");
+        d.apply(op);
+    }
+    let (calls, bytes) = (CALLS.get(), BYTES.get());
+    let fork = d.fork();
+    let (calls, bytes) = (CALLS.get() - calls, BYTES.get() - bytes);
+    assert_eq!(canon(&fork), canon(&d), "fork changed the canonical state");
+    (fork, calls, bytes)
+}
+
+#[test]
+fn fork_cost_follows_driven_cores() {
+    let (narrow, narrow_calls, narrow_bytes) = fork_after_prefix(CheckConfig::new(2, 1));
+    let (wide, wide_calls, wide_bytes) = fork_after_prefix(CheckConfig::wide(2, 1));
+    let undriven = (wide.st.cores.len() - narrow.st.cores.len()) as u64;
+    assert_eq!(undriven, 63, "wide(2, 1) is a 65-core machine");
+
+    // Eight allocations per undriven core before first-touch planes
+    // and the shared H3 matrix (~500 in all); two now.
+    let extra_calls = wide_calls - narrow_calls;
+    assert!(
+        extra_calls <= 2 * undriven,
+        "wide fork made {wide_calls} allocations, narrow {narrow_calls}: \
+         {extra_calls} extra is more than two per undriven core"
+    );
+
+    // Per undriven core: the inline `CoreState`, a 32-byte scheduler
+    // lane and two one-word signatures. Nothing else may scale.
+    let per_core = std::mem::size_of::<CoreState>() as u64 + 32 + 2 * 8;
+    let extra_bytes = wide_bytes - narrow_bytes;
+    assert!(
+        extra_bytes <= undriven * per_core,
+        "wide fork allocated {wide_bytes} B, narrow {narrow_bytes} B: \
+         {extra_bytes} B extra exceeds {undriven} x {per_core} B"
+    );
+
+    // Same point of the same graph (canonical hashes name machine core
+    // ids, so they differ by the wide mapping; the enabled ops are in
+    // checker-core terms).
+    assert_eq!(
+        narrow.enabled_ops(),
+        wide.enabled_ops(),
+        "the wide fork is not at the narrow fork's state"
+    );
+}

@@ -65,18 +65,24 @@ pub struct LineHasher {
     banks: usize,
     index_bits: u32,
     /// For H3: `banks * index_bits` column vectors; index bit `j` of
-    /// bank `b` is `parity(addr & matrix[b * index_bits + j])`.
-    matrix: Vec<u64>,
+    /// bank `b` is `parity(addr & matrix[b * index_bits + j])`. Empty
+    /// for BitSelect, which is pure wiring.
+    matrix: &'static [u64],
     /// Byte-sliced H3 tables (the standard software trick): H3 is
     /// linear over XOR, so the packed indices of an address are the XOR
     /// of eight per-byte table entries — 8 loads instead of
     /// `banks * index_bits` mask-and-parity steps. `Some` only for H3
     /// configurations whose indices fit in one `u64`
     /// (`banks * index_bits <= 64`, true of every paper configuration).
-    /// Shared (`Arc`) between the clones a machine makes for its many
-    /// per-core signatures, so the 16 KiB table stays hot instead of
-    /// being replicated into every core's cache footprint.
-    packed: Option<std::sync::Arc<[[u64; 256]; 8]>>,
+    ///
+    /// Both references point into the process-wide [`h3_params`] memo:
+    /// one matrix and one 16 KiB table serve every signature of every
+    /// machine with that configuration, so the table stays hot instead
+    /// of being replicated into every core's cache footprint, and
+    /// cloning a hasher — the model checker clones 2 × cores
+    /// signatures per fork — copies five words and touches no
+    /// reference count.
+    packed: Option<&'static [[u64; 256]; 8]>,
 }
 
 /// SplitMix64: tiny deterministic PRNG used only to derive the fixed H3
@@ -89,22 +95,29 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds (or fetches) the byte-sliced tables for an H3 matrix. Every
-/// signature on a machine uses the same configuration, so the tables are
-/// memoized process-wide by `(seed, matrix length)` — one 16 KiB table
-/// serves all of a machine's per-core signatures instead of bloating
-/// each core's cache footprint with a private copy. The table content
-/// is a pure function of the matrix, so memoization cannot change
-/// results.
-fn packed_tables(matrix: &[u64], seed: u64) -> std::sync::Arc<[[u64; 256]; 8]> {
+/// The seed-derived constants of an H3 hasher.
+struct H3Params {
+    matrix: Box<[u64]>,
+    packed: Option<Box<[[u64; 256]; 8]>>,
+}
+
+/// Builds (or fetches) the H3 matrix of `columns` column vectors derived
+/// from `seed`, with its byte-sliced tables when the indices pack into
+/// one `u64`. Every signature on a machine uses the same configuration,
+/// so the constants are memoized process-wide by `(seed, columns)` and
+/// never freed (a process meets a handful of configurations). Both are
+/// pure functions of the key, so memoization cannot change results.
+fn h3_params(seed: u64, columns: usize) -> &'static H3Params {
     use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    type Memo = Mutex<HashMap<(u64, usize), Arc<[[u64; 256]; 8]>>>;
+    use std::sync::{Mutex, OnceLock};
+    type Memo = Mutex<HashMap<(u64, usize), &'static H3Params>>;
     static MEMO: OnceLock<Memo> = OnceLock::new();
     let memo = MEMO.get_or_init(Mutex::default);
-    let mut memo = memo.lock().expect("H3 table memo poisoned");
-    memo.entry((seed, matrix.len()))
-        .or_insert_with(|| {
+    let mut memo = memo.lock().expect("H3 constants memo poisoned");
+    memo.entry((seed, columns)).or_insert_with(|| {
+        let mut state = seed ^ 0xF1EC_51C0_DE00_0001;
+        let matrix: Box<[u64]> = (0..columns).map(|_| splitmix64(&mut state)).collect();
+        let packed = (columns <= 64).then(|| {
             let mut tables = Box::new([[0u64; 256]; 8]);
             for (byte_pos, table) in tables.iter_mut().enumerate() {
                 for (val, entry) in table.iter_mut().enumerate() {
@@ -115,9 +128,10 @@ fn packed_tables(matrix: &[u64], seed: u64) -> std::sync::Arc<[[u64; 256]; 8]> {
                     }
                 }
             }
-            tables.into()
-        })
-        .clone()
+            tables
+        });
+        Box::leak(Box::new(H3Params { matrix, packed }))
+    })
 }
 
 impl LineHasher {
@@ -134,12 +148,13 @@ impl LineHasher {
             index_bits > 0 && index_bits <= 32,
             "bank index width must be in 1..=32 bits"
         );
-        let mut state = seed ^ 0xF1EC_51C0_DE00_0001;
-        let matrix: Vec<u64> = (0..banks * index_bits as usize)
-            .map(|_| splitmix64(&mut state))
-            .collect();
-        let packed = (scheme == HashScheme::H3 && banks * index_bits as usize <= 64)
-            .then(|| packed_tables(&matrix, seed));
+        let (matrix, packed): (&[u64], _) = match scheme {
+            HashScheme::BitSelect => (&[], None),
+            HashScheme::H3 => {
+                let params = h3_params(seed, banks * index_bits as usize);
+                (&params.matrix, params.packed.as_deref())
+            }
+        };
         LineHasher {
             scheme,
             banks,
@@ -155,7 +170,7 @@ impl LineHasher {
     /// indices [`LineHasher::index`] would.
     #[inline]
     pub fn packed_indices(&self, line: u64) -> Option<u64> {
-        let tables = self.packed.as_deref()?;
+        let tables = self.packed?;
         let mut acc = 0u64;
         for (byte_pos, table) in tables.iter().enumerate() {
             acc ^= table[(line >> (8 * byte_pos)) as usize & 0xFF];

@@ -23,6 +23,15 @@
 //! The tiny victim buffer keeps the materialized [`LineEntry`] form:
 //! entries constantly enter and leave it whole, and it is 32 entries at
 //! most.
+//!
+//! First touch: a new cache owns no plane at all. The four `Vec`s stay
+//! empty until the first fill allocates them at `sets × ways`, so a
+//! core that never misses — every undriven core of a wide model-checker
+//! machine, every idle core of a wide simulation — costs nothing to
+//! build, clone or sweep. The read paths pay nothing for this: a probe
+//! already bounds-checks its set's slice of the tag plane, and
+//! `tags.get(range)` turns that same check into a miss instead of a
+//! panic.
 
 use crate::mem::WORDS_PER_LINE;
 use flextm_sig::LineAddr;
@@ -155,6 +164,8 @@ pub struct L1Cache {
     /// Tag plane, set-major: `nsets * ways` line indexes
     /// ([`EMPTY_TAG`] marks a vacant way). One contiguous allocation —
     /// the associative search a probe performs reads only this plane.
+    /// Empty, like the three planes parallel to it, until the first
+    /// fill (see the module doc).
     tags: Vec<u64>,
     /// State + A-bit plane, parallel to `tags` (don't-care where
     /// vacant).
@@ -207,15 +218,15 @@ pub enum Evicted {
 
 impl L1Cache {
     /// Creates an empty cache with `sets` sets of `ways` lines and a
-    /// `victim_cap`-entry victim buffer.
+    /// `victim_cap`-entry victim buffer. Allocates nothing: the planes
+    /// materialise on the first fill.
     pub fn new(sets: usize, ways: usize, victim_cap: usize) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        let n = sets * ways;
         L1Cache {
-            tags: vec![EMPTY_TAG; n],
-            meta: vec![0; n],
-            lru: vec![0; n],
-            data: (0..n).map(|_| None).collect(),
+            tags: Vec::new(),
+            meta: Vec::new(),
+            lru: Vec::new(),
+            data: Vec::new(),
             nsets: sets,
             ways,
             victim: Vec::new(),
@@ -229,13 +240,15 @@ impl L1Cache {
 
     /// Deep copy for the model checker's state forking
     /// ([`crate::SimState::clone_for_check`]). Identical semantic
-    /// state, but the buffer free list starts empty: its contents are
-    /// unspecified recycled buffers that every consumer overwrites,
-    /// and retained frontier snapshots would otherwise pin up to
-    /// `DATA_POOL_CAP` line buffers per core each — measured as a net
-    /// loss (page-fault churn) on large explorations, despite the
-    /// extra zeroing allocation it costs each forked child's first
-    /// few speculative fills.
+    /// state. Planes no fill has materialised yet clone as the empty
+    /// `Vec`s they are — no allocation, so an untouched core forks for
+    /// the price of its inline fields. The buffer free list starts
+    /// empty: its contents are unspecified recycled buffers that every
+    /// consumer overwrites, and retained frontier snapshots would
+    /// otherwise pin up to `DATA_POOL_CAP` line buffers per core each —
+    /// measured as a net loss (page-fault churn) on large explorations,
+    /// despite the extra zeroing allocation it costs each forked
+    /// child's first few speculative fills.
     #[cfg(any(test, feature = "check"))]
     pub fn clone_for_check(&self) -> Self {
         L1Cache {
@@ -289,6 +302,31 @@ impl L1Cache {
         si * self.ways..(si + 1) * self.ways
     }
 
+    /// Main-array position of `line`, if resident there. `get` makes
+    /// the slice bounds check double as the unmaterialised-cache test:
+    /// empty planes hold no set, so every lookup misses.
+    #[inline]
+    fn find_main(&self, line: LineAddr) -> Option<usize> {
+        let range = self.set_range(line);
+        let base = range.start;
+        let i = self
+            .tags
+            .get(range)?
+            .iter()
+            .position(|&t| t == line.index())?;
+        Some(base + i)
+    }
+
+    /// Allocates the four planes, all ways vacant (the first fill).
+    #[cold]
+    fn materialise(&mut self) {
+        let n = self.nsets * self.ways;
+        self.tags = vec![EMPTY_TAG; n];
+        self.meta = vec![0; n];
+        self.lru = vec![0; n];
+        self.data = vec![None; n];
+    }
+
     fn bump(&mut self) -> u64 {
         self.tick += 1;
         self.tick
@@ -315,12 +353,10 @@ impl L1Cache {
     /// without a second associative search.
     pub fn probe_slot(&mut self, line: LineAddr) -> Option<L1Slot> {
         let tick = self.bump();
-        let range = self.set_range(line);
-        let base = range.start;
-        if let Some(i) = self.tags[range].iter().position(|&t| t == line.index()) {
-            self.lru[base + i] = tick;
+        if let Some(i) = self.find_main(line) {
+            self.lru[i] = tick;
             return Some(L1Slot {
-                loc: SlotLoc::Main(base + i),
+                loc: SlotLoc::Main(i),
                 line,
             });
         }
@@ -341,11 +377,9 @@ impl L1Cache {
     /// responders, which must not perturb the requester-side
     /// replacement order).
     pub fn peek_slot(&self, line: LineAddr) -> Option<L1Slot> {
-        let range = self.set_range(line);
-        let base = range.start;
-        if let Some(i) = self.tags[range].iter().position(|&t| t == line.index()) {
+        if let Some(i) = self.find_main(line) {
             return Some(L1Slot {
-                loc: SlotLoc::Main(base + i),
+                loc: SlotLoc::Main(i),
                 line,
             });
         }
@@ -361,10 +395,8 @@ impl L1Cache {
     /// Read-only metadata lookup without LRU update (used by responders
     /// and assertions).
     pub fn peek(&self, line: LineAddr) -> Option<LineView> {
-        let range = self.set_range(line);
-        let base = range.start;
-        if let Some(i) = self.tags[range].iter().position(|&t| t == line.index()) {
-            let m = self.meta[base + i];
+        if let Some(i) = self.find_main(line) {
+            let m = self.meta[i];
             return Some(LineView {
                 line,
                 state: decode_state(m),
@@ -384,10 +416,8 @@ impl L1Cache {
     /// Read-only view of `line`'s private data buffer, if it carries
     /// one (TMI/TI only). No LRU update.
     pub fn peek_data(&self, line: LineAddr) -> Option<&[u64; WORDS_PER_LINE]> {
-        let range = self.set_range(line);
-        let base = range.start;
-        if let Some(i) = self.tags[range].iter().position(|&t| t == line.index()) {
-            return self.data[base + i].as_deref();
+        if let Some(i) = self.find_main(line) {
+            return self.data[i].as_deref();
         }
         self.victim
             .iter()
@@ -513,6 +543,9 @@ impl L1Cache {
             self.peek(line).is_none(),
             "fill of already-present line {line}"
         );
+        if self.tags.is_empty() {
+            self.materialise();
+        }
         let tick = self.bump();
         if state.is_speculative() {
             self.spec_touched.push(line);
@@ -621,10 +654,8 @@ impl L1Cache {
     /// Removes `line` entirely (invalidation). Returns the removed
     /// entry, if any.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineEntry> {
-        let range = self.set_range(line);
-        let base = range.start;
-        if let Some(i) = self.tags[range].iter().position(|&t| t == line.index()) {
-            return Some(self.extract_main(base + i));
+        if let Some(i) = self.find_main(line) {
+            return Some(self.extract_main(i));
         }
         self.victim
             .iter()
@@ -770,9 +801,21 @@ impl L1Cache {
     /// snapshot; everything else reads through simulated memory), the
     /// data plane carries nothing for vacant ways, and the victim
     /// buffer respects its capacity (modulo the §7.3 unbounded-TMI
-    /// ablation, where only non-speculative residents count).
+    /// ablation, where only non-speculative residents count). The four
+    /// planes are all unmaterialised or all `sets × ways` long.
     #[cfg(any(test, feature = "check"))]
     pub fn check_invariants(&self, me: usize) {
+        let n = self.tags.len();
+        assert!(
+            (n == self.nsets * self.ways || (n == 0 && self.victim.is_empty()))
+                && [self.meta.len(), self.lru.len(), self.data.len()] == [n; 3],
+            "core {me}: L1 planes materialised unevenly ({n}/{}/{}/{} of {} ways, {} victims)",
+            self.meta.len(),
+            self.lru.len(),
+            self.data.len(),
+            self.nsets * self.ways,
+            self.victim.len()
+        );
         let mut seen = std::collections::HashSet::new();
         for i in 0..self.tags.len() {
             if self.tags[i] == EMPTY_TAG {
@@ -1034,6 +1077,85 @@ mod tests {
         c.put_data(s, d2);
         c.flash_commit();
         assert_eq!(c.alloc_data()[0], 77);
+    }
+
+    /// Everything an observer can ask of a cache that holds no line.
+    fn observe(c: &mut L1Cache, probes: &[LineAddr]) -> String {
+        let mut out = String::new();
+        for &l in probes {
+            let probed = c.probe_slot(l).map(|s| c.state(s));
+            let peeked = c.peek_slot(l).map(|s| c.state(s));
+            out += &format!("{probed:?} {peeked:?} {:?} {:?}", c.peek(l), c.peek_data(l));
+            out += &format!(" {:?};", c.invalidate(l).map(|e| e.line));
+        }
+        let mut committed = Vec::new();
+        c.flash_commit_into(&mut committed);
+        out += &format!(
+            "{:?} {} {} {:?} {} {:?} {}",
+            c.iter_all().collect::<Vec<_>>(),
+            c.len(),
+            c.is_empty(),
+            committed,
+            c.flash_abort(),
+            c.drain_tmi(),
+            c.count_state(L1State::S),
+        );
+        c.check_invariants(0);
+        out
+    }
+
+    #[test]
+    fn an_unmaterialised_cache_is_an_empty_cache() {
+        let probes = [line(0), line(1), line(5), line(u64::MAX >> 8)];
+        let mut fresh = cache();
+        assert!(fresh.tags.is_empty(), "a new cache owns no plane");
+        // The reference: same geometry, planes materialised by fills
+        // into two sets (one through the victim buffer), then emptied.
+        let mut emptied = cache();
+        for i in [0, 4, 8, 1] {
+            emptied.fill(line(i), L1State::S);
+        }
+        for i in [0, 4, 8, 1] {
+            assert!(emptied.invalidate(line(i)).is_some());
+        }
+        assert_eq!(emptied.tags.len(), 4 * 2, "the reference is materialised");
+        assert_eq!(observe(&mut fresh, &probes), observe(&mut emptied, &probes));
+        assert!(
+            fresh.tags.is_empty() && fresh.data.is_empty(),
+            "no read path, flash operation or sweep materialises a plane"
+        );
+        // The one difference is replacement age, which nothing reads
+        // until a fill: both caches then evict in the same order.
+        for c in [&mut fresh, &mut emptied] {
+            // Two ways plus two victim entries hold set 0's first four.
+            assert!((0..4).all(|i| c.fill(line(4 * i), L1State::S).is_none()));
+            assert!(matches!(
+                c.fill(line(16), L1State::S),
+                Some(Evicted::Silent(l, L1State::S, false)) if l == line(0)
+            ));
+        }
+    }
+
+    #[test]
+    fn first_fill_materialises_all_four_planes() {
+        let mut c = L1Cache::new(8, 4, 2);
+        c.check_invariants(0);
+        let (slot, ev) = c.fill_slot(line(3), L1State::Tmi);
+        assert!(ev.is_none());
+        let n = 8 * 4;
+        assert_eq!(
+            [c.tags.len(), c.meta.len(), c.lru.len(), c.data.len()],
+            [n; 4]
+        );
+        assert_eq!(c.tags.iter().filter(|&&t| t != EMPTY_TAG).count(), 1);
+        assert!(c.data.iter().all(Option::is_none));
+        assert_eq!(c.state(slot), L1State::Tmi);
+        assert_eq!(c.len(), 1);
+        attach(&mut c, line(3), 9);
+        c.check_invariants(0);
+        // A fork of a never-filled cache shares nothing and owns nothing.
+        let idle = L1Cache::new(8, 4, 2).clone_for_check();
+        assert_eq!(idle.tags.capacity() + idle.data.capacity(), 0);
     }
 
     #[test]

@@ -64,7 +64,12 @@ pub struct CoreState {
 }
 
 impl CoreState {
-    /// Fresh core state per `config`.
+    /// Fresh core state per `config`. Heap state is first-touch: the
+    /// L1 planes materialise on the core's first fill and the OT on its
+    /// first overflow, so a core that never runs owns only its two
+    /// signature word vectors (kept eager — see DESIGN.md "Cost follows
+    /// touched state") and forks, for the model checker, as a flat
+    /// copy.
     pub fn new(config: &MachineConfig) -> Self {
         let mut l1 = L1Cache::new(config.l1_sets(), config.l1_ways, config.victim_entries);
         l1.set_unbounded_tmi(config.unbounded_tmi_victim);

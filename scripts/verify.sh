@@ -11,8 +11,9 @@
 #      147700 transitions) serially, then again with --jobs 2 (the
 #      parallel engine must report bit-identical counts), then on a
 #      65-core wide machine (checker cores 0 and 64, multi-word
-#      ProcSets — identical graph again); a 3-core tx-alphabet run to
-#      its pinned fixpoint (~2 min); a wide 3-core bounded-depth
+#      ProcSets — identical graph again, at no more than 8x the narrow
+#      cost per transition); a 3-core tx-alphabet run to
+#      its pinned fixpoint (~40 s on 2 CPUs); a wide 3-core bounded-depth
 #      equality check; and the liveness pass — no fair abort/grant
 #      cycle under the shipped tie-break, and the Polka mutual-abort
 #      livelock rediscovered when the tie-break is reverted
@@ -82,8 +83,9 @@ esac
 graph_of() {
     # Graph shape only: states/transitions/depth/violations — the
     # leading strip drops the parameter echo (cores/lines/wide/
-    # alphabet/jobs all precede "states"), the second drops wall time.
-    echo "$1" | sed 's/.*"states"/"states"/; s/ "wall_s": [0-9.]*,//'
+    # alphabet/jobs all precede "states"), the others drop wall time
+    # and the rate derived from it.
+    echo "$1" | sed 's/.*"states"/"states"/; s/ "wall_s": [0-9.]*,//; s/ "transitions_per_s": [0-9.]*,//'
 }
 
 echo "== proto_check parallel equality (same config, --jobs 2) =="
@@ -107,8 +109,23 @@ if [ "$narrow_graph" != "$wide_graph" ]; then
     echo "  wide:   $wide_graph"
     exit 1
 fi
+# Cost must follow touched state: both --jobs 2 runs walk the same
+# graph, and the 63 cores no transition touches are first-touch (no L1
+# planes, shared H3 constants), so a wide transition costs ~4x a narrow
+# one (15x before that). Above 8x some per-core plane has gone back to
+# being allocated, cloned or swept eagerly — a structural regression,
+# not host noise.
+rate_of() {
+    echo "$1" | sed 's/.*"transitions_per_s": \([0-9]*\).*/\1/'
+}
+width_ratio="$(awk -v n="$(rate_of "$par_json")" -v w="$(rate_of "$wide_json")" 'BEGIN { printf "%.1f", n / w }')"
+echo "wide / narrow cost per transition: ${width_ratio}x"
+if awk -v r="$width_ratio" 'BEGIN { exit !(r > 8) }'; then
+    echo "an untouched core costs too much: wide transitions are ${width_ratio}x narrow ones (limit 8x)"
+    exit 1
+fi
 
-echo "== proto_check 3-core fixpoint (tx alphabet; the deep-coverage gate, ~2 min) =="
+echo "== proto_check 3-core fixpoint (tx alphabet; the deep-coverage gate, ~40 s on 2 CPUs) =="
 deep_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --jobs 2 2>/dev/null)"
 echo "$deep_json"
 case "$deep_json" in
