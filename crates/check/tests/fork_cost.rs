@@ -101,7 +101,15 @@ fn fork_cost_follows_driven_cores() {
     );
 
     // Per undriven core: the inline `CoreState`, a 32-byte scheduler
-    // lane and two one-word signatures. Nothing else may scale.
+    // lane and two one-word signatures. Nothing else may scale — and
+    // the inline part may not grow: a field added to it is copied for
+    // every core of every fork (the L1's victim set paid for its 16
+    // bytes by narrowing the geometry fields beside it).
+    assert!(
+        std::mem::size_of::<CoreState>() <= 968,
+        "CoreState grew to {} bytes",
+        std::mem::size_of::<CoreState>()
+    );
     let per_core = std::mem::size_of::<CoreState>() as u64 + 32 + 2 * 8;
     let extra_bytes = wide_bytes - narrow_bytes;
     assert!(

@@ -22,7 +22,10 @@
 //! speculative payloads and is reached only on actual data movement.
 //! The tiny victim buffer keeps the materialized [`LineEntry`] form:
 //! entries constantly enter and leave it whole, and it is 32 entries at
-//! most.
+//! most. It runs full, though, and most lookups that reach it are for
+//! lines it does not hold (every remote peek of a line cached
+//! elsewhere), so a 128-bit summary of its residents kept inline
+//! answers most of them without reading it.
 //!
 //! First touch: a new cache owns no plane at all. The four `Vec`s stay
 //! empty until the first fill allocates them at `sets × ways`, so a
@@ -144,6 +147,13 @@ enum SlotLoc {
     Victim(usize),
 }
 
+/// The bit of the 128-bit [`L1Cache::victim_set`] (word 0 holds bits
+/// 0–63) that `line` folds to: the low seven bits of the line index.
+#[inline]
+fn victim_bit(line: LineAddr) -> usize {
+    (line.index() & 127) as usize
+}
+
 /// Capacity of the per-cache line-buffer free list. Beyond this the
 /// buffers go back to the allocator; 64 comfortably covers a
 /// transaction's working set of speculative lines.
@@ -176,10 +186,22 @@ pub struct L1Cache {
     /// Always `None` for vacant ways and non-PDI states.
     #[allow(clippy::vec_box)]
     data: Vec<Option<Box<[u64; WORDS_PER_LINE]>>>,
-    nsets: usize,
-    ways: usize,
+    /// Geometry, as `u32`s: together with `victim_cap` they pay for
+    /// the inline `victim_set`, so `CoreState` — which every checker
+    /// fork copies for every core — did not grow.
+    nsets: u32,
+    ways: u32,
     victim: Vec<LineEntry>,
-    victim_cap: usize,
+    /// Exact summary of the victim buffer's residents: bit
+    /// [`victim_bit`]`(line)` is set iff some entry folds to it. A
+    /// lookup that misses the main array tests one bit here before it
+    /// scans the buffer, which sits full in steady state — 32 entries,
+    /// 16 host lines — and is asked about absent lines by every remote
+    /// peek. Set on push, recomputed from the residents on removal;
+    /// [`L1Cache::check_invariants`] proves it exact.
+    victim_set: [u64; 2],
+    /// `u32::MAX` stands for "unbounded" (§7.3 ablation).
+    victim_cap: u32,
     /// §7.3 ablation: TMI lines never leave the victim buffer (an
     /// idealized unbounded speculative buffer), while non-speculative
     /// lines still obey `victim_cap` so cache capacity is unchanged.
@@ -227,10 +249,11 @@ impl L1Cache {
             meta: Vec::new(),
             lru: Vec::new(),
             data: Vec::new(),
-            nsets: sets,
-            ways,
+            nsets: u32::try_from(sets).expect("L1 set count fits a u32"),
+            ways: u32::try_from(ways).expect("L1 associativity fits a u32"),
             victim: Vec::new(),
-            victim_cap,
+            victim_set: [0; 2],
+            victim_cap: u32::try_from(victim_cap).unwrap_or(u32::MAX),
             unbounded_tmi: false,
             tick: 0,
             spec_touched: Vec::new(),
@@ -259,6 +282,7 @@ impl L1Cache {
             nsets: self.nsets,
             ways: self.ways,
             victim: self.victim.clone(),
+            victim_set: self.victim_set,
             victim_cap: self.victim_cap,
             unbounded_tmi: self.unbounded_tmi,
             tick: self.tick,
@@ -298,8 +322,9 @@ impl L1Cache {
     }
 
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let si = (line.index() as usize) & (self.nsets - 1);
-        si * self.ways..(si + 1) * self.ways
+        let (nsets, ways) = (self.nsets as usize, self.ways as usize);
+        let si = (line.index() as usize) & (nsets - 1);
+        si * ways..(si + 1) * ways
     }
 
     /// Main-array position of `line`, if resident there. `get` makes
@@ -317,10 +342,70 @@ impl L1Cache {
         Some(base + i)
     }
 
+    /// Victim-buffer position of `line`, if resident there — the one
+    /// search every lookup falls back to after [`L1Cache::find_main`].
+    /// A clear `victim_set` bit proves absence without touching the
+    /// buffer.
+    #[inline]
+    fn find_victim(&self, line: LineAddr) -> Option<usize> {
+        let bit = victim_bit(line);
+        if self.victim_set[bit / 64] >> (bit % 64) & 1 == 0 {
+            return None;
+        }
+        self.victim.iter().position(|e| e.line == line)
+    }
+
+    /// Where `line` is resident, main array first.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<SlotLoc> {
+        match self.find_main(line) {
+            Some(i) => Some(SlotLoc::Main(i)),
+            None => self.find_victim(line).map(SlotLoc::Victim),
+        }
+    }
+
+    fn push_victim(&mut self, e: LineEntry) {
+        let bit = victim_bit(e.line);
+        self.victim_set[bit / 64] |= 1 << (bit % 64);
+        self.victim.push(e);
+    }
+
+    /// Takes the entry at victim-buffer position `pos` out. Another
+    /// resident may share its bit, so the set is rebuilt from whoever
+    /// is left.
+    ///
+    /// Out of line on purpose: every caller reaches it on its rare
+    /// branch, and with the refold loop inlined into each of them
+    /// (flash abort, invalidation, the fill path) the model checker ran
+    /// 4 % (`check-wide`) to 9 % (`check-2x1`) slower for code it never
+    /// executes.
+    #[inline(never)]
+    fn remove_victim(&mut self, pos: usize) -> LineEntry {
+        let e = self.victim.swap_remove(pos);
+        self.refold_victim_set();
+        e
+    }
+
+    /// Rebuilds `victim_set` from the residents.
+    fn refold_victim_set(&mut self) {
+        let set = self.fold_victims();
+        self.victim_set = [set as u64, (set >> 64) as u64];
+    }
+
+    /// What `victim_set` must be: the fold of every victim resident.
+    /// Accumulated in one 128-bit register — indexing the two words by
+    /// a computed bit number would chain every iteration through a
+    /// store and a reload.
+    fn fold_victims(&self) -> u128 {
+        self.victim
+            .iter()
+            .fold(0, |set, e| set | 1 << victim_bit(e.line))
+    }
+
     /// Allocates the four planes, all ways vacant (the first fill).
     #[cold]
     fn materialise(&mut self) {
-        let n = self.nsets * self.ways;
+        let n = self.nsets as usize * self.ways as usize;
         self.tags = vec![EMPTY_TAG; n];
         self.meta = vec![0; n];
         self.lru = vec![0; n];
@@ -351,8 +436,15 @@ impl L1Cache {
     /// Looks up `line` and bumps the LRU clock, returning a positional
     /// [`L1Slot`] handle so the caller can come back to the entry
     /// without a second associative search.
+    ///
+    /// `#[inline]`: with the victim-set test in its miss tail the
+    /// function crossed the threshold at which callers in other crates
+    /// stopped inlining it, which cost the hit path 0.5 ns a probe.
+    #[inline]
     pub fn probe_slot(&mut self, line: LineAddr) -> Option<L1Slot> {
         let tick = self.bump();
+        // The main-array hit — the simulator's hottest path — returns
+        // before anything about the victim buffer is computed.
         if let Some(i) = self.find_main(line) {
             self.lru[i] = tick;
             return Some(L1Slot {
@@ -360,69 +452,40 @@ impl L1Cache {
                 line,
             });
         }
-        if let Some(pos) = self.victim.iter().position(|e| e.line == line) {
-            // Victim hit: serve in place (cheaper than modeling the
-            // swap; the hit latency difference is charged by the
-            // machine).
-            self.victim[pos].lru = tick;
-            return Some(L1Slot {
-                loc: SlotLoc::Victim(pos),
-                line,
-            });
-        }
-        None
+        // Victim hit: serve in place (cheaper than modeling the swap;
+        // the hit latency difference is charged by the machine).
+        let pos = self.find_victim(line)?;
+        self.victim[pos].lru = tick;
+        Some(L1Slot {
+            loc: SlotLoc::Victim(pos),
+            line,
+        })
     }
 
     /// [`L1Cache::probe_slot`] without the LRU update (used by
     /// responders, which must not perturb the requester-side
     /// replacement order).
     pub fn peek_slot(&self, line: LineAddr) -> Option<L1Slot> {
-        if let Some(i) = self.find_main(line) {
-            return Some(L1Slot {
-                loc: SlotLoc::Main(i),
-                line,
-            });
-        }
-        self.victim
-            .iter()
-            .position(|e| e.line == line)
-            .map(|pos| L1Slot {
-                loc: SlotLoc::Victim(pos),
-                line,
-            })
+        self.find(line).map(|loc| L1Slot { loc, line })
     }
 
     /// Read-only metadata lookup without LRU update (used by responders
     /// and assertions).
     pub fn peek(&self, line: LineAddr) -> Option<LineView> {
-        if let Some(i) = self.find_main(line) {
-            let m = self.meta[i];
-            return Some(LineView {
-                line,
-                state: decode_state(m),
-                a_bit: m & A_FLAG != 0,
-            });
-        }
-        self.victim
-            .iter()
-            .find(|e| e.line == line)
-            .map(|e| LineView {
-                line,
-                state: e.state,
-                a_bit: e.a_bit,
-            })
+        let (state, a_bit) = match self.find(line)? {
+            SlotLoc::Main(i) => (decode_state(self.meta[i]), self.meta[i] & A_FLAG != 0),
+            SlotLoc::Victim(pos) => (self.victim[pos].state, self.victim[pos].a_bit),
+        };
+        Some(LineView { line, state, a_bit })
     }
 
     /// Read-only view of `line`'s private data buffer, if it carries
     /// one (TMI/TI only). No LRU update.
     pub fn peek_data(&self, line: LineAddr) -> Option<&[u64; WORDS_PER_LINE]> {
-        if let Some(i) = self.find_main(line) {
-            return self.data[i].as_deref();
+        match self.find(line)? {
+            SlotLoc::Main(i) => self.data[i].as_deref(),
+            SlotLoc::Victim(pos) => self.victim[pos].data.as_deref(),
         }
-        self.victim
-            .iter()
-            .find(|e| e.line == line)
-            .and_then(|e| e.data.as_deref())
     }
 
     #[inline]
@@ -539,23 +602,29 @@ impl L1Cache {
     /// freshly installed entry (always in the main array) so callers
     /// that immediately attach data avoid re-searching the set.
     pub fn fill_slot(&mut self, line: LineAddr, state: L1State) -> (L1Slot, Option<Evicted>) {
-        assert!(
-            self.peek(line).is_none(),
-            "fill of already-present line {line}"
-        );
         if self.tags.is_empty() {
             self.materialise();
         }
+        // One pass over the set answers both questions a fill asks of
+        // it: is the line already here, and which way is free.
+        let range = self.set_range(line);
+        let base = range.start;
+        let mut free = None;
+        for (i, &t) in self.tags[range.clone()].iter().enumerate() {
+            assert!(t != line.index(), "fill of already-present line {line}");
+            if t == EMPTY_TAG && free.is_none() {
+                free = Some(i);
+            }
+        }
+        assert!(
+            self.find_victim(line).is_none(),
+            "fill of already-present line {line}"
+        );
         let tick = self.bump();
         if state.is_speculative() {
             self.spec_touched.push(line);
         }
-        let range = self.set_range(line);
-        let base = range.start;
         let mut evicted = None;
-        let free = self.tags[range.clone()]
-            .iter()
-            .position(|&t| t == EMPTY_TAG);
         let slot = if let Some(free) = free {
             base + free
         } else {
@@ -566,20 +635,22 @@ impl L1Cache {
             // whole set is marked.
             let lru_pos = self.pick_victim(range);
             let victim_line = self.extract_main(lru_pos);
-            if self.victim_cap == 0 && !(self.unbounded_tmi && victim_line.state == L1State::Tmi) {
+            let cap = self.victim_cap as usize;
+            if cap == 0 && !(self.unbounded_tmi && victim_line.state == L1State::Tmi) {
                 evicted = Some(self.classify_eviction(victim_line));
             } else {
-                let non_tmi_resident = self
-                    .victim
-                    .iter()
-                    .filter(|e| e.state != L1State::Tmi)
-                    .count();
                 let over_cap = if self.unbounded_tmi {
                     // Only non-speculative residents count against the
                     // capacity; TMI lines park for free (idealized).
-                    non_tmi_resident >= self.victim_cap.max(1) && victim_line.state != L1State::Tmi
+                    victim_line.state != L1State::Tmi
+                        && self
+                            .victim
+                            .iter()
+                            .filter(|e| e.state != L1State::Tmi)
+                            .count()
+                            >= cap.max(1)
                 } else {
-                    self.victim.len() >= self.victim_cap
+                    self.victim.len() >= cap
                 };
                 if over_cap {
                     // Allocation-free candidate scan (this runs on
@@ -597,10 +668,10 @@ impl L1Cache {
                         .min_by_key(|&i| vb[i].lru)
                         .or_else(|| candidates().min_by_key(|&i| vb[i].lru))
                         .expect("victim buffer over capacity implies a candidate");
-                    let out = self.victim.swap_remove(vb_pos);
+                    let out = self.remove_victim(vb_pos);
                     evicted = Some(self.classify_eviction(out));
                 }
-                self.victim.push(victim_line);
+                self.push_victim(victim_line);
             }
             lru_pos
         };
@@ -654,13 +725,17 @@ impl L1Cache {
     /// Removes `line` entirely (invalidation). Returns the removed
     /// entry, if any.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineEntry> {
-        if let Some(i) = self.find_main(line) {
-            return Some(self.extract_main(i));
+        self.peek_slot(line).map(|s| self.invalidate_slot(s))
+    }
+
+    /// Removes the entry behind a slot handle — [`L1Cache::invalidate`]
+    /// for callers that already looked the line up.
+    pub fn invalidate_slot(&mut self, s: L1Slot) -> LineEntry {
+        self.check_handle(s);
+        match s.loc {
+            SlotLoc::Main(i) => self.extract_main(i),
+            SlotLoc::Victim(pos) => self.remove_victim(pos),
         }
-        self.victim
-            .iter()
-            .position(|e| e.line == line)
-            .map(|pos| self.victim.swap_remove(pos))
     }
 
     /// Flash commit (CAS-Commit success): every `TMI` line reverts to
@@ -682,16 +757,17 @@ impl L1Cache {
             // Notes can be stale (evicted, overflowed, already visited
             // through a duplicate) — only the current state decides.
             // One slot lookup serves both the state test and the drain.
-            let slot = self.peek_slot(line);
-            match slot.map(|s| self.state(s)) {
-                Some(L1State::Tmi) => {
-                    let s = slot.expect("just peeked");
+            let Some(s) = self.peek_slot(line) else {
+                continue;
+            };
+            match self.state(s) {
+                L1State::Tmi => {
                     let data = self.take_data(s).expect("TMI line must carry data");
                     out.push((line, data));
                     self.set_state(s, L1State::M);
                 }
-                Some(L1State::Ti) => {
-                    if let Some(d) = self.invalidate(line).and_then(|e| e.data) {
+                L1State::Ti => {
+                    if let Some(d) = self.invalidate_slot(s).data {
                         self.retire_data(d);
                     }
                 }
@@ -711,8 +787,12 @@ impl L1Cache {
         let mut spec = std::mem::take(&mut self.spec_touched);
         let mut n = 0;
         for &line in &spec {
-            if self.peek(line).is_some_and(|e| e.state.is_speculative()) {
-                if let Some(d) = self.invalidate(line).and_then(|e| e.data) {
+            // One lookup serves the state test and the removal.
+            let Some(s) = self.peek_slot(line) else {
+                continue;
+            };
+            if self.state(s).is_speculative() {
+                if let Some(d) = self.invalidate_slot(s).data {
                     self.retire_data(d);
                 }
                 n += 1;
@@ -756,6 +836,7 @@ impl L1Cache {
                 i += 1;
             }
         }
+        self.refold_victim_set();
         out.sort_by_key(|(l, _)| l.index());
         out
     }
@@ -802,18 +883,26 @@ impl L1Cache {
     /// data plane carries nothing for vacant ways, and the victim
     /// buffer respects its capacity (modulo the §7.3 unbounded-TMI
     /// ablation, where only non-speculative residents count). The four
-    /// planes are all unmaterialised or all `sets × ways` long.
+    /// planes are all unmaterialised or all `sets × ways` long, and
+    /// `victim_set` is exactly the fold of the victim residents — a
+    /// stray clear bit would hide a resident line from every lookup.
     #[cfg(any(test, feature = "check"))]
     pub fn check_invariants(&self, me: usize) {
         let n = self.tags.len();
+        let all_ways = self.nsets as usize * self.ways as usize;
         assert!(
-            (n == self.nsets * self.ways || (n == 0 && self.victim.is_empty()))
+            (n == all_ways || (n == 0 && self.victim.is_empty()))
                 && [self.meta.len(), self.lru.len(), self.data.len()] == [n; 3],
-            "core {me}: L1 planes materialised unevenly ({n}/{}/{}/{} of {} ways, {} victims)",
+            "core {me}: L1 planes materialised unevenly ({n}/{}/{}/{} of {all_ways} ways, {} victims)",
             self.meta.len(),
             self.lru.len(),
             self.data.len(),
-            self.nsets * self.ways,
+            self.victim.len()
+        );
+        assert_eq!(
+            u128::from(self.victim_set[0]) | u128::from(self.victim_set[1]) << 64,
+            self.fold_victims(),
+            "core {me}: victim set is not the fold of the {} victim residents",
             self.victim.len()
         );
         let mut seen = std::collections::HashSet::new();
@@ -860,13 +949,13 @@ impl L1Cache {
                 .filter(|e| e.state != L1State::Tmi)
                 .count();
             assert!(
-                non_tmi <= self.victim_cap.max(1),
+                non_tmi <= (self.victim_cap as usize).max(1),
                 "core {me}: {non_tmi} non-TMI victim residents exceed cap {}",
                 self.victim_cap
             );
         } else {
             assert!(
-                self.victim.len() <= self.victim_cap,
+                self.victim.len() <= self.victim_cap as usize,
                 "core {me}: victim buffer holds {} entries, cap {}",
                 self.victim.len(),
                 self.victim_cap
@@ -1156,6 +1245,156 @@ mod tests {
         // A fork of a never-filled cache shares nothing and owns nothing.
         let idle = L1Cache::new(8, 4, 2).clone_for_check();
         assert_eq!(idle.tags.capacity() + idle.data.capacity(), 0);
+    }
+
+    /// xorshift64*, as in the other seeded suites.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    /// The reference the victim set is tested against: an unordered
+    /// list that is scanned end to end and never asks the cache where
+    /// anything is. A line is resident from its fill until the cache
+    /// hands it back — invalidated, reported evicted, dropped by a
+    /// flash operation, or drained.
+    struct Resident(Vec<(LineAddr, L1State)>);
+
+    impl Resident {
+        fn state(&self, l: LineAddr) -> Option<L1State> {
+            self.0.iter().find(|e| e.0 == l).map(|e| e.1)
+        }
+
+        fn remove(&mut self, l: LineAddr) -> Option<L1State> {
+            let pos = self.0.iter().position(|e| e.0 == l)?;
+            Some(self.0.swap_remove(pos).1)
+        }
+
+        /// Removes and returns the lines in any of `states`, ascending.
+        fn drop_states(&mut self, states: &[L1State]) -> Vec<LineAddr> {
+            let mut gone: Vec<_> = self.0.iter().filter(|e| states.contains(&e.1)).collect();
+            gone.sort_by_key(|e| e.0.index());
+            let gone: Vec<_> = gone.into_iter().map(|e| e.0).collect();
+            self.0.retain(|e| !states.contains(&e.1));
+            gone
+        }
+    }
+
+    /// Fill / probe / invalidate / A-bit / flash-commit / flash-abort /
+    /// drain churn over a universe built to collide: three sets (two
+    /// of which share a victim-set bit once `nsets` exceeds 128, the
+    /// third in the set's other word), and per set 48 tags of which
+    /// each has a partner 128 lines away.
+    fn churn(nsets: usize, victim_cap: usize, unbounded_tmi: bool, seed: u64) {
+        let what = format!("{nsets} sets, victim cap {victim_cap}, unbounded {unbounded_tmi}");
+        let mut rng = Rng(seed);
+        let mut c = L1Cache::new(nsets, 2, victim_cap);
+        c.set_unbounded_tmi(unbounded_tmi);
+        let universe: Vec<LineAddr> = [1, 129, 67]
+            .iter()
+            .flat_map(|set| {
+                let per_128 = (128 / nsets).max(1);
+                (0..48).map(move |k| (set % nsets + nsets * (k % 24 + k / 24 * per_128)) as u64)
+            })
+            .map(line)
+            .collect();
+        let states = [
+            L1State::M,
+            L1State::E,
+            L1State::S,
+            L1State::Tmi,
+            L1State::Ti,
+        ];
+        let mut oracle = Resident(Vec::new());
+        let mut victim_hits = 0;
+        for step in 0..3000 {
+            let l = universe[rng.below(universe.len())];
+            let held = oracle.state(l);
+            match (rng.below(20), held) {
+                // Not in the unbounded ablation, whose capacity clause
+                // in `check_invariants` holds only until a commit
+                // promotes parked TMI lines to M in place; it aborts.
+                (0, _) if !unbounded_tmi => {
+                    let committed: Vec<_> = c.flash_commit().into_iter().map(|(l, _)| l).collect();
+                    assert_eq!(committed, oracle.drop_states(&[L1State::Tmi]), "{what}");
+                    oracle.0.extend(committed.iter().map(|&l| (l, L1State::M)));
+                    oracle.drop_states(&[L1State::Ti]);
+                }
+                (0 | 1, _) => {
+                    let dropped = oracle.drop_states(&[L1State::Tmi, L1State::Ti]);
+                    assert_eq!(c.flash_abort(), dropped.len(), "{what}, step {step}");
+                }
+                (2, _) => {
+                    let drained: Vec<_> = c.drain_tmi().into_iter().map(|(l, _)| l).collect();
+                    assert_eq!(drained, oracle.drop_states(&[L1State::Tmi]), "{what}");
+                }
+                (3..=6, _) => {
+                    let gone = c.invalidate(l).map(|e| e.state);
+                    assert_eq!(
+                        gone,
+                        oracle.remove(l),
+                        "{what}, step {step}: invalidate {l}"
+                    );
+                }
+                (7, Some(_)) => {
+                    let s = c.peek_slot(l).expect("resident per the oracle");
+                    c.set_a_bit(s, !c.a_bit(s));
+                }
+                (_, Some(state)) => {
+                    let s = c.probe_slot(l).expect("resident per the oracle");
+                    assert_eq!(c.state(s), state, "{what}, step {step}: probe {l}");
+                    victim_hits += usize::from(matches!(s.loc, SlotLoc::Victim(_)));
+                }
+                (_, None) => {
+                    let state = states[rng.below(states.len())];
+                    let (s, evicted) = c.fill_slot(l, state);
+                    if state.is_speculative() {
+                        let d = c.alloc_data();
+                        assert!(c.put_data(s, d).is_none());
+                    }
+                    oracle.0.push((l, state));
+                    let out = evicted.map(|ev| match ev {
+                        Evicted::Silent(out, s, _) => (out, s),
+                        Evicted::WritebackM(out, _) => (out, L1State::M),
+                        Evicted::OverflowTmi(out, _) => (out, L1State::Tmi),
+                    });
+                    if let Some((out, out_state)) = out {
+                        assert_eq!(oracle.remove(out), Some(out_state), "{what}: evicted {out}");
+                    }
+                }
+            }
+            c.check_invariants(0);
+            assert_eq!(c.len(), oracle.0.len(), "{what}, step {step}");
+            for &l in &universe {
+                let want = oracle.state(l);
+                assert_eq!(c.peek(l).map(|v| v.state), want, "{what}, step {step}: {l}");
+                assert_eq!(c.peek_slot(l).map(|s| c.state(s)), want);
+                assert_eq!(
+                    c.peek_data(l).is_some(),
+                    want.is_some_and(L1State::is_speculative)
+                );
+            }
+        }
+        assert_eq!(
+            victim_hits > 0,
+            victim_cap > 0,
+            "{what}: victim-buffer hits"
+        );
+    }
+
+    #[test]
+    fn lookups_match_a_linear_scan_under_churn() {
+        for nsets in [4, 128, 512] {
+            for (victim_cap, unbounded_tmi) in [(0, false), (2, false), (32, false), (2, true)] {
+                churn(nsets, victim_cap, unbounded_tmi, 0xF1E7 + nsets as u64);
+            }
+        }
     }
 
     #[test]

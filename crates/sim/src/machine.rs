@@ -425,12 +425,14 @@ const NO_RIVAL: (u64, usize) = (u64::MAX, usize::MAX);
 const NO_LEASE: (u64, usize) = (0, 0);
 
 /// The scheduler's mailbox: the issue key `(clock, core)` of every
-/// posted operation in a min-heap, plus the number of live cores. Post
-/// is a push, grant pops the minimum, and the horizon is a peek at
-/// what remains — the queue always holds *every* posted key, so no
-/// grant ever rescans the cores. (A sorted `Vec` was measured as the
-/// alternative and lost to the heap on every interleaved pair at 16
-/// and 64 cores; CHANGES.md, PR 12.)
+/// posted operation in a min-heap, plus the number of live cores. A
+/// post that leaves some core computing is a push; the post that
+/// completes the set is also the grant, and swaps the poster's key for
+/// the minimum in one sift. The horizon is a peek at what remains —
+/// the queue always holds *every* posted key, so no grant ever rescans
+/// the cores. (A sorted `Vec` was measured as the alternative and lost
+/// to the heap on every interleaved pair at 16 and 64 cores;
+/// CHANGES.md, PR 12.)
 ///
 /// Public (but hidden) only so `tests/grant_queue_props.rs` can drive
 /// it against a full-scan oracle.
@@ -466,20 +468,46 @@ impl GrantQueue {
         self.live
     }
 
-    /// Posts `core`'s next operation, issued at `clock`.
-    pub fn post(&mut self, clock: u64, core: usize) {
+    /// Posts `core`'s next operation, issued at `clock`, and — if that
+    /// makes `core` the last live core to post — grants: returns the
+    /// core holding the minimum key with the grant's horizon, the
+    /// smallest key left (the strict second minimum, frozen while its
+    /// poster is parked). `None` while some live core is still
+    /// computing; the key stays queued.
+    ///
+    /// The granting post never grows the heap. A poster below the root
+    /// grants itself and the heap is untouched; otherwise the root is
+    /// the grantee and the poster's key takes its place, settled by
+    /// one sift — half the work of a push followed by a pop.
+    pub fn post_and_grant(&mut self, clock: u64, core: usize) -> Option<(usize, (u64, usize))> {
         debug_assert!(
             self.keys.iter().all(|k| k.0 .1 != core),
             "core {core} posted twice"
         );
-        self.keys.push(Reverse((clock, core)));
+        let key = (clock, core);
+        if self.keys.len() + 1 != self.live {
+            self.keys.push(Reverse(key));
+            return None;
+        }
+        let Some(mut root) = self.keys.peek_mut() else {
+            return Some((core, NO_RIVAL));
+        };
+        if key < root.0 {
+            return Some((core, root.0));
+        }
+        let grantee = root.0 .1;
+        // Dropping the written-through `PeekMut` sifts the new root
+        // down.
+        *root = Reverse(key);
+        drop(root);
+        let rival = self.keys.peek().expect("the poster's key is queued");
+        Some((grantee, rival.0))
     }
 
-    /// Once every live core has posted: removes the minimum key and
-    /// returns its core with the grant's horizon — the smallest key
-    /// left, i.e. the strict second minimum, frozen while its poster is
-    /// parked. `None` while some live core is still computing, or when
-    /// no core is live.
+    /// Grants after an exit, if that exit left every live core posted:
+    /// removes the minimum key and returns its core with the grant's
+    /// horizon, as [`GrantQueue::post_and_grant`] does. `None` while
+    /// some live core is still computing, or when no core is live.
     pub fn grant(&mut self) -> Option<(usize, (u64, usize))> {
         if self.keys.len() != self.live {
             return None;
@@ -536,10 +564,10 @@ pub(crate) struct Shared {
 
 pub(crate) type SharedMachine = Rc<Shared>;
 
-/// Grants the lease to the minimum posted key, if every live core has
-/// posted, and publishes its horizon.
-fn grant(shared: &Shared, sched: &mut Sched) -> Option<usize> {
-    let (next, horizon) = sched.queue.grant()?;
+/// Publishes a grant's horizon — the lease now belongs to the grantee,
+/// which is returned.
+fn lease(shared: &Shared, grant: Option<(usize, (u64, usize))>) -> Option<usize> {
+    let (next, horizon) = grant?;
     shared.horizon.set(horizon);
     Some(next)
 }
@@ -573,10 +601,9 @@ fn rendezvous(shared: &Shared, core: usize) {
     let clock = shared.state.borrow().now(core);
     let next = {
         let mut sched = shared.sched.borrow_mut();
-        sched.queue.post(clock, core);
         sched.stats.slow_ops += 1;
         shared.horizon.set(NO_LEASE);
-        let next = grant(shared, &mut sched);
+        let next = lease(shared, sched.queue.post_and_grant(clock, core));
         if next.is_some_and(|n| n != core) {
             sched.stats.grants += 1;
         }
@@ -659,7 +686,7 @@ fn deregister(shared: &Shared, core: usize, panicked: bool) -> u64 {
     if shared.poisoned.get() {
         return shared.driver.get();
     }
-    match grant(shared, &mut sched) {
+    match lease(shared, sched.queue.grant()) {
         Some(next) => {
             sched.stats.grants += 1;
             shared.ctx[next].get()

@@ -12,36 +12,35 @@ use flextm_sig::SigKey;
 impl SimState {
     /// Rebuilds a directory entry by querying every L1's signatures and
     /// tags (the price of losing directory info to an L2 eviction).
-    /// Signature tests are gated by the activity masks: a core whose
-    /// mask bit is clear provably has empty signatures / no OT, so only
-    /// its L1 tags need consulting.
+    /// Every L1 answers for its tags; the signature and OT tests visit
+    /// only the cores the activity masks name — a core whose bit is
+    /// clear provably has empty signatures / no OT.
     pub(super) fn recreate_dir(&self, key: SigKey) -> crate::l2::DirEntry {
         let line = key.line();
-        let sig_live = self.sig_live_mask();
-        let ot_mask = self.ot_present_mask();
         let mut entry = crate::l2::DirEntry::default();
         for (i, core) in self.cores.iter().enumerate() {
             debug_assert!(
-                (core.rsig.is_empty() && core.wsig.is_empty()) || sig_live.contains(i),
+                !core.has_tx_footprint() || self.sig_live_mask().contains(i),
                 "sig_live mask dropped core {i} with live signatures"
             );
-            let l1_state = core.l1.peek(line).map(|e| e.state);
-            let owner = matches!(
-                l1_state,
-                Some(L1State::M) | Some(L1State::E) | Some(L1State::Tmi)
-            ) || (sig_live.contains(i) && core.wsig.contains_key(key))
-                || (ot_mask.contains(i)
-                    && core
-                        .ot
-                        .as_ref()
-                        .is_some_and(|ot| !ot.is_committed() && ot.maybe_contains_key(key)));
-            let sharer = matches!(l1_state, Some(L1State::S) | Some(L1State::Ti))
-                || (sig_live.contains(i) && core.rsig.contains_key(key));
-            if owner {
+            match core.l1.peek(line).map(|e| e.state) {
+                Some(L1State::M | L1State::E | L1State::Tmi) => entry.owners.insert(i),
+                Some(L1State::S | L1State::Ti) => entry.sharers.insert(i),
+                None => {}
+            }
+        }
+        for i in procs_in_mask(self.sig_live_mask()) {
+            if self.cores[i].writes_line_key(key) {
                 entry.owners.insert(i);
             }
-            if sharer {
+            if self.cores[i].reads_line_key(key) {
                 entry.sharers.insert(i);
+            }
+        }
+        for i in procs_in_mask(self.ot_present_mask()) {
+            let ot = self.cores[i].ot.as_ref();
+            if ot.is_some_and(|ot| !ot.is_committed() && ot.maybe_contains_key(key)) {
+                entry.owners.insert(i);
             }
         }
         entry
@@ -238,18 +237,19 @@ impl SimState {
         let sig_live = self.sig_live_mask();
         for o in procs_in_mask((dir.owners | dir.sharers).without(me)) {
             forwarded = true;
-            let l1_state = self.cores[o].l1.peek(line).map(|e| e.state);
+            let slot = self.cores[o].l1.peek_slot(line);
+            let l1_state = slot.map(|s| self.cores[o].l1.state(s));
             let transactional = self.threatens_with(o, l1_state, key)
                 || (sig_live.contains(o) && self.cores[o].reads_line_key(key));
             if transactional {
                 // §3.5 strong isolation: a non-transactional write
                 // aborts every transactional reader/writer of the line.
-                self.strong_isolation_abort(o, me, line);
+                self.strong_isolation_abort(o, me, line, slot);
             } else {
                 if l1_state == Some(L1State::M) {
                     self.cores[o].stats.writebacks += 1;
                 }
-                self.invalidate_at(o, line);
+                self.invalidate_at(o, slot);
                 self.l2.drop_sharer_key(key, o);
                 self.l2.drop_owner_key(key, o);
             }
@@ -302,7 +302,8 @@ impl SimState {
 
         let sig_live = self.sig_live_mask();
         for o in procs_in_mask(dir.owners.without(me)) {
-            let l1_state = self.cores[o].l1.peek(line).map(|e| e.state);
+            let slot = self.cores[o].l1.peek_slot(line);
+            let l1_state = slot.map(|s| self.cores[o].l1.state(s));
             if l1_state == Some(L1State::M) || l1_state == Some(L1State::E) {
                 // Exclusive owner: flush (if dirty) + invalidate. If it
                 // also *read* the line transactionally, record the
@@ -318,7 +319,7 @@ impl SimState {
                 if l1_state == Some(L1State::M) {
                     self.cores[o].stats.writebacks += 1;
                 }
-                self.invalidate_at(o, line);
+                self.invalidate_at(o, slot);
                 let d = self.l2.dir_mut(line);
                 d.owners.remove(o);
                 if sig_live.contains(o) && self.cores[o].reads_line_key(key) {
@@ -385,11 +386,8 @@ impl SimState {
             // A TMI holder reached through a stale sharer bit is a
             // co-writer the owner loop already handled; invalidating it
             // here would silently destroy its speculative data.
-            if self.cores[s]
-                .l1
-                .peek(line)
-                .is_some_and(|e| e.state == L1State::Tmi)
-            {
+            let slot = self.cores[s].l1.peek_slot(line);
+            if slot.is_some_and(|at| self.cores[s].l1.state(at) == L1State::Tmi) {
                 continue;
             }
             forwarded = true;
@@ -420,7 +418,7 @@ impl SimState {
                     result,
                 );
             }
-            self.invalidate_at(s, line);
+            self.invalidate_at(s, slot);
             // Stickiness (§4.1 rationale): a transactional reader whose
             // copy we just invalidated must keep receiving coherence
             // requests for this line — a later non-transactional write

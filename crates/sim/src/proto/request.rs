@@ -326,6 +326,11 @@ impl SimState {
 
     /// The directory request machinery shared by misses and upgrades.
     /// Returns the latency of the request (beyond the L1 probe).
+    ///
+    /// Kept out of line: inlined, the three handlers and everything
+    /// they reach make `access` one several-thousand-instruction frame
+    /// whose spills land on the L1-hit path.
+    #[inline(never)]
     fn request(
         &mut self,
         me: usize,

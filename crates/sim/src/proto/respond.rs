@@ -4,7 +4,7 @@
 //! sweep for non-transactional writes (§3.5).
 
 use super::msg::{AccessResult, Conflict, ConflictKind};
-use crate::cache::L1State;
+use crate::cache::{L1Slot, L1State};
 use crate::core_state::AlertCause;
 use crate::cst::{procs_in_mask, CstKind};
 use crate::machine::SimState;
@@ -82,9 +82,12 @@ impl SimState {
         });
     }
 
-    /// Invalidates `line` at `s` if present, firing AOU if marked.
-    pub(super) fn invalidate_at(&mut self, s: usize, line: LineAddr) {
-        if let Some(mut entry) = self.cores[s].l1.invalidate(line) {
+    /// Invalidates the line the caller's peek found at `slot` in `s`'s
+    /// L1 (nothing, if the peek missed), firing AOU if marked.
+    pub(super) fn invalidate_at(&mut self, s: usize, slot: Option<L1Slot>) {
+        if let Some(slot) = slot {
+            let mut entry = self.cores[s].l1.invalidate_slot(slot);
+            let line = entry.line;
             if let Some(d) = entry.data.take() {
                 self.cores[s].l1.retire_data(d);
             }
@@ -103,10 +106,11 @@ impl SimState {
         victim: usize,
         requester: usize,
         line: LineAddr,
+        slot: Option<L1Slot>,
     ) {
         // The write is about to take exclusive ownership: any
         // non-speculative copy the victim holds must invalidate too.
-        self.invalidate_at(victim, line);
+        self.invalidate_at(victim, slot);
         self.cores[victim].hardware_abort();
         self.sync_core_masks(victim);
         self.cores[victim].stats.tx_aborts += 1;
@@ -139,16 +143,17 @@ impl SimState {
         for o in procs_in_mask(sweep) {
             forwarded = true;
             let key = key.expect("sweep mask is non-empty");
-            let l1_state = self.cores[o].l1.peek(line).map(|e| e.state);
+            let slot = self.cores[o].l1.peek_slot(line);
+            let l1_state = slot.map(|s| self.cores[o].l1.state(s));
             let transactional = self.threatens_with(o, l1_state, key)
                 || (self.sig_live_mask().contains(o) && self.cores[o].reads_line_key(key));
             if transactional {
-                self.strong_isolation_abort(o, me, line);
+                self.strong_isolation_abort(o, me, line, slot);
             } else {
                 if l1_state == Some(L1State::M) {
                     self.cores[o].stats.writebacks += 1;
                 }
-                self.invalidate_at(o, line);
+                self.invalidate_at(o, slot);
                 self.l2.drop_sharer_key(key, o);
                 self.l2.drop_owner_key(key, o);
             }

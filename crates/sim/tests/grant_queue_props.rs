@@ -1,8 +1,8 @@
 //! Property suite for the scheduler's grant queue: random
-//! post/grant/deregister sequences are replayed against a naive oracle
-//! that keeps one optional key per core and finds the minimum and the
-//! strict second minimum by scanning all of them — the rescan the queue
-//! exists to avoid. Widths cover one core, the paper's 16, and both
+//! post-and-grant/deregister sequences are replayed against a naive
+//! oracle that keeps one optional key per core and finds the minimum
+//! and the strict second minimum by scanning all of them — the rescan
+//! the queue exists to avoid. Widths cover one core, the paper's 16, and both
 //! sides of the `ProcSet` word seam. Hand-rolled deterministic RNG,
 //! like the other property suites — the offline build has no
 //! `proptest`.
@@ -49,7 +49,22 @@ impl Oracle {
     }
 }
 
-fn run(cores: usize, seed: u64, steps: usize) {
+/// What one sequence exercised, so the suite can insist each width met
+/// every branch of the fused post-and-grant it is able to meet.
+#[derive(Default)]
+struct Coverage {
+    grants: usize,
+    /// Posts that left some live core computing (`None`, key queued).
+    queued: usize,
+    /// Granting posts whose key sorted below the heap root.
+    self_grants: usize,
+    /// Granting posts with no rival left in the queue.
+    sole: usize,
+    /// Grants made by an exit rather than a post.
+    exit_grants: usize,
+}
+
+fn run(cores: usize, seed: u64, steps: usize) -> Coverage {
     let mut rng = Rng(seed);
     let mut queue = GrantQueue::with_capacity(cores);
     queue.start(cores);
@@ -58,41 +73,66 @@ fn run(cores: usize, seed: u64, steps: usize) {
     // above where it was granted — ties across cores are common, so the
     // core-id tie-break is exercised.
     let mut clocks = vec![0u64; cores];
-    let mut grants = 0;
+    let mut seen = Coverage::default();
     for step in 0..steps {
         let core = rng.below(cores);
-        match (oracle.0[core], rng.below(64)) {
-            (None, _) => {}
-            // Rarely: a core leaves, posted or not.
-            (Some(_), 0) if queue.live() > 1 => {
+        // Every transition offers a grant, as the machine does: a post
+        // through the fused operation, an exit through `grant`.
+        let (got, posted) = match (oracle.0[core], rng.below(64)) {
+            // Rarely: a core leaves, posted or not — and all but one
+            // do before the sequence ends, so that every width also
+            // runs with a sole live core.
+            (Some(_), rare) if queue.live() > 1 && (rare == 0 || step + 16 * cores > steps) => {
                 queue.deregister(core);
                 oracle.0[core] = None;
+                (queue.grant(), false)
             }
             (Some(None), _) => {
                 clocks[core] += rng.below(4) as u64;
-                queue.post(clocks[core], core);
                 oracle.0[core] = Some(Some(clocks[core]));
+                (queue.post_and_grant(clocks[core], core), true)
             }
-            (Some(Some(_)), _) => {}
-        }
-        // Offer a grant after every transition, as the machine does.
+            // Dead, or parked on a key already queued: nothing moves.
+            _ => (queue.grant(), false),
+        };
         let expected = oracle.grant();
         assert_eq!(
-            queue.grant(),
-            expected,
+            got, expected,
             "{cores} cores, seed {seed:#x}, step {step}: grant diverged"
         );
         assert_eq!(queue.live(), oracle.0.iter().flatten().count());
-        grants += usize::from(expected.is_some());
+        match expected {
+            None => seen.queued += usize::from(posted),
+            Some((next, horizon)) => {
+                seen.grants += 1;
+                seen.exit_grants += usize::from(!posted);
+                seen.self_grants += usize::from(posted && next == core);
+                seen.sole += usize::from(posted && horizon == (u64::MAX, usize::MAX));
+            }
+        }
     }
-    assert!(grants > steps / (4 * cores), "too few grants to mean much");
+    assert!(
+        seen.grants > steps / (4 * cores),
+        "too few grants to mean much"
+    );
+    seen
 }
 
 #[test]
 fn random_sequences_match_full_scan_oracle() {
     for cores in [1, 16, 65, 128] {
         for seed in [0x9e37_79b9_7f4a_7c15, 0xf1e7, 0xdead_beef_cafe] {
-            run(cores, seed, 20_000);
+            let seen = run(cores, seed, 20_000);
+            assert!(seen.sole > 0, "{cores} cores: no sole-live-core grant");
+            if cores > 1 {
+                assert!(seen.queued > 0, "{cores} cores: no post was queued");
+                assert!(seen.self_grants > 0, "{cores} cores: no self-grant");
+                assert!(
+                    seen.self_grants < seen.grants,
+                    "{cores} cores: no grant replaced the heap root"
+                );
+                assert!(seen.exit_grants > 0, "{cores} cores: no exit granted");
+            }
         }
     }
 }
@@ -101,16 +141,24 @@ fn random_sequences_match_full_scan_oracle() {
 fn grant_waits_for_every_live_core_and_drains_in_key_order() {
     let mut queue = GrantQueue::with_capacity(4);
     queue.start(3);
-    queue.post(7, 2);
-    queue.post(7, 0);
-    assert_eq!(queue.grant(), None, "core 1 has not posted");
-    queue.post(3, 1);
-    assert_eq!(queue.grant(), Some((1, (7, 0))));
+    assert_eq!(queue.post_and_grant(7, 2), None, "cores 0 and 1 compute");
+    assert_eq!(queue.post_and_grant(7, 0), None, "core 1 has not posted");
+    // Below the root: a self-grant, the heap untouched.
+    assert_eq!(queue.post_and_grant(3, 1), Some((1, (7, 0))));
     assert_eq!(queue.grant(), None, "core 1 is computing again");
-    queue.deregister(1);
-    assert_eq!(queue.grant(), Some((0, (7, 2))));
+    // Above the root: core 0 is granted, core 1's key takes its place
+    // and sinks below core 2's.
+    assert_eq!(queue.post_and_grant(9, 1), Some((0, (7, 2))));
     queue.deregister(0);
-    assert_eq!(queue.grant(), Some((2, (u64::MAX, usize::MAX))));
+    assert_eq!(queue.grant(), Some((2, (9, 1))));
+    // A parked core bails out and takes its key with it.
+    queue.deregister(1);
+    assert_eq!(queue.grant(), None, "core 2 is computing");
+    assert_eq!(
+        queue.post_and_grant(8, 2),
+        Some((2, (u64::MAX, usize::MAX))),
+        "the sole live core has no rival"
+    );
     queue.deregister(2);
     assert_eq!(queue.grant(), None, "no core is live");
 }

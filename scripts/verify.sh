@@ -51,26 +51,56 @@
 #      from silently breaking it (read-only: nothing under benchmark/
 #      is edited)
 #
+# Every step's wall clock is printed as a table at the end (the "time
+# to run scripts/verify.sh" number of ROADMAP aim 1; a recorded table
+# is in EXPERIMENTS.md).
+#
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: cargo build --release =="
+now_us() { echo "${EPOCHREALTIME/[.,]/}"; }
+step_labels=()
+step_walls=()
+step() {
+    # $1: label. Prints the banner and starts the step's clock, closing
+    # the previous step's; with no label, only closes.
+    local now
+    now="$(now_us)"
+    if [ "${#step_labels[@]}" -gt "${#step_walls[@]}" ]; then
+        step_walls+=("$((now - step_started))")
+    fi
+    step_started="$now"
+    if [ $# -gt 0 ]; then
+        step_labels+=("$1")
+        echo "== $1 =="
+    fi
+}
+wall_table() {
+    local i total=0
+    for i in "${!step_walls[@]}"; do
+        total=$((total + step_walls[i]))
+        printf 'wall: %7.2f s  %s\n' "$((step_walls[i] / 10000))e-2" "${step_labels[$i]}"
+    done
+    printf 'wall: %7.2f s  total\n' "$((total / 10000))e-2"
+}
+
+step "tier-1: cargo build --release"
 cargo build --release
 
-echo "== tier-1: cargo test -q =="
+step "tier-1: cargo test -q"
 cargo test -q
 
-echo "== clippy (deny warnings) =="
+step "clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rustfmt check =="
+step "rustfmt check"
 cargo fmt --all --check
 
-echo "== benches compile (no run) =="
+step "benches compile (no run)"
 cargo bench --workspace --no-run
 
-echo "== proto_check smoke (exhaustive 2 cores x 1 line, serial) =="
+step "proto_check smoke (exhaustive 2 cores x 1 line, serial)"
 narrow_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --jobs 1)"
 echo "$narrow_json"
 case "$narrow_json" in
@@ -88,7 +118,7 @@ graph_of() {
     echo "$1" | sed 's/.*"states"/"states"/; s/ "wall_s": [0-9.]*,//; s/ "transitions_per_s": [0-9.]*,//'
 }
 
-echo "== proto_check parallel equality (same config, --jobs 2) =="
+step "proto_check parallel equality (same config, --jobs 2)"
 par_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --jobs 2)"
 echo "$par_json"
 if [ "$(graph_of "$narrow_json")" != "$(graph_of "$par_json")" ]; then
@@ -98,7 +128,7 @@ if [ "$(graph_of "$narrow_json")" != "$(graph_of "$par_json")" ]; then
     exit 1
 fi
 
-echo "== proto_check wide smoke (same alphabet, cores 0 and 64 of a 65-core machine) =="
+step "proto_check wide smoke (same alphabet, cores 0 and 64 of a 65-core machine)"
 wide_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --wide --jobs 2)"
 echo "$wide_json"
 narrow_graph="$(graph_of "$narrow_json")"
@@ -125,7 +155,7 @@ if awk -v r="$width_ratio" 'BEGIN { exit !(r > 8) }'; then
     exit 1
 fi
 
-echo "== proto_check 3-core fixpoint (tx alphabet; the deep-coverage gate, ~40 s on 2 CPUs) =="
+step "proto_check 3-core fixpoint (tx alphabet; the deep-coverage gate, ~40 s on 2 CPUs)"
 deep_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --jobs 2 2>/dev/null)"
 echo "$deep_json"
 case "$deep_json" in
@@ -136,7 +166,7 @@ case "$deep_json" in
     ;;
 esac
 
-echo "== proto_check wide 3-core bounded equality (66-core machine, depth 7) =="
+step "proto_check wide 3-core bounded equality (66-core machine, depth 7)"
 n3_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --jobs 2 2>/dev/null)"
 w3_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --wide --jobs 2 2>/dev/null)"
 echo "$w3_json"
@@ -149,7 +179,7 @@ if [ "$n3_graph" != "$w3_graph" ]; then
     exit 1
 fi
 
-echo "== liveness: shipped tie-break must admit no fair abort cycle =="
+step "liveness: shipped tie-break must admit no fair abort cycle"
 live_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 2 --liveness)"
 echo "$live_json"
 case "$live_json" in
@@ -160,7 +190,7 @@ case "$live_json" in
     ;;
 esac
 
-echo "== liveness: reverted tie-break must rediscover the Polka mutual-abort livelock =="
+step "liveness: reverted tie-break must rediscover the Polka mutual-abort livelock"
 if revert_out="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 2 --liveness --revert-tie-break 2>&1)"; then
     echo "reverted tie-break was reported live — the livelock detector is blind"
     exit 1
@@ -174,11 +204,11 @@ case "$revert_out" in
     ;;
 esac
 
-echo "== trace determinism (release) =="
+step "trace determinism (release)"
 cargo test -q --release -p flextm-workloads --test determinism \
     attempt_trace_is_deterministic_and_round_trips
 
-echo "== sched_bench --trace smoke =="
+step "sched_bench --trace smoke"
 trace_out="$(mktemp)"
 FLEXTM_SCHED_TXNS=8 FLEXTM_TRACE_OUT="$trace_out" \
     cargo run -q --release -p flextm-bench --bin sched_bench -- --protocol --trace \
@@ -186,17 +216,17 @@ FLEXTM_SCHED_TXNS=8 FLEXTM_TRACE_OUT="$trace_out" \
 test -s "$trace_out" || { echo "sched_bench --trace wrote no records"; exit 1; }
 rm -f "$trace_out"
 
-echo "== 64/128-core smoke (wide machines, invariants + byte-identical replay) =="
+step "64/128-core smoke (wide machines, invariants + byte-identical replay)"
 cargo test -q --release -p flextm-workloads --test determinism \
     wide_machines_replay_identically_with_invariants
 
-echo "== banked-directory property suite (vs HashMap oracle) =="
+step "banked-directory property suite (vs HashMap oracle)"
 cargo test -q --release -p flextm-sim --test bankdir_props
 
-echo "== steady-state allocation gate (zero host allocs per txn) =="
+step "steady-state allocation gate (zero host allocs per txn)"
 cargo test -q --release -p flextm-workloads --test alloc_gate
 
-echo "== fingerprint gate (16-core digests, 96 and 384 txns/thread) =="
+step "fingerprint gate (16-core digests, 96 and 384 txns/thread)"
 check_fp() {
     # $1: label, $2: event digest, $3: counter digest, rest: the
     # command that prints the fingerprint line.
@@ -224,17 +254,17 @@ check_both_fp() {
 }
 check_both_fp "assembly switch"
 
-echo "== fallback switch backend (--cfg flextm_fiber_fallback): sim tests + fingerprints =="
+step "fallback switch backend (--cfg flextm_fiber_fallback): sim tests + fingerprints"
 (
     export RUSTFLAGS="--cfg flextm_fiber_fallback"
     cargo test -q --release -p flextm-sim --target-dir target/fiber-fallback
     check_both_fp "thread-baton switch" --target-dir target/fiber-fallback
 )
 
-echo "== bench-crate tests (not a default-member; env parsing, cell records) =="
+step "bench-crate tests (not a default-member; env parsing, cell records)"
 cargo test -q -p flextm-bench
 
-echo "== sweep farm smoke (2x2 matrix; jobs 1 == jobs 2 == warm, warm is pure cache) =="
+step "sweep farm smoke (2x2 matrix; jobs 1 == jobs 2 == warm, warm is pure cache)"
 sweep_tmp="$(mktemp -d)"
 sweep_smoke() {
     # $1: store name, $2: emit name, rest: extra flags.
@@ -264,7 +294,7 @@ for other in jobs2 warm; do
 done
 rm -rf "$sweep_tmp"
 
-echo "== figure specs expand to the paper's matrices (no simulation) =="
+step "figure specs expand to the paper's matrices (no simulation)"
 for spec_cells in fig4_ws1:100 fig4_ws2:30 fig5_eager_lazy:40; do
     spec="${spec_cells%:*}"
     cells="$(cargo run -q --release -p flextm-sweep --bin sweep -- --spec "$spec" --hash-spec | wc -l)"
@@ -275,8 +305,10 @@ for spec_cells in fig4_ws1:100 fig4_ws2:30 fig5_eager_lazy:40; do
     fi
 done
 
-echo "== repo benchmark: smoke run + the suite's own tests =="
+step "repo benchmark: smoke run + the suite's own tests"
 bash benchmark/run.sh --quick > /dev/null
 (cd benchmark && cargo test -q --release --offline)
 
+step
+wall_table
 echo "verify: all checks passed"
