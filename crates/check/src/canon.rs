@@ -162,15 +162,12 @@ pub fn canon(d: &Driver) -> u128 {
         h.word(sh.active as u64);
         h.word(sh.doomed as u64);
         h.word(sh.tsw);
-        h.word(sh.reads.len() as u64);
-        for (&l, &v) in &sh.reads {
-            h.word(l as u64);
-            h.word(v);
-        }
-        h.word(sh.writes.len() as u64);
-        for (&l, &v) in &sh.writes {
-            h.word(l as u64);
-            h.word(v);
+        for set in [&sh.reads, &sh.writes] {
+            h.word(set.len() as u64);
+            for (l, v) in set.iter() {
+                h.word(l as u64);
+                h.word(v);
+            }
         }
         for set in [sh.rw, sh.wr, sh.ww] {
             for &w in set.words() {

@@ -53,6 +53,11 @@ pub struct InjectedFault {
     pub min_writes: usize,
 }
 
+/// Most data lines a configuration may name: each fits its own L1 set
+/// ([`CheckConfig::data_addr`]), and the driver's shadow access sets
+/// are inline arrays of this many values.
+pub const MAX_LINES: usize = 16;
+
 /// A checker instance: `cores × lines` with a fixed op alphabet.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
@@ -86,7 +91,10 @@ impl CheckConfig {
     /// A `cores × lines` configuration with the full alphabet.
     pub fn new(cores: usize, lines: usize) -> Self {
         assert!((2..=16).contains(&cores), "checker wants 2..=16 cores");
-        assert!((1..=16).contains(&lines), "checker wants 1..=16 lines");
+        assert!(
+            (1..=MAX_LINES).contains(&lines),
+            "checker wants 1..={MAX_LINES} lines"
+        );
         CheckConfig {
             cores,
             lines,

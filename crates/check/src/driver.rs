@@ -1,14 +1,21 @@
 //! The checker's driver: a real [`SimState`] plus the sequential
 //! shadow an architectural observer can maintain, with the
 //! cross-validation asserts that turn a schedule into a test oracle.
+//!
+//! A driver is copied two ways. [`Driver::fork`] builds an owned copy,
+//! for a state that is kept. [`Driver::fork_into`] overwrites an
+//! existing driver in place and allocates nothing when the two have
+//! the same shape — the explorer's per-transition copy, whose child is
+//! checked ([`Driver::quiesce`] consumes it) and then overwritten by
+//! the next. A shadow core owns no heap (its access sets are value
+//! arrays under a presence mask), so its part of that copy is flat.
 
-use crate::config::CheckConfig;
+use crate::config::{CheckConfig, MAX_LINES};
 use crate::op::Op;
 use flextm_sim::{
     procs_in_mask, AbortCause, AccessKind, AccessResult, AlertCause, CasCommitOutcome,
     ConflictKind, CstKind, MachineConfig, ProcSet, SimState,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// TSW encodings. Deliberately attempt-free (unlike the production
@@ -23,8 +30,58 @@ pub const TSW_ABORTED: u64 = 2;
 /// Transaction committed.
 pub const TSW_COMMITTED: u64 = 3;
 
+/// A true access set: data-line index → value, for at most
+/// [`MAX_LINES`] lines. Inline — a presence mask over a value array —
+/// so a shadow core is a flat copy that a fork or refill never walks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LineVals {
+    present: u16,
+    vals: [u64; MAX_LINES],
+}
+
+impl LineVals {
+    /// The value recorded for line `l`, if any.
+    pub fn get(&self, l: usize) -> Option<u64> {
+        (self.present >> l & 1 == 1).then(|| self.vals[l])
+    }
+
+    /// Records (or replaces) line `l`'s value.
+    pub fn insert(&mut self, l: usize, v: u64) {
+        self.vals[l] = v;
+        self.present |= 1 << l;
+    }
+
+    /// Number of lines recorded.
+    pub fn len(&self) -> usize {
+        self.present.count_ones() as usize
+    }
+
+    /// True when no line is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.present == 0
+    }
+
+    /// Forgets every line.
+    pub fn clear(&mut self) {
+        self.present = 0;
+    }
+
+    /// `(line, value)` pairs in ascending line order — the order the
+    /// canonical hash folds them in.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let mut rest = self.present;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let l = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                (l, self.vals[l])
+            })
+        })
+    }
+}
+
 /// Shadow bookkeeping for one core's current transaction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShadowCore {
     /// A transaction is in flight (begun, not yet committed/aborted).
     pub active: bool,
@@ -33,9 +90,9 @@ pub struct ShadowCore {
     /// The authoritative TSW value (driver is the only TSW writer).
     pub tsw: u64,
     /// True read set: line index → first value observed.
-    pub reads: BTreeMap<usize, u64>,
+    pub reads: LineVals,
     /// True write set: line index → last value stored.
-    pub writes: BTreeMap<usize, u64>,
+    pub writes: LineVals,
     /// Shadow CSTs, folded from the conflicts the hardware reported.
     pub rw: ProcSet,
     /// Shadow W-R.
@@ -73,6 +130,7 @@ pub struct Driver {
 impl Driver {
     /// A fresh machine in the all-idle initial state.
     pub fn new(cfg: CheckConfig) -> Self {
+        assert!(cfg.lines <= MAX_LINES, "shadow sets hold {MAX_LINES} lines");
         let mc: MachineConfig = cfg.machine();
         Driver {
             st: SimState::for_tests(mc),
@@ -87,11 +145,13 @@ impl Driver {
         &self.cfg
     }
 
-    /// Deep copy for state forking. The `SimState` side goes through
-    /// `clone_for_check`: a plain clone (scheduler lanes included)
-    /// minus each L1's line-buffer free list. Its cost follows the
-    /// cores the schedule has touched — an undriven core's L1 planes
-    /// are unallocated and clone for free — not the machine's width.
+    /// Deep copy for a state that is kept: a frontier snapshot, or a
+    /// caller that goes on using its own. The `SimState` side goes
+    /// through `clone_for_check`: a plain clone (scheduler lanes
+    /// included) minus each L1's line-buffer free list. Its cost
+    /// follows the cores the schedule has touched — an undriven core's
+    /// L1 planes are unallocated and clone for free — not the machine's
+    /// width.
     pub fn fork(&self) -> Self {
         Driver {
             st: self.st.clone_for_check(),
@@ -99,6 +159,31 @@ impl Driver {
             shadow_mem: self.shadow_mem.clone(),
             cfg: Arc::clone(&self.cfg),
         }
+    }
+
+    /// [`Driver::fork`] into a driver that already exists: `dst`
+    /// becomes the state `self.fork()` would build, reusing every
+    /// buffer it owns (`SimState::assign_for_check`), so refilling a
+    /// scratch that last held a same-shaped state allocates nothing.
+    /// The explorer makes one such refill per transition. `dst` must be
+    /// a fork (at any remove) of the root `self` descends from — same
+    /// shared config, hence the same machine. Exhaustive destructuring,
+    /// as in every `assign_for_check`: a new field that is not carried
+    /// over must not compile.
+    pub fn fork_into(&self, dst: &mut Driver) {
+        let Driver {
+            st,
+            shadow,
+            shadow_mem,
+            cfg,
+        } = self;
+        assert!(
+            Arc::ptr_eq(cfg, &dst.cfg),
+            "fork_into across checker configurations"
+        );
+        dst.st.assign_for_check(st);
+        dst.shadow.clone_from(shadow);
+        dst.shadow_mem.clone_from(shadow_mem);
     }
 
     /// The value a `TWrite(c, l)` always stores. Path-independent so
@@ -315,9 +400,8 @@ impl Driver {
         self.fold_conflicts(c, AccessKind::TLoad, &r);
         let expected = self.shadow[c]
             .writes
-            .get(&l)
-            .or_else(|| self.shadow[c].reads.get(&l))
-            .copied()
+            .get(l)
+            .or_else(|| self.shadow[c].reads.get(l))
             .unwrap_or(self.shadow_mem[l]);
         if !self.shadow[c].doomed {
             // Undoomed read stability / isolation: a live transaction
@@ -328,7 +412,9 @@ impl Driver {
                 "core {c}: TRead(L{l}) unstable while undoomed"
             );
         }
-        self.shadow[c].reads.entry(l).or_insert(r.value);
+        if self.shadow[c].reads.get(l).is_none() {
+            self.shadow[c].reads.insert(l, r.value);
+        }
         let mut enemies = ProcSet::empty();
         for conflict in r.conflicts.iter() {
             enemies.insert(conflict.with);
@@ -439,8 +525,8 @@ impl Driver {
                     "core {c}: CAS-Commit succeeded on a doomed transaction"
                 );
                 self.shadow[c].tsw = TSW_COMMITTED;
-                let writes = std::mem::take(&mut self.shadow[c].writes);
-                for (l, v) in writes {
+                let writes = self.shadow[c].writes;
+                for (l, v) in writes.iter() {
                     self.shadow_mem[l] = v;
                 }
                 self.shadow[c].clear_tx();
@@ -559,13 +645,13 @@ impl Driver {
         // 3. Signature conservativeness: true access sets are covered.
         for (i, sh) in self.shadow.iter().enumerate() {
             let mi = self.cfg.machine_core(i);
-            for &l in sh.reads.keys() {
+            for (l, _) in sh.reads.iter() {
                 assert!(
                     self.st.cores[mi].rsig.contains(self.cfg.data_line(l)),
                     "core {i}: true read L{l} missing from Rsig"
                 );
             }
-            for &l in sh.writes.keys() {
+            for (l, _) in sh.writes.iter() {
                 assert!(
                     self.st.cores[mi].wsig.contains(self.cfg.data_line(l)),
                     "core {i}: true write L{l} missing from Wsig"
@@ -596,31 +682,40 @@ impl Driver {
         self.st.check_invariants();
     }
 
-    /// Quiescence: aborting every live transaction from here must
-    /// yield a clean machine with committed memory untouched. Runs on
-    /// a fork so exploration state is unperturbed.
+    /// Quiescence, for a caller that keeps its state (shrink replay,
+    /// the random walk, liveness, tests): [`Driver::quiesce`] on a
+    /// fork.
     pub fn check_quiescence(&self) {
-        let mut d = self.fork();
-        for c in 0..d.cfg.cores {
-            let mc = d.cfg.machine_core(c);
-            if d.st.cores[mc].alert_pending.is_some() {
-                d.service_alert(c);
+        self.fork().quiesce();
+    }
+
+    /// Quiescence: aborting every live transaction from here must
+    /// yield a clean machine with committed memory untouched. Consumes
+    /// the state it checks — the explorer runs it on the child it is
+    /// about to discard.
+    pub fn quiesce(&mut self) {
+        let mut committed = [0; MAX_LINES];
+        committed[..self.shadow_mem.len()].copy_from_slice(&self.shadow_mem);
+        for c in 0..self.cfg.cores {
+            let mc = self.cfg.machine_core(c);
+            if self.st.cores[mc].alert_pending.is_some() {
+                self.service_alert(c);
             }
-            if d.shadow[c].active {
-                d.abort(c);
+            if self.shadow[c].active {
+                self.abort(c);
             }
-            if d.st.cores[mc].alert_pending.is_some() {
-                d.service_alert(c);
+            if self.st.cores[mc].alert_pending.is_some() {
+                self.service_alert(c);
             }
         }
-        for (l, &v) in d.shadow_mem.iter().enumerate() {
+        for (l, &v) in self.shadow_mem.iter().enumerate() {
             assert_eq!(
-                v, self.shadow_mem[l],
+                v, committed[l],
                 "quiescence: aborts changed committed memory at L{l}"
             );
         }
-        for c in 0..d.cfg.cores {
-            let core = &d.st.cores[d.cfg.machine_core(c)];
+        for c in 0..self.cfg.cores {
+            let core = &self.st.cores[self.cfg.machine_core(c)];
             assert!(
                 !core.has_tx_footprint(),
                 "quiescence: core {c} keeps live signatures after abort-all"
@@ -638,7 +733,7 @@ impl Driver {
                 "quiescence: core {c} keeps uncommitted OT entries after abort-all"
             );
         }
-        d.st.check_invariants();
-        d.post_op_checks();
+        // Ends in the machine's own invariant sweep (its step 5).
+        self.post_op_checks();
     }
 }

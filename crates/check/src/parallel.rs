@@ -23,10 +23,12 @@
 //! into [`SHARDS`] shards selected by the top bits of the canonical
 //! hash (the hash is a two-lane FNV mix, so its high bits are already
 //! uniform); each shard is an independent `Mutex<HashSet<u128>>` held
-//! for a single insert. Membership *is* ownership: the worker whose
-//! insert returns `true` enqueues the child, so a state first reached
-//! along two same-depth paths is expanded exactly once no matter how
-//! the race resolves.
+//! for a single insert, and hashes its keys by passing their low lane
+//! through ([`LowLane`]) — the shard index used the other lane's top
+//! bits, so the two stay independent. Membership *is* ownership: the
+//! worker whose insert returns `true` enqueues the child, so a state
+//! first reached along two same-depth paths is expanded exactly once
+//! no matter how the race resolves.
 //!
 //! # Snapshots instead of replay
 //!
@@ -36,15 +38,33 @@
 //! Here every frontier node carries an `Arc` to a fully materialized
 //! [`Driver`] *snapshot* at the nearest ancestor whose depth is a
 //! multiple of [`SNAPSHOT_STRIDE`], plus the (< stride) op suffix from
-//! that ancestor. Rebuilding a node is one fork plus at most
+//! that ancestor. Rebuilding a node is one refill plus at most
 //! `SNAPSHOT_STRIDE - 1` op applications, independent of depth.
 //! Soundness is inherited from replay determinism — the suffix ops were
 //! applied successfully (under `catch_unwind`) when the node was first
 //! generated, and `Driver::apply` is deterministic, so re-applying them
-//! to a fork of the same snapshot reproduces the same state; a panic
+//! to a copy of the same snapshot reproduces the same state; a panic
 //! can therefore only surface at child-generation time, exactly as in
 //! the serial engine. Snapshots are dropped with their level, so at any
 //! moment only the current and next frontier pin memory.
+//!
+//! # One refill per transition
+//!
+//! A transition is: copy the node's state, apply the op, hash the
+//! child, claim the hash, then quiesce the child — abort everything
+//! and assert the machine clean — on every transition, claimed or not.
+//! Nearly every child is dead after that, so each worker keeps one
+//! [`Scratch`]: the child is refilled in place ([`Driver::fork_into`],
+//! which reuses every buffer the scratch owns) instead of built and
+//! dropped, and quiescence runs on the child itself instead of on a
+//! second copy. Only a claimed child at a snapshot level is forked —
+//! before it is quiesced — because only that copy is kept. Claiming
+//! before quiescing is sound: a child whose quiescence panics is a
+//! violation, a violation ends the run after its level, and every
+//! same-level duplicate of that state is quiesced and reported too, so
+//! the least violating path is still the one chosen. A scratch whose
+//! op or quiescence panicked is in an unknown state and is dropped, not
+//! refilled; the node's later children start from a fresh fork.
 
 use crate::canon::canon;
 use crate::config::CheckConfig;
@@ -52,6 +72,7 @@ use crate::driver::Driver;
 use crate::explore::{panic_message, shrink, ExploreOutcome, Progress, QuietPanics, Violation};
 use crate::op::Op;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,15 +87,32 @@ const SHARDS: usize = 64;
 /// nodes own a materialized machine state).
 const SNAPSHOT_STRIDE: usize = 4;
 
+/// Pass-through hasher for canonical hashes: a key is already two
+/// decorrelated 64-bit lanes, so the table takes the low one as is.
+#[derive(Default)]
+struct LowLane(u64);
+
+impl Hasher for LowLane {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the visited set hashes u128 keys only");
+    }
+    fn write_u128(&mut self, h: u128) {
+        self.0 = h as u64;
+    }
+}
+
 /// The visited set: canonical hashes sharded by their top bits.
 struct Visited {
-    shards: Vec<Mutex<HashSet<u128>>>,
+    shards: Vec<Mutex<HashSet<u128, BuildHasherDefault<LowLane>>>>,
 }
 
 impl Visited {
     fn new() -> Self {
         Visited {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -114,43 +152,76 @@ struct WorkerOut {
     violations: Vec<(Vec<Op>, String)>,
 }
 
+/// The two drivers a worker refills instead of forking: nearly every
+/// copy the explorer makes is dead a transition later.
+#[derive(Default)]
+struct Scratch {
+    /// The node being expanded, when it is not its own snapshot.
+    base: Option<Driver>,
+    /// The child of the transition being taken.
+    child: Option<Driver>,
+}
+
+/// Makes `slot` hold a copy of `src`: in place when it holds a driver,
+/// by forking when it is empty (a worker's first use, or after a panic
+/// left the last occupant in an unknown state).
+fn refill<'a>(slot: &'a mut Option<Driver>, src: &Driver) -> &'a mut Driver {
+    match slot {
+        Some(d) => {
+            src.fork_into(d);
+            d
+        }
+        None => slot.insert(src.fork()),
+    }
+}
+
 /// Expands one node: rebuilds its driver from the snapshot, applies
-/// every enabled op to a fork, and claims unvisited children.
-fn expand(cfg_depth: usize, node: &Node, visited: &Visited, out: &mut WorkerOut) {
-    // Rebuild. The suffix replay cannot panic (see module docs); a
-    // fork is avoided entirely when the node is its own snapshot.
-    let rebuilt;
+/// every enabled op to a copy, claims unvisited children, and quiesces
+/// every child.
+fn expand(
+    cfg_depth: usize,
+    node: &Node,
+    visited: &Visited,
+    scratch: &mut Scratch,
+    out: &mut WorkerOut,
+) {
+    // Rebuild. The suffix replay cannot panic (see module docs); the
+    // copy is avoided entirely when the node is its own snapshot.
     let base: &Driver = if node.suffix.is_empty() {
         &node.snap
     } else {
-        let mut d = node.snap.fork();
+        let d = refill(&mut scratch.base, &node.snap);
         for &op in &node.suffix {
             d.apply(op);
         }
-        rebuilt = d;
-        &rebuilt
+        d
     };
+    let snapshot_level = (cfg_depth + 1).is_multiple_of(SNAPSHOT_STRIDE);
 
     for op in base.enabled_ops() {
         out.transitions += 1;
-        let mut child = base.fork();
+        let child = refill(&mut scratch.child, base);
         let res = catch_unwind(AssertUnwindSafe(|| {
             child.apply(op);
-            child.check_quiescence();
-            canon(&child)
+            let claimed = visited.insert(canon(child));
+            // Quiescing consumes the child, so the one copy that is
+            // kept is taken first.
+            let snap = (claimed && snapshot_level).then(|| Arc::new(child.fork()));
+            child.quiesce();
+            (claimed, snap)
         }));
         match res {
-            Ok(c) => {
-                if visited.insert(c) {
-                    let mut path = node.path.clone();
-                    path.push(op);
-                    let node = if (cfg_depth + 1).is_multiple_of(SNAPSHOT_STRIDE) {
-                        Node {
-                            snap: Arc::new(child),
-                            suffix: Vec::new(),
-                            path,
-                        }
-                    } else {
+            Ok((false, _)) => {}
+            Ok((true, snap)) => {
+                let mut path = node.path.clone();
+                path.push(op);
+                let node = match snap {
+                    Some(snap) => Node {
+                        snap,
+                        suffix: Vec::new(),
+                        path,
+                    },
+                    None => {
                         let mut suffix = node.suffix.clone();
                         suffix.push(op);
                         Node {
@@ -158,11 +229,12 @@ fn expand(cfg_depth: usize, node: &Node, visited: &Visited, out: &mut WorkerOut)
                             suffix,
                             path,
                         }
-                    };
-                    out.next.push(node);
-                }
+                    }
+                };
+                out.next.push(node);
             }
             Err(e) => {
+                scratch.child = None;
                 let mut path = node.path.clone();
                 path.push(op);
                 out.violations.push((path, panic_message(e)));
@@ -223,10 +295,11 @@ pub fn explore_jobs(
                 .map(|_| {
                     s.spawn(|| {
                         let mut out = WorkerOut::default();
+                        let mut scratch = Scratch::default();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(node) = level.get(i) else { break };
-                            expand(level_depth, node, &visited, &mut out);
+                            expand(level_depth, node, &visited, &mut scratch, &mut out);
                         }
                         out
                     })
@@ -363,5 +436,45 @@ mod tests {
         );
         // Minimal reproducer: one write then the faulting commit.
         assert_eq!(v.path, vec![Op::TWrite(0, 0), Op::Commit(0)]);
+    }
+
+    /// A violation reports the same path whatever the worker count, on
+    /// the full alphabet — where the faulting `Commit(0)` has later
+    /// siblings (`Abort(0)`, all of core 1's ops) that are expanded
+    /// after the panic cost the worker its scratch child, and must not
+    /// turn into violations of their own — and the reported path
+    /// replays to the reported panic.
+    #[test]
+    fn violation_report_is_jobs_invariant_and_replays() {
+        let cfg = CheckConfig {
+            injected_fault: Some(InjectedFault {
+                core: 0,
+                min_writes: 1,
+            }),
+            ..CheckConfig::new(2, 1)
+        };
+        let report = |jobs| {
+            let v = explore_jobs(&cfg, None, jobs, None)
+                .violation
+                .expect("injected fault must be found");
+            (v.path, v.message)
+        };
+        let (path, message) = report(1);
+        assert_eq!(report(3), (path.clone(), message.clone()));
+        assert_eq!(path, vec![Op::TWrite(0, 0), Op::Commit(0)]);
+
+        let _quiet = QuietPanics::install();
+        let mut d = Driver::new(cfg.clone());
+        let mut replayed = None;
+        for &op in &path {
+            assert!(replayed.is_none(), "the path panics before its last op");
+            replayed = catch_unwind(AssertUnwindSafe(|| {
+                d.apply(op);
+                d.check_quiescence();
+            }))
+            .err()
+            .map(panic_message);
+        }
+        assert_eq!(replayed, Some(message));
     }
 }

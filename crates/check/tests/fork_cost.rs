@@ -127,3 +127,45 @@ fn fork_cost_follows_driven_cores() {
         "the wide fork is not at the narrow fork's state"
     );
 }
+
+/// A transition's copy and its sweeps are allocation-free. The
+/// explorer refills one scratch driver per transition
+/// (`Driver::fork_into`): onto a scratch that last held a same-shaped
+/// state — here the same point of the graph, one L1 hit later, so its
+/// clocks, counters and LRU plane all differ — the refill must reuse
+/// every buffer, on the narrow machine and on the wide one. The shadow
+/// access sets are inline for the same reason. And the invariant sweep
+/// that follows every protocol step must prove what it proves without
+/// building a set or a list.
+#[test]
+fn refill_and_sweep_allocate_nothing() {
+    for cfg in [CheckConfig::new(2, 1), CheckConfig::wide(2, 1)] {
+        let width = cfg.machine_cores();
+        let (d, _, _) = fork_after_prefix(cfg);
+        let mut scratch = d.fork();
+        scratch.apply(Op::TRead(0, 0));
+        assert_ne!(
+            scratch.st.now(0),
+            d.st.now(0),
+            "the scratch should differ from the state it is refilled with"
+        );
+
+        let calls = CALLS.get();
+        d.fork_into(&mut scratch);
+        let calls = CALLS.get() - calls;
+        assert_eq!(
+            calls, 0,
+            "{width}-core refill onto a same-shaped scratch made {calls} allocations"
+        );
+        assert_eq!(canon(&scratch), canon(&d), "refill changed the state");
+        assert_eq!(scratch.st.now(0), d.st.now(0), "refill kept a stale clock");
+
+        let calls = CALLS.get();
+        scratch.st.check_invariants();
+        let calls = CALLS.get() - calls;
+        assert_eq!(
+            calls, 0,
+            "{width}-core invariant sweep made {calls} allocations"
+        );
+    }
+}

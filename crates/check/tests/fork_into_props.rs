@@ -1,0 +1,164 @@
+//! `Driver::fork_into` ≡ `Driver::fork`, by seeded property test.
+//!
+//! The explorer refills one scratch driver per transition instead of
+//! building and dropping a clone, so every buffer the scratch owns is
+//! overwritten in place — by hand-written `assign_for_check` methods
+//! that must carry over every field and take every shrink, grow and
+//! `Some` ↔ `None` path right. This suite refills a scratch that last
+//! held an *unrelated* state and requires the result to be
+//! indistinguishable from a fresh fork: same canonical hash, same
+//! per-core counters and clocks (the canonical projection leaves those
+//! out), same enabled ops, and the same again after every enabled op —
+//! which is what notices a stale LRU plane, speculative-line list or
+//! activity mask.
+//!
+//! Two seeded random walks supply the states, one given a head start so
+//! the two differ in memory pages and directory banks. The checker's
+//! geometry never evicts for capacity, so each walk state also appears
+//! in a *crowded* variant: plain loads of lines that alias the data
+//! line's L1 set push it into the victim buffer — with its speculative
+//! buffer, if it has one — and, a few loads later, out into a freshly
+//! allocated overflow table.
+
+use flextm_check::canon::canon;
+use flextm_check::{Alphabet, CheckConfig, Driver};
+use flextm_sim::{AccessKind, Addr};
+
+/// xorshift64: any deterministic stream will do.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// One random enabled op.
+fn step(d: &mut Driver, rng: &mut Rng) {
+    let ops = d.enabled_ops();
+    d.apply(ops[rng.below(ops.len())]);
+}
+
+/// A copy of `d` in which some core has plainly loaded up to nine
+/// lines aliasing data line `l`'s L1 set (4 ways, 2 victim entries):
+/// the fifth load moves the set's oldest resident to the victim buffer,
+/// the seventh drops it from there — into the overflow table if it was
+/// speculatively written.
+fn crowded(d: &Driver, rng: &mut Rng) -> Driver {
+    let mut d = d.fork();
+    let cfg = d.config().clone();
+    let core = cfg.machine_core(rng.below(cfg.cores));
+    let l = rng.below(cfg.lines);
+    for k in 1..=rng.below(10) as u64 {
+        // 16 sets of 64-byte lines: 0x400 apart is the same set. Stays
+        // far below the TSW lines at 0x8000.
+        let alias = Addr::new(cfg.data_addr(l).raw() + k * 0x400);
+        let _ = d.st.access(core, alias, AccessKind::Load, 0);
+    }
+    d
+}
+
+/// Everything observable about two drivers must agree.
+fn assert_same(got: &Driver, want: &Driver, ctx: &str) {
+    assert_eq!(canon(got), canon(want), "canonical state differs: {ctx}");
+    for (i, (g, w)) in got.st.cores.iter().zip(&want.st.cores).enumerate() {
+        assert_eq!(g.stats, w.stats, "core {i} counters differ: {ctx}");
+        assert_eq!(
+            got.st.now(i),
+            want.st.now(i),
+            "core {i} clock differs: {ctx}"
+        );
+    }
+    assert_eq!(
+        got.enabled_ops(),
+        want.enabled_ops(),
+        "enabled ops differ: {ctx}"
+    );
+}
+
+/// What the crowded variants must have exercised somewhere in a run,
+/// or the suite is not testing the paths it says it tests.
+#[derive(Default)]
+struct Coverage {
+    victims: bool,
+    victim_data: bool,
+    overflow_table: bool,
+}
+
+impl Coverage {
+    fn note(&mut self, d: &Driver) {
+        for core in &d.st.cores {
+            self.victims |= !core.l1.victims().is_empty();
+            self.victim_data |= core.l1.victims().iter().any(|e| e.data.is_some());
+            self.overflow_table |= core.ot.is_some();
+        }
+    }
+}
+
+fn refills_match_forks(cfg: CheckConfig, seed: u64, steps: usize, coverage: &mut Coverage) {
+    let name = format!(
+        "{} cores x {} lines on {} (seed {seed:#x})",
+        cfg.cores,
+        cfg.lines,
+        cfg.machine_cores()
+    );
+    let mut rng = Rng(seed);
+    let root = Driver::new(cfg);
+    let (mut a, mut b) = (root.fork(), root.fork());
+    for _ in 0..40 {
+        step(&mut b, &mut rng);
+    }
+    let mut scratch = root.fork();
+
+    for n in 0..steps {
+        let (ca, cb) = (crowded(&a, &mut rng), crowded(&b, &mut rng));
+        // Each source overwrites a scratch that last held the previous
+        // one: the other walk, or a variant with more or fewer victims,
+        // line buffers and overflow tables.
+        for (which, src) in [("a", &a), ("b crowded", &cb), ("a crowded", &ca), ("b", &b)] {
+            let ctx = format!("{name}, step {n}, source {which}");
+            coverage.note(src);
+            src.fork_into(&mut scratch);
+            assert_same(&scratch, &src.fork(), &ctx);
+            for op in src.enabled_ops() {
+                let ctx = format!("{ctx}, after {op}");
+                let mut want = src.fork();
+                want.apply(op);
+                src.fork_into(&mut scratch);
+                scratch.apply(op);
+                assert_same(&scratch, &want, &ctx);
+            }
+        }
+        step(&mut a, &mut rng);
+        step(&mut b, &mut rng);
+    }
+}
+
+#[test]
+fn fork_into_matches_fork_on_random_walks() {
+    let tx_only = |cfg| CheckConfig {
+        alphabet: Alphabet::TxOnly,
+        ..cfg
+    };
+    let mut coverage = Coverage::default();
+    for seed in [0x9E37_79B9_7F4A_7C15, 0x0123_4567_89AB_CDEF, 0xF1E7] {
+        for (cfg, steps) in [
+            (CheckConfig::new(2, 2), 60),
+            (tx_only(CheckConfig::new(3, 1)), 60),
+            (CheckConfig::wide(2, 1), 30),
+        ] {
+            refills_match_forks(cfg, seed, steps, &mut coverage);
+        }
+    }
+    assert!(
+        coverage.victims && coverage.victim_data && coverage.overflow_table,
+        "the walks never produced a victim-buffer resident ({}), one with \
+         a line buffer ({}) or an allocated overflow table ({})",
+        coverage.victims,
+        coverage.victim_data,
+        coverage.overflow_table
+    );
+}

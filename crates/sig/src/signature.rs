@@ -369,6 +369,27 @@ impl Signature {
         self.inserted = 0;
         self.nonempty = words.iter().any(|&w| w != 0);
     }
+
+    /// Makes `self` a copy of `src` in place, keeping the word buffer:
+    /// `clone` without the allocation, for the model checker's refilled
+    /// scratch state. The destructuring is exhaustive on purpose — a new
+    /// field that is not assigned here must not compile.
+    pub fn assign_for_check(&mut self, src: &Signature) {
+        let Signature {
+            config,
+            hasher,
+            bits,
+            bank_bits,
+            inserted,
+            nonempty,
+        } = src;
+        self.config.clone_from(config);
+        self.hasher.clone_from(hasher);
+        self.bits.clone_from(bits);
+        self.bank_bits = *bank_bits;
+        self.inserted = *inserted;
+        self.nonempty = *nonempty;
+    }
 }
 
 impl PartialEq for Signature {

@@ -159,6 +159,21 @@ impl SummarySignature {
     pub fn union(&self) -> &Signature {
         &self.union
     }
+
+    /// Makes `self` a copy of `src` in place, keeping the union's word
+    /// buffer (see [`Signature::assign_for_check`]; exhaustive for the
+    /// same reason). The contributor map is cloned whole: the model
+    /// checker deschedules nothing, and an empty map clones for free.
+    pub fn assign_for_check(&mut self, src: &SummarySignature) {
+        let SummarySignature {
+            config,
+            union,
+            contributors,
+        } = src;
+        self.config.clone_from(config);
+        self.union.assign_for_check(union);
+        self.contributors.clone_from(contributors);
+    }
 }
 
 #[cfg(test)]

@@ -235,6 +235,19 @@ impl BankedDir {
     pub fn remove(&mut self, line: LineAddr) -> Option<DirEntry> {
         self.banks[Self::bank_of(line)].remove(Self::tag_of(line))
     }
+
+    /// Makes `self` a copy of `src` in place, bank by bank, reusing
+    /// every bank's slot buffer (the model checker's refilled scratch
+    /// state; see [`crate::SimState::assign_for_check`]).
+    #[cfg(any(test, feature = "check"))]
+    pub fn assign_for_check(&mut self, src: &BankedDir) {
+        let BankedDir { banks } = src;
+        for (mine, bank) in self.banks.iter_mut().zip(banks) {
+            let Bank { slots, len } = bank;
+            mine.slots.clone_from(slots);
+            mine.len = *len;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -127,6 +127,26 @@ pub struct LineEntry {
     pub lru: u64,
 }
 
+#[cfg(any(test, feature = "check"))]
+impl LineEntry {
+    /// Makes `self` a copy of `src` in place, reusing a line buffer
+    /// both sides carry (see [`L1Cache::assign_for_check`]).
+    fn assign_for_check(&mut self, src: &LineEntry) {
+        let LineEntry {
+            line,
+            state,
+            a_bit,
+            data,
+            lru,
+        } = src;
+        self.line = *line;
+        self.state = *state;
+        self.a_bit = *a_bit;
+        self.data.clone_from(data);
+        self.lru = *lru;
+    }
+}
+
 /// Opaque handle to a resident L1 line, returned by
 /// [`L1Cache::probe_slot`] / [`L1Cache::peek_slot`] /
 /// [`L1Cache::fill_slot`] so hot paths that probe and then mutate the
@@ -289,6 +309,51 @@ impl L1Cache {
             spec_touched: self.spec_touched.clone(),
             data_pool: Vec::new(),
         }
+    }
+
+    /// Makes `self` the state [`L1Cache::clone_for_check`] would build
+    /// from `src`, in place: every plane, the victim buffer and each
+    /// line buffer both sides carry are reused, so refilling a scratch
+    /// that last held a same-shaped cache allocates nothing. The
+    /// destination's buffer free list is emptied, as a fresh clone's
+    /// is. The destructuring is exhaustive on purpose: a field added to
+    /// the cache must be assigned here or fail to compile, not leak
+    /// from one sibling child of the model checker into the next.
+    #[cfg(any(test, feature = "check"))]
+    pub fn assign_for_check(&mut self, src: &L1Cache) {
+        let L1Cache {
+            tags,
+            meta,
+            lru,
+            data,
+            nsets,
+            ways,
+            victim,
+            victim_set,
+            victim_cap,
+            unbounded_tmi,
+            tick,
+            spec_touched,
+            data_pool: _,
+        } = src;
+        self.tags.clone_from(tags);
+        self.meta.clone_from(meta);
+        self.lru.clone_from(lru);
+        self.data.clone_from(data);
+        self.nsets = *nsets;
+        self.ways = *ways;
+        self.victim.truncate(victim.len());
+        let (shared, extra) = victim.split_at(self.victim.len());
+        for (mine, e) in self.victim.iter_mut().zip(shared) {
+            mine.assign_for_check(e);
+        }
+        self.victim.extend_from_slice(extra);
+        self.victim_set = *victim_set;
+        self.victim_cap = *victim_cap;
+        self.unbounded_tmi = *unbounded_tmi;
+        self.tick = *tick;
+        self.spec_touched.clone_from(spec_touched);
+        self.data_pool.clear();
     }
 
     /// Hands out a line data buffer from the free list (or the
@@ -860,6 +925,13 @@ impl L1Cache {
             }))
     }
 
+    /// The victim buffer's residents, for tests that must know a line
+    /// has left the main array.
+    #[cfg(any(test, feature = "check"))]
+    pub fn victims(&self) -> &[LineEntry] {
+        &self.victim
+    }
+
     /// Number of resident lines in a given state.
     pub fn count_state(&self, state: L1State) -> usize {
         self.iter_all().filter(|e| e.state == state).count()
@@ -877,7 +949,8 @@ impl L1Cache {
 
     /// Cache-internal invariants for the processor `me` that owns this
     /// L1: a line is resident at most once (main array + victim buffer
-    /// form one cache), a private data buffer exists iff the line is in
+    /// form one cache) and, in the main array, only in its home set; a
+    /// private data buffer exists iff the line is in
     /// a PDI state (TMI holds speculative values, TI a pre-transaction
     /// snapshot; everything else reads through simulated memory), the
     /// data plane carries nothing for vacant ways, and the victim
@@ -905,7 +978,6 @@ impl L1Cache {
             "core {me}: victim set is not the fold of the {} victim residents",
             self.victim.len()
         );
-        let mut seen = std::collections::HashSet::new();
         for i in 0..self.tags.len() {
             if self.tags[i] == EMPTY_TAG {
                 assert!(
@@ -915,8 +987,17 @@ impl L1Cache {
                 continue;
             }
             let line = LineAddr(self.tags[i]);
+            // Unique residency without a set of seen lines: a line in
+            // the main array sits in its home set, so a second copy
+            // can only be an earlier way of that set — or a victim,
+            // checked against the whole array below.
+            let set = self.set_range(line);
             assert!(
-                seen.insert(line),
+                set.contains(&i),
+                "core {me}: line {line:?} sits in way {i}, outside its set {set:?}"
+            );
+            assert!(
+                !self.tags[set.start..i].contains(&line.index()),
                 "core {me}: line {line:?} resident twice in L1"
             );
             let state = decode_state(self.meta[i]);
@@ -927,9 +1008,10 @@ impl L1Cache {
                 self.data[i].is_some()
             );
         }
-        for e in &self.victim {
+        for (pos, e) in self.victim.iter().enumerate() {
             assert!(
-                seen.insert(e.line),
+                self.find_main(e.line).is_none()
+                    && self.victim[..pos].iter().all(|v| v.line != e.line),
                 "core {me}: line {:?} resident twice in L1",
                 e.line
             );

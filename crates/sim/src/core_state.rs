@@ -107,6 +107,38 @@ impl CoreState {
         }
     }
 
+    /// Makes `self` the state [`CoreState::clone_for_check`] would
+    /// build from `src`, in place, reusing the L1's planes and both
+    /// signatures' word buffers (see [`L1Cache::assign_for_check`],
+    /// which also says why the destructuring is exhaustive).
+    #[cfg(any(test, feature = "check"))]
+    pub fn assign_for_check(&mut self, src: &CoreState) {
+        let CoreState {
+            l1,
+            rsig,
+            wsig,
+            csts,
+            aloaded,
+            alert_pending,
+            ot,
+            watch_reads,
+            watch_writes,
+            attempt_mark,
+            stats,
+        } = src;
+        self.l1.assign_for_check(l1);
+        self.rsig.assign_for_check(rsig);
+        self.wsig.assign_for_check(wsig);
+        self.csts = *csts;
+        self.aloaded = *aloaded;
+        self.alert_pending = *alert_pending;
+        self.ot.clone_from(ot);
+        self.watch_reads = *watch_reads;
+        self.watch_writes = *watch_writes;
+        self.attempt_mark = *attempt_mark;
+        self.stats = *stats;
+    }
+
     /// Posts an alert unless one is already pending (the hardware has a
     /// single alert line; the first cause wins, which is fine because
     /// every cause ends in a software abort/retry).

@@ -234,6 +234,32 @@ impl L2 {
         }
         hits
     }
+
+    /// Makes `self` a copy of `src` in place, reusing the tag array,
+    /// every directory bank and the summaries' word buffers (the model
+    /// checker's refilled scratch state; see
+    /// [`crate::SimState::assign_for_check`]).
+    #[cfg(any(test, feature = "check"))]
+    pub fn assign_for_check(&mut self, src: &L2) {
+        let L2 {
+            slots,
+            nsets,
+            ways,
+            tick,
+            dir,
+            read_summary,
+            write_summary,
+            cores_summary,
+        } = src;
+        self.slots.clone_from(slots);
+        self.nsets = *nsets;
+        self.ways = *ways;
+        self.tick = *tick;
+        self.dir.assign_for_check(dir);
+        self.read_summary.assign_for_check(read_summary);
+        self.write_summary.assign_for_check(write_summary);
+        self.cores_summary = *cores_summary;
+    }
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ use std::rc::Rc;
 /// One core's clock and the counters the scheduler's local paths bump
 /// without entering the protocol. Plain fields: [`SimState`] must stay
 /// `Send + Sync` (the model checker's snapshots cross worker threads).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Lane {
     /// The core's local clock, in cycles.
     clock: u64,
@@ -318,6 +318,49 @@ impl SimState {
         }
     }
 
+    /// Makes `self` the state [`SimState::clone_for_check`] would build
+    /// from `src`, in place: the model checker refills one scratch
+    /// state per transition instead of building and dropping a clone,
+    /// and every plane, page, bank and word buffer the scratch already
+    /// owns is reused. Both states must be forks of one root — same
+    /// configuration (hence the same hasher), same core count. The
+    /// destructuring is exhaustive on purpose: a field added to the
+    /// machine must be assigned here or fail to compile, not leak from
+    /// one sibling child into the next.
+    #[cfg(any(test, feature = "check"))]
+    pub fn assign_for_check(&mut self, src: &SimState) {
+        let SimState {
+            config: _,
+            mem,
+            cores,
+            l2,
+            log,
+            lanes,
+            hasher: _,
+            sig_live,
+            ot_present,
+            // Empty between commits on both sides; the scratch keeps
+            // its buffer.
+            commit_scratch: _,
+            check_every_op,
+        } = src;
+        assert_eq!(
+            self.cores.len(),
+            cores.len(),
+            "refill from a machine of another width"
+        );
+        self.mem.assign_for_check(mem);
+        for (mine, core) in self.cores.iter_mut().zip(cores) {
+            mine.assign_for_check(core);
+        }
+        self.l2.assign_for_check(l2);
+        self.log.clone_from(log);
+        self.lanes.clone_from(lanes);
+        self.sig_live = *sig_live;
+        self.ot_present = *ot_present;
+        self.check_every_op = *check_every_op;
+    }
+
     /// The full machine-level invariant sweep: per-core state checks
     /// plus the cross-core properties that define TMESI — SWMR modulo
     /// TMI, TI legality, directory coverage, activity-mask supersets,
@@ -371,18 +414,23 @@ impl SimState {
             );
         }
 
-        // Cross-core sweep over every resident line.
-        let mut lines: Vec<LineAddr> = self
+        // Cross-core sweep over every resident line, each visited once,
+        // at its lowest-numbered holder — no list of lines is built.
+        for (first, line) in self
             .cores
             .iter()
-            .flat_map(|c| c.l1.iter_all().map(|e| e.line))
-            .collect();
-        lines.sort_unstable_by_key(|l| l.index());
-        lines.dedup();
-        for line in lines {
+            .enumerate()
+            .flat_map(|(i, c)| c.l1.iter_all().map(move |e| (i, e.line)))
+        {
+            if self.cores[..first]
+                .iter()
+                .any(|c| c.l1.peek(line).is_some())
+            {
+                continue;
+            }
             let mut exclusive_holders = ProcSet::empty();
             let mut shared_holders = ProcSet::empty();
-            for (i, core) in self.cores.iter().enumerate() {
+            for (i, core) in self.cores.iter().enumerate().skip(first) {
                 let Some(e) = core.l1.peek(line) else {
                     continue;
                 };

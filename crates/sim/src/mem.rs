@@ -168,6 +168,24 @@ impl Memory {
         p[off..off + WORDS_PER_LINE].copy_from_slice(data);
     }
 
+    /// Makes `self` a copy of `src` in place for the model checker's
+    /// refilled scratch state ([`crate::SimState::assign_for_check`]):
+    /// a page both sides have is copied over, so a refill from a
+    /// same-shaped state allocates nothing.
+    #[cfg(any(test, feature = "check"))]
+    pub fn assign_for_check(&mut self, src: &Memory) {
+        let Memory { pages } = src;
+        self.pages.retain(|page, _| pages.contains_key(page));
+        for (&page, words) in pages {
+            match self.pages.get_mut(&page) {
+                Some(mine) => mine.copy_from_slice(&words[..]),
+                None => {
+                    self.pages.insert(page, words.clone());
+                }
+            }
+        }
+    }
+
     /// Base byte addresses of every touched 4 KiB page, ascending.
     /// The workload harness uses this for functional cache warming:
     /// sweeping all live data once before timing removes cold-miss

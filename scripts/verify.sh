@@ -13,7 +13,7 @@
 #      65-core wide machine (checker cores 0 and 64, multi-word
 #      ProcSets — identical graph again, at no more than 8x the narrow
 #      cost per transition); a 3-core tx-alphabet run to
-#      its pinned fixpoint (~40 s on 2 CPUs); a wide 3-core bounded-depth
+#      its pinned fixpoint; a wide 3-core bounded-depth
 #      equality check; and the liveness pass — no fair abort/grant
 #      cycle under the shipped tie-break, and the Polka mutual-abort
 #      livelock rediscovered when the tie-break is reverted
@@ -53,7 +53,8 @@
 #
 # Every step's wall clock is printed as a table at the end (the "time
 # to run scripts/verify.sh" number of ROADMAP aim 1; a recorded table
-# is in EXPERIMENTS.md).
+# is in EXPERIMENTS.md), the proto_check exploration steps with their
+# transitions per second beside it.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -62,6 +63,7 @@ cd "$(dirname "$0")/.."
 now_us() { echo "${EPOCHREALTIME/[.,]/}"; }
 step_labels=()
 step_walls=()
+step_rates=()
 step() {
     # $1: label. Prints the banner and starts the step's clock, closing
     # the previous step's; with no label, only closes.
@@ -76,11 +78,20 @@ step() {
         echo "== $1 =="
     fi
 }
+rate_of() {
+    echo "$1" | sed 's/.*"transitions_per_s": \([0-9]*\).*/\1/'
+}
+step_rate() {
+    # $1: a proto_check JSON line. Records its exploration rate for the
+    # current step's row of the wall table.
+    step_rates[${#step_labels[@]} - 1]="$(rate_of "$1")"
+}
 wall_table() {
     local i total=0
     for i in "${!step_walls[@]}"; do
         total=$((total + step_walls[i]))
-        printf 'wall: %7.2f s  %s\n' "$((step_walls[i] / 10000))e-2" "${step_labels[$i]}"
+        printf 'wall: %7.2f s  %s%s\n' "$((step_walls[i] / 10000))e-2" "${step_labels[$i]}" \
+            "${step_rates[$i]:+ [${step_rates[$i]} transitions/s]}"
     done
     printf 'wall: %7.2f s  total\n' "$((total / 10000))e-2"
 }
@@ -103,6 +114,7 @@ cargo bench --workspace --no-run
 step "proto_check smoke (exhaustive 2 cores x 1 line, serial)"
 narrow_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --jobs 1)"
 echo "$narrow_json"
+step_rate "$narrow_json"
 case "$narrow_json" in
 *'"states": 19137, "transitions": 147700'*) ;;
 *)
@@ -121,6 +133,7 @@ graph_of() {
 step "proto_check parallel equality (same config, --jobs 2)"
 par_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --jobs 2)"
 echo "$par_json"
+step_rate "$par_json"
 if [ "$(graph_of "$narrow_json")" != "$(graph_of "$par_json")" ]; then
     echo "parallel exploration diverged from serial:"
     echo "  jobs 1: $(graph_of "$narrow_json")"
@@ -131,6 +144,7 @@ fi
 step "proto_check wide smoke (same alphabet, cores 0 and 64 of a 65-core machine)"
 wide_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --wide --jobs 2)"
 echo "$wide_json"
+step_rate "$wide_json"
 narrow_graph="$(graph_of "$narrow_json")"
 wide_graph="$(graph_of "$wide_json")"
 if [ "$narrow_graph" != "$wide_graph" ]; then
@@ -145,9 +159,6 @@ fi
 # one (15x before that). Above 8x some per-core plane has gone back to
 # being allocated, cloned or swept eagerly — a structural regression,
 # not host noise.
-rate_of() {
-    echo "$1" | sed 's/.*"transitions_per_s": \([0-9]*\).*/\1/'
-}
 width_ratio="$(awk -v n="$(rate_of "$par_json")" -v w="$(rate_of "$wide_json")" 'BEGIN { printf "%.1f", n / w }')"
 echo "wide / narrow cost per transition: ${width_ratio}x"
 if awk -v r="$width_ratio" 'BEGIN { exit !(r > 8) }'; then
@@ -155,9 +166,10 @@ if awk -v r="$width_ratio" 'BEGIN { exit !(r > 8) }'; then
     exit 1
 fi
 
-step "proto_check 3-core fixpoint (tx alphabet; the deep-coverage gate, ~40 s on 2 CPUs)"
+step "proto_check 3-core fixpoint (tx alphabet; the deep-coverage gate)"
 deep_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --jobs 2 2>/dev/null)"
 echo "$deep_json"
+step_rate "$deep_json"
 case "$deep_json" in
 *'"states": 396632, "transitions": 3037872'*'"truncated": 0'*) ;;
 *)
@@ -170,6 +182,7 @@ step "proto_check wide 3-core bounded equality (66-core machine, depth 7)"
 n3_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --jobs 2 2>/dev/null)"
 w3_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --wide --jobs 2 2>/dev/null)"
 echo "$w3_json"
+step_rate "$w3_json"
 n3_graph="$(graph_of "$n3_json")"
 w3_graph="$(graph_of "$w3_json")"
 if [ "$n3_graph" != "$w3_graph" ]; then
