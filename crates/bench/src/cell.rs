@@ -1,23 +1,25 @@
 //! The run-one-cell library API the sweep farm executes.
 //!
 //! A *cell* is one point of the evaluation matrix — workload × runtime
-//! × CM policy × threads × signature size × seed × transaction count —
-//! described exactly (no environment variables, no derived sizing) so
-//! that the same [`CellSpec`] produces the same simulated results in
-//! any process and on any thread. The sweep farm's worker threads —
-//! the one generator of the Fig. 4(a–g) and Fig. 5(a–d) matrices — and
-//! the tests share this one entry point.
+//! × CM policy × threads × signature size × seed × transaction count ×
+//! [`Variant`] — described exactly (no environment variables, no
+//! derived sizing) so that the same [`CellSpec`] produces the same
+//! simulated results in any process and on any thread. The sweep
+//! farm's worker threads — the one generator of every simulated table
+//! in EXPERIMENTS.md — and the tests share this one entry point.
 //!
 //! [`CellResult`] carries the deterministic simulated outcome
-//! (committed / attempts / sim_ops / sim_cycles plus
-//! [`counter_digest`], the digest the `fingerprint` binary also
-//! prints) and the host wall time, which is the only nondeterministic
-//! field.
+//! (committed / attempts / sim_ops / sim_cycles / overflows / the
+//! conflict histogram plus [`counter_digest`], the digest the
+//! `fingerprint` binary also prints) and the host wall time, which is
+//! the only nondeterministic field.
 
 use crate::{RuntimeKind, WorkloadKind};
 use flextm::CmKind;
+use flextm_sig::HashScheme;
 use flextm_sim::{Machine, MachineConfig, MachineReport};
 use flextm_workloads::harness::{run_measured, RunConfig, RunResult};
+use flextm_workloads::PrimeMix;
 use std::time::Instant;
 
 /// FNV-1a over `bytes`, continuing `h`.
@@ -67,6 +69,64 @@ pub fn cm_from_label(s: &str) -> Option<CmKind> {
     .find(|&cm| cm_label(cm) == s)
 }
 
+/// The named deviations from the paper's machine and runtime that the
+/// evaluation measures. A closed set: each is one configuration
+/// somebody reports, not a switch to combine with the others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Variant {
+    /// The paper's configuration (Table 3(a) machine, stock runtime).
+    Paper,
+    /// Commits serialized through a global token, TCC/Bulk-style.
+    CommitToken,
+    /// An 8 KB L1 (half the paper's) with the real 32-entry victim
+    /// buffer and OT, so our smaller transactions reach overflow (§7.3).
+    SmallL1,
+    /// [`Variant::SmallL1`] with unbounded victim buffering of TMI
+    /// lines only: nothing overflows, no other capacity changes.
+    SmallL1Ideal,
+    /// Bit-select signature hashing instead of H3.
+    BitSelect,
+    /// Co-scheduled with Prime under yield-on-abort ([`PrimeMix`]).
+    PrimeMix,
+}
+
+/// Every [`Variant`].
+pub const ALL_VARIANTS: [Variant; 6] = [
+    Variant::Paper,
+    Variant::CommitToken,
+    Variant::SmallL1,
+    Variant::SmallL1Ideal,
+    Variant::BitSelect,
+    Variant::PrimeMix,
+];
+
+impl Variant {
+    /// Stable label (spec documents, store keys, series names).
+    pub fn label(self) -> &'static str {
+        match self {
+            Variant::Paper => "Paper",
+            Variant::CommitToken => "CommitToken",
+            Variant::SmallL1 => "L1-8K",
+            Variant::SmallL1Ideal => "L1-8K-ideal-victim",
+            Variant::BitSelect => "BitSelect",
+            Variant::PrimeMix => "PrimeMix",
+        }
+    }
+
+    /// Inverse of [`Variant::label`].
+    pub fn from_label(s: &str) -> Option<Self> {
+        ALL_VARIANTS.into_iter().find(|v| v.label() == s)
+    }
+
+    /// Whether `runtime` can honour this variant: the commit token and
+    /// the yield-on-abort mix live in the FlexTM runtime; the
+    /// machine-side variants apply under any runtime.
+    pub fn supports(self, runtime: RuntimeKind) -> bool {
+        !matches!(self, Variant::CommitToken | Variant::PrimeMix)
+            || matches!(runtime, RuntimeKind::FlexTmEager | RuntimeKind::FlexTmLazy)
+    }
+}
+
 /// One fully-described point of the evaluation matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSpec {
@@ -87,6 +147,8 @@ pub struct CellSpec {
     pub txns_per_thread: u64,
     /// Untimed warm-up transactions per thread.
     pub warmup_per_thread: u64,
+    /// Deviation from the paper's machine/runtime, if any.
+    pub variant: Variant,
 }
 
 impl CellSpec {
@@ -100,7 +162,8 @@ impl CellSpec {
             concat!(
                 "{{\"workload\": \"{}\", \"runtime\": \"{}\", \"cm\": \"{}\", ",
                 "\"threads\": {}, \"sig_bits\": {}, \"seed\": \"0x{:X}\", ",
-                "\"txns_per_thread\": {}, \"warmup_per_thread\": {}}}"
+                "\"txns_per_thread\": {}, \"warmup_per_thread\": {}, ",
+                "\"variant\": \"{}\"}}"
             ),
             self.workload.label(),
             self.runtime.label(),
@@ -110,13 +173,14 @@ impl CellSpec {
             self.seed,
             self.txns_per_thread,
             self.warmup_per_thread,
+            self.variant.label(),
         )
     }
 
     /// Short human label for progress output.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}T cm={} sig={} seed=0x{:X} txns={}",
+            "{}/{}/{}T cm={} sig={} seed=0x{:X} txns={} variant={}",
             self.workload.label(),
             self.runtime.label(),
             self.threads,
@@ -124,6 +188,7 @@ impl CellSpec {
             self.sig_bits,
             self.seed,
             self.txns_per_thread,
+            self.variant.label(),
         )
     }
 }
@@ -140,6 +205,12 @@ pub struct CellResult {
     pub sim_ops: u64,
     /// Elapsed simulated cycles of the timed region.
     pub sim_cycles: u64,
+    /// Lines spilled to the overflow table in the timed region.
+    pub overflows: u64,
+    /// Histogram over the timed region's commits of how many distinct
+    /// transactions each conflicted with (index = count; empty on
+    /// runtimes that keep no conflict sets).
+    pub conflict_histogram: Vec<u64>,
     /// [`counter_digest`] over the per-core counter deltas — the
     /// bit-identity witness.
     pub digest: String,
@@ -159,6 +230,27 @@ impl CellResult {
         }
     }
 
+    /// The deterministic fields as JSON object members (no braces, no
+    /// wall time) — the one encoding the store's entries and the
+    /// emitted cell documents share.
+    pub fn fields_json(&self) -> String {
+        let histogram: Vec<String> = self.conflict_histogram.iter().map(u64::to_string).collect();
+        format!(
+            concat!(
+                "\"committed\": {}, \"attempts\": {}, \"sim_ops\": {}, ",
+                "\"sim_cycles\": {}, \"overflows\": {}, ",
+                "\"conflict_histogram\": [{}], \"digest\": \"{}\""
+            ),
+            self.committed,
+            self.attempts,
+            self.sim_ops,
+            self.sim_cycles,
+            self.overflows,
+            histogram.join(", "),
+            self.digest,
+        )
+    }
+
     /// Summarizes a harness [`RunResult`].
     pub fn from_run(run: &RunResult, wall_s: f64) -> Self {
         CellResult {
@@ -166,6 +258,8 @@ impl CellResult {
             attempts: run.attempts,
             sim_ops: run.report.sim_ops(),
             sim_cycles: run.cycles,
+            overflows: run.report.total(|c| c.overflows),
+            conflict_histogram: run.conflict_histogram.clone(),
             digest: format!("{:016x}", counter_digest(&run.report)),
             wall_s,
         }
@@ -174,14 +268,31 @@ impl CellResult {
 
 /// Runs one cell on a fresh machine, exactly as described by `spec`:
 /// the paper machine widened to `spec.threads` if that exceeds 16,
-/// one measured run per machine.
+/// with `spec.variant`'s deviation applied, one measured run per
+/// machine.
 pub fn run_cell(spec: &CellSpec) -> RunResult {
     let mut config = MachineConfig::paper_default().with_cores(spec.threads.max(16));
     config.signature.total_bits = spec.sig_bits;
+    match spec.variant {
+        Variant::SmallL1 | Variant::SmallL1Ideal => {
+            config.l1_bytes = 8 * 1024;
+            config.unbounded_tmi_victim = spec.variant == Variant::SmallL1Ideal;
+        }
+        Variant::BitSelect => config.signature.scheme = HashScheme::BitSelect,
+        Variant::Paper | Variant::CommitToken | Variant::PrimeMix => {}
+    }
     let machine = Machine::new(config);
     let mut workload = spec.workload.build(spec.threads);
+    if spec.variant == Variant::PrimeMix {
+        workload = Box::new(PrimeMix::new(workload));
+    }
     workload.setup(&machine);
-    let runtime = spec.runtime.build_with_cm(&machine, spec.threads, spec.cm);
+    let runtime = spec.runtime.build(
+        &machine,
+        spec.threads,
+        spec.cm,
+        spec.variant == Variant::CommitToken,
+    );
     run_measured(
         &machine,
         runtime.as_ref(),
@@ -207,7 +318,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cm_labels_round_trip() {
+    fn labels_round_trip() {
+        for variant in ALL_VARIANTS {
+            assert_eq!(Variant::from_label(variant.label()), Some(variant));
+        }
+        assert_eq!(Variant::from_label("paper"), None);
         for cm in [
             CmKind::Polka,
             CmKind::Aggressive,
@@ -230,6 +345,7 @@ mod tests {
             seed: 0xF1E7,
             txns_per_thread: 12,
             warmup_per_thread: 3,
+            variant: Variant::Paper,
         };
         let a = run_cell_timed(&spec);
         let b = run_cell_timed(&spec);

@@ -1,35 +1,33 @@
-//! `flextm-bench`: shared machinery for regenerating every table and
-//! figure of the paper's evaluation.
+//! `flextm-bench`: the run-one-cell library the sweep farm executes,
+//! and the two gate binaries.
 //!
-//! The two throughput-vs-threads matrices — Fig. 4(a–g) and
-//! Fig. 5(a–d) — are generated by the sweep farm (`sweep --spec
-//! fig4_ws1 | fig4_ws2 | fig5_eager_lazy`, crates/sweep), which runs
-//! [`run_cell`] once per matrix cell; nothing in this crate loops
-//! workload × runtime × threads. The remaining experiments hand-build
-//! machine or runtime deviations no [`CellSpec`] expresses and live in
-//! `benches/` as `harness = false` targets that print the rows the
-//! paper reports:
+//! Every simulated table of the paper's evaluation is a built-in spec
+//! of the sweep farm (`sweep --spec <name>`, crates/sweep), which runs
+//! [`run_cell`] once per matrix cell; nothing in this crate loops over
+//! an axis and nothing reads the environment:
 //!
-//! | target | reproduces |
+//! | spec | reproduces |
 //! |---|---|
-//! | `table2_area` | Table 2 (hardware area overheads) |
+//! | `fig4_ws1`, `fig4_ws2` | Fig. 4(a–g) throughput & scalability |
 //! | `fig4_conflicts` | Fig. 4 conflicting-transactions side table |
+//! | `fig5_eager_lazy` | Fig. 5(a–d) eager vs. lazy |
 //! | `fig5_multiprog` | Fig. 5(e–f) multiprogramming mix |
 //! | `ablation_overflow` | §7.3 OT vs. unbounded victim buffer |
-//! | `ablation_signature` | signature size vs. false-positive aborts |
-//! | `ablation_cst` | CST commit vs. serialized commit |
-//! | `table4_flexwatcher` | Table 4 FlexWatcher vs. Discover |
+//! | `ablation_signature` | signature size and hashing vs. aborts |
+//! | `ablation_cst` | CST commit vs. global commit token |
 //!
-//! Sizing of those targets: `FLEXTM_TXNS` (timed transactions per
-//! thread, default 96) and `FLEXTM_MAX_THREADS` (default 16) trade
-//! fidelity for wall-clock time.
+//! Table 2 and Table 4 simulate no matrix; they are the root package's
+//! `table2_area` and `table4_flexwatcher` examples. The binaries here
+//! are `proto_check` (the model checker's CLI) and `fingerprint` (the
+//! bit-identity gate), both driven by `scripts/verify.sh`.
 
 #![forbid(unsafe_code)]
 
 pub mod cell;
-pub mod envcfg;
 
-pub use cell::{cm_from_label, cm_label, run_cell, run_cell_timed, CellResult, CellSpec};
+pub use cell::{
+    cm_from_label, cm_label, run_cell, run_cell_timed, CellResult, CellSpec, Variant, ALL_VARIANTS,
+};
 
 use flextm::{CmKind, FlexTm, FlexTmConfig, Mode};
 use flextm_sim::api::TmRuntime;
@@ -82,25 +80,21 @@ impl RuntimeKind {
         .find(|k| k.label() == s)
     }
 
-    /// Instantiates the runtime on `machine` for `threads` threads
-    /// with the paper-default Polka contention manager.
-    pub fn build(self, machine: &Machine, threads: usize) -> Box<dyn TmRuntime + '_> {
-        self.build_with_cm(machine, threads, CmKind::Polka)
-    }
-
-    /// Instantiates the runtime with an explicit CM policy. CGL and
-    /// TL2 have no contention manager and ignore `cm`.
-    pub fn build_with_cm(
+    /// Instantiates the runtime on `machine` for `threads` threads.
+    /// CGL and TL2 have no contention manager and ignore `cm`; only the
+    /// FlexTM runtimes have a commit token to serialize through.
+    pub fn build(
         self,
         machine: &Machine,
         threads: usize,
         cm: CmKind,
+        serialized_commits: bool,
     ) -> Box<dyn TmRuntime + '_> {
         let flex = |mode| FlexTmConfig {
             mode,
             cm,
             threads,
-            serialized_commits: false,
+            serialized_commits,
         };
         match self {
             RuntimeKind::Cgl => Box::new(Cgl::new(machine)),
@@ -188,18 +182,6 @@ pub const ALL_WORKLOADS: [WorkloadKind; 7] = [
     WorkloadKind::VacationHigh,
 ];
 
-/// Timed transactions per thread (env `FLEXTM_TXNS`, default 96).
-/// Exits loudly on an unparsable value.
-pub fn txns_per_thread() -> u64 {
-    envcfg::or_exit(envcfg::parse("FLEXTM_TXNS", 96))
-}
-
-/// Largest thread count in sweeps (env `FLEXTM_MAX_THREADS`, default
-/// 16). Exits loudly on an unparsable value.
-pub fn max_threads() -> usize {
-    envcfg::or_exit(envcfg::parse("FLEXTM_MAX_THREADS", 16))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +201,7 @@ mod tests {
             let machine = Machine::new(MachineConfig::small_test().with_cores(2));
             let mut wl = WorkloadKind::HashTable.build(2);
             wl.setup(&machine);
-            let rt = kind.build(&machine, 2);
+            let rt = kind.build(&machine, 2, CmKind::Polka, false);
             let r = run_measured(
                 &machine,
                 rt.as_ref(),
@@ -233,6 +215,16 @@ mod tests {
             );
             assert_eq!(r.committed, 20, "{} lost transactions", kind.label());
             assert!(r.throughput() > 0.0);
+            // The conflict histogram crosses the `TmThread` seam: one
+            // entry per timed commit on FlexTM (the warm-up's excluded),
+            // the empty default on runtimes that keep no conflict sets.
+            let flextm = matches!(kind, RuntimeKind::FlexTmEager | RuntimeKind::FlexTmLazy);
+            assert_eq!(
+                r.conflict_histogram.iter().sum::<u64>(),
+                if flextm { r.committed } else { 0 },
+                "{}",
+                kind.label()
+            );
         }
     }
 }

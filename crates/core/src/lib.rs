@@ -51,7 +51,7 @@ mod tsw;
 
 pub use cm::{CmContext, CmDecision, CmKind, ContentionManager};
 pub use os::{Cmt, ResumeOutcome, SuspendToken, SuspendedInfo};
-pub use runtime::{FlexTm, FlexTmConfig, FlexTmThread, Mode, ThreadTxStats};
+pub use runtime::{FlexTm, FlexTmConfig, FlexTmThread, Mode};
 pub use tsw::{
     Descriptor, DescriptorTable, DESCRIPTOR_ARENA, TSW_ABORTED, TSW_ACTIVE, TSW_COMMITTED, TSW_IDLE,
 };

@@ -191,13 +191,10 @@ impl FlexTm {
             suspended_enemies: Vec::new(),
             enemies_this_txn: ProcSet::empty(),
             seq: 0,
-            stats: ThreadTxStats {
-                // A commit can conflict with at most MAX_CORES-1 peers;
-                // reserving up front keeps `record_commit_conflicts`'s
-                // resize allocation-free in steady state.
-                conflict_histogram: Vec::with_capacity(flextm_sim::MAX_CORES),
-                ..ThreadTxStats::default()
-            },
+            // A commit can conflict with at most MAX_CORES-1 peers;
+            // reserving up front keeps the commit path's resize
+            // allocation-free in steady state.
+            conflict_histogram: Vec::with_capacity(flextm_sim::MAX_CORES),
             pending_abort: None,
             tracing: false,
             trace: Vec::new(),
@@ -215,70 +212,6 @@ impl TmRuntime for FlexTm {
     }
 }
 
-/// Per-thread commit/abort counters (software view; the machine's
-/// `CoreStats` count hardware events, which include double-counted
-/// defensive aborts).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ThreadTxStats {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Aborted attempts.
-    pub aborts: u64,
-    /// Histogram over committed transactions of the number of distinct
-    /// transactions each conflicted with (the set bits of `W-R | W-W`
-    /// plus eagerly-resolved enemies) — the Fig. 4 side-table metric.
-    pub conflict_histogram: Vec<u64>,
-}
-
-impl ThreadTxStats {
-    fn record_commit_conflicts(&mut self, enemies: flextm_sim::ProcSet) {
-        let n = enemies.count() as usize;
-        if self.conflict_histogram.len() <= n {
-            self.conflict_histogram.resize(n + 1, 0);
-        }
-        self.conflict_histogram[n] += 1;
-    }
-
-    /// Merges another thread's histogram into this one (harness
-    /// aggregation).
-    pub fn merge(&mut self, other: &ThreadTxStats) {
-        self.commits += other.commits;
-        self.aborts += other.aborts;
-        if self.conflict_histogram.len() < other.conflict_histogram.len() {
-            self.conflict_histogram
-                .resize(other.conflict_histogram.len(), 0);
-        }
-        for (i, &v) in other.conflict_histogram.iter().enumerate() {
-            self.conflict_histogram[i] += v;
-        }
-    }
-
-    /// Median number of conflicting transactions per committed
-    /// transaction.
-    pub fn median_conflicts(&self) -> u32 {
-        let total: u64 = self.conflict_histogram.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let mut seen = 0;
-        for (n, &count) in self.conflict_histogram.iter().enumerate() {
-            seen += count;
-            if seen * 2 >= total {
-                return n as u32;
-            }
-        }
-        0
-    }
-
-    /// Maximum number of conflicting transactions observed.
-    pub fn max_conflicts(&self) -> u32 {
-        self.conflict_histogram
-            .iter()
-            .rposition(|&c| c > 0)
-            .unwrap_or(0) as u32
-    }
-}
-
 /// Per-thread FlexTM handle.
 pub struct FlexTmThread<'r> {
     rt: &'r FlexTm,
@@ -293,7 +226,11 @@ pub struct FlexTmThread<'r> {
     enemies_this_txn: ProcSet,
     /// Per-transaction sequence number (TSW versioning; see `tsw_word`).
     seq: u64,
-    stats: ThreadTxStats,
+    /// Histogram over committed transactions of the number of distinct
+    /// transactions each conflicted with (the set bits of `W-R | W-W`
+    /// plus eagerly-resolved enemies) — the Fig. 4 side-table metric,
+    /// read through [`TmThread::conflict_histogram`].
+    conflict_histogram: Vec<u64>,
     /// Cause to attribute if the current attempt aborts, plus the enemy
     /// core when software knows it (CM-directed self-aborts do; async
     /// alerts do not). First cause wins; `abort_attempt` consumes it.
@@ -318,7 +255,7 @@ impl std::fmt::Debug for FlexTmThread<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlexTmThread")
             .field("tid", &self.tid)
-            .field("stats", &self.stats)
+            .field("conflict_histogram", &self.conflict_histogram)
             .finish_non_exhaustive()
     }
 }
@@ -331,11 +268,6 @@ impl<'r> FlexTmThread<'r> {
     /// This thread's id.
     pub fn thread_id(&self) -> usize {
         self.tid
-    }
-
-    /// Software commit/abort counters.
-    pub fn stats(&self) -> &ThreadTxStats {
-        &self.stats
     }
 
     /// Appends a trace record for the current attempt (no-op unless
@@ -635,7 +567,6 @@ impl<'r> FlexTmThread<'r> {
         self.emit(TraceEv::Abort { cause, enemy });
         self.suspended_enemies.clear();
         self.enemies_this_txn = ProcSet::empty();
-        self.stats.aborts += 1;
         let backoff = self.cm.on_abort();
         self.proc.stall(backoff);
         if backoff > 0 {
@@ -678,9 +609,12 @@ impl TmThread for FlexTmThread<'_> {
         }
         if self.commit() {
             self.cm.on_commit();
-            self.stats.commits += 1;
             let enemies = std::mem::take(&mut self.enemies_this_txn);
-            self.stats.record_commit_conflicts(enemies);
+            let n = enemies.count() as usize;
+            if self.conflict_histogram.len() <= n {
+                self.conflict_histogram.resize(n + 1, 0);
+            }
+            self.conflict_histogram[n] += 1;
             self.emit(TraceEv::Commit {
                 enemies: enemies.to_u128(),
             });
@@ -693,6 +627,10 @@ impl TmThread for FlexTmThread<'_> {
 
     fn proc(&self) -> &ProcHandle {
         &self.proc
+    }
+
+    fn conflict_histogram(&self) -> &[u64] {
+        &self.conflict_histogram
     }
 }
 

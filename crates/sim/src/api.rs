@@ -126,6 +126,14 @@ pub trait TmThread {
     /// The underlying processor, for non-transactional work between
     /// transactions.
     fn proc(&self) -> &ProcHandle;
+
+    /// Histogram over this handle's committed transactions of how many
+    /// distinct transactions each conflicted with (index = count) —
+    /// the Fig. 4 side-table metric. Runtimes that keep no per-enemy
+    /// conflict sets report none.
+    fn conflict_histogram(&self) -> &[u64] {
+        &[]
+    }
 }
 
 /// A TM runtime: shared state plus a factory for per-thread handles.

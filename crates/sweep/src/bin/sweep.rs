@@ -1,5 +1,6 @@
 //! `sweep` — parallel, cached, incremental evaluation of the paper
-//! matrix; the one generator of Fig. 4(a–g) and Fig. 5(a–d).
+//! matrix; the one generator of every simulated table in
+//! EXPERIMENTS.md.
 //!
 //! ```text
 //! # cold run: expand the matrix, fan cells across cores, fill the store
@@ -14,8 +15,10 @@
 //!
 //! Flags:
 //!
-//! - `--spec NAME` — a built-in spec (`smoke2x2`, `fig4_ws1`,
-//!   `fig4_ws2`, `fig5_eager_lazy`)
+//! - `--spec NAME` — a built-in spec: `smoke2x2`, `fig4_ws1`,
+//!   `fig4_ws2`, `fig4_conflicts`, `fig5_eager_lazy`,
+//!   `fig5_multiprog`, `ablation_overflow`, `ablation_signature`,
+//!   `ablation_cst`
 //! - `--spec-file PATH` — a JSON matrix spec (see EXPERIMENTS.md)
 //! - `--store DIR` — content-addressed results store
 //!   (default `target/sweep-store`)
@@ -31,7 +34,7 @@
 //! reported on stderr with its panic message; every other cell's
 //! result is still emitted), 2 on usage or spec errors.
 
-use flextm_sweep::aggregate::{aggregate, emit_cells_json, emit_tables};
+use flextm_sweep::aggregate::{emit_cells_json, emit_tables};
 use flextm_sweep::runner::{run_sweep, Outcome, RunnerConfig};
 use flextm_sweep::spec::MatrixSpec;
 use flextm_sweep::store::{binary_fingerprint, config_hash, git_rev, Store};
@@ -104,7 +107,7 @@ fn load_spec(args: &Args) -> MatrixSpec {
 fn write_outputs(args: &Args, spec: &MatrixSpec, outcomes: &[Outcome]) {
     std::fs::create_dir_all(&args.emit)
         .unwrap_or_else(|e| usage(&format!("creating {}: {e}", args.emit.display())));
-    let tables = emit_tables(&spec.name, &aggregate(outcomes));
+    let tables = emit_tables(&spec.name, &spec.metrics, outcomes);
     let cells = emit_cells_json(&spec.name, outcomes);
     let tables_path = args.emit.join(format!("{}_tables.md", spec.name));
     let cells_path = args.emit.join(format!("{}_cells.json", spec.name));

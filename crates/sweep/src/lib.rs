@@ -1,15 +1,18 @@
 //! `flextm-sweep`: the evaluation matrix as one parallel, cached,
 //! incremental batch service.
 //!
-//! This crate is the only thing in the tree that iterates workload ×
-//! runtime × threads: a declarative [`spec`] (one built in per paper
-//! matrix — Fig. 4 Workload-Sets 1 and 2, Fig. 5 eager vs. lazy)
-//! expands into cells, the [`runner`] fans them across host cores on
-//! worker threads (each cell an in-process `flextm_bench::
+//! This crate is the only thing in the tree that runs an experiment:
+//! a declarative [`spec`] (one built in per simulated table of
+//! EXPERIMENTS.md — `fig4_ws1`, `fig4_ws2`, `fig4_conflicts`,
+//! `fig5_eager_lazy`, `fig5_multiprog`, `ablation_overflow`,
+//! `ablation_signature`, `ablation_cst` — plus the `smoke2x2` CI
+//! matrix) expands into cells, the [`runner`] fans them across host
+//! cores on worker threads (each cell an in-process `flextm_bench::
 //! run_cell_timed` call under `catch_unwind`), the [`store`] serves
 //! unchanged cells from a content-addressed cache, and [`aggregate`]
-//! turns the results into median/CI series, EXPERIMENTS-style tables,
-//! and BENCH-style JSON — mechanically, instead of by hand.
+//! turns the results into median/CI series of the metrics the spec
+//! names, EXPERIMENTS-style tables, and a per-cell JSON document —
+//! mechanically, instead of by hand.
 //!
 //! The `sweep` binary (`src/bin/sweep.rs`) is the entry point; see
 //! `EXPERIMENTS.md` ("Regenerating with `sweep`") for usage and

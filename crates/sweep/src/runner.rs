@@ -12,7 +12,7 @@
 //! with its original panic message, and the rest of the matrix
 //! completes regardless. A cell that never terminates or aborts the
 //! process takes the sweep with it, exactly as it would take `cargo
-//! test` or a `cargo bench` target (DESIGN.md, "Sweep farm").
+//! test` (DESIGN.md, "Sweep farm").
 
 use crate::store::Store;
 use flextm_bench::{CellResult, CellSpec};

@@ -1,17 +1,33 @@
 //! Declarative matrix specs and their expansion into cells.
 //!
 //! A spec is a cross product over the evaluation axes — workload ×
-//! runtime × CM policy × threads × signature size × seed — plus scalar
-//! sizing (base timed transactions per thread). [`MatrixSpec::expand`]
-//! holds the tree's one sizing rule: the base count scaled per
-//! workload ([`WorkloadKind::txn_scale`], floor 8) and a
-//! `(txns / 4).max(8)` warm-up. The built-in specs are the paper's two
-//! throughput-vs-threads matrices, Fig. 4(a–g) and Fig. 5(a–d), plus
-//! the CI smoke.
+//! runtime × CM policy × threads × signature size × seed × variant —
+//! plus scalar sizing (base timed transactions per thread) and the
+//! metrics its tables print. [`MatrixSpec::expand`] holds the tree's
+//! one sizing rule: the base count scaled per workload
+//! ([`WorkloadKind::txn_scale`], floor 8) and a `(txns / 4).max(8)`
+//! warm-up. The built-in specs are every simulated table of
+//! EXPERIMENTS.md — Fig. 4(a–g) and its conflicts side table,
+//! Fig. 5(a–d) and (e–f), and the three ablations — plus the CI smoke.
 
+use crate::aggregate::Metric;
 use flextm::CmKind;
-use flextm_bench::{cm_from_label, cm_label, CellSpec, RuntimeKind, WorkloadKind};
+use flextm_bench::{cm_from_label, cm_label, CellSpec, RuntimeKind, Variant, WorkloadKind};
 use flextm_trace::json::{parse, Json};
+
+/// The top-level keys a spec document may carry.
+const SPEC_KEYS: [&str; 10] = [
+    "name",
+    "workloads",
+    "runtimes",
+    "cm",
+    "threads",
+    "sig_bits",
+    "seeds",
+    "variants",
+    "txns_per_thread",
+    "metrics",
+];
 
 /// A declarative matrix: every combination of the axis vectors.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,8 +46,13 @@ pub struct MatrixSpec {
     pub sig_bits: Vec<usize>,
     /// Seed axis (each seed is an independent deterministic sample).
     pub seeds: Vec<u64>,
+    /// Machine/runtime variant axis.
+    pub variants: Vec<Variant>,
     /// Base timed transactions per thread (scaled per workload).
     pub txns_per_thread: u64,
+    /// What the emitted tables print, in order (not an axis: every
+    /// metric reads the same cells).
+    pub metrics: Vec<Metric>,
 }
 
 /// A spec that does not describe a runnable matrix.
@@ -47,15 +68,20 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 impl MatrixSpec {
-    /// The built-in specs: `smoke2x2` is the CI smoke (2 runtimes × 2
-    /// thread counts on HashTable, small sizing); `fig4_ws1` is
-    /// Fig. 4(a–e) (Workload-Set 1 × CGL / FlexTM(E) / RTM-F / RSTM),
-    /// `fig4_ws2` is Fig. 4(f–g) (Vacation × CGL / FlexTM(E) / TL2)
-    /// and `fig5_eager_lazy` is Fig. 5(a–d) (eager vs. lazy FlexTM) —
-    /// the paper's system matrix, all with Polka, at threads
-    /// {1, 2, 4, 8, 16}. The first runtime listed is the one each
-    /// table is normalized to (`aggregate::emit_tables`).
+    /// The built-in specs (EXPERIMENTS.md tabulates them): `smoke2x2`,
+    /// the CI smoke; the paper's system matrix at threads {1, 2, 4, 8,
+    /// 16} — `fig4_ws1` (Fig. 4(a–e)), `fig4_ws2` (Fig. 4(f–g)) and
+    /// `fig5_eager_lazy` (Fig. 5(a–d)), whose first runtime is the one
+    /// each throughput table is normalized to; and the side experiments
+    /// on FlexTM — `fig4_conflicts`, `fig5_multiprog` (Fig. 5(e–f)),
+    /// `ablation_overflow` (§7.3), `ablation_signature`, `ablation_cst`
+    /// — which share their `Paper` cells with `fig5_eager_lazy` where
+    /// workload and thread count coincide. All Polka, 96 base
+    /// transactions, seed 0xF1E7 unless the spec lists seeds.
     pub fn builtin(name: &str) -> Option<MatrixSpec> {
+        use Metric::{
+            AbortPct, AbortsPerMcycle, ConflictsMax, ConflictsMedian, Overflows, Throughput,
+        };
         use RuntimeKind::{Cgl, FlexTmEager, FlexTmLazy, Rstm, RtmF, Tl2};
         use WorkloadKind::{
             Delaunay, HashTable, LfuCache, RandomGraph, RbTree, VacationHigh, VacationLow,
@@ -68,7 +94,9 @@ impl MatrixSpec {
             threads: vec![1, 2, 4, 8, 16],
             sig_bits: vec![2048],
             seeds: vec![0xF1E7],
+            variants: vec![Variant::Paper],
             txns_per_thread: 96,
+            metrics: vec![Throughput],
         };
         match name {
             "smoke2x2" => Some(MatrixSpec {
@@ -88,109 +116,131 @@ impl MatrixSpec {
                 &[RbTree, VacationHigh, LfuCache, RandomGraph],
                 &[FlexTmEager, FlexTmLazy],
             )),
+            "fig4_conflicts" => Some(MatrixSpec {
+                threads: vec![8, 16],
+                metrics: vec![ConflictsMedian, ConflictsMax],
+                ..paper(&flextm_bench::ALL_WORKLOADS, &[FlexTmLazy])
+            }),
+            "fig5_multiprog" => Some(MatrixSpec {
+                threads: vec![4, 8, 16],
+                variants: vec![Variant::PrimeMix],
+                metrics: vec![AbortsPerMcycle, Throughput],
+                ..paper(&[RandomGraph, LfuCache], &[FlexTmEager, FlexTmLazy])
+            }),
+            "ablation_overflow" => Some(MatrixSpec {
+                threads: vec![8],
+                seeds: vec![0xF1E7, 0xBEEF, 0xCAFE],
+                variants: vec![Variant::SmallL1, Variant::SmallL1Ideal],
+                metrics: vec![Throughput, Overflows],
+                ..paper(
+                    &[HashTable, RbTree, RandomGraph, VacationHigh],
+                    &[FlexTmLazy],
+                )
+            }),
+            "ablation_signature" => Some(MatrixSpec {
+                threads: vec![8],
+                sig_bits: vec![64, 256, 1024, 2048, 8192],
+                variants: vec![Variant::BitSelect, Variant::Paper],
+                metrics: vec![Throughput, AbortPct],
+                ..paper(&[RbTree], &[FlexTmLazy])
+            }),
+            "ablation_cst" => Some(MatrixSpec {
+                threads: vec![4, 8, 16],
+                variants: vec![Variant::Paper, Variant::CommitToken],
+                ..paper(&[HashTable, VacationLow, RbTree], &[FlexTmLazy])
+            }),
             _ => None,
         }
     }
 
     /// Parses a spec document (see `EXPERIMENTS.md` for the format).
     /// Axes default to the paper configuration when omitted; `name`,
-    /// `workloads`, `runtimes` and `threads` are required.
+    /// `workloads`, `runtimes` and `threads` are required. A key the
+    /// format does not define is an error, not a default: the document
+    /// is the only sizing input there is, so a misspelt `seed` must
+    /// not quietly measure the paper's.
     pub fn from_json(text: &str) -> Result<MatrixSpec, SpecError> {
         let doc = parse(text).map_err(|e| SpecError(e.to_string()))?;
+        if let Json::Obj(fields) = &doc {
+            if let Some((key, _)) = fields
+                .iter()
+                .find(|(k, _)| !SPEC_KEYS.contains(&k.as_str()))
+            {
+                return Err(SpecError(format!(
+                    "unknown key {key:?} (accepted: {})",
+                    SPEC_KEYS.join(", ")
+                )));
+            }
+        }
+        let missing = |key: &str| SpecError(format!("missing \"{key}\""));
         let name = doc
             .get("name")
             .and_then(Json::as_str)
-            .ok_or_else(|| SpecError("missing \"name\"".to_string()))?
+            .ok_or_else(|| missing("name"))?
             .to_string();
-        let str_axis = |key: &str| -> Result<Option<Vec<String>>, SpecError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => {
-                    let arr = v
-                        .as_arr()
-                        .ok_or_else(|| SpecError(format!("\"{key}\" must be an array")))?;
-                    arr.iter()
-                        .map(|item| {
-                            item.as_str().map(str::to_string).ok_or_else(|| {
-                                SpecError(format!("\"{key}\" entries must be strings"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                        .map(Some)
-                }
-            }
-        };
-        let num_axis = |key: &str| -> Result<Option<Vec<u64>>, SpecError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => {
-                    let arr = v
-                        .as_arr()
-                        .ok_or_else(|| SpecError(format!("\"{key}\" must be an array")))?;
-                    arr.iter()
-                        .map(|item| {
-                            item.as_u64().ok_or_else(|| {
-                                SpecError(format!("\"{key}\" entries must be unsigned numbers"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                        .map(Some)
-                }
-            }
-        };
-
-        let workloads = str_axis("workloads")?
-            .ok_or_else(|| SpecError("missing \"workloads\"".to_string()))?
-            .iter()
-            .map(|s| {
-                WorkloadKind::from_label(s)
-                    .ok_or_else(|| SpecError(format!("unknown workload {s:?}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let runtimes = str_axis("runtimes")?
-            .ok_or_else(|| SpecError("missing \"runtimes\"".to_string()))?
-            .iter()
-            .map(|s| {
-                RuntimeKind::from_label(s)
-                    .ok_or_else(|| SpecError(format!("unknown runtime {s:?}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let cms = match str_axis("cm")? {
-            None => vec![CmKind::Polka],
-            Some(labels) => labels
-                .iter()
-                .map(|s| {
-                    cm_from_label(s).ok_or_else(|| SpecError(format!("unknown CM policy {s:?}")))
+        // One axis: absent, or an array whose every entry `entry` accepts.
+        fn axis<T>(
+            doc: &Json,
+            key: &str,
+            expected: &str,
+            entry: impl Fn(&Json) -> Option<T>,
+        ) -> Result<Option<Vec<T>>, SpecError> {
+            let Some(value) = doc.get(key) else {
+                return Ok(None);
+            };
+            let items = value
+                .as_arr()
+                .ok_or_else(|| SpecError(format!("\"{key}\" must be an array")))?;
+            let parsed = items.iter().map(|item| {
+                entry(item).ok_or_else(|| {
+                    SpecError(format!("\"{key}\": {} is not {expected}", item.encode()))
                 })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let threads = num_axis("threads")?
-            .ok_or_else(|| SpecError("missing \"threads\"".to_string()))?
-            .into_iter()
-            .map(|t| t as usize)
-            .collect();
-        let sig_bits = num_axis("sig_bits")?
-            .unwrap_or_else(|| vec![2048])
-            .into_iter()
-            .map(|b| b as usize)
-            .collect();
-        let seeds = num_axis("seeds")?.unwrap_or_else(|| vec![0xF1E7]);
+            });
+            parsed.collect::<Result<Vec<_>, _>>().map(Some)
+        }
+        fn labels<T>(
+            doc: &Json,
+            key: &str,
+            expected: &str,
+            from_label: fn(&str) -> Option<T>,
+        ) -> Result<Option<Vec<T>>, SpecError> {
+            axis(doc, key, expected, |item| {
+                item.as_str().and_then(from_label)
+            })
+        }
+        let numbers = |key: &str| axis(&doc, key, "an unsigned number", Json::as_u64);
+
+        let workloads = labels(&doc, "workloads", "a workload", WorkloadKind::from_label)?
+            .ok_or_else(|| missing("workloads"))?;
+        let runtimes = labels(&doc, "runtimes", "a runtime", RuntimeKind::from_label)?
+            .ok_or_else(|| missing("runtimes"))?;
+        let cms = labels(&doc, "cm", "a CM policy", cm_from_label)?
+            .unwrap_or_else(|| vec![CmKind::Polka]);
+        let threads = numbers("threads")?.ok_or_else(|| missing("threads"))?;
+        let sig_bits = numbers("sig_bits")?.unwrap_or_else(|| vec![2048]);
+        let seeds = numbers("seeds")?.unwrap_or_else(|| vec![0xF1E7]);
+        let variants = labels(&doc, "variants", "a variant", Variant::from_label)?
+            .unwrap_or_else(|| vec![Variant::Paper]);
         let txns_per_thread = match doc.get("txns_per_thread") {
             None => 96,
             Some(v) => v
                 .as_u64()
                 .ok_or_else(|| SpecError("\"txns_per_thread\" must be a number".to_string()))?,
         };
+        let metrics = labels(&doc, "metrics", "a metric", Metric::from_label)?
+            .unwrap_or_else(|| vec![Metric::Throughput]);
 
         let spec = MatrixSpec {
             name,
             workloads,
             runtimes,
             cms,
-            threads,
-            sig_bits,
+            threads: threads.into_iter().map(|t| t as usize).collect(),
+            sig_bits: sig_bits.into_iter().map(|b| b as usize).collect(),
             seeds,
+            variants,
             txns_per_thread,
+            metrics,
         };
         spec.validate()?;
         Ok(spec)
@@ -208,6 +258,8 @@ impl MatrixSpec {
             || self.threads.is_empty()
             || self.sig_bits.is_empty()
             || self.seeds.is_empty()
+            || self.variants.is_empty()
+            || self.metrics.is_empty()
         {
             return Err(SpecError("every axis needs at least one entry".to_string()));
         }
@@ -232,6 +284,17 @@ impl MatrixSpec {
         no_repeats("threads", &self.threads, usize::to_string)?;
         no_repeats("sig_bits", &self.sig_bits, usize::to_string)?;
         no_repeats("seeds", &self.seeds, |s| format!("0x{s:X}"))?;
+        no_repeats("variants", &self.variants, |v| v.label().to_string())?;
+        no_repeats("metrics", &self.metrics, |m| m.label().to_string())?;
+        for &variant in &self.variants {
+            if let Some(runtime) = self.runtimes.iter().find(|&&r| !variant.supports(r)) {
+                return Err(SpecError(format!(
+                    "variant {} needs a FlexTM runtime; {} cannot honour it",
+                    variant.label(),
+                    runtime.label()
+                )));
+            }
+        }
         for &t in &self.threads {
             if t == 0 || t > 128 {
                 return Err(SpecError(format!(
@@ -266,7 +329,7 @@ impl MatrixSpec {
     }
 
     /// Expands the cross product in canonical (nested-axis) order:
-    /// workload, runtime, cm, threads, sig_bits, seed. Sizing is per
+    /// workload, runtime, cm, threads, sig_bits, seed, variant. Sizing is per
     /// workload: high-conflict workloads run fewer, heavier
     /// transactions, and the warm-up (on top of the harness's
     /// functional L2 warm) steady-states the data structure and the
@@ -282,16 +345,19 @@ impl MatrixSpec {
                     for &threads in &self.threads {
                         for &sig_bits in &self.sig_bits {
                             for &seed in &self.seeds {
-                                cells.push(CellSpec {
-                                    workload,
-                                    runtime,
-                                    cm,
-                                    threads,
-                                    sig_bits,
-                                    seed,
-                                    txns_per_thread,
-                                    warmup_per_thread,
-                                });
+                                for &variant in &self.variants {
+                                    cells.push(CellSpec {
+                                        workload,
+                                        runtime,
+                                        cm,
+                                        threads,
+                                        sig_bits,
+                                        seed,
+                                        txns_per_thread,
+                                        warmup_per_thread,
+                                        variant,
+                                    });
+                                }
                             }
                         }
                     }
@@ -303,59 +369,28 @@ impl MatrixSpec {
 
     /// The spec re-encoded as its canonical JSON document.
     pub fn canonical_json(&self) -> String {
-        let axis = |items: Vec<Json>| Json::Arr(items);
-        Json::Obj(vec![
-            ("name".to_string(), Json::str(&self.name)),
+        fn axis<T>(items: &[T], entry: impl Fn(&T) -> Json) -> Json {
+            Json::Arr(items.iter().map(entry).collect())
+        }
+        let fields = [
+            ("name", Json::str(&self.name)),
+            ("workloads", axis(&self.workloads, |w| Json::str(w.label()))),
+            ("runtimes", axis(&self.runtimes, |r| Json::str(r.label()))),
+            ("cm", axis(&self.cms, |&c| Json::str(cm_label(c)))),
+            ("threads", axis(&self.threads, |&t| Json::num_u64(t as u64))),
             (
-                "workloads".to_string(),
-                axis(
-                    self.workloads
-                        .iter()
-                        .map(|w| Json::str(w.label()))
-                        .collect(),
-                ),
+                "sig_bits",
+                axis(&self.sig_bits, |&b| Json::num_u64(b as u64)),
             ),
             (
-                "runtimes".to_string(),
-                axis(self.runtimes.iter().map(|r| Json::str(r.label())).collect()),
+                "seeds",
+                axis(&self.seeds, |s| Json::str(format!("0x{s:X}"))),
             ),
-            (
-                "cm".to_string(),
-                axis(self.cms.iter().map(|&c| Json::str(cm_label(c))).collect()),
-            ),
-            (
-                "threads".to_string(),
-                axis(
-                    self.threads
-                        .iter()
-                        .map(|&t| Json::num_u64(t as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "sig_bits".to_string(),
-                axis(
-                    self.sig_bits
-                        .iter()
-                        .map(|&b| Json::num_u64(b as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "seeds".to_string(),
-                axis(
-                    self.seeds
-                        .iter()
-                        .map(|&s| Json::str(format!("0x{s:X}")))
-                        .collect(),
-                ),
-            ),
-            (
-                "txns_per_thread".to_string(),
-                Json::num_u64(self.txns_per_thread),
-            ),
-        ])
-        .encode()
+            ("variants", axis(&self.variants, |v| Json::str(v.label()))),
+            ("txns_per_thread", Json::num_u64(self.txns_per_thread)),
+            ("metrics", axis(&self.metrics, |m| Json::str(m.label()))),
+        ];
+        Json::Obj(fields.map(|(key, value)| (key.to_string(), value)).to_vec()).encode()
     }
 }
 
@@ -384,6 +419,10 @@ pub fn cell_from_json(text: &str) -> Result<CellSpec, SpecError> {
             .as_u64()
             .ok_or_else(|| SpecError(format!("bad \"{key}\"")))
     };
+    let variant = field("variant")?
+        .as_str()
+        .and_then(Variant::from_label)
+        .ok_or_else(|| SpecError("bad \"variant\"".to_string()))?;
     Ok(CellSpec {
         workload,
         runtime,
@@ -393,12 +432,36 @@ pub fn cell_from_json(text: &str) -> Result<CellSpec, SpecError> {
         seed: num("seed")?,
         txns_per_thread: num("txns_per_thread")?,
         warmup_per_thread: num("warmup_per_thread")?,
+        variant,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::config_hash;
+
+    /// Every built-in spec with its pinned cell count.
+    const BUILTINS: [(&str, usize); 9] = [
+        ("smoke2x2", 4),
+        ("fig4_ws1", 100),
+        ("fig4_ws2", 30),
+        ("fig5_eager_lazy", 40),
+        ("fig4_conflicts", 14),
+        ("fig5_multiprog", 12),
+        ("ablation_overflow", 24),
+        ("ablation_signature", 10),
+        ("ablation_cst", 18),
+    ];
+
+    /// What the one sizing rule gives a workload from the base 96.
+    fn paper_sizing(workload: WorkloadKind) -> (u64, u64) {
+        match workload {
+            WorkloadKind::RandomGraph => (24, 8),
+            WorkloadKind::Delaunay => (48, 12),
+            _ => (96, 24),
+        }
+    }
 
     #[test]
     fn builtin_smoke_expands_to_2x2() {
@@ -417,17 +480,44 @@ mod tests {
 
     #[test]
     fn builtin_figure_specs_are_the_paper_matrices() {
-        for (name, workloads, runtimes) in [
-            ("fig4_ws1", 5, 4),
-            ("fig4_ws2", 2, 3),
-            ("fig5_eager_lazy", 4, 2),
-        ] {
+        for (name, count) in BUILTINS {
             let spec = MatrixSpec::builtin(name).unwrap();
             spec.validate().unwrap();
             assert_eq!(spec.name, name);
-            assert_eq!(spec.expand().len(), workloads * runtimes * 5, "{name}");
+            let cells = spec.expand();
+            assert_eq!(cells.len(), count, "{name}");
+            // One sizing rule: every spec at the base 96 sizes alike.
+            for cell in cells.iter().filter(|_| spec.txns_per_thread == 96) {
+                assert_eq!(
+                    (cell.txns_per_thread, cell.warmup_per_thread),
+                    paper_sizing(cell.workload),
+                    "{name}: {}",
+                    cell.label()
+                );
+            }
         }
         assert_eq!(MatrixSpec::builtin("fig4_hashtable"), None);
+    }
+
+    /// The sharing claim, checked without simulating: where a side
+    /// spec measures the paper configuration it expands to the very
+    /// cells `fig5_eager_lazy` files, so the store serves them.
+    #[test]
+    fn side_specs_share_their_paper_cells_with_fig5_eager_lazy() {
+        let keys = |name: &str, keep: &dyn Fn(&CellSpec) -> bool| -> Vec<String> {
+            let cells = MatrixSpec::builtin(name).unwrap().expand();
+            cells.iter().filter(|c| keep(c)).map(config_hash).collect()
+        };
+        let fig5 = keys("fig5_eager_lazy", &|c| c.runtime == RuntimeKind::FlexTmLazy);
+        let cst = keys("ablation_cst", &|c| {
+            c.variant == Variant::Paper && c.workload == WorkloadKind::RbTree
+        });
+        let fig5_workloads = MatrixSpec::builtin("fig5_eager_lazy").unwrap().workloads;
+        let conflicts = keys("fig4_conflicts", &|c| fig5_workloads.contains(&c.workload));
+        assert_eq!((cst.len(), conflicts.len()), (3, 8));
+        for key in cst.iter().chain(&conflicts) {
+            assert!(fig5.contains(key), "{key} is not a fig5_eager_lazy cell");
+        }
     }
 
     #[test]
@@ -438,36 +528,35 @@ mod tests {
         };
         assert_eq!(spec.txns_per_thread, 96);
         for cell in spec.expand() {
-            let expected = match cell.workload {
-                WorkloadKind::RandomGraph => (24, 8),
-                WorkloadKind::Delaunay => (48, 12),
-                _ => (96, 24),
-            };
             assert_eq!(
                 (cell.txns_per_thread, cell.warmup_per_thread),
-                expected,
+                paper_sizing(cell.workload),
                 "{}",
                 cell.label()
             );
             assert_eq!(
-                (cell.cm, cell.sig_bits, cell.seed),
-                (CmKind::Polka, 2048, 0xF1E7)
+                (cell.cm, cell.sig_bits, cell.seed, cell.variant),
+                (CmKind::Polka, 2048, 0xF1E7, Variant::Paper)
             );
         }
     }
 
     #[test]
     fn spec_json_round_trips() {
-        let spec = MatrixSpec::builtin("fig4_ws1").unwrap();
-        let parsed = MatrixSpec::from_json(&spec.canonical_json()).unwrap();
-        assert_eq!(parsed, spec);
+        for (name, _) in BUILTINS {
+            let spec = MatrixSpec::builtin(name).unwrap();
+            let parsed = MatrixSpec::from_json(&spec.canonical_json()).unwrap();
+            assert_eq!(parsed, spec);
+        }
     }
 
     #[test]
     fn cell_json_round_trips() {
-        for cell in MatrixSpec::builtin("fig4_ws1").unwrap().expand() {
-            let parsed = cell_from_json(&cell.canonical_json()).unwrap();
-            assert_eq!(parsed, cell);
+        for (name, _) in BUILTINS {
+            for cell in MatrixSpec::builtin(name).unwrap().expand() {
+                let parsed = cell_from_json(&cell.canonical_json()).unwrap();
+                assert_eq!(parsed, cell);
+            }
         }
     }
 
@@ -481,7 +570,9 @@ mod tests {
         assert_eq!(spec.cms, vec![CmKind::Polka]);
         assert_eq!(spec.sig_bits, vec![2048]);
         assert_eq!(spec.seeds, vec![0xF1E7]);
+        assert_eq!(spec.variants, vec![Variant::Paper]);
         assert_eq!(spec.txns_per_thread, 96);
+        assert_eq!(spec.metrics, vec![Metric::Throughput]);
     }
 
     #[test]
@@ -496,8 +587,39 @@ mod tests {
             ("repeated threads", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [2, 2, 2, 2]}"),
             ("repeated seeds", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [2], \"seeds\": [7, \"0x7\"]}"),
             ("repeated runtime", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\", \"RSTM\", \"CGL\"], \"threads\": [1]}"),
+            ("misspelt key", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"CGL\"], \"threads\": [1], \"sigbits\": [64]}"),
+            ("unknown variant", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"FlexTM(L)\"], \"threads\": [1], \"variants\": [\"H3\"]}"),
+            ("unknown metric", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"FlexTM(L)\"], \"threads\": [1], \"metrics\": [\"latency\"]}"),
+            ("Prime mix on an STM", "{\"name\": \"t\", \"workloads\": [\"HashTable\"], \"runtimes\": [\"FlexTM(L)\", \"TL2\"], \"threads\": [1], \"variants\": [\"PrimeMix\"]}"),
         ] {
             assert!(MatrixSpec::from_json(text).is_err(), "{label} should fail");
+        }
+        // One message of each kind the document can get wrong: each
+        // names what was wrong and, for a key, what would be right.
+        for (extra, message) in [
+            (
+                "\"seed\": [7]",
+                "unknown key \"seed\" (accepted: name, workloads, runtimes, cm, threads, \
+                 sig_bits, seeds, variants, txns_per_thread, metrics)",
+            ),
+            (
+                "\"variants\": [\"CommitToken\"]",
+                "variant CommitToken needs a FlexTM runtime; RSTM cannot honour it",
+            ),
+            (
+                "\"variants\": [\"commit-token\"]",
+                "\"variants\": \"commit-token\" is not a variant",
+            ),
+            (
+                "\"metrics\": [\"aborts\"]",
+                "\"metrics\": \"aborts\" is not a metric",
+            ),
+        ] {
+            let text = format!(
+                "{{\"name\": \"t\", \"workloads\": [\"HashTable\"], \
+                 \"runtimes\": [\"RSTM\"], \"threads\": [1], {extra}}}"
+            );
+            assert_eq!(MatrixSpec::from_json(&text).unwrap_err().0, message);
         }
         // The message names the axis and the value.
         let err = MatrixSpec {

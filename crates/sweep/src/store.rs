@@ -149,12 +149,20 @@ impl Store {
             return Ok(None);
         };
         let field = |key: &str| result.get(key).and_then(Json::as_u64);
-        let (Some(committed), Some(attempts), Some(sim_ops), Some(sim_cycles)) = (
+        let (Some(committed), Some(attempts), Some(sim_ops), Some(sim_cycles), Some(overflows)) = (
             field("committed"),
             field("attempts"),
             field("sim_ops"),
             field("sim_cycles"),
+            field("overflows"),
         ) else {
+            return Ok(None);
+        };
+        let Some(conflict_histogram) = result
+            .get("conflict_histogram")
+            .and_then(Json::as_arr)
+            .and_then(|bins| bins.iter().map(Json::as_u64).collect::<Option<Vec<_>>>())
+        else {
             return Ok(None);
         };
         let Some(digest) = result.get("digest").and_then(Json::as_str) else {
@@ -173,6 +181,8 @@ impl Store {
                 attempts,
                 sim_ops,
                 sim_cycles,
+                overflows,
+                conflict_histogram,
                 digest: digest.to_string(),
                 wall_s,
             },
@@ -189,19 +199,13 @@ impl Store {
             concat!(
                 "{{\"key\": \"{}-{}\",\n",
                 " \"config\": {},\n",
-                " \"result\": {{\"committed\": {}, \"attempts\": {}, ",
-                "\"sim_ops\": {}, \"sim_cycles\": {}, \"digest\": \"{}\", ",
-                "\"wall_s\": {:.6}}},\n",
+                " \"result\": {{{}, \"wall_s\": {:.6}}},\n",
                 " \"meta\": {{\"git_rev\": \"{}\", \"bin_fp\": \"{}\"}}}}\n"
             ),
             config_hash(cell),
             self.bin_fp,
             cell.canonical_json(),
-            result.committed,
-            result.attempts,
-            result.sim_ops,
-            result.sim_cycles,
-            result.digest,
+            result.fields_json(),
             result.wall_s,
             self.git_rev,
             self.bin_fp,
@@ -227,6 +231,8 @@ mod tests {
             attempts: 33,
             sim_ops: 400,
             sim_cycles: 9000,
+            overflows: 2,
+            conflict_histogram: vec![30, 1, 0, 1],
             digest: "0123456789abcdef".to_string(),
             wall_s: 0.125,
         }

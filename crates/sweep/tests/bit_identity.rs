@@ -1,33 +1,51 @@
 //! Bit-identity of the farmed path: a cell executed on a sweep worker
 //! thread must produce exactly the simulated results of
-//! `flextm_bench::run_cell` on the calling thread — same committed/
-//! attempts/sim_ops/sim_cycles and the same per-core counter digest.
-//! This is the property that lets any `--jobs` regenerate
-//! EXPERIMENTS.md without changing a single reported number.
+//! `flextm_bench::run_cell` on the calling thread — every counter, the
+//! conflict histogram and the per-core counter digest — and a store
+//! round trip must hand back the same. This is the property that lets
+//! any `--jobs` regenerate EXPERIMENTS.md without changing a single
+//! reported number.
 //!
 //! Also exercises the farm end to end: a tiny sweep through the real
 //! runner (worker threads, store) twice, asserting the second pass is
 //! served entirely from cache with identical results.
 
-use flextm_bench::{run_cell, CellResult, RuntimeKind};
+use flextm_bench::{run_cell, CellResult, CellSpec, RuntimeKind, Variant, WorkloadKind};
 use flextm_sweep::{run_sweep, MatrixSpec, RunnerConfig, Store};
 use std::path::PathBuf;
+
+/// The first cell of built-in `spec` that `pick` accepts.
+fn cell_of(spec: &str, pick: impl Fn(&CellSpec) -> bool) -> CellSpec {
+    MatrixSpec::builtin(spec)
+        .unwrap()
+        .expand()
+        .into_iter()
+        .find(pick)
+        .unwrap_or_else(|| panic!("{spec} has no such cell"))
+}
 
 #[test]
 fn worker_thread_results_match_the_serial_path_bit_for_bit() {
     // Two cells of Fig. 4(a) exactly as `fig4_ws1` sizes them (seed
-    // 0xF1E7, 96 txns), one contended; one sweep at jobs=2, so one of
-    // them runs on a spawned worker thread.
-    let cells: Vec<_> = MatrixSpec::builtin("fig4_ws1")
-        .unwrap()
-        .expand()
-        .into_iter()
-        .filter(|c| {
-            [(RuntimeKind::Cgl, 1), (RuntimeKind::FlexTmEager, 4)].contains(&(c.runtime, c.threads))
+    // 0xF1E7, 96 txns), one contended, plus one cell per non-`Paper`
+    // variant as its spec sizes it; one sweep at jobs=2, so some of
+    // them run on a spawned worker thread.
+    let fig4 =
+        |runtime, threads| cell_of("fig4_ws1", |c| (c.runtime, c.threads) == (runtime, threads));
+    let overflow = |variant| {
+        cell_of("ablation_overflow", |c| {
+            (c.workload, c.variant) == (WorkloadKind::RandomGraph, variant)
         })
-        .take(2)
-        .collect();
-    assert_eq!(cells.len(), 2);
+    };
+    let cells = vec![
+        fig4(RuntimeKind::Cgl, 1),
+        fig4(RuntimeKind::FlexTmEager, 4),
+        cell_of("ablation_cst", |c| c.variant == Variant::CommitToken),
+        overflow(Variant::SmallL1),
+        overflow(Variant::SmallL1Ideal),
+        cell_of("ablation_signature", |c| c.variant == Variant::BitSelect),
+        cell_of("fig5_multiprog", |c| c.workload == WorkloadKind::LfuCache),
+    ];
     let dir = std::env::temp_dir().join(format!(
         "flextm-sweep-worker-thread-test-{}",
         std::process::id()
@@ -38,20 +56,27 @@ fn worker_thread_results_match_the_serial_path_bit_for_bit() {
         jobs: 2,
         progress: false,
     };
-    let sweep = run_sweep(&cells, &store, &config);
-    assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
-    assert_eq!(sweep.executed, 2);
+    let cold = run_sweep(&cells, &store, &config);
+    assert!(cold.failures.is_empty(), "{:?}", cold.failures);
+    assert_eq!(cold.executed, cells.len());
+    let warm = run_sweep(&cells, &store, &config);
+    assert_eq!(warm.cached, cells.len(), "{:?}", warm.failures);
 
-    for (cell, outcome) in cells.iter().zip(&sweep.outcomes) {
+    for ((cell, farmed), stored) in cells.iter().zip(&cold.outcomes).zip(&warm.outcomes) {
         let here = CellResult::from_run(&run_cell(cell), 0.0);
-        let farmed = &outcome.result;
-        let label = cell.label();
-        assert_eq!(farmed.committed, here.committed, "{label}");
-        assert_eq!(farmed.attempts, here.attempts, "{label}");
-        assert_eq!(farmed.sim_ops, here.sim_ops, "{label}");
-        assert_eq!(farmed.sim_cycles, here.sim_cycles, "{label}");
-        assert_eq!(farmed.digest, here.digest, "{label}");
+        let sans_wall = |r: &CellResult| CellResult {
+            wall_s: 0.0,
+            ..r.clone()
+        };
+        assert_eq!(sans_wall(&farmed.result), here, "{}", cell.label());
+        assert_eq!(sans_wall(&stored.result), here, "{}", cell.label());
     }
+    // Not vacuous for the fields the variants added: the L1-8K
+    // RandomGraph cell overflows, its ideal-buffer twin never does, and
+    // contended FlexTM commits have enemies.
+    let (ot, ideal) = (&cold.outcomes[3].result, &cold.outcomes[4].result);
+    assert!(ot.overflows > 0 && ot.conflict_histogram.len() > 1);
+    assert_eq!(ideal.overflows, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -4,7 +4,7 @@
 //! semantic change to the cell moves the key.
 
 use flextm::CmKind;
-use flextm_bench::{CellSpec, RuntimeKind, WorkloadKind};
+use flextm_bench::{CellSpec, RuntimeKind, Variant, WorkloadKind};
 use flextm_sweep::{config_hash, MatrixSpec};
 use std::process::Command;
 
@@ -18,6 +18,7 @@ fn sample() -> CellSpec {
         seed: 0xF1E7,
         txns_per_thread: 96,
         warmup_per_thread: 24,
+        variant: Variant::Paper,
     }
 }
 
@@ -63,6 +64,10 @@ fn every_field_change_moves_the_hash() {
         },
         CellSpec {
             warmup_per_thread: 25,
+            ..base.clone()
+        },
+        CellSpec {
+            variant: Variant::CommitToken,
             ..base.clone()
         },
     ];

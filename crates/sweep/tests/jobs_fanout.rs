@@ -5,7 +5,7 @@
 //! jobs-invariance gate this pins the whole parallel surface of the
 //! repo: fan-out changes wall-clock, never results.
 
-use flextm_sweep::aggregate::{aggregate, emit_cells_json, emit_tables};
+use flextm_sweep::aggregate::{emit_cells_json, emit_tables};
 use flextm_sweep::{run_sweep, MatrixSpec, RunnerConfig, Store};
 use std::path::PathBuf;
 
@@ -56,8 +56,8 @@ fn jobs4_and_jobs1_sweeps_render_byte_identical_results() {
 
     // Emitter-level equality, byte for byte.
     assert_eq!(
-        emit_tables("smoke2x2", &aggregate(&serial.outcomes)),
-        emit_tables("smoke2x2", &aggregate(&fanned.outcomes)),
+        emit_tables("smoke2x2", &spec.metrics, &serial.outcomes),
+        emit_tables("smoke2x2", &spec.metrics, &fanned.outcomes),
     );
     assert_eq!(
         emit_cells_json("smoke2x2", &serial.outcomes),

@@ -8,8 +8,8 @@
 //! [`parse_jsonl`] round-trip exactly), the tree's one JSON parser
 //! ([`json`], which `parse_jsonl` and the sweep farm both read
 //! through), and the human-readable abort-breakdown table
-//! ([`abort_table`]) that `sched_bench --trace` and the workload
-//! harness print.
+//! ([`abort_table`]) that the workload harness's
+//! `RunResult::abort_table` renders.
 //!
 //! The encoder is deterministic: fixed key order, no whitespace
 //! variation, records pre-sorted by the producer — so two runs of the

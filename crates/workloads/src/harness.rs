@@ -101,6 +101,9 @@ pub struct RunResult {
     pub cycles: u64,
     /// Machine counter deltas over the timed region.
     pub report: MachineReport,
+    /// [`TmThread::conflict_histogram`] summed over the timed region's
+    /// threads (empty on runtimes that keep none).
+    pub conflict_histogram: Vec<u64>,
 }
 
 impl RunResult {
@@ -124,8 +127,7 @@ impl RunResult {
     }
 
     /// The abort-attribution and cycle-bucket breakdown of the timed
-    /// region, rendered for humans (bench binaries print this under
-    /// `--trace`).
+    /// region, rendered for humans.
     pub fn abort_table(&self) -> String {
         flextm_trace::abort_table(&self.report)
     }
@@ -178,7 +180,7 @@ pub fn run_measured(
     // timed region starts simultaneously on every core.
     machine.align_clocks();
     let before = machine.report();
-    let per_thread: Vec<(u64, u64)> = machine.run(config.threads, |proc| {
+    let per_thread: Vec<(u64, u64, Vec<u64>)> = machine.run(config.threads, |proc| {
         let tid = proc.core();
         let mut th = runtime.thread(tid, proc);
         let mut ctx = ThreadCtx {
@@ -192,12 +194,21 @@ pub fn run_measured(
             attempts += u64::from(workload.run_once(th.as_mut(), &mut ctx));
             committed += 1;
         }
-        (committed, attempts)
+        (committed, attempts, th.conflict_histogram().to_vec())
     });
     let after = machine.report();
     let report = after.delta(&before);
-    let committed = per_thread.iter().map(|(c, _)| c).sum();
-    let attempts = per_thread.iter().map(|(_, a)| a).sum();
+    let committed = per_thread.iter().map(|(c, _, _)| c).sum();
+    let attempts = per_thread.iter().map(|(_, a, _)| a).sum();
+    let mut conflict_histogram = Vec::new();
+    for (_, _, histogram) in &per_thread {
+        if conflict_histogram.len() < histogram.len() {
+            conflict_histogram.resize(histogram.len(), 0);
+        }
+        for (total, count) in conflict_histogram.iter_mut().zip(histogram) {
+            *total += count;
+        }
+    }
     RunResult {
         workload: workload.name().to_string(),
         runtime: runtime.name().to_string(),
@@ -206,5 +217,6 @@ pub fn run_measured(
         attempts,
         cycles: report.elapsed_cycles(),
         report,
+        conflict_histogram,
     }
 }

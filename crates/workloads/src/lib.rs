@@ -49,7 +49,7 @@ mod vacation;
 pub use delaunay::Delaunay;
 pub use hashtable::HashTable;
 pub use lfucache::LfuCache;
-pub use prime::Prime;
+pub use prime::{Prime, PrimeMix};
 pub use randomgraph::RandomGraph;
 pub use rbtree::RbTree;
 pub use vacation::{Contention, Vacation};

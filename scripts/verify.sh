@@ -3,10 +3,11 @@
 #
 # Runs everything CI would:
 #   1. tier-1 from ROADMAP.md: cargo build --release && cargo test -q
+#      (every workspace member is a default-member, so this is all of
+#      the workspace's tests)
 #   2. cargo clippy --workspace -- -D warnings
 #   3. cargo fmt --check
-#   4. cargo bench --workspace --no-run (benches must keep compiling)
-#   5. proto_check gates: the model checker exhaustively explores the
+#   4. proto_check gates: the model checker exhaustively explores the
 #      2-core x 1-line config to its pinned fixpoint (19137 states /
 #      147700 transitions) serially, then again with --jobs 2 (the
 #      parallel engine must report bit-identical counts), then on a
@@ -17,35 +18,31 @@
 #      equality check; and the liveness pass — no fair abort/grant
 #      cycle under the shipped tie-break, and the Polka mutual-abort
 #      livelock rediscovered when the tie-break is reverted
-#   6. trace-enabled determinism pass (release): the attempt-trace
-#      JSONL must be byte-identical across seeded runs
-#   7. sched_bench --trace smoke: the abort-attribution table and
-#      JSONL trace render end to end
-#   8. 64- and 128-core smoke: the wide HashTable runs complete with
+#   5. trace-enabled determinism pass (release): the attempt-trace
+#      JSONL must be non-empty, byte-identical across seeded runs, and
+#      round-trip through the codec
+#   6. 64- and 128-core smoke: the wide HashTable runs complete with
 #      the always-on invariant layer armed (release determinism test)
-#   9. hot-state gates (release): the banked-directory property suite
+#   7. hot-state gates (release): the banked-directory property suite
 #      against its HashMap oracle, and the steady-state allocation gate
 #      (a 16-core HashTable run must add zero host heap allocations per
 #      transaction once warm)
-#  10. fingerprint gate: the 16-core HashTable event/counter digests
+#   8. fingerprint gate: the 16-core HashTable event/counter digests
 #      at 96 and 384 transactions per thread must match the recorded
 #      values — any drift is a semantic change to the simulated
 #      machine, not a refactor
-#  11. fallback switch backend: hosts without the assembly context
+#   9. fallback switch backend: hosts without the assembly context
 #      switch get a thread-baton backend selected by cfg in
 #      crates/sim/src/fiber.rs; `--cfg flextm_fiber_fallback` builds it
 #      here (separate target dir), and the simulator's tests and both
 #      fingerprint digests must hold on it too
-#  12. bench-crate tests (flextm-bench is not a workspace
-#      default-member, so tier-1 `cargo test` skips it): env parsing,
-#      cell records, entry points
-#  13. sweep farm smoke: the 2x2 smoke matrix runs cold at --jobs 1 and
+#  10. sweep farm smoke: the 2x2 smoke matrix runs cold at --jobs 1 and
 #      at --jobs 2 into separate stores, then warm against the second;
 #      the warm run must execute zero cells (pure cache) and all three
 #      must emit byte-identical tables/JSON; and, without simulating
-#      anything, the three figure specs must expand to the paper's
-#      matrices (100 / 30 / 40 cells)
-#  14. repo benchmark (BENCHMARK.json): the standalone benchmark/
+#      anything, the eight evaluation specs must expand to their pinned
+#      cell counts (100 / 30 / 40 / 14 / 12 / 24 / 10 / 18)
+#  11. repo benchmark (BENCHMARK.json): the standalone benchmark/
 #      package is outside the workspace, so nothing above builds it —
 #      its smoke run and its own tests keep a flextm-sim API change
 #      from silently breaking it (read-only: nothing under benchmark/
@@ -107,9 +104,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 step "rustfmt check"
 cargo fmt --all --check
-
-step "benches compile (no run)"
-cargo bench --workspace --no-run
 
 step "proto_check smoke (exhaustive 2 cores x 1 line, serial)"
 narrow_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --jobs 1)"
@@ -221,14 +215,6 @@ step "trace determinism (release)"
 cargo test -q --release -p flextm-workloads --test determinism \
     attempt_trace_is_deterministic_and_round_trips
 
-step "sched_bench --trace smoke"
-trace_out="$(mktemp)"
-FLEXTM_SCHED_TXNS=8 FLEXTM_TRACE_OUT="$trace_out" \
-    cargo run -q --release -p flextm-bench --bin sched_bench -- --protocol --trace \
-    > /dev/null
-test -s "$trace_out" || { echo "sched_bench --trace wrote no records"; exit 1; }
-rm -f "$trace_out"
-
 step "64/128-core smoke (wide machines, invariants + byte-identical replay)"
 cargo test -q --release -p flextm-workloads --test determinism \
     wide_machines_replay_identically_with_invariants
@@ -241,12 +227,9 @@ cargo test -q --release -p flextm-workloads --test alloc_gate
 
 step "fingerprint gate (16-core digests, 96 and 384 txns/thread)"
 check_fp() {
-    # $1: label, $2: event digest, $3: counter digest, rest: the
-    # command that prints the fingerprint line.
-    local label="$1" event="$2" counter="$3"
-    shift 3
-    local line
-    line="$("$@")"
+    # $1: label, $2: event digest, $3: counter digest, $4: the
+    # fingerprint line.
+    local label="$1" event="$2" counter="$3" line="$4"
     echo "$line"
     case "$line" in
     *"\"event_digest\": \"$event\""*"\"counter_digest\": \"$counter\""*) ;;
@@ -257,13 +240,13 @@ check_fp() {
     esac
 }
 check_both_fp() {
-    # $1: label, rest: cargo arguments selecting the build.
-    local label="$1"
+    # $1: label, rest: cargo arguments selecting the build. One run
+    # prints both lines, 96 txns/thread first.
+    local label="$1" lines
     shift
-    check_fp "$label, 96 txns" b91bf014cd6135a9 578f521ae8b7bc3c \
-        cargo run -q --release -p flextm-bench --bin fingerprint "$@"
-    check_fp "$label, 384 txns" f0cd4189940a6860 f95be49b738edeb6 \
-        env FLEXTM_FP_TXNS=384 cargo run -q --release -p flextm-bench --bin fingerprint "$@"
+    lines="$(cargo run -q --release -p flextm-bench --bin fingerprint "$@")"
+    check_fp "$label, 96 txns" b91bf014cd6135a9 578f521ae8b7bc3c "$(sed -n 1p <<< "$lines")"
+    check_fp "$label, 384 txns" f0cd4189940a6860 f95be49b738edeb6 "$(sed -n 2p <<< "$lines")"
 }
 check_both_fp "assembly switch"
 
@@ -273,9 +256,6 @@ step "fallback switch backend (--cfg flextm_fiber_fallback): sim tests + fingerp
     cargo test -q --release -p flextm-sim --target-dir target/fiber-fallback
     check_both_fp "thread-baton switch" --target-dir target/fiber-fallback
 )
-
-step "bench-crate tests (not a default-member; env parsing, cell records)"
-cargo test -q -p flextm-bench
 
 step "sweep farm smoke (2x2 matrix; jobs 1 == jobs 2 == warm, warm is pure cache)"
 sweep_tmp="$(mktemp -d)"
@@ -307,8 +287,9 @@ for other in jobs2 warm; do
 done
 rm -rf "$sweep_tmp"
 
-step "figure specs expand to the paper's matrices (no simulation)"
-for spec_cells in fig4_ws1:100 fig4_ws2:30 fig5_eager_lazy:40; do
+step "evaluation specs expand to their pinned cell counts (no simulation)"
+for spec_cells in fig4_ws1:100 fig4_ws2:30 fig5_eager_lazy:40 fig4_conflicts:14 \
+    fig5_multiprog:12 ablation_overflow:24 ablation_signature:10 ablation_cst:18; do
     spec="${spec_cells%:*}"
     cells="$(cargo run -q --release -p flextm-sweep --bin sweep -- --spec "$spec" --hash-spec | wc -l)"
     echo "$spec: $cells cells"
