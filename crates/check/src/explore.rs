@@ -161,20 +161,6 @@ pub(crate) fn shrink(cfg: &CheckConfig, path: Vec<Op>) -> Vec<Op> {
     shrink_with_budget(cfg, path, SHRINK_REPLAY_BUDGET)
 }
 
-/// Explores every interleaving of the op alphabet breadth-first,
-/// pruning on canonical state hashes, to a fixpoint or to `depth`.
-/// Stops at the first invariant violation and returns it shrunk.
-///
-/// Single-worker front end for [`crate::parallel::explore_jobs`]; the
-/// two report identical `states`/`transitions` for any worker count.
-pub fn explore(
-    cfg: &CheckConfig,
-    depth: Option<usize>,
-    progress: Option<&mut dyn FnMut(&Progress)>,
-) -> ExploreOutcome {
-    crate::parallel::explore_jobs(cfg, depth, 1, progress)
-}
-
 /// Drives one long random schedule: at each step an enabled op is
 /// chosen by `pick` (a closure over the caller's RNG, e.g. the
 /// workloads crate's `WlRng`). Quiescence is spot-checked every 64
@@ -228,11 +214,12 @@ pub fn random_walk(
 mod tests {
     use super::*;
     use crate::config::Alphabet;
+    use crate::parallel::explore_jobs;
 
     #[test]
     fn exhaustive_2x1_reaches_fixpoint_clean() {
         let cfg = CheckConfig::new(2, 1);
-        let out = explore(&cfg, None, None);
+        let out = explore_jobs(&cfg, None, 1, None);
         assert!(
             out.violation.is_none(),
             "{}",
@@ -260,12 +247,13 @@ mod tests {
         // keeps the 65-core fork cost out of the unit suite; verify.sh
         // runs the wide config to a true fixpoint in release mode.)
         let depth = Some(6);
-        let narrow = explore(
+        let narrow = explore_jobs(
             &CheckConfig {
                 alphabet: Alphabet::TxOnly,
                 ..CheckConfig::new(2, 1)
             },
             depth,
+            1,
             None,
         );
         let wide_cfg = CheckConfig {
@@ -273,7 +261,7 @@ mod tests {
             ..CheckConfig::wide(2, 1)
         };
         assert_eq!(wide_cfg.machine_cores(), 65);
-        let wide = explore(&wide_cfg, depth, None);
+        let wide = explore_jobs(&wide_cfg, depth, 1, None);
         assert!(
             wide.violation.is_none(),
             "{}",
@@ -335,8 +323,8 @@ mod tests {
             alphabet: Alphabet::TxOnly,
             ..CheckConfig::new(2, 1)
         };
-        let a = explore(&cfg, Some(6), None);
-        let b = explore(&cfg, Some(6), None);
+        let a = explore_jobs(&cfg, Some(6), 1, None);
+        let b = explore_jobs(&cfg, Some(6), 1, None);
         assert_eq!(a.states, b.states);
         assert_eq!(a.transitions, b.transitions);
     }

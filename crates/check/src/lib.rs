@@ -5,9 +5,9 @@
 //!
 //! # How it works
 //!
-//! The checker owns a [`driver::Driver`]: a `SimState` (built with the
-//! `check` feature, so the always-on invariant layer fires after every
-//! protocol transition) plus a *shadow* — the ground truth a sequential
+//! The checker owns a [`driver::Driver`]: a `SimState` (the invariant
+//! layer is always compiled; `check_every_op` arms it, so it fires
+//! after every protocol transition) plus a *shadow* — the ground truth a sequential
 //! observer can maintain from the architectural interface alone:
 //! committed memory values, each transaction's true read/write sets,
 //! and the CST contents implied by the conflicts the hardware reported.
@@ -32,11 +32,11 @@
 //! * **Quiescence** — from any reachable state, aborting every live
 //!   transaction yields a clean machine with memory untouched.
 //!
-//! [`explore::explore`] runs breadth-first over canonical state hashes
-//! ([`canon`]) to a fixpoint or depth bound — a single-worker front
-//! end over [`parallel::explore_jobs`], the level-synchronized
-//! parallel engine whose counts are bit-identical for every worker
-//! count; [`explore::random_walk`] drives long random schedules on
+//! [`parallel::explore_jobs`] runs breadth-first over canonical state
+//! hashes ([`canon`]) to a fixpoint or depth bound — a
+//! level-synchronized parallel engine whose counts are bit-identical
+//! for every worker count; [`explore::random_walk`] drives long random
+//! schedules on
 //! larger configurations. Violations come back as shrunk op paths
 //! ready to paste into a regression test. [`liveness::check_liveness`]
 //! covers what safety exploration cannot: it closes the system with
@@ -72,7 +72,7 @@ pub mod parallel;
 
 pub use config::{Alphabet, CheckConfig, InjectedFault};
 pub use driver::Driver;
-pub use explore::{explore, random_walk, ExploreOutcome, Progress, Violation, WalkOutcome};
+pub use explore::{random_walk, ExploreOutcome, Progress, Violation, WalkOutcome};
 pub use liveness::{check_liveness, Livelock, LivenessOutcome};
 pub use op::Op;
 pub use parallel::explore_jobs;

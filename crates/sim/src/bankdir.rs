@@ -239,7 +239,6 @@ impl BankedDir {
     /// Makes `self` a copy of `src` in place, bank by bank, reusing
     /// every bank's slot buffer (the model checker's refilled scratch
     /// state; see [`crate::SimState::assign_for_check`]).
-    #[cfg(any(test, feature = "check"))]
     pub fn assign_for_check(&mut self, src: &BankedDir) {
         let BankedDir { banks } = src;
         for (mine, bank) in self.banks.iter_mut().zip(banks) {

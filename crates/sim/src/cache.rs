@@ -127,7 +127,6 @@ pub struct LineEntry {
     pub lru: u64,
 }
 
-#[cfg(any(test, feature = "check"))]
 impl LineEntry {
     /// Makes `self` a copy of `src` in place, reusing a line buffer
     /// both sides carry (see [`L1Cache::assign_for_check`]).
@@ -292,7 +291,6 @@ impl L1Cache {
     /// measured as a net loss (page-fault churn) on large explorations,
     /// despite the extra zeroing allocation it costs each forked
     /// child's first few speculative fills.
-    #[cfg(any(test, feature = "check"))]
     pub fn clone_for_check(&self) -> Self {
         L1Cache {
             tags: self.tags.clone(),
@@ -319,7 +317,6 @@ impl L1Cache {
     /// is. The destructuring is exhaustive on purpose: a field added to
     /// the cache must be assigned here or fail to compile, not leak
     /// from one sibling child of the model checker into the next.
-    #[cfg(any(test, feature = "check"))]
     pub fn assign_for_check(&mut self, src: &L1Cache) {
         let L1Cache {
             tags,
@@ -769,7 +766,9 @@ impl L1Cache {
             .expect("victim selection on empty entry list")
     }
 
-    fn classify_eviction(&mut self, e: LineEntry) -> Evicted {
+    /// What leaving the cache means for `e`, by state; a silently
+    /// dropped line's buffer is recycled here.
+    pub(crate) fn classify_eviction(&mut self, e: LineEntry) -> Evicted {
         match e.state {
             L1State::M => Evicted::WritebackM(e.line, e.a_bit),
             L1State::Tmi => Evicted::OverflowTmi(
@@ -927,7 +926,6 @@ impl L1Cache {
 
     /// The victim buffer's residents, for tests that must know a line
     /// has left the main array.
-    #[cfg(any(test, feature = "check"))]
     pub fn victims(&self) -> &[LineEntry] {
         &self.victim
     }
@@ -959,7 +957,6 @@ impl L1Cache {
     /// planes are all unmaterialised or all `sets × ways` long, and
     /// `victim_set` is exactly the fold of the victim residents — a
     /// stray clear bit would hide a resident line from every lookup.
-    #[cfg(any(test, feature = "check"))]
     pub fn check_invariants(&self, me: usize) {
         let n = self.tags.len();
         let all_ways = self.nsets as usize * self.ways as usize;

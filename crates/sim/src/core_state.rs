@@ -90,7 +90,6 @@ impl CoreState {
 
     /// Deep copy for the model checker's state forking: `clone`, minus
     /// the L1's line-buffer free list (see [`L1Cache::clone_for_check`]).
-    #[cfg(any(test, feature = "check"))]
     pub fn clone_for_check(&self) -> Self {
         CoreState {
             l1: self.l1.clone_for_check(),
@@ -111,7 +110,6 @@ impl CoreState {
     /// build from `src`, in place, reusing the L1's planes and both
     /// signatures' word buffers (see [`L1Cache::assign_for_check`],
     /// which also says why the destructuring is exhaustive).
-    #[cfg(any(test, feature = "check"))]
     pub fn assign_for_check(&mut self, src: &CoreState) {
         let CoreState {
             l1,
@@ -171,25 +169,16 @@ impl CoreState {
         dropped + ot_dropped
     }
 
-    /// True if this core's signatures say it may have *written* `line`
-    /// transactionally (L1 TMI, evicted-to-OT, or signature false
-    /// positive — all treated identically, as in the paper).
-    pub fn writes_line(&self, line: LineAddr) -> bool {
-        self.wsig.contains(line)
-    }
-
-    /// True if this core's signatures say it may have *read* `line`
-    /// transactionally.
-    pub fn reads_line(&self, line: LineAddr) -> bool {
-        self.rsig.contains(line)
-    }
-
-    /// [`CoreState::writes_line`] with a pre-hashed key.
+    /// True if this core's signatures say it may have *written* the
+    /// line behind `key` transactionally (L1 TMI, evicted-to-OT, or
+    /// signature false positive — all treated identically, as in the
+    /// paper).
     pub fn writes_line_key(&self, key: SigKey) -> bool {
         self.wsig.contains_key(key)
     }
 
-    /// [`CoreState::reads_line`] with a pre-hashed key.
+    /// True if this core's signatures say it may have *read* the line
+    /// behind `key` transactionally.
     pub fn reads_line_key(&self, key: SigKey) -> bool {
         self.rsig.contains_key(key)
     }
@@ -205,7 +194,6 @@ impl CoreState {
     /// §3.3), OT/cache/CST well-formedness, and AOU consistency. Called
     /// after every protocol transition by
     /// [`crate::SimState::check_invariants`].
-    #[cfg(any(test, feature = "check"))]
     pub fn check_invariants(&self, me: usize, ncores: usize) {
         use crate::cache::L1State;
 
@@ -306,7 +294,8 @@ mod tests {
         assert!(!c.has_tx_footprint());
         c.rsig.insert(LineAddr(9));
         assert!(c.has_tx_footprint());
-        assert!(c.reads_line(LineAddr(9)));
-        assert!(!c.writes_line(LineAddr(9)));
+        let key = c.rsig.key(LineAddr(9));
+        assert!(c.reads_line_key(key));
+        assert!(!c.writes_line_key(key));
     }
 }

@@ -127,7 +127,6 @@ impl CstSet {
     /// symmetry of paper §3.2 is history-dependent — a committed enemy
     /// clears its side first — so it is checked against shadow state by
     /// `flextm-check`, not here.)
-    #[cfg(any(test, feature = "check"))]
     pub fn check_invariants(&self, me: usize, ncores: usize) {
         let legal = ProcSet::first_n(ncores);
         for (name, reg) in [("R-W", self.rw), ("W-R", self.wr), ("W-W", self.ww)] {

@@ -151,27 +151,19 @@ impl L2 {
         self.dir.insert(line, entry);
     }
 
-    /// Removes processor `proc` from `line`'s sharers unless the §5
-    /// retention rule applies: if `proc` is in the Cores Summary and the
+    /// The §5 retention rule: if `proc` is in the Cores Summary and the
     /// line hits the read or write summary signature, the directory
-    /// refrains, so the L1 keeps receiving coherence traffic for lines
-    /// accessed by its descheduled transactions.
-    pub fn drop_sharer(&mut self, line: LineAddr, proc: usize) {
-        let retained = self.cores_summary.contains(proc)
-            && (self.read_summary.contains(line) || self.write_summary.contains(line));
-        if retained {
-            return;
-        }
-        if let Some(e) = self.dir.get_mut(line) {
-            e.sharers.remove(proc);
-        }
+    /// keeps `proc`'s bits, so the L1 keeps receiving coherence traffic
+    /// for lines accessed by its descheduled transactions.
+    fn retained(&self, key: SigKey, proc: usize) -> bool {
+        self.cores_summary.contains(proc)
+            && (self.read_summary.contains_key(key) || self.write_summary.contains_key(key))
     }
 
-    /// [`L2::drop_sharer`] with a pre-hashed key.
+    /// Removes processor `proc` from the sharers of the line behind
+    /// `key`, unless the §5 retention rule applies.
     pub fn drop_sharer_key(&mut self, key: SigKey, proc: usize) {
-        let retained = self.cores_summary.contains(proc)
-            && (self.read_summary.contains_key(key) || self.write_summary.contains_key(key));
-        if retained {
+        if self.retained(key, proc) {
             return;
         }
         if let Some(e) = self.dir.get_mut(key.line()) {
@@ -179,23 +171,9 @@ impl L2 {
         }
     }
 
-    /// Removes `proc` from `line`'s owners (same retention rule).
-    pub fn drop_owner(&mut self, line: LineAddr, proc: usize) {
-        let retained = self.cores_summary.contains(proc)
-            && (self.read_summary.contains(line) || self.write_summary.contains(line));
-        if retained {
-            return;
-        }
-        if let Some(e) = self.dir.get_mut(line) {
-            e.owners.remove(proc);
-        }
-    }
-
-    /// [`L2::drop_owner`] with a pre-hashed key.
+    /// Removes `proc` from the line's owners (same retention rule).
     pub fn drop_owner_key(&mut self, key: SigKey, proc: usize) {
-        let retained = self.cores_summary.contains(proc)
-            && (self.read_summary.contains_key(key) || self.write_summary.contains_key(key));
-        if retained {
+        if self.retained(key, proc) {
             return;
         }
         if let Some(e) = self.dir.get_mut(key.line()) {
@@ -217,19 +195,10 @@ impl L2 {
     /// request while anything is descheduled, so it must not allocate;
     /// set union gives the old sort+dedup for free (`ProcSet` iteration
     /// is ascending).
-    pub fn summary_check(&self, line: LineAddr, is_write: bool) -> ProcSet {
-        let mut hits = self.write_summary.hit_set(line);
-        if is_write {
-            // A write conflicts with suspended readers too.
-            hits |= self.read_summary.hit_set(line);
-        }
-        hits
-    }
-
-    /// [`L2::summary_check`] with a pre-hashed key.
     pub fn summary_check_key(&self, key: SigKey, is_write: bool) -> ProcSet {
         let mut hits = self.write_summary.hit_set_key(key);
         if is_write {
+            // A write conflicts with suspended readers too.
             hits |= self.read_summary.hit_set_key(key);
         }
         hits
@@ -239,7 +208,6 @@ impl L2 {
     /// every directory bank and the summaries' word buffers (the model
     /// checker's refilled scratch state; see
     /// [`crate::SimState::assign_for_check`]).
-    #[cfg(any(test, feature = "check"))]
     pub fn assign_for_check(&mut self, src: &L2) {
         let L2 {
             slots,
@@ -296,14 +264,15 @@ mod tests {
         // Thread 9 descheduled on proc 1 with line 7 in its read set.
         let mut rsig = Signature::new(SignatureConfig::paper_default());
         rsig.insert(LineAddr(7));
+        let (key7, key8) = (rsig.key(LineAddr(7)), rsig.key(LineAddr(8)));
         c.read_summary.install(9, rsig);
         c.cores_summary = ProcSet::from_mask(0b10);
-        c.drop_sharer(LineAddr(7), 1);
+        c.drop_sharer_key(key7, 1);
         assert_eq!(c.dir(LineAddr(7)).sharers, 0b10, "sticky sharer dropped");
         // Without the summary hit the sharer is dropped normally.
-        c.drop_sharer(LineAddr(8), 1); // no dir info: no-op
+        c.drop_sharer_key(key8, 1); // no dir info: no-op
         c.cores_summary = ProcSet::empty();
-        c.drop_sharer(LineAddr(7), 1);
+        c.drop_sharer_key(key7, 1);
         assert_eq!(c.dir(LineAddr(7)).sharers, 0);
     }
 
@@ -315,15 +284,16 @@ mod tests {
         rsig.insert(LineAddr(5));
         let mut wsig = Signature::new(cfg);
         wsig.insert(LineAddr(6));
+        let (key5, key6) = (rsig.key(LineAddr(5)), rsig.key(LineAddr(6)));
         c.read_summary.install(1, rsig);
         c.write_summary.install(2, wsig);
 
         // Read miss: conflicts only with suspended writers.
-        assert_eq!(c.summary_check(LineAddr(5), false), ProcSet::empty());
-        assert_eq!(c.summary_check(LineAddr(6), false), ProcSet::bit(2));
+        assert_eq!(c.summary_check_key(key5, false), ProcSet::empty());
+        assert_eq!(c.summary_check_key(key6, false), ProcSet::bit(2));
         // Write miss: conflicts with readers and writers.
-        assert_eq!(c.summary_check(LineAddr(5), true), ProcSet::bit(1));
-        assert_eq!(c.summary_check(LineAddr(6), true), ProcSet::bit(2));
+        assert_eq!(c.summary_check_key(key5, true), ProcSet::bit(1));
+        assert_eq!(c.summary_check_key(key6, true), ProcSet::bit(2));
     }
 
     #[test]

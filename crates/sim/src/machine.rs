@@ -135,7 +135,6 @@ pub struct SimState {
     /// pay one predicted branch); [`SimState::for_tests`] turns it on,
     /// so the unit suites and the model checker sweep invariants after
     /// every step.
-    #[cfg(any(test, feature = "check"))]
     check_every_op: bool,
 }
 
@@ -157,7 +156,6 @@ impl SimState {
             sig_live: ProcSet::empty(),
             ot_present: ProcSet::empty(),
             commit_scratch: Vec::new(),
-            #[cfg(any(test, feature = "check"))]
             check_every_op: false,
         }
     }
@@ -217,38 +215,25 @@ impl SimState {
     /// every transition is enabled.
     #[doc(hidden)]
     pub fn for_tests(config: MachineConfig) -> Self {
-        #[allow(unused_mut)]
         let mut st = Self::new(config);
-        #[cfg(any(test, feature = "check"))]
-        {
-            st.check_every_op = true;
-        }
+        st.check_every_op = true;
         st
     }
 
     /// Turns per-transition invariant sweeps on or off (the model
     /// checker leaves them on; throughput comparisons turn them off).
-    #[cfg(any(test, feature = "check"))]
     pub fn set_check_every_op(&mut self, on: bool) {
         self.check_every_op = on;
     }
 
     /// Runs the full invariant sweep if per-transition checking is
-    /// enabled. Call sites stay unconditional: the disabled-feature
-    /// twin below compiles to nothing.
-    #[cfg(any(test, feature = "check"))]
+    /// enabled.
     #[inline]
     pub(crate) fn maybe_check_invariants(&self) {
         if self.check_every_op {
             self.check_invariants();
         }
     }
-
-    /// No-op twin: without `cfg(test)`/`feature = "check"` the hook
-    /// vanishes entirely, keeping the protocol hot path untouched.
-    #[cfg(not(any(test, feature = "check")))]
-    #[inline(always)]
-    pub(crate) fn maybe_check_invariants(&self) {}
 
     /// Advances `core`'s clock by `cycles`.
     pub fn advance(&mut self, core: usize, cycles: u64) {
@@ -301,7 +286,6 @@ impl SimState {
     }
 
     /// Deep copy for the model checker's state forking.
-    #[cfg(any(test, feature = "check"))]
     pub fn clone_for_check(&self) -> Self {
         SimState {
             config: self.config.clone(),
@@ -327,7 +311,6 @@ impl SimState {
     /// destructuring is exhaustive on purpose: a field added to the
     /// machine must be assigned here or fail to compile, not leak from
     /// one sibling child into the next.
-    #[cfg(any(test, feature = "check"))]
     pub fn assign_for_check(&mut self, src: &SimState) {
         let SimState {
             config: _,
@@ -367,7 +350,6 @@ impl SimState {
     /// and cycle/abort accounting conservation. Panics (asserts) on the
     /// first violation; the model checker catches the panic and reports
     /// the op path that led here.
-    #[cfg(any(test, feature = "check"))]
     pub fn check_invariants(&self) {
         use crate::cache::L1State;
 

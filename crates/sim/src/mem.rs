@@ -172,7 +172,6 @@ impl Memory {
     /// refilled scratch state ([`crate::SimState::assign_for_check`]):
     /// a page both sides have is copied over, so a refill from a
     /// same-shaped state allocates nothing.
-    #[cfg(any(test, feature = "check"))]
     pub fn assign_for_check(&mut self, src: &Memory) {
         let Memory { pages } = src;
         self.pages.retain(|page, _| pages.contains_key(page));

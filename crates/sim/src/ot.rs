@@ -189,7 +189,6 @@ impl OverflowTable {
     /// the (stale-bit-carrying) filter into its canonical state hash —
     /// two OTs with equal entries but different stale Osig bits behave
     /// differently on future lookups and must not be merged.
-    #[cfg(any(test, feature = "check"))]
     pub fn osig_words(&self) -> Vec<u64> {
         self.osig.words().to_vec()
     }
@@ -199,7 +198,6 @@ impl OverflowTable {
     /// missed lookaside would read stale memory), a committed OT has
     /// been fully drained by `begin_commit`, and the high-water mark
     /// bounds the current population.
-    #[cfg(any(test, feature = "check"))]
     pub fn check_invariants(&self, me: usize) {
         for &line in self.entries.keys() {
             assert!(

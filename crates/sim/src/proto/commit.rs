@@ -42,44 +42,19 @@ impl SimState {
     ) -> CasCommitOutcome {
         let old = self.peek_word(tsw);
         if old != expected {
-            // Aborted remotely: revert speculative state. Both base
-            // counters bump here, so both get a LostTsw attribution
-            // (the cause-sum invariant pairs every base increment with
+            // Aborted remotely: revert speculative state. The abort and
+            // the failed commit each get a LostTsw attribution (the
+            // cause-sum invariant pairs every base increment with
             // exactly one cause increment).
             let _ = self.access(me, tsw, AccessKind::Load, 0);
-            self.cores[me].stats.failed_commits += 1;
-            self.cores[me]
-                .stats
-                .abort_causes
-                .record(AbortCause::LostTsw);
-            let dropped = self.cores[me].hardware_abort();
-            let _ = dropped;
-            self.sync_core_masks(me);
+            self.kill(me, AbortCause::LostTsw);
             self.clear_aou(me);
-            self.cores[me].stats.tx_aborts += 1;
-            self.cores[me]
-                .stats
-                .abort_causes
-                .record(AbortCause::LostTsw);
-            self.log.push(Event::CasCommit {
-                core: me,
-                success: false,
-            });
-            self.maybe_check_invariants();
+            self.commit_failed(me, AbortCause::LostTsw);
             return CasCommitOutcome::LostTsw(old);
         }
         if self.cores[me].csts.has_write_conflicts() {
             let (_, wr, ww) = self.cores[me].csts.snapshot();
-            self.cores[me].stats.failed_commits += 1;
-            self.cores[me]
-                .stats
-                .abort_causes
-                .record(AbortCause::CommitConflicts);
-            self.log.push(Event::CasCommit {
-                core: me,
-                success: false,
-            });
-            self.maybe_check_invariants();
+            self.commit_failed(me, AbortCause::CommitConflicts);
             return CasCommitOutcome::ConflictsPending { wr, ww };
         }
 
@@ -109,8 +84,8 @@ impl SimState {
                 // Osig kept its bits. The transaction is over, so
                 // retire the table outright (mirroring abort's
                 // `ot.take()`) — otherwise the next transaction
-                // inherits the stale Osig and `threatens_with`
-                // reports phantom co-writers.
+                // inherits the stale Osig and `threatens` reports
+                // phantom co-writers.
                 self.cores[me].ot = None;
             }
         }
@@ -131,17 +106,24 @@ impl SimState {
         CasCommitOutcome::Committed(lines)
     }
 
+    fn commit_failed(&mut self, me: usize, cause: AbortCause) {
+        self.cores[me].stats.failed_commits += 1;
+        self.cores[me].stats.abort_causes.record(cause);
+        self.log.push(Event::CasCommit {
+            core: me,
+            success: false,
+        });
+        self.maybe_check_invariants();
+    }
+
     /// The explicit abort instruction: revert TMI/TI, clear signatures,
     /// CSTs and the AOU mark, discard a speculative OT, and record
     /// `cause` in the abort-attribution counters. Work/mem cycles
     /// accrued since [`SimState::begin_attempt`] are reclassified into
     /// `wasted_cycles`.
     pub fn abort_tx(&mut self, me: usize, cause: AbortCause) -> usize {
-        let dropped = self.cores[me].hardware_abort();
-        self.sync_core_masks(me);
+        let dropped = self.kill(me, cause);
         self.clear_aou(me);
-        self.cores[me].stats.tx_aborts += 1;
-        self.cores[me].stats.abort_causes.record(cause);
         self.cores[me].alert_pending = None;
         self.log.push(Event::TxAbort { core: me, cause });
         self.charge_mem(me, self.config.l1_latency);
@@ -150,7 +132,21 @@ impl SimState {
         dropped
     }
 
-    fn clear_aou(&mut self, me: usize) {
+    /// What every abort does, whoever ordered it: the hardware abort
+    /// (TMI/TI lines, signatures, CSTs and a speculative OT all go), the
+    /// activity masks, and one `tx_aborts` with its `cause`. Returns the
+    /// number of speculative lines dropped.
+    pub(super) fn kill(&mut self, core: usize, cause: AbortCause) -> usize {
+        let dropped = self.cores[core].hardware_abort();
+        self.sync_core_masks(core);
+        self.cores[core].stats.tx_aborts += 1;
+        self.cores[core].stats.abort_causes.record(cause);
+        dropped
+    }
+
+    /// Drops the AOU mark and its A bit (the transaction is over or
+    /// descheduled).
+    pub(crate) fn clear_aou(&mut self, me: usize) {
         if let Some(line) = self.cores[me].aloaded.take() {
             if let Some(s) = self.cores[me].l1.peek_slot(line) {
                 self.cores[me].l1.set_a_bit(s, false);

@@ -3,11 +3,12 @@
 //! lost to L2 evictions (paper §4.1's sticky-bit analogue).
 
 use super::msg::{AccessKind, AccessResult, Conflict, ConflictKind};
+use super::respond::Edge;
 use crate::cache::L1State;
 use crate::cst::{procs_in_mask, CstKind};
 use crate::machine::SimState;
 use crate::mem::Addr;
-use flextm_sig::SigKey;
+use flextm_sig::{LineAddr, SigKey};
 
 impl SimState {
     /// Rebuilds a directory entry by querying every L1's signatures and
@@ -38,8 +39,7 @@ impl SimState {
             }
         }
         for i in procs_in_mask(self.ot_present_mask()) {
-            let ot = self.cores[i].ot.as_ref();
-            if ot.is_some_and(|ot| !ot.is_committed() && ot.maybe_contains_key(key)) {
+            if self.ot_threatens(i, key) {
                 entry.owners.insert(i);
             }
         }
@@ -51,8 +51,8 @@ impl SimState {
     /// for `line`, L1 residency implies the matching over-approximate
     /// directory bit — M/E/TMI holders appear as owners, S/TI holders
     /// as sharers. The reverse is deliberately unchecked: stale bits
-    /// are the design (§4.1).
-    #[cfg(any(test, feature = "check"))]
+    /// are the design (§4.1). Reads tags directly, not through the
+    /// handlers' snoop: this is the reference they are held against.
     pub(crate) fn check_directory_invariants(&self, line: flextm_sig::LineAddr) {
         if !self.l2.has_dir_info(line) {
             return;
@@ -81,6 +81,27 @@ impl SimState {
         }
     }
 
+    /// Turns `o`'s owner bit into a sharer bit: an exclusive owner
+    /// downgraded to S, or stickiness (§4.1) — the exclusive copy is
+    /// gone but `o`'s transaction still *reads* the line, and a later
+    /// write must still find it to abort or conflict with it, so the
+    /// stale bit demotes instead of dropping coverage.
+    fn demote_owner(&mut self, line: LineAddr, o: usize) {
+        let d = self.l2.dir_mut(line);
+        d.owners.remove(o);
+        d.sharers.insert(o);
+    }
+
+    /// Tracks `me` as an owner of `line`. Any stale sharer bit from an
+    /// earlier cached read must go — a core listed in both sets would
+    /// get its copy invalidated by sharer sweeps that owner handling
+    /// already decided to preserve.
+    fn make_owner(&mut self, line: LineAddr, me: usize) {
+        let d = self.l2.dir_mut(line);
+        d.owners.insert(me);
+        d.sharers.remove(me);
+    }
+
     pub(super) fn handle_gets(
         &mut self,
         me: usize,
@@ -96,36 +117,21 @@ impl SimState {
         let mut threatened = false;
 
         for o in procs_in_mask(dir.owners.without(me)) {
-            let slot = self.cores[o].l1.peek_slot(line);
-            let l1_state = slot.map(|s| self.cores[o].l1.state(s));
-            if l1_state == Some(L1State::M) || l1_state == Some(L1State::E) {
+            let sn = self.snoop(o, line, key);
+            if let (Some(slot), Some(L1State::M | L1State::E)) = (sn.slot, sn.state) {
                 // Exclusive owner downgrades to S (M additionally
                 // flushes); both end up sharers.
                 forwarded = true;
-                if l1_state == Some(L1State::M) {
+                if sn.state == Some(L1State::M) {
                     self.cores[o].stats.writebacks += 1;
                 }
-                self.cores[o]
-                    .l1
-                    .set_state(slot.expect("peeked"), L1State::S);
-                let d = self.l2.dir_mut(line);
-                d.owners.remove(o);
-                d.sharers.insert(o);
-            } else if self.threatens_with(o, l1_state, key) {
+                self.cores[o].l1.set_state(slot, L1State::S);
+                self.demote_owner(line, o);
+            } else if self.threatens(&sn) {
                 forwarded = true;
                 threatened = true;
                 if kind.is_tx() {
-                    // Local read vs remote write: requester R-W,
-                    // responder W-R.
-                    self.record_conflict(
-                        me,
-                        o,
-                        CstKind::RW,
-                        CstKind::WR,
-                        ConflictKind::Threatened,
-                        line,
-                        result,
-                    );
+                    self.record_conflict(me, o, Edge::ReadVsWriter, line, result);
                 } else {
                     self.cores[me].stats.threatened_seen += 1;
                     result.conflicts.push(Conflict {
@@ -133,16 +139,11 @@ impl SimState {
                         kind: ConflictKind::Threatened,
                     });
                 }
-            } else if self.sig_live_mask().contains(o) && self.cores[o].reads_line_key(key) {
-                // Stickiness (§4.1): the exclusive copy is gone (silent
-                // eviction) but the owner's transaction still *reads*
-                // the line — a later write must still find it to abort
-                // or conflict with it, so the stale owner bit demotes
-                // to a sharer bit instead of dropping coverage.
+            } else if self.reads(&sn) {
+                // The exclusive copy is gone (silent eviction) but the
+                // owner's transaction still reads the line.
                 forwarded = true;
-                let d = self.l2.dir_mut(line);
-                d.owners.remove(o);
-                d.sharers.insert(o);
+                self.demote_owner(line, o);
             } else {
                 // Stale owner bit (committed/aborted long ago).
                 self.l2.drop_owner_key(key, o);
@@ -178,15 +179,9 @@ impl SimState {
         match kind {
             AccessKind::TLoad => {
                 let fill_state = if threatened { L1State::Ti } else { L1State::S };
-                let data = if threatened {
-                    // Snapshot the committed value: it must stay
-                    // readable even if the remote writer commits first.
-                    let mut d = self.cores[me].l1.alloc_data();
-                    *d = self.mem.read_line(line);
-                    Some(d)
-                } else {
-                    None
-                };
+                // Snapshot the committed value: it must stay readable
+                // even if the remote writer commits first.
+                let data = threatened.then(|| self.committed_copy(me, line));
                 // Upgrade-in-place never happens for TLoad misses (any
                 // cached state would have hit), so fill directly.
                 latency += self.fill_line(me, line, fill_state, data).1;
@@ -199,15 +194,9 @@ impl SimState {
                         && dir_now.owners.without(me).is_empty();
                     if alone {
                         // Exclusive grant: track as owner (E silently
-                        // upgrades to M). Any stale sharer bit from an
-                        // earlier cached read must go — a core listed in
-                        // both sets would get its copy invalidated by
-                        // sharer sweeps that owner handling already
-                        // decided to preserve.
+                        // upgrades to M).
                         latency += self.fill_line(me, line, L1State::E, None).1;
-                        let d = self.l2.dir_mut(line);
-                        d.owners.insert(me);
-                        d.sharers.remove(me);
+                        self.make_owner(line, me);
                     } else {
                         latency += self.fill_line(me, line, L1State::S, None).1;
                         self.l2.dir_mut(line).sharers.insert(me);
@@ -231,32 +220,8 @@ impl SimState {
     ) -> u64 {
         let line = addr.line();
         let dir = self.l2.dir(line);
-        let mut latency = 0;
-        let mut forwarded = false;
-
-        let sig_live = self.sig_live_mask();
-        for o in procs_in_mask((dir.owners | dir.sharers).without(me)) {
-            forwarded = true;
-            let slot = self.cores[o].l1.peek_slot(line);
-            let l1_state = slot.map(|s| self.cores[o].l1.state(s));
-            let transactional = self.threatens_with(o, l1_state, key)
-                || (sig_live.contains(o) && self.cores[o].reads_line_key(key));
-            if transactional {
-                // §3.5 strong isolation: a non-transactional write
-                // aborts every transactional reader/writer of the line.
-                self.strong_isolation_abort(o, me, line, slot);
-            } else {
-                if l1_state == Some(L1State::M) {
-                    self.cores[o].stats.writebacks += 1;
-                }
-                self.invalidate_at(o, slot);
-                self.l2.drop_sharer_key(key, o);
-                self.l2.drop_owner_key(key, o);
-            }
-        }
-        if forwarded {
-            latency += self.config.forward_penalty();
-        }
+        let sweep = (dir.owners | dir.sharers).without(me);
+        let mut latency = self.nontx_write_sweep(me, line, key, sweep);
 
         // Acquire M locally (upgrade in place if we held S/E/TI),
         // recycling any snapshot buffer the upgraded entry carried.
@@ -273,9 +238,7 @@ impl SimState {
         if let Some(d) = prev_data {
             self.cores[me].l1.retire_data(d);
         }
-        let d = self.l2.dir_mut(line);
-        d.owners.insert(me);
-        d.sharers.remove(me);
+        self.make_owner(line, me);
         self.mem.write(addr, store_val);
         result.value = store_val;
         latency
@@ -300,11 +263,9 @@ impl SimState {
         let mut latency = 0;
         let mut forwarded = false;
 
-        let sig_live = self.sig_live_mask();
         for o in procs_in_mask(dir.owners.without(me)) {
-            let slot = self.cores[o].l1.peek_slot(line);
-            let l1_state = slot.map(|s| self.cores[o].l1.state(s));
-            if l1_state == Some(L1State::M) || l1_state == Some(L1State::E) {
+            let sn = self.snoop(o, line, key);
+            if matches!(sn.state, Some(L1State::M | L1State::E)) {
                 // Exclusive owner: flush (if dirty) + invalidate. If it
                 // also *read* the line transactionally, record the
                 // Exposed-Read and keep it sticky as a sharer so later
@@ -316,67 +277,33 @@ impl SimState {
                 // the committed copy — that would leave two M/E holders
                 // once the requester commits.
                 forwarded = true;
-                if l1_state == Some(L1State::M) {
+                if sn.state == Some(L1State::M) {
                     self.cores[o].stats.writebacks += 1;
                 }
-                self.invalidate_at(o, slot);
-                let d = self.l2.dir_mut(line);
-                d.owners.remove(o);
-                if sig_live.contains(o) && self.cores[o].reads_line_key(key) {
-                    self.l2.dir_mut(line).sharers.insert(o);
-                    self.record_conflict(
-                        me,
-                        o,
-                        CstKind::WR,
-                        CstKind::RW,
-                        ConflictKind::ExposedRead,
-                        line,
-                        result,
-                    );
+                self.invalidate_at(o, sn.slot);
+                if self.reads(&sn) {
+                    self.demote_owner(line, o);
+                    self.record_conflict(me, o, Edge::WriteVsReader, line, result);
+                } else {
+                    self.l2.dir_mut(line).owners.remove(o);
                 }
-            } else if self.threatens_with(o, l1_state, key) {
+            } else if self.threatens(&sn) {
                 // Speculative co-writer (resident TMI, or a displaced
                 // TMI living in the overflow table): both record W-W;
                 // the owner retains its speculative copy (multiple
                 // owners).
                 forwarded = true;
-                self.record_conflict(
-                    me,
-                    o,
-                    CstKind::WW,
-                    CstKind::WW,
-                    ConflictKind::Threatened,
-                    line,
-                    result,
-                );
-                if sig_live.contains(o) && self.cores[o].reads_line_key(key) {
+                self.record_conflict(me, o, Edge::WriteVsWriter, line, result);
+                if self.reads(&sn) {
                     // Piggybacked Exposed-Read: they also read it.
-                    self.record_conflict(
-                        me,
-                        o,
-                        CstKind::WR,
-                        CstKind::RW,
-                        ConflictKind::ExposedRead,
-                        line,
-                        result,
-                    );
+                    self.record_conflict(me, o, Edge::WriteVsReader, line, result);
                 }
-            } else if sig_live.contains(o) && self.cores[o].reads_line_key(key) {
+            } else if self.reads(&sn) {
                 // Stale owner bit but a live transactional reader:
                 // conflict + sticky demotion to sharer.
                 forwarded = true;
-                let d = self.l2.dir_mut(line);
-                d.owners.remove(o);
-                d.sharers.insert(o);
-                self.record_conflict(
-                    me,
-                    o,
-                    CstKind::WR,
-                    CstKind::RW,
-                    ConflictKind::ExposedRead,
-                    line,
-                    result,
-                );
+                self.demote_owner(line, o);
+                self.record_conflict(me, o, Edge::WriteVsReader, line, result);
             } else {
                 self.l2.drop_owner_key(key, o);
             }
@@ -386,47 +313,27 @@ impl SimState {
             // A TMI holder reached through a stale sharer bit is a
             // co-writer the owner loop already handled; invalidating it
             // here would silently destroy its speculative data.
-            let slot = self.cores[s].l1.peek_slot(line);
-            if slot.is_some_and(|at| self.cores[s].l1.state(at) == L1State::Tmi) {
+            let sn = self.snoop(s, line, key);
+            if sn.state == Some(L1State::Tmi) {
                 continue;
             }
             forwarded = true;
-            if sig_live.contains(s) && self.cores[s].reads_line_key(key) {
-                // Exposed-Read: requester W-R, responder R-W.
-                self.record_conflict(
-                    me,
-                    s,
-                    CstKind::WR,
-                    CstKind::RW,
-                    ConflictKind::ExposedRead,
-                    line,
-                    result,
-                );
+            let reads = self.reads(&sn);
+            if reads {
+                self.record_conflict(me, s, Edge::WriteVsReader, line, result);
             }
-            if sig_live.contains(s)
-                && self.cores[s].writes_line_key(key)
-                && !procs_in_mask(dir.owners).any(|o| o == s)
-            {
+            let writes = self.wsig_hit(&sn);
+            if writes && !dir.owners.contains(s) {
                 // Writer whose line was silently displaced: still W-W.
-                self.record_conflict(
-                    me,
-                    s,
-                    CstKind::WW,
-                    CstKind::WW,
-                    ConflictKind::Threatened,
-                    line,
-                    result,
-                );
+                self.record_conflict(me, s, Edge::WriteVsWriter, line, result);
             }
-            self.invalidate_at(s, slot);
+            self.invalidate_at(s, sn.slot);
             // Stickiness (§4.1 rationale): a transactional reader whose
             // copy we just invalidated must keep receiving coherence
             // requests for this line — a later non-transactional write
             // still has to find and abort it. Only non-transactional
             // sharers are dropped.
-            let live = sig_live.contains(s);
-            if !(live && (self.cores[s].reads_line_key(key) || self.cores[s].writes_line_key(key)))
-            {
+            if !(reads || writes) {
                 self.l2.drop_sharer_key(key, s);
             }
         }
@@ -435,23 +342,15 @@ impl SimState {
         }
 
         // Become a (possibly additional) owner with speculative data.
-        let mut data = self.cores[me].l1.alloc_data();
-        *data = self.mem.read_line(line);
-        data[addr.word_in_line()] = store_val;
         match self.cores[me].l1.peek_slot(line) {
-            Some(s) => {
-                self.cores[me].l1.set_state(s, L1State::Tmi);
-                let old = self.cores[me].l1.put_data(s, data);
-                if let Some(old) = old {
-                    self.cores[me].l1.retire_data(old);
-                }
-                self.cores[me].l1.note_speculative(line);
+            Some(s) => self.go_speculative(me, s, addr, store_val),
+            None => {
+                let mut data = self.committed_copy(me, line);
+                data[addr.word_in_line()] = store_val;
+                latency += self.fill_line(me, line, L1State::Tmi, Some(data)).1;
             }
-            None => latency += self.fill_line(me, line, L1State::Tmi, Some(data)).1,
         }
-        let d = self.l2.dir_mut(line);
-        d.owners.insert(me);
-        d.sharers.remove(me);
+        self.make_owner(line, me);
         result.value = store_val;
         latency
     }

@@ -24,98 +24,105 @@ impl SimState {
         state: L1State,
         data: Option<Box<[u64; WORDS_PER_LINE]>>,
     ) -> (L1Slot, u64) {
-        let mut extra = 0;
         let (slot, evicted) = self.cores[me].l1.fill_slot(line, state);
         if let Some(d) = data {
             let displaced = self.cores[me].l1.put_data(slot, d);
             debug_assert!(displaced.is_none(), "fresh fill already carried data");
         }
-        if let Some(ev) = evicted {
-            match ev {
-                Evicted::Silent(l, _, a_bit) => {
-                    if a_bit {
-                        // Conservative AOU: losing the marked line must
-                        // alert, or a remote write could go unnoticed.
-                        self.cores[me].post_alert(AlertCause::AouInvalidated(l));
-                    }
-                }
-                Evicted::WritebackM(l, a_bit) => {
-                    self.cores[me].stats.writebacks += 1;
-                    extra += self.config.l2_latency;
-                    if a_bit {
-                        self.cores[me].post_alert(AlertCause::AouInvalidated(l));
-                    }
-                }
-                Evicted::OverflowTmi(l, d) => {
-                    extra += self.overflow_tmi(me, l, d);
-                }
-            }
-        }
-        (slot, extra)
+        (slot, evicted.map_or(0, |ev| self.displaced(me, ev)))
     }
 
-    /// Spills a TMI line to the overflow table, allocating one (via the
-    /// modelled software trap) if needed. Returns the latency charged.
-    fn overflow_tmi(&mut self, me: usize, line: LineAddr, data: Box<[u64; WORDS_PER_LINE]>) -> u64 {
-        let mut extra = 0;
-        let needs_alloc = match &self.cores[me].ot {
-            None => true,
-            Some(ot) => ot.is_committed(),
+    /// What a line leaving `me`'s L1 costs and causes: an M line
+    /// writes back, a TMI line spills to the overflow table, anything
+    /// else leaves silently (the directory deliberately keeps its stale
+    /// bits, §4.1). Returns the latency charged.
+    fn displaced(&mut self, me: usize, ev: Evicted) -> u64 {
+        let (line, a_bit, latency) = match ev {
+            Evicted::Silent(l, _, a_bit) => (l, a_bit, 0),
+            Evicted::WritebackM(l, a_bit) => {
+                self.cores[me].stats.writebacks += 1;
+                (l, a_bit, self.config.l2_latency)
+            }
+            Evicted::OverflowTmi(l, d) => return self.overflow_tmi(me, l, d),
         };
-        if needs_alloc {
-            self.cores[me].ot = Some(OverflowTable::new(self.config.signature.clone()));
-            extra += self.config.ot_alloc_trap_latency;
+        if a_bit {
+            // Conservative AOU: losing the marked line must alert, or a
+            // remote write could go unnoticed.
+            self.cores[me].post_alert(AlertCause::AouInvalidated(line));
         }
+        latency
+    }
+
+    /// Makes sure `me` has a live overflow table to spill into,
+    /// allocating one (via the modelled software trap) if it has none
+    /// or only a committed one still copying back. Returns the trap
+    /// latency.
+    pub(crate) fn ensure_ot(&mut self, me: usize) -> u64 {
         self.mark_ot_present(me);
-        self.cores[me]
-            .ot
-            .as_mut()
-            .expect("OT allocated above")
-            .insert(line, data);
+        if self.live_ot(me).is_some() {
+            return 0;
+        }
+        self.cores[me].ot = Some(OverflowTable::new(self.config.signature.clone()));
+        self.config.ot_alloc_trap_latency
+    }
+
+    /// Spills a TMI line to the overflow table. Returns the latency
+    /// charged.
+    fn overflow_tmi(&mut self, me: usize, line: LineAddr, data: Box<[u64; WORDS_PER_LINE]>) -> u64 {
+        let trap = self.ensure_ot(me);
+        let ot = self.cores[me].ot.as_mut().expect("OT allocated above");
+        ot.insert(line, data);
         self.cores[me].stats.overflows += 1;
         self.log.push(Event::Overflow { core: me, line });
-        extra + self.config.l2_latency // controller write-back to VM
+        trap + self.config.l2_latency // controller write-back to VM
     }
 
     /// Forcibly evicts `line` from `me`'s L1, as if a conflicting fill
-    /// had displaced it: an M line writes back, a TMI line spills to
-    /// the overflow table, everything else leaves silently (the
-    /// directory deliberately keeps its stale bits, exactly like the
-    /// capacity path in [`SimState::fill_line`]). The model checker
-    /// uses this to fold eviction/overflow interleavings into the
-    /// explored space without having to engineer set conflicts. No-op
-    /// if the line is not resident; returns true if something was
-    /// evicted.
-    #[cfg(any(test, feature = "check"))]
+    /// had displaced it (same consequences as the capacity path in
+    /// [`SimState::fill_line`]). The model checker uses this to fold
+    /// eviction/overflow interleavings into the explored space without
+    /// having to engineer set conflicts. No-op if the line is not
+    /// resident; returns true if something was evicted.
     pub fn evict_line(&mut self, me: usize, line: LineAddr) -> bool {
         let Some(entry) = self.cores[me].l1.invalidate(line) else {
             return false;
         };
-        let mut latency = self.config.l1_latency;
-        match entry.state {
-            L1State::M => {
-                self.cores[me].stats.writebacks += 1;
-                latency += self.config.l2_latency;
-                if entry.a_bit {
-                    self.cores[me].post_alert(AlertCause::AouInvalidated(line));
-                }
-            }
-            L1State::Tmi => {
-                let data = entry.data.expect("TMI line must carry speculative data");
-                latency += self.overflow_tmi(me, line, data);
-            }
-            _ => {
-                if let Some(d) = entry.data {
-                    self.cores[me].l1.retire_data(d);
-                }
-                if entry.a_bit {
-                    self.cores[me].post_alert(AlertCause::AouInvalidated(line));
-                }
-            }
-        }
+        let ev = self.cores[me].l1.classify_eviction(entry);
+        let latency = self.config.l1_latency + self.displaced(me, ev);
         self.charge_mem(me, latency);
         self.maybe_check_invariants();
         true
+    }
+
+    /// A fresh line buffer holding `line`'s committed contents: the
+    /// snapshot a TI copy keeps, and what a TMI copy starts from.
+    pub(super) fn committed_copy(
+        &mut self,
+        me: usize,
+        line: LineAddr,
+    ) -> Box<[u64; WORDS_PER_LINE]> {
+        let mut d = self.cores[me].l1.alloc_data();
+        *d = self.mem.read_line(line);
+        d
+    }
+
+    /// Turns the resident copy at `slot` speculative in place: TMI,
+    /// carrying the committed line with `value` patched in.
+    ///
+    /// Inlined by measurement, like `request` is kept out of line by
+    /// one: as a call from the two L1-hit arms of `access` it cost
+    /// `ht-1t` about 2 % (EXPERIMENTS.md "Measurement history", PR 20).
+    #[inline(always)]
+    pub(super) fn go_speculative(&mut self, me: usize, slot: L1Slot, addr: Addr, value: u64) {
+        let line = addr.line();
+        let mut d = self.committed_copy(me, line);
+        d[addr.word_in_line()] = value;
+        self.cores[me].l1.set_state(slot, L1State::Tmi);
+        // A TI copy upgrading hands its snapshot buffer back.
+        if let Some(old) = self.cores[me].l1.put_data(slot, d) {
+            self.cores[me].l1.retire_data(old);
+        }
+        self.cores[me].l1.note_speculative(line);
     }
 
     /// Executes one memory access for core `me`. `store_val` is written
@@ -218,27 +225,13 @@ impl SimState {
                 // speculative in place.
                 self.cores[me].stats.writebacks += 1;
                 latency += self.config.l2_latency;
-                let mut d = self.cores[me].l1.alloc_data();
-                *d = self.mem.read_line(line);
-                d[addr.word_in_line()] = store_val;
-                let s = slot.expect("probed");
-                self.cores[me].l1.set_state(s, L1State::Tmi);
-                let old = self.cores[me].l1.put_data(s, d);
-                debug_assert!(old.is_none(), "M line carried no data");
-                self.cores[me].l1.note_speculative(line);
+                self.go_speculative(me, slot.expect("probed"), addr, store_val);
                 true
             }
             (AccessKind::TStore, Some(L1State::E)) => {
                 // E→TMI is silent: the directory already forwards all
                 // requests to the exclusive owner.
-                let mut d = self.cores[me].l1.alloc_data();
-                *d = self.mem.read_line(line);
-                d[addr.word_in_line()] = store_val;
-                let s = slot.expect("probed");
-                self.cores[me].l1.set_state(s, L1State::Tmi);
-                let old = self.cores[me].l1.put_data(s, d);
-                debug_assert!(old.is_none(), "E line carried no data");
-                self.cores[me].l1.note_speculative(line);
+                self.go_speculative(me, slot.expect("probed"), addr, store_val);
                 true
             }
             _ => false,
@@ -255,8 +248,7 @@ impl SimState {
                     None => self.mem.read(addr),
                 },
             };
-            self.advance(me, latency);
-            self.cores[me].stats.mem_cycles += latency;
+            self.charge_mem(me, latency);
             self.maybe_check_invariants();
             return result;
         }
@@ -274,11 +266,7 @@ impl SimState {
             self.cores[me].ot.is_none() || self.ot_present_mask().contains(me),
             "ot_present mask lost core {me}"
         );
-        let ot_hit = self.cores[me]
-            .ot
-            .as_ref()
-            .is_some_and(|ot| !ot.is_committed() && ot.maybe_contains_key(key));
-        if ot_hit {
+        if self.ot_threatens(me, key) {
             if let Some(entry) = self.cores[me]
                 .ot
                 .as_mut()
@@ -290,25 +278,16 @@ impl SimState {
                 latency += self.config.ot_lookup_latency;
                 let (slot, extra) = self.fill_line(me, line, L1State::Tmi, Some(entry.data));
                 latency += extra;
-                match kind {
-                    AccessKind::TStore => {
-                        self.cores[me].l1.data_mut(slot).expect("TMI data")[addr.word_in_line()] =
-                            store_val;
-                        result.value = store_val;
-                    }
-                    AccessKind::Store => {
-                        self.cores[me].l1.data_mut(slot).expect("TMI data")[addr.word_in_line()] =
-                            store_val;
-                        self.mem.write(addr, store_val);
-                        result.value = store_val;
-                    }
-                    _ => {
-                        result.value =
-                            self.cores[me].l1.data(slot).expect("TMI data")[addr.word_in_line()];
-                    }
+                let word =
+                    &mut self.cores[me].l1.data_mut(slot).expect("TMI data")[addr.word_in_line()];
+                if kind.is_write() {
+                    *word = store_val;
                 }
-                self.advance(me, latency);
-                self.cores[me].stats.mem_cycles += latency;
+                result.value = *word;
+                if kind == AccessKind::Store {
+                    self.mem.write(addr, store_val);
+                }
+                self.charge_mem(me, latency);
                 self.maybe_check_invariants();
                 return result;
             }
@@ -318,8 +297,7 @@ impl SimState {
         }
 
         latency += self.request(me, addr, kind, store_val, key, &mut result);
-        self.advance(me, latency);
-        self.cores[me].stats.mem_cycles += latency;
+        self.charge_mem(me, latency);
         self.maybe_check_invariants();
         result
     }

@@ -1,7 +1,7 @@
-//! Remote-L1 responder actions: threat tests against signatures and
-//! tags, CST updates on both ends of a conflict edge, invalidations
-//! (with alert-on-update delivery), and the strong-isolation abort
-//! sweep for non-transactional writes (§3.5).
+//! Remote-L1 responder actions: the snoop every directory sweep opens
+//! with (Fig. 1's response column), CST updates on both ends of a
+//! conflict edge, invalidations (with alert-on-update delivery), and
+//! the strong-isolation sweep for non-transactional writes (§3.5).
 
 use super::msg::{AccessResult, Conflict, ConflictKind};
 use crate::cache::{L1Slot, L1State};
@@ -9,31 +9,86 @@ use crate::core_state::AlertCause;
 use crate::cst::{procs_in_mask, CstKind};
 use crate::machine::SimState;
 use crate::mem::Addr;
-use crate::stats::Event;
-use flextm_sig::{LineAddr, SigKey};
+use crate::ot::OverflowTable;
+use crate::stats::{AbortCause, Event};
+use flextm_sig::{LineAddr, ProcSet, SigKey};
+
+/// One responder's view of a forwarded request: its L1 copy, probed
+/// exactly once, plus what [`SimState::threatens`] and
+/// [`SimState::reads`] need to test its signatures on demand.
+#[derive(Clone, Copy)]
+pub(super) struct Snoop {
+    core: usize,
+    key: SigKey,
+    pub(super) slot: Option<L1Slot>,
+    pub(super) state: Option<L1State>,
+}
+
+/// The three conflict edges a request can draw to a responder (the
+/// `Threatened` and `Exposed-Read` rows of Fig. 1's response table).
+#[derive(Clone, Copy)]
+pub(super) enum Edge {
+    /// Local read, remote write: requester R-W, responder W-R.
+    ReadVsWriter,
+    /// Both wrote: W-W on both sides.
+    WriteVsWriter,
+    /// Local write, remote read: requester W-R, responder R-W.
+    WriteVsReader,
+}
 
 impl SimState {
-    /// True if processor `o` must answer `Threatened` for the line
-    /// behind `key`, given its already-peeked L1 state. Callers that
-    /// have the state in hand anyway pass it in so the L1 is probed
-    /// exactly once per responder; the signature and OT tests are
-    /// gated on the activity masks so idle cores cost two bit tests.
-    pub(super) fn threatens_with(&self, o: usize, l1_state: Option<L1State>, key: SigKey) -> bool {
-        l1_state == Some(L1State::Tmi)
-            || (self.sig_live_mask().contains(o) && self.cores[o].writes_line_key(key))
-            || (self.ot_present_mask().contains(o)
-                && self.cores[o]
-                    .ot
-                    .as_ref()
-                    .is_some_and(|ot| !ot.is_committed() && ot.maybe_contains_key(key)))
+    pub(super) fn snoop(&self, core: usize, line: LineAddr, key: SigKey) -> Snoop {
+        let slot = self.cores[core].l1.peek_slot(line);
+        let state = slot.map(|s| self.cores[core].l1.state(s));
+        Snoop {
+            core,
+            key,
+            slot,
+            state,
+        }
+    }
+
+    /// `core`'s overflow table while it is still speculative (a
+    /// committed one lingers only to NACK during copy-back).
+    pub(super) fn live_ot(&self, core: usize) -> Option<&OverflowTable> {
+        self.cores[core].ot.as_ref().filter(|ot| !ot.is_committed())
+    }
+
+    /// True if `core`'s live `Osig` may cover the line: a TMI copy
+    /// displaced to the overflow table still threatens.
+    pub(super) fn ot_threatens(&self, core: usize, key: SigKey) -> bool {
+        self.live_ot(core)
+            .is_some_and(|ot| ot.maybe_contains_key(key))
+    }
+
+    /// The responder's `Wsig` alone. Like [`SimState::reads`], gated on
+    /// the activity mask so an idle core costs one bit test.
+    pub(super) fn wsig_hit(&self, sn: &Snoop) -> bool {
+        self.sig_live_mask().contains(sn.core) && self.cores[sn.core].writes_line_key(sn.key)
+    }
+
+    /// Fig. 1's first question: must the responder answer `Threatened`?
+    /// Yes if it holds the line speculatively written in any form —
+    /// resident TMI, a `Wsig` hit, or a TMI copy displaced to the OT.
+    pub(super) fn threatens(&self, sn: &Snoop) -> bool {
+        sn.state == Some(L1State::Tmi)
+            || self.wsig_hit(sn)
+            || (self.ot_present_mask().contains(sn.core) && self.ot_threatens(sn.core, sn.key))
+    }
+
+    /// Fig. 1's second question: does the responder's `Rsig` hit (an
+    /// `Exposed-Read` for a writer, `Shared` for a reader)?
+    pub(super) fn reads(&self, sn: &Snoop) -> bool {
+        self.sig_live_mask().contains(sn.core) && self.cores[sn.core].reads_line_key(sn.key)
     }
 
     /// TI legality (checker invariant, next to the threat test it
-    /// mirrors): a TI snapshot of `line` exists only while some remote
-    /// core still threatens it, or while the reader's own R-W CST
-    /// records the (possibly already settled) conflict that justified
-    /// it, or while summary signatures blur the picture (§5).
-    #[cfg(any(test, feature = "check"))]
+    /// mirrors — and spelled out again instead of calling it, because
+    /// the checker holds the handlers against this): a TI snapshot of
+    /// `line` exists only while some remote core still threatens it, or
+    /// while the reader's own R-W CST records the (possibly already
+    /// settled) conflict that justified it, or while summary signatures
+    /// blur the picture (§5).
     pub(crate) fn check_threat_invariants(&self, line: LineAddr) {
         for (i, core) in self.cores.iter().enumerate() {
             if core.l1.peek(line).is_none_or(|e| e.state != L1State::Ti) {
@@ -42,7 +97,7 @@ impl SimState {
             let threatened = self.cores.iter().enumerate().any(|(j, rc)| {
                 j != i
                     && (rc.l1.peek(line).is_some_and(|e| e.state == L1State::Tmi)
-                        || rc.writes_line(line)
+                        || rc.wsig.contains(line)
                         || rc
                             .ot
                             .as_ref()
@@ -56,17 +111,22 @@ impl SimState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Draws `edge` between requester `me` and responder `other`: the
+    /// CST bit on each side, the requester's response counter, the
+    /// reported conflict and the event.
     pub(super) fn record_conflict(
         &mut self,
         me: usize,
         other: usize,
-        requester_cst: CstKind,
-        responder_cst: CstKind,
-        kind: ConflictKind,
+        edge: Edge,
         line: LineAddr,
         result: &mut AccessResult,
     ) {
+        let (requester_cst, responder_cst, kind) = match edge {
+            Edge::ReadVsWriter => (CstKind::RW, CstKind::WR, ConflictKind::Threatened),
+            Edge::WriteVsWriter => (CstKind::WW, CstKind::WW, ConflictKind::Threatened),
+            Edge::WriteVsReader => (CstKind::WR, CstKind::RW, ConflictKind::ExposedRead),
+        };
         self.cores[me].csts.set(requester_cst, other);
         self.cores[other].csts.set(responder_cst, me);
         match kind {
@@ -82,8 +142,8 @@ impl SimState {
         });
     }
 
-    /// Invalidates the line the caller's peek found at `slot` in `s`'s
-    /// L1 (nothing, if the peek missed), firing AOU if marked.
+    /// Invalidates the line the caller's snoop found at `slot` in `s`'s
+    /// L1 (nothing, if the snoop missed), firing AOU if marked.
     pub(super) fn invalidate_at(&mut self, s: usize, slot: Option<L1Slot>) {
         if let Some(slot) = slot {
             let mut entry = self.cores[s].l1.invalidate_slot(slot);
@@ -101,7 +161,7 @@ impl SimState {
         }
     }
 
-    pub(super) fn strong_isolation_abort(
+    fn strong_isolation_abort(
         &mut self,
         victim: usize,
         requester: usize,
@@ -111,13 +171,7 @@ impl SimState {
         // The write is about to take exclusive ownership: any
         // non-speculative copy the victim holds must invalidate too.
         self.invalidate_at(victim, slot);
-        self.cores[victim].hardware_abort();
-        self.sync_core_masks(victim);
-        self.cores[victim].stats.tx_aborts += 1;
-        self.cores[victim]
-            .stats
-            .abort_causes
-            .record(crate::stats::AbortCause::StrongIsolation);
+        self.kill(victim, AbortCause::StrongIsolation);
         self.cores[victim].post_alert(AlertCause::StrongIsolation(line));
         self.log.push(Event::StrongIsolationAbort {
             victim,
@@ -130,40 +184,48 @@ impl SimState {
         d.sharers.remove(victim);
     }
 
+    /// A non-transactional write by `me` reaches every core in `mask`
+    /// (§3.5 strong isolation): a transactional reader or writer of the
+    /// line is aborted, anyone else just loses its copy. Returns the
+    /// forwarding latency.
+    pub(super) fn nontx_write_sweep(
+        &mut self,
+        me: usize,
+        line: LineAddr,
+        key: SigKey,
+        mask: ProcSet,
+    ) -> u64 {
+        for o in procs_in_mask(mask) {
+            let sn = self.snoop(o, line, key);
+            if self.threatens(&sn) || self.reads(&sn) {
+                self.strong_isolation_abort(o, me, line, sn.slot);
+            } else {
+                if sn.state == Some(L1State::M) {
+                    self.cores[o].stats.writebacks += 1;
+                }
+                self.invalidate_at(o, sn.slot);
+                self.l2.drop_sharer_key(key, o);
+                self.l2.drop_owner_key(key, o);
+            }
+        }
+        if mask.is_empty() {
+            0
+        } else {
+            self.config.forward_penalty()
+        }
+    }
+
     /// Plain store hitting the local TMI copy: sweep remote
     /// transactional readers/writers (strong isolation) through the
     /// directory, then update both the speculative and committed views.
     pub(super) fn escape_store_tmi(&mut self, me: usize, addr: Addr, store_val: u64) -> u64 {
         let line = addr.line();
         let dir = self.l2.dir(line);
-        let mut latency = self.config.l2_round_trip();
-        let mut forwarded = false;
         let sweep = (dir.owners | dir.sharers).without(me);
-        let key = (!sweep.is_empty()).then(|| self.sig_key(line));
-        for o in procs_in_mask(sweep) {
-            forwarded = true;
-            let key = key.expect("sweep mask is non-empty");
-            let slot = self.cores[o].l1.peek_slot(line);
-            let l1_state = slot.map(|s| self.cores[o].l1.state(s));
-            let transactional = self.threatens_with(o, l1_state, key)
-                || (self.sig_live_mask().contains(o) && self.cores[o].reads_line_key(key));
-            if transactional {
-                self.strong_isolation_abort(o, me, line, slot);
-            } else {
-                if l1_state == Some(L1State::M) {
-                    self.cores[o].stats.writebacks += 1;
-                }
-                self.invalidate_at(o, slot);
-                self.l2.drop_sharer_key(key, o);
-                self.l2.drop_owner_key(key, o);
-            }
-        }
-        if forwarded {
-            latency += self.config.forward_penalty();
-        }
+        let forward = self.nontx_write_sweep(me, line, self.sig_key(line), sweep);
         let s = self.cores[me].l1.peek_slot(line).expect("TMI hit");
         self.cores[me].l1.data_mut(s).expect("TMI carries data")[addr.word_in_line()] = store_val;
         self.mem.write(addr, store_val);
-        latency
+        self.config.l2_round_trip() + forward
     }
 }

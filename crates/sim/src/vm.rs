@@ -50,14 +50,7 @@ impl SimState {
         let tmi_lines = self.cores[me].l1.drain_tmi();
         let mut latency = self.config.l1_latency * (2 + tmi_lines.len() as u64);
         if !tmi_lines.is_empty() {
-            let needs_alloc = match &self.cores[me].ot {
-                None => true,
-                Some(ot) => ot.is_committed(),
-            };
-            if needs_alloc {
-                self.cores[me].ot = Some(OverflowTable::new(self.config.signature.clone()));
-                latency += self.config.ot_alloc_trap_latency;
-            }
+            latency += self.ensure_ot(me);
             let ot = self.cores[me].ot.as_mut().expect("allocated above");
             for (line, data) in tmi_lines {
                 ot.insert(line, data);
@@ -76,11 +69,7 @@ impl SimState {
         self.cores[me].rsig.clear();
         self.cores[me].wsig.clear();
         self.cores[me].csts.clear_all();
-        if let Some(line) = self.cores[me].aloaded.take() {
-            if let Some(s) = self.cores[me].l1.peek_slot(line) {
-                self.cores[me].l1.set_a_bit(s, false);
-            }
-        }
+        self.clear_aou(me);
         self.sync_core_masks(me);
         self.charge_mem(me, latency);
         saved

@@ -1,9 +1,9 @@
 //! Regression tests for protocol bugs found by the `flextm-check`
 //! explicit-state model checker (crates/check). Each test pins the
 //! shrunk counterexample schedule the checker produced, expressed
-//! through the public `SimState` API so it runs in every build (the
-//! checker's own invariant hooks need the `check` feature; the
-//! observable-behavior asserts here do not).
+//! through the public `SimState` API, with the observable behaviour
+//! asserted on top of the per-operation invariant sweep that
+//! `SimState::for_tests` arms.
 
 use flextm_sim::{
     AbortCause, AccessKind, Addr, AlertCause, ConflictKind, CstKind, L1State, MachineConfig,

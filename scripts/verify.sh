@@ -34,8 +34,11 @@
 #   9. fallback switch backend: hosts without the assembly context
 #      switch get a thread-baton backend selected by cfg in
 #      crates/sim/src/fiber.rs; `--cfg flextm_fiber_fallback` builds it
-#      here (separate target dir), and the simulator's tests and both
-#      fingerprint digests must hold on it too
+#      here (separate target dir), and the simulator tests that reach
+#      `Machine::run` (the library's unit tests and tests/isa.rs — the
+#      other integration suites drive SimState, GrantQueue or BankedDir
+#      directly and cannot observe the backend) and both fingerprint
+#      digests must hold on it too
 #  10. sweep farm smoke: the 2x2 smoke matrix runs cold at --jobs 1 and
 #      at --jobs 2 into separate stores, then warm against the second;
 #      the warm run must execute zero cells (pure cache) and all three
@@ -253,7 +256,7 @@ check_both_fp "assembly switch"
 step "fallback switch backend (--cfg flextm_fiber_fallback): sim tests + fingerprints"
 (
     export RUSTFLAGS="--cfg flextm_fiber_fallback"
-    cargo test -q --release -p flextm-sim --target-dir target/fiber-fallback
+    cargo test -q --release -p flextm-sim --lib --test isa --target-dir target/fiber-fallback
     check_both_fp "thread-baton switch" --target-dir target/fiber-fallback
 )
 
