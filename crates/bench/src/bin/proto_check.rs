@@ -25,6 +25,7 @@
 //! `wide`, `alphabet`, and the mode-specific knobs) so downstream
 //! tooling can regroup mixed result streams without re-parsing argv.
 
+use flextm_check::config::{CORES, MAX_LINES};
 use flextm_check::{check_liveness, explore_jobs, random_walk, Alphabet, CheckConfig, Progress};
 use flextm_workloads::rng::WlRng;
 use std::time::Instant;
@@ -93,6 +94,15 @@ fn parse_args() -> Args {
     }
     if args.jobs == 0 {
         eprintln!("--jobs must be >= 1");
+        usage();
+    }
+    // `CheckConfig::new` asserts these ranges; a bad flag is usage.
+    if !CORES.contains(&args.cores) {
+        eprintln!("--cores must be in {CORES:?}");
+        usage();
+    }
+    if !(1..=MAX_LINES).contains(&args.lines) {
+        eprintln!("--lines must be in 1..={MAX_LINES}");
         usage();
     }
     args

@@ -3,6 +3,7 @@
 
 use flextm_sig::SignatureConfig;
 use flextm_sim::{Addr, LineAddr, MachineConfig};
+use std::ops::RangeInclusive;
 
 /// Which subset of the op alphabet the explorer enumerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +59,9 @@ pub struct InjectedFault {
 /// are inline arrays of this many values.
 pub const MAX_LINES: usize = 16;
 
+/// Processor counts a configuration may name.
+pub const CORES: RangeInclusive<usize> = 2..=16;
+
 /// A checker instance: `cores × lines` with a fixed op alphabet.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
@@ -90,7 +94,7 @@ pub struct CheckConfig {
 impl CheckConfig {
     /// A `cores × lines` configuration with the full alphabet.
     pub fn new(cores: usize, lines: usize) -> Self {
-        assert!((2..=16).contains(&cores), "checker wants 2..=16 cores");
+        assert!(CORES.contains(&cores), "checker wants {CORES:?} cores");
         assert!(
             (1..=MAX_LINES).contains(&lines),
             "checker wants 1..={MAX_LINES} lines"

@@ -243,9 +243,12 @@ mod tests {
         // directory sharer/owner set, and activity mask crosses the
         // ProcSet word seam. Core ids must be protocol-irrelevant: the
         // wide run's state graph is the narrow one with bits relabeled,
-        // so state and transition counts match exactly. (Bounded depth
-        // keeps the 65-core fork cost out of the unit suite; verify.sh
-        // runs the wide config to a true fixpoint in release mode.)
+        // so state and transition counts match exactly. (A transition's
+        // refill and sweeps visit the two touched cores only, but each
+        // kept snapshot still clones all 65, and the debug build checks
+        // the 63 idle ones pristine on every sweep: bounded depth keeps
+        // that out of the unit suite; verify.sh runs the wide config to
+        // a true fixpoint in release mode.)
         let depth = Some(6);
         let narrow = explore_jobs(
             &CheckConfig {

@@ -1,17 +1,23 @@
-//! Fork cost follows the cores a schedule drives, not the machine's
-//! width.
+//! What a transition costs follows the cores a schedule drives, not
+//! the machine's width.
 //!
 //! `CheckConfig::wide(2, 1)` explores the same state graph as
 //! `CheckConfig::new(2, 1)` on a 65-core machine whose other 63 cores
-//! no transition ever touches. Per-core heap state is allocated on
-//! first touch (the L1 planes materialise on the first fill, the OT on
-//! the first overflow), so an undriven core must fork as a flat inline
-//! copy. This test pins that with a counting allocator: after the same
-//! four ops, the wide fork may allocate only what an undriven core
-//! still owns eagerly — its two signature word vectors (making those
-//! lazy too was measured and rejected, DESIGN.md "Cost follows touched
-//! state") — and may copy only those words, the inline `CoreState` and
-//! the core's scheduler lane on top of the narrow fork.
+//! no transition ever touches. Two costs follow from that:
+//!
+//! - The per-transition refill and invariant sweep visit the machine's
+//!   `touched` cores only (`flextm_sim::Cores`). After the same four
+//!   ops the set is exactly the two driven cores on either machine, so
+//!   both are 2-core work at any width.
+//! - A kept snapshot (`Driver::fork`) still clones every core. Per-core
+//!   heap state is allocated on first touch (the L1 planes materialise
+//!   on the first fill, the OT on the first overflow), so an undriven
+//!   core must fork as a flat inline copy. A counting allocator pins
+//!   that: the wide fork may allocate only what an undriven core still
+//!   owns eagerly — its two signature word vectors (making those lazy
+//!   too was measured and rejected, DESIGN.md "Cost follows touched
+//!   state") — and may copy only those words, the inline `CoreState`
+//!   and the core's scheduler lane on top of the narrow fork.
 
 // The counting `GlobalAlloc` below needs `unsafe impl`; everything it
 // does is delegate to `System` around two thread-local counter bumps.
@@ -22,7 +28,7 @@ use std::cell::Cell;
 
 use flextm_check::canon::canon;
 use flextm_check::{CheckConfig, Driver, Op};
-use flextm_sim::CoreState;
+use flextm_sim::{CoreState, ProcSet};
 
 /// Counts allocation calls and requested bytes on the calling thread
 /// only, so the libtest harness thread cannot perturb a measurement.
@@ -90,6 +96,11 @@ fn fork_cost_follows_driven_cores() {
     let (wide, wide_calls, wide_bytes) = fork_after_prefix(CheckConfig::wide(2, 1));
     let undriven = (wide.st.cores.len() - narrow.st.cores.len()) as u64;
     assert_eq!(undriven, 63, "wide(2, 1) is a 65-core machine");
+
+    // The refill and the sweep visit these cores and no others.
+    let set = |ids: [usize; 2]| ids.into_iter().collect::<ProcSet>();
+    assert_eq!(narrow.st.cores.touched(), set([0, 1]));
+    assert_eq!(wide.st.cores.touched(), set([0, 64]));
 
     // Eight allocations per undriven core before first-touch planes
     // and the shared H3 matrix (~500 in all); two now.

@@ -19,6 +19,14 @@
 //! line's L1 set push it into the victim buffer — with its speculative
 //! buffer, if it has one — and, a few loads later, out into a freshly
 //! allocated overflow table.
+//!
+//! A refill copies only the cores touched on either side
+//! (`flextm_sim::Cores::touched`). On the wide machine each walk state
+//! therefore also appears crowded through an *undriven* core, one the
+//! checker never maps: consecutive sources then differ in their touched
+//! sets in both directions, so a scratch core that its next source
+//! never touched is refilled too. Every machine core's residency,
+//! counters and clock are compared, not just the mapped cores'.
 
 use flextm_check::canon::canon;
 use flextm_check::{Alphabet, CheckConfig, Driver};
@@ -42,15 +50,14 @@ fn step(d: &mut Driver, rng: &mut Rng) {
     d.apply(ops[rng.below(ops.len())]);
 }
 
-/// A copy of `d` in which some core has plainly loaded up to nine
-/// lines aliasing data line `l`'s L1 set (4 ways, 2 victim entries):
-/// the fifth load moves the set's oldest resident to the victim buffer,
-/// the seventh drops it from there — into the overflow table if it was
+/// A copy of `d` in which `core` has plainly loaded up to nine lines
+/// aliasing data line `l`'s L1 set (4 ways, 2 victim entries): the
+/// fifth load moves the set's oldest resident to the victim buffer, the
+/// seventh drops it from there — into the overflow table if it was
 /// speculatively written.
-fn crowded(d: &Driver, rng: &mut Rng) -> Driver {
+fn crowded_by(d: &Driver, core: usize, rng: &mut Rng) -> Driver {
     let mut d = d.fork();
     let cfg = d.config().clone();
-    let core = cfg.machine_core(rng.below(cfg.cores));
     let l = rng.below(cfg.lines);
     for k in 1..=rng.below(10) as u64 {
         // 16 sets of 64-byte lines: 0x400 apart is the same set. Stays
@@ -61,10 +68,35 @@ fn crowded(d: &Driver, rng: &mut Rng) -> Driver {
     d
 }
 
+/// [`crowded_by`] a random driven core.
+fn crowded(d: &Driver, rng: &mut Rng) -> Driver {
+    let core = d.config().machine_core(rng.below(d.config().cores));
+    crowded_by(d, core, rng)
+}
+
+/// [`crowded_by`] a random machine core the checker does not drive, if
+/// the machine has one.
+fn crowded_idle(d: &Driver, rng: &mut Rng) -> Option<Driver> {
+    let cfg = d.config();
+    let idle: Vec<usize> = (0..cfg.machine_cores())
+        .filter(|c| !cfg.core_ids.contains(c))
+        .collect();
+    (!idle.is_empty()).then(|| crowded_by(d, idle[rng.below(idle.len())], rng))
+}
+
 /// Everything observable about two drivers must agree.
 fn assert_same(got: &Driver, want: &Driver, ctx: &str) {
     assert_eq!(canon(got), canon(want), "canonical state differs: {ctx}");
-    for (i, (g, w)) in got.st.cores.iter().zip(&want.st.cores).enumerate() {
+    assert_eq!(
+        got.st.cores.touched(),
+        want.st.cores.touched(),
+        "touched sets differ: {ctx}"
+    );
+    for (i, (g, w)) in got.st.cores.iter().zip(want.st.cores.iter()).enumerate() {
+        assert!(
+            g.l1.iter_all().eq(w.l1.iter_all()),
+            "core {i} L1 residency differs: {ctx}"
+        );
         assert_eq!(g.stats, w.stats, "core {i} counters differ: {ctx}");
         assert_eq!(
             got.st.now(i),
@@ -86,15 +118,22 @@ struct Coverage {
     victims: bool,
     victim_data: bool,
     overflow_table: bool,
+    /// A refill whose scratch had touched a core its source had not.
+    scratch_only_core: bool,
+    /// A refill whose source had touched a core its scratch had not.
+    source_only_core: bool,
 }
 
 impl Coverage {
-    fn note(&mut self, d: &Driver) {
-        for core in &d.st.cores {
+    fn note(&mut self, src: &Driver, scratch: &Driver) {
+        for core in src.st.cores.iter() {
             self.victims |= !core.l1.victims().is_empty();
             self.victim_data |= core.l1.victims().iter().any(|e| e.data.is_some());
             self.overflow_table |= core.ot.is_some();
         }
+        let (src, scratch) = (src.st.cores.touched(), scratch.st.cores.touched());
+        self.scratch_only_core |= !scratch.subset_of(&src);
+        self.source_only_core |= !src.subset_of(&scratch);
     }
 }
 
@@ -115,12 +154,22 @@ fn refills_match_forks(cfg: CheckConfig, seed: u64, steps: usize, coverage: &mut
 
     for n in 0..steps {
         let (ca, cb) = (crowded(&a, &mut rng), crowded(&b, &mut rng));
+        let (ia, ib) = (crowded_idle(&a, &mut rng), crowded_idle(&b, &mut rng));
         // Each source overwrites a scratch that last held the previous
         // one: the other walk, or a variant with more or fewer victims,
-        // line buffers and overflow tables.
-        for (which, src) in [("a", &a), ("b crowded", &cb), ("a crowded", &ca), ("b", &b)] {
+        // line buffers, overflow tables and touched cores.
+        let sources = [
+            ("a", Some(&a)),
+            ("b crowded", Some(&cb)),
+            ("a crowded", Some(&ca)),
+            ("b", Some(&b)),
+            ("a crowded idle", ia.as_ref()),
+            ("b crowded idle", ib.as_ref()),
+        ];
+        for (which, src) in sources {
+            let Some(src) = src else { continue };
             let ctx = format!("{name}, step {n}, source {which}");
-            coverage.note(src);
+            coverage.note(src, &scratch);
             src.fork_into(&mut scratch);
             assert_same(&scratch, &src.fork(), &ctx);
             for op in src.enabled_ops() {
@@ -160,5 +209,12 @@ fn fork_into_matches_fork_on_random_walks() {
         coverage.victims,
         coverage.victim_data,
         coverage.overflow_table
+    );
+    assert!(
+        coverage.scratch_only_core && coverage.source_only_core,
+        "no refill had a core touched on the scratch side only ({}) or on \
+         the source side only ({})",
+        coverage.scratch_only_core,
+        coverage.source_only_core
     );
 }

@@ -163,10 +163,8 @@ impl ProcSet {
     /// Iterates members in ascending processor order.
     #[inline]
     pub fn iter(self) -> ProcIter {
-        ProcIter {
-            words: self.words,
-            word: 0,
-        }
+        let [lo, hi] = self.words;
+        ProcIter { lo, hi }
     }
 
     /// The smallest member with index `>= from`, if any. Bank-owner
@@ -194,15 +192,15 @@ impl ProcSet {
     /// Iterates members with index `>= from` in ascending order.
     #[inline]
     pub fn iter_from(self, from: usize) -> ProcIter {
-        let mut words = self.words;
-        let word = (from / 64).min(PROC_WORDS);
-        for w in words.iter_mut().take(word) {
-            *w = 0;
+        let bits = if from < MAX_CORES {
+            self.to_u128() & (!0u128 << from)
+        } else {
+            0
+        };
+        ProcIter {
+            lo: bits as u64,
+            hi: (bits >> 64) as u64,
         }
-        if word < PROC_WORDS {
-            words[word] &= !0u64 << (from % 64);
-        }
-        ProcIter { words, word }
     }
 
     /// The raw backing words, lowest processors first.
@@ -301,11 +299,14 @@ impl std::fmt::Debug for ProcSet {
     }
 }
 
-/// Ascending-order member iterator over a [`ProcSet`].
+/// Ascending-order member iterator over a [`ProcSet`]. The unvisited
+/// members are two plain words, not an indexed array, so a walk keeps
+/// them in registers — the invariant sweep's nested per-line loops
+/// paid for the array (EXPERIMENTS.md "Measurement history", PR 25).
 #[derive(Clone)]
 pub struct ProcIter {
-    words: [u64; PROC_WORDS],
-    word: usize,
+    lo: u64,
+    hi: u64,
 }
 
 impl Iterator for ProcIter {
@@ -313,16 +314,17 @@ impl Iterator for ProcIter {
 
     #[inline]
     fn next(&mut self) -> Option<usize> {
-        while self.word < PROC_WORDS {
-            let w = self.words[self.word];
-            if w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                self.words[self.word] = w & (w - 1);
-                return Some(self.word * 64 + bit);
-            }
-            self.word += 1;
+        if self.lo != 0 {
+            let bit = self.lo.trailing_zeros() as usize;
+            self.lo &= self.lo - 1;
+            Some(bit)
+        } else if self.hi != 0 {
+            let bit = self.hi.trailing_zeros() as usize;
+            self.hi &= self.hi - 1;
+            Some(64 + bit)
+        } else {
+            None
         }
-        None
     }
 }
 

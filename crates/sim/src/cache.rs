@@ -353,6 +353,37 @@ impl L1Cache {
         self.data_pool.clear();
     }
 
+    /// True if the cache is in the state [`L1Cache::new`] built: no
+    /// plane materialised, nothing in the victim buffer, no access
+    /// ever ticked the LRU clock. Exhaustive destructuring, as in
+    /// [`L1Cache::assign_for_check`]; the free list is unspecified
+    /// contents and the geometry is configuration.
+    pub(crate) fn is_pristine(&self) -> bool {
+        let L1Cache {
+            tags,
+            meta,
+            lru,
+            data,
+            nsets: _,
+            ways: _,
+            victim,
+            victim_set,
+            victim_cap: _,
+            unbounded_tmi: _,
+            tick,
+            spec_touched,
+            data_pool: _,
+        } = self;
+        tags.is_empty()
+            && meta.is_empty()
+            && lru.is_empty()
+            && data.is_empty()
+            && victim.is_empty()
+            && *victim_set == [0; 2]
+            && *tick == 0
+            && spec_touched.is_empty()
+    }
+
     /// Hands out a line data buffer from the free list (or the
     /// allocator when it is dry). Contents are **unspecified** — every
     /// caller fully overwrites the line before it becomes visible.

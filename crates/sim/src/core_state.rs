@@ -7,7 +7,8 @@ use crate::cst::CstSet;
 use crate::mem::Addr;
 use crate::ot::OverflowTable;
 use crate::stats::CoreStats;
-use flextm_sig::{LineAddr, SigKey, Signature};
+use flextm_sig::{LineAddr, ProcSet, SigKey, Signature};
+use std::ops::{Index, IndexMut};
 
 /// Why an alert was delivered to a core (the trap payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +138,39 @@ impl CoreState {
         self.stats = *stats;
     }
 
+    /// True if the core is in the state [`CoreState::new`] built — what
+    /// every core outside [`Cores::touched`] must be. Exhaustive
+    /// destructuring, as in [`CoreState::assign_for_check`]: a field
+    /// added to the core must be judged here or fail to compile.
+    pub(crate) fn is_pristine(&self) -> bool {
+        let CoreState {
+            l1,
+            rsig,
+            wsig,
+            csts,
+            aloaded,
+            alert_pending,
+            ot,
+            watch_reads,
+            watch_writes,
+            attempt_mark,
+            stats,
+        } = self;
+        l1.is_pristine()
+            && rsig.is_empty()
+            && rsig.inserted_count() == 0
+            && wsig.is_empty()
+            && wsig.inserted_count() == 0
+            && csts.is_clear()
+            && aloaded.is_none()
+            && alert_pending.is_none()
+            && ot.is_none()
+            && !watch_reads
+            && !watch_writes
+            && attempt_mark.is_none()
+            && *stats == CoreStats::default()
+    }
+
     /// Posts an alert unless one is already pending (the hardware has a
     /// single alert line; the first cause wins, which is fine because
     /// every cause ends in a software abort/retry).
@@ -247,6 +281,116 @@ impl CoreState {
                 self.csts.snapshot()
             );
         }
+    }
+}
+
+/// Every processor's [`CoreState`], plus `touched`: a superset of the
+/// cores whose state — or scheduler lane — differs from what
+/// [`crate::SimState`] was built with. The invariant sweep and the
+/// model checker's refill visit `touched` only, so a wide machine
+/// whose schedule drives two cores costs two cores per transition.
+///
+/// The type keeps the superset honest from outside the crate: the one
+/// mutable borrow there, [`IndexMut`], marks its core, and there is no
+/// `DerefMut`. Inside, the protocol mutates
+/// through [`Cores::unmarked`] and each public entry point marks its
+/// requester once — a mark per borrow on the L1-hit path was measured
+/// at 10–13 % of `ht-1t` (DESIGN.md "Cost follows touched state").
+/// Responders need no mark: a core the protocol answers for holds a
+/// line, a signature bit, an OT or a CST edge, all acquired as a
+/// requester. Debug builds check that argument on every sweep
+/// ([`crate::SimState::check_invariants`]).
+#[derive(Debug)]
+pub struct Cores {
+    cores: Vec<CoreState>,
+    touched: ProcSet,
+}
+
+impl Cores {
+    /// `config.cores` fresh cores, none touched.
+    pub(crate) fn new(config: &MachineConfig) -> Self {
+        Cores {
+            cores: (0..config.cores).map(|_| CoreState::new(config)).collect(),
+            touched: ProcSet::empty(),
+        }
+    }
+
+    /// The cores that may have left their initial state (a superset).
+    pub fn touched(&self) -> ProcSet {
+        self.touched
+    }
+
+    /// Records that `core` may leave its initial state.
+    #[inline]
+    pub(crate) fn mark(&mut self, core: usize) {
+        self.touched.insert(core);
+    }
+
+    /// Records that every core may leave its initial state.
+    pub(crate) fn mark_all(&mut self) {
+        self.touched = ProcSet::first_n(self.cores.len());
+    }
+
+    /// `core`'s state, mutably, without marking it: for the protocol,
+    /// whose entry points have marked the requester already.
+    #[inline]
+    pub(crate) fn unmarked(&mut self, core: usize) -> &mut CoreState {
+        &mut self.cores[core]
+    }
+
+    /// Every core, mutably; marks them all.
+    pub(crate) fn iter_mut(&mut self) -> std::slice::IterMut<'_, CoreState> {
+        self.mark_all();
+        self.cores.iter_mut()
+    }
+
+    /// Deep copy for the model checker (every core, as a kept snapshot
+    /// needs).
+    pub(crate) fn clone_for_check(&self) -> Self {
+        Cores {
+            cores: self.cores.iter().map(CoreState::clone_for_check).collect(),
+            touched: self.touched,
+        }
+    }
+
+    /// Makes `self` equal to `src` in place, visiting only the cores
+    /// touched on either side: a core untouched on both is pristine on
+    /// both. Same width required.
+    pub(crate) fn assign_for_check(&mut self, src: &Cores) {
+        assert_eq!(
+            self.cores.len(),
+            src.cores.len(),
+            "refill from a machine of another width"
+        );
+        for i in self.touched | src.touched {
+            self.cores[i].assign_for_check(&src.cores[i]);
+        }
+        self.touched = src.touched;
+    }
+}
+
+impl std::ops::Deref for Cores {
+    type Target = [CoreState];
+    fn deref(&self) -> &[CoreState] {
+        &self.cores
+    }
+}
+
+impl Index<usize> for Cores {
+    type Output = CoreState;
+    #[inline]
+    fn index(&self, core: usize) -> &CoreState {
+        &self.cores[core]
+    }
+}
+
+impl IndexMut<usize> for Cores {
+    /// Marks `core`: the one way to mutate a core from outside the
+    /// crate.
+    #[inline]
+    fn index_mut(&mut self, core: usize) -> &mut CoreState {
+        self.mark(core);
+        &mut self.cores[core]
     }
 }
 

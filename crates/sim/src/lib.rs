@@ -67,7 +67,7 @@ mod vm;
 pub use bankdir::{BankedDir, DIR_BANKS};
 pub use cache::{Evicted, L1Cache, L1Slot, L1State, LineEntry, LineView};
 pub use config::{ConfigError, MachineConfig};
-pub use core_state::{AlertCause, CoreState};
+pub use core_state::{AlertCause, CoreState, Cores};
 pub use cst::{procs_in_mask, CstKind, CstSet};
 pub use l2::{DirEntry, L2Ref, L2};
 pub use machine::{GrantQueue, Machine, SimState};

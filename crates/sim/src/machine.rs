@@ -60,7 +60,7 @@
 
 use crate::config::ConfigError;
 use crate::config::MachineConfig;
-use crate::core_state::CoreState;
+use crate::core_state::Cores;
 use crate::fiber;
 use crate::l2::L2;
 use crate::mem::Memory;
@@ -77,7 +77,7 @@ use std::rc::Rc;
 /// One core's clock and the counters the scheduler's local paths bump
 /// without entering the protocol. Plain fields: [`SimState`] must stay
 /// `Send + Sync` (the model checker's snapshots cross worker threads).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Lane {
     /// The core's local clock, in cycles.
     clock: u64,
@@ -107,8 +107,9 @@ pub struct SimState {
     pub config: MachineConfig,
     /// Committed memory contents.
     pub mem: Memory,
-    /// Per-processor hardware state.
-    pub cores: Vec<CoreState>,
+    /// Per-processor hardware state, and which cores have left their
+    /// initial state (see [`Cores`]).
+    pub cores: Cores,
     /// Shared L2 + directory + summary signatures.
     pub l2: L2,
     /// Optional protocol event log.
@@ -140,7 +141,7 @@ pub struct SimState {
 
 impl SimState {
     fn new(config: MachineConfig) -> Self {
-        let cores = (0..config.cores).map(|_| CoreState::new(&config)).collect();
+        let cores = Cores::new(&config);
         let l2 = L2::new(config.l2_sets(), config.l2_ways, config.signature.clone());
         let log = EventLog::new(config.record_events);
         let lanes = vec![Lane::default(); config.cores];
@@ -235,8 +236,9 @@ impl SimState {
         }
     }
 
-    /// Advances `core`'s clock by `cycles`.
-    pub fn advance(&mut self, core: usize, cycles: u64) {
+    /// Advances `core`'s clock by `cycles`. Unmarked, like every
+    /// protocol step: its callers' entry points marked `core`.
+    pub(crate) fn advance(&mut self, core: usize, cycles: u64) {
         self.lanes[core].clock += cycles;
     }
 
@@ -250,7 +252,7 @@ impl SimState {
     /// so the four cycle buckets provably sum to the clock.
     pub(crate) fn charge_mem(&mut self, core: usize, cycles: u64) {
         self.advance(core, cycles);
-        self.cores[core].stats.mem_cycles += cycles;
+        self.cores.unmarked(core).stats.mem_cycles += cycles;
     }
 
     /// Snapshots `core`'s work/mem cycle counters at the start of a
@@ -258,15 +260,16 @@ impl SimState {
     /// [`SimState::abandon_attempt`] reclassifies everything accrued
     /// since this mark into `wasted_cycles`.
     pub fn begin_attempt(&mut self, core: usize) {
+        self.cores.mark(core);
         let work = self.lanes[core].work_cycles;
-        let mem = self.cores[core].stats.mem_cycles;
-        self.cores[core].attempt_mark = Some((work, mem));
+        let c = self.cores.unmarked(core);
+        c.attempt_mark = Some((work, c.stats.mem_cycles));
     }
 
     /// Clears the attempt mark without reclassifying — called when an
     /// attempt commits (its cycles were real work).
     pub(crate) fn clear_attempt_mark(&mut self, core: usize) {
-        self.cores[core].attempt_mark = None;
+        self.cores.unmarked(core).attempt_mark = None;
     }
 
     /// Moves the work/mem cycles accrued since the attempt mark into
@@ -275,14 +278,15 @@ impl SimState {
     /// No-op when no mark is set (runtimes that don't mark attempts
     /// simply report zero waste).
     pub(crate) fn abandon_attempt(&mut self, core: usize) {
-        let Some((work0, mem0)) = self.cores[core].attempt_mark.take() else {
+        let c = self.cores.unmarked(core);
+        let Some((work0, mem0)) = c.attempt_mark.take() else {
             return;
         };
         let dw = self.lanes[core].work_cycles - work0;
-        let dm = self.cores[core].stats.mem_cycles - mem0;
+        let dm = c.stats.mem_cycles - mem0;
         self.lanes[core].work_cycles -= dw;
-        self.cores[core].stats.mem_cycles -= dm;
-        self.cores[core].stats.wasted_cycles += dw + dm;
+        c.stats.mem_cycles -= dm;
+        c.stats.wasted_cycles += dw + dm;
     }
 
     /// Deep copy for the model checker's state forking.
@@ -290,7 +294,7 @@ impl SimState {
         SimState {
             config: self.config.clone(),
             mem: self.mem.clone(),
-            cores: self.cores.iter().map(CoreState::clone_for_check).collect(),
+            cores: self.cores.clone_for_check(),
             l2: self.l2.clone(),
             log: self.log.clone(),
             lanes: self.lanes.clone(),
@@ -307,10 +311,12 @@ impl SimState {
     /// state per transition instead of building and dropping a clone,
     /// and every plane, page, bank and word buffer the scratch already
     /// owns is reused. Both states must be forks of one root — same
-    /// configuration (hence the same hasher), same core count. The
-    /// destructuring is exhaustive on purpose: a field added to the
-    /// machine must be assigned here or fail to compile, not leak from
-    /// one sibling child into the next.
+    /// configuration (hence the same hasher), same core count. Cores
+    /// and lanes are copied only where either side is touched
+    /// ([`Cores::assign_for_check`]). The destructuring is exhaustive
+    /// on purpose: a field added to the machine must be assigned here
+    /// or fail to compile, not leak from one sibling child into the
+    /// next.
     pub fn assign_for_check(&mut self, src: &SimState) {
         let SimState {
             config: _,
@@ -327,18 +333,14 @@ impl SimState {
             commit_scratch: _,
             check_every_op,
         } = src;
-        assert_eq!(
-            self.cores.len(),
-            cores.len(),
-            "refill from a machine of another width"
-        );
-        self.mem.assign_for_check(mem);
-        for (mine, core) in self.cores.iter_mut().zip(cores) {
-            mine.assign_for_check(core);
+        let either = self.cores.touched() | cores.touched();
+        self.cores.assign_for_check(cores);
+        for i in either {
+            self.lanes[i] = lanes[i];
         }
+        self.mem.assign_for_check(mem);
         self.l2.assign_for_check(l2);
         self.log.clone_from(log);
-        self.lanes.clone_from(lanes);
         self.sig_live = *sig_live;
         self.ot_present = *ot_present;
         self.check_every_op = *check_every_op;
@@ -350,11 +352,27 @@ impl SimState {
     /// and cycle/abort accounting conservation. Panics (asserts) on the
     /// first violation; the model checker catches the panic and reports
     /// the op path that led here.
+    ///
+    /// Every loop visits the touched cores only: an untouched core is
+    /// pristine, and a pristine core satisfies every per-core property
+    /// and holds nothing a cross-core one could see. Debug builds
+    /// check that first, naming any core that left its initial state
+    /// unmarked.
     pub fn check_invariants(&self) {
         use crate::cache::L1State;
 
         let ncores = self.config.cores;
-        for (i, core) in self.cores.iter().enumerate() {
+        let touched = self.cores.touched();
+        if cfg!(debug_assertions) {
+            for i in (0..ncores).filter(|&i| !touched.contains(i)) {
+                assert!(
+                    self.cores[i].is_pristine() && self.lanes[i] == Lane::default(),
+                    "core {i}: left its initial state but is not marked touched"
+                );
+            }
+        }
+        for i in touched {
+            let core = &self.cores[i];
             core.check_invariants(i, ncores);
 
             // Activity masks are supersets of the truth: a live
@@ -398,22 +416,21 @@ impl SimState {
 
         // Cross-core sweep over every resident line, each visited once,
         // at its lowest-numbered holder — no list of lines is built.
-        for (first, line) in self
-            .cores
+        for (first, line) in touched
             .iter()
-            .enumerate()
-            .flat_map(|(i, c)| c.l1.iter_all().map(move |e| (i, e.line)))
+            .flat_map(|i| self.cores[i].l1.iter_all().map(move |e| (i, e.line)))
         {
-            if self.cores[..first]
+            if touched
                 .iter()
-                .any(|c| c.l1.peek(line).is_some())
+                .take_while(|&j| j < first)
+                .any(|j| self.cores[j].l1.peek(line).is_some())
             {
                 continue;
             }
             let mut exclusive_holders = ProcSet::empty();
             let mut shared_holders = ProcSet::empty();
-            for (i, core) in self.cores.iter().enumerate().skip(first) {
-                let Some(e) = core.l1.peek(line) else {
+            for i in touched.iter_from(first) {
+                let Some(e) = self.cores[i].l1.peek(line) else {
                     continue;
                 };
                 match e.state {
@@ -440,8 +457,8 @@ impl SimState {
             // TI legality lives next to the threat test it mirrors;
             // directory coverage next to the handlers that maintain
             // the bits.
-            self.check_threat_invariants(line);
-            self.check_directory_invariants(line);
+            self.check_threat_invariants(line, touched);
+            self.check_directory_invariants(line, touched);
         }
     }
 }
@@ -860,6 +877,12 @@ impl Machine {
         );
         shared.sched.borrow_mut().queue.start(threads);
         shared.horizon.set(NO_LEASE);
+        // Every op a body issues acts on its own core, which is marked
+        // here once instead of on each protocol step.
+        {
+            let mut st = shared.state.borrow_mut();
+            (0..threads).for_each(|i| st.cores.mark(i));
+        }
 
         let results: Vec<Cell<Option<R>>> = (0..threads).map(|_| Cell::new(None)).collect();
         let first_panic: RefCell<Option<Box<dyn Any + Send>>> = RefCell::new(None);
@@ -957,6 +980,7 @@ impl Machine {
     pub fn align_clocks(&self) {
         self.assert_quiesced("align_clocks");
         let mut st = self.shared.state.borrow_mut();
+        st.cores.mark_all();
         let max = st.lanes.iter().map(|l| l.clock).max().unwrap_or(0);
         for lane in &mut st.lanes {
             // The alignment skip is idle waiting at a barrier: charge
@@ -1196,6 +1220,30 @@ mod tests {
         match payload.downcast::<String>() {
             Ok(s) => *s,
             Err(payload) => (*payload.downcast::<&str>().expect("non-string panic")).to_owned(),
+        }
+    }
+
+    /// The sweep skips untouched cores because they are pristine; a
+    /// protocol step that changed an idle core without marking it —
+    /// its state or its lane — must be named, not skipped.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn an_unmarked_change_to_an_idle_core_is_named_by_the_next_sweep() {
+        type Change = fn(&mut SimState);
+        let cases: [(usize, Change); 2] = [
+            (2, |st| st.cores.unmarked(2).stats.loads += 1),
+            (3, |st| st.advance(3, 1)),
+        ];
+        for (idle, change) in cases {
+            let mut st = SimState::for_tests(MachineConfig::small_test());
+            st.access(0, crate::mem::Addr::new(0x1000), crate::AccessKind::Load, 0);
+            st.check_invariants();
+            change(&mut st);
+            let msg = panic_message(|| st.check_invariants());
+            assert_eq!(
+                msg,
+                format!("core {idle}: left its initial state but is not marked touched")
+            );
         }
     }
 

@@ -90,7 +90,7 @@ impl ProcHandle {
             local_op(&self.shared, self.core, cycles, Bucket::Stall);
         }
         sync_op(&self.shared, self.core, |st| {
-            st.cores[self.core].alert_pending.take()
+            st.cores.unmarked(self.core).alert_pending.take()
         })
     }
 
@@ -105,7 +105,7 @@ impl ProcHandle {
     /// abort-attribution diagnostics (tie-breaks taken, enemy kills).
     pub fn note_cm_event(&self, event: CmEvent) {
         sync_op(&self.shared, self.core, |st| {
-            let causes = &mut st.cores[self.core].stats.abort_causes;
+            let causes = &mut st.cores.unmarked(self.core).stats.abort_causes;
             match event {
                 CmEvent::PriorityTie => causes.mutual_abort += 1,
                 CmEvent::EnemyAbort => causes.cm_enemy_kills += 1,
@@ -137,7 +137,7 @@ impl ProcHandle {
     /// alerted (aborted remotely, strong-isolation kill, …).
     pub fn tload(&self, addr: Addr) -> Result<AccessResult, AlertCause> {
         sync_op(&self.shared, self.core, |st| {
-            if let Some(cause) = st.cores[self.core].alert_pending.take() {
+            if let Some(cause) = st.cores.unmarked(self.core).alert_pending.take() {
                 return Err(cause);
             }
             Ok(st.access(self.core, addr, AccessKind::TLoad, 0))
@@ -153,7 +153,7 @@ impl ProcHandle {
     /// alerted.
     pub fn tstore(&self, addr: Addr, value: u64) -> Result<AccessResult, AlertCause> {
         sync_op(&self.shared, self.core, |st| {
-            if let Some(cause) = st.cores[self.core].alert_pending.take() {
+            if let Some(cause) = st.cores.unmarked(self.core).alert_pending.take() {
                 return Err(cause);
             }
             Ok(st.access(self.core, addr, AccessKind::TStore, value))
@@ -180,7 +180,7 @@ impl ProcHandle {
         new: u64,
     ) -> Result<CasCommitOutcome, AlertCause> {
         sync_op(&self.shared, self.core, |st| {
-            if let Some(cause) = st.cores[self.core].alert_pending.take() {
+            if let Some(cause) = st.cores.unmarked(self.core).alert_pending.take() {
                 return Err(cause);
             }
             Ok(st.cas_commit(self.core, tsw, expected, new))
@@ -204,7 +204,7 @@ impl ProcHandle {
     /// cost: the trap logic polls for free).
     pub fn take_alert(&self) -> Option<AlertCause> {
         sync_op(&self.shared, self.core, |st| {
-            st.cores[self.core].alert_pending.take()
+            st.cores.unmarked(self.core).alert_pending.take()
         })
     }
 
@@ -220,7 +220,7 @@ impl ProcHandle {
     pub fn copy_and_clear_cst(&self, kind: CstKind) -> ProcSet {
         sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
-            st.cores[self.core].csts.copy_and_clear(kind)
+            st.cores.unmarked(self.core).csts.copy_and_clear(kind)
         })
     }
 
@@ -229,7 +229,7 @@ impl ProcHandle {
     pub fn clear_cst_bit(&self, kind: CstKind, proc: usize) {
         sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
-            st.cores[self.core].csts.clear_bit(kind, proc);
+            st.cores.unmarked(self.core).csts.clear_bit(kind, proc);
         });
     }
 
@@ -239,7 +239,7 @@ impl ProcHandle {
         sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             let me = self.core;
-            let core = &mut st.cores[me];
+            let core = st.cores.unmarked(me);
             match kind {
                 SigKind::Read => core.rsig.insert(addr.line()),
                 SigKind::Write => core.wsig.insert(addr.line()),
@@ -265,7 +265,7 @@ impl ProcHandle {
         sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
             let me = self.core;
-            let core = &mut st.cores[me];
+            let core = st.cores.unmarked(me);
             match kind {
                 SigKind::Read => core.rsig.clear(),
                 SigKind::Write => core.wsig.clear(),
@@ -279,8 +279,8 @@ impl ProcHandle {
     pub fn watch_activate(&self, reads: bool, writes: bool) {
         sync_op(&self.shared, self.core, |st| {
             st.charge_mem(self.core, st.config.l1_latency);
-            st.cores[self.core].watch_reads = reads;
-            st.cores[self.core].watch_writes = writes;
+            st.cores.unmarked(self.core).watch_reads = reads;
+            st.cores.unmarked(self.core).watch_writes = writes;
         });
     }
 

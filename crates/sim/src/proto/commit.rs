@@ -11,6 +11,7 @@ impl SimState {
     /// Plain atomic compare-and-swap (the instruction transactions use
     /// to abort each other's status words). Returns the old value.
     pub fn cas(&mut self, me: usize, addr: Addr, expected: u64, new: u64) -> (u64, AccessResult) {
+        // `access` marks `me`.
         let old = self.peek_word(addr);
         let store_val = if old == expected { new } else { old };
         let result = self.access(me, addr, AccessKind::Store, store_val);
@@ -40,6 +41,7 @@ impl SimState {
         expected: u64,
         new: u64,
     ) -> CasCommitOutcome {
+        self.cores.mark(me);
         let old = self.peek_word(tsw);
         if old != expected {
             // Aborted remotely: revert speculative state. The abort and
@@ -62,22 +64,22 @@ impl SimState {
         let _ = self.access(me, tsw, AccessKind::Store, new);
         // …then flash-commit all speculative state.
         let mut committed = std::mem::take(&mut self.commit_scratch);
-        self.cores[me].l1.flash_commit_into(&mut committed);
+        self.cores.unmarked(me).l1.flash_commit_into(&mut committed);
         let mut lines = committed.len();
         for (l, data) in committed.drain(..) {
             self.mem.write_line(l, &data);
-            self.cores[me].l1.retire_data(data);
+            self.cores.unmarked(me).l1.retire_data(data);
         }
         self.commit_scratch = committed;
         let now = self.now(me);
         let per_line = self.config.ot_copyback_per_line;
-        if let Some(ot) = self.cores[me].ot.as_mut() {
+        if let Some(ot) = self.cores.unmarked(me).ot.as_mut() {
             if !ot.is_empty() {
                 let drained = ot.begin_commit(now, per_line);
                 lines += drained.len();
                 for (l, e) in drained {
                     self.mem.write_line(l, &e.data);
-                    self.cores[me].l1.retire_data(e.data);
+                    self.cores.unmarked(me).l1.retire_data(e.data);
                 }
             } else {
                 // Lookups may have emptied the OT while the no-delete
@@ -86,15 +88,16 @@ impl SimState {
                 // `ot.take()`) — otherwise the next transaction
                 // inherits the stale Osig and `threatens` reports
                 // phantom co-writers.
-                self.cores[me].ot = None;
+                self.cores.unmarked(me).ot = None;
             }
         }
-        self.cores[me].rsig.clear();
-        self.cores[me].wsig.clear();
-        self.cores[me].csts.clear_all();
+        let core = self.cores.unmarked(me);
+        core.rsig.clear();
+        core.wsig.clear();
+        core.csts.clear_all();
         self.sync_core_masks(me);
         self.clear_aou(me);
-        self.cores[me].stats.commits += 1;
+        self.cores.unmarked(me).stats.commits += 1;
         // The attempt committed: its work/mem cycles were well spent,
         // so drop the wasted-cycle mark instead of reclassifying.
         self.clear_attempt_mark(me);
@@ -107,8 +110,9 @@ impl SimState {
     }
 
     fn commit_failed(&mut self, me: usize, cause: AbortCause) {
-        self.cores[me].stats.failed_commits += 1;
-        self.cores[me].stats.abort_causes.record(cause);
+        let stats = &mut self.cores.unmarked(me).stats;
+        stats.failed_commits += 1;
+        stats.abort_causes.record(cause);
         self.log.push(Event::CasCommit {
             core: me,
             success: false,
@@ -122,9 +126,10 @@ impl SimState {
     /// accrued since [`SimState::begin_attempt`] are reclassified into
     /// `wasted_cycles`.
     pub fn abort_tx(&mut self, me: usize, cause: AbortCause) -> usize {
+        self.cores.mark(me);
         let dropped = self.kill(me, cause);
         self.clear_aou(me);
-        self.cores[me].alert_pending = None;
+        self.cores.unmarked(me).alert_pending = None;
         self.log.push(Event::TxAbort { core: me, cause });
         self.charge_mem(me, self.config.l1_latency);
         self.abandon_attempt(me);
@@ -137,19 +142,20 @@ impl SimState {
     /// activity masks, and one `tx_aborts` with its `cause`. Returns the
     /// number of speculative lines dropped.
     pub(super) fn kill(&mut self, core: usize, cause: AbortCause) -> usize {
-        let dropped = self.cores[core].hardware_abort();
+        let c = self.cores.unmarked(core);
+        let dropped = c.hardware_abort();
+        c.stats.tx_aborts += 1;
+        c.stats.abort_causes.record(cause);
         self.sync_core_masks(core);
-        self.cores[core].stats.tx_aborts += 1;
-        self.cores[core].stats.abort_causes.record(cause);
         dropped
     }
 
     /// Drops the AOU mark and its A bit (the transaction is over or
     /// descheduled).
     pub(crate) fn clear_aou(&mut self, me: usize) {
-        if let Some(line) = self.cores[me].aloaded.take() {
+        if let Some(line) = self.cores.unmarked(me).aloaded.take() {
             if let Some(s) = self.cores[me].l1.peek_slot(line) {
-                self.cores[me].l1.set_a_bit(s, false);
+                self.cores.unmarked(me).l1.set_a_bit(s, false);
             }
         }
     }
@@ -157,6 +163,7 @@ impl SimState {
     /// The ALoad instruction (§3.4): cache the line and mark it so any
     /// remote invalidation alerts this core.
     pub fn aload(&mut self, me: usize, addr: Addr) -> u64 {
+        self.cores.mark(me);
         let line = addr.line();
         self.clear_aou(me);
         // One slot lookup covers presence test, value read and the
@@ -173,15 +180,18 @@ impl SimState {
         };
         if let Some(s) = slot {
             let value = self.cores[me].l1.data(s).map(|d| d[addr.word_in_line()]);
-            self.cores[me].l1.set_a_bit(s, true);
-            self.cores[me].aloaded = Some(line);
+            let core = self.cores.unmarked(me);
+            core.l1.set_a_bit(s, true);
+            core.aloaded = Some(line);
             value.unwrap_or_else(|| self.mem.read(addr))
         } else {
             // The line would not cache (e.g. threatened): fall back to
             // an immediate alert so software revalidates — conservative
             // but safe.
             let value = self.mem.read(addr);
-            self.cores[me].post_alert(AlertCause::AouInvalidated(line));
+            self.cores
+                .unmarked(me)
+                .post_alert(AlertCause::AouInvalidated(line));
             value
         }
     }

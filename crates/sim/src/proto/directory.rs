@@ -8,7 +8,7 @@ use crate::cache::L1State;
 use crate::cst::{procs_in_mask, CstKind};
 use crate::machine::SimState;
 use crate::mem::Addr;
-use flextm_sig::{LineAddr, SigKey};
+use flextm_sig::{LineAddr, ProcSet, SigKey};
 
 impl SimState {
     /// Rebuilds a directory entry by querying every L1's signatures and
@@ -53,13 +53,14 @@ impl SimState {
     /// as sharers. The reverse is deliberately unchecked: stale bits
     /// are the design (§4.1). Reads tags directly, not through the
     /// handlers' snoop: this is the reference they are held against.
-    pub(crate) fn check_directory_invariants(&self, line: flextm_sig::LineAddr) {
+    /// Only the `touched` cores can hold the line.
+    pub(crate) fn check_directory_invariants(&self, line: LineAddr, touched: ProcSet) {
         if !self.l2.has_dir_info(line) {
             return;
         }
         let dir = self.l2.dir(line);
-        for (i, core) in self.cores.iter().enumerate() {
-            let Some(e) = core.l1.peek(line) else {
+        for i in touched {
+            let Some(e) = self.cores[i].l1.peek(line) else {
                 continue;
             };
             match e.state {
@@ -123,9 +124,9 @@ impl SimState {
                 // flushes); both end up sharers.
                 forwarded = true;
                 if sn.state == Some(L1State::M) {
-                    self.cores[o].stats.writebacks += 1;
+                    self.cores.unmarked(o).stats.writebacks += 1;
                 }
-                self.cores[o].l1.set_state(slot, L1State::S);
+                self.cores.unmarked(o).l1.set_state(slot, L1State::S);
                 self.demote_owner(line, o);
             } else if self.threatens(&sn) {
                 forwarded = true;
@@ -133,7 +134,7 @@ impl SimState {
                 if kind.is_tx() {
                     self.record_conflict(me, o, Edge::ReadVsWriter, line, result);
                 } else {
-                    self.cores[me].stats.threatened_seen += 1;
+                    self.cores.unmarked(me).stats.threatened_seen += 1;
                     result.conflicts.push(Conflict {
                         with: o,
                         kind: ConflictKind::Threatened,
@@ -171,7 +172,7 @@ impl SimState {
             // processor cannot be named — CSTs have no self bit — and
             // stays justified by the summary regime instead.)
             for o in procs_in_mask(self.l2.cores_summary.without(me)) {
-                self.cores[me].csts.set(CstKind::RW, o);
+                self.cores.unmarked(me).csts.set(CstKind::RW, o);
             }
         }
 
@@ -227,8 +228,8 @@ impl SimState {
         // recycling any snapshot buffer the upgraded entry carried.
         let prev_data = match self.cores[me].l1.peek_slot(line) {
             Some(s) => {
-                self.cores[me].l1.set_state(s, L1State::M);
-                self.cores[me].l1.take_data(s)
+                self.cores.unmarked(me).l1.set_state(s, L1State::M);
+                self.cores.unmarked(me).l1.take_data(s)
             }
             None => {
                 latency += self.fill_line(me, line, L1State::M, None).1;
@@ -236,7 +237,7 @@ impl SimState {
             }
         };
         if let Some(d) = prev_data {
-            self.cores[me].l1.retire_data(d);
+            self.cores.unmarked(me).l1.retire_data(d);
         }
         self.make_owner(line, me);
         self.mem.write(addr, store_val);
@@ -278,7 +279,7 @@ impl SimState {
                 // once the requester commits.
                 forwarded = true;
                 if sn.state == Some(L1State::M) {
-                    self.cores[o].stats.writebacks += 1;
+                    self.cores.unmarked(o).stats.writebacks += 1;
                 }
                 self.invalidate_at(o, sn.slot);
                 if self.reads(&sn) {

@@ -24,9 +24,9 @@ impl SimState {
         state: L1State,
         data: Option<Box<[u64; WORDS_PER_LINE]>>,
     ) -> (L1Slot, u64) {
-        let (slot, evicted) = self.cores[me].l1.fill_slot(line, state);
+        let (slot, evicted) = self.cores.unmarked(me).l1.fill_slot(line, state);
         if let Some(d) = data {
-            let displaced = self.cores[me].l1.put_data(slot, d);
+            let displaced = self.cores.unmarked(me).l1.put_data(slot, d);
             debug_assert!(displaced.is_none(), "fresh fill already carried data");
         }
         (slot, evicted.map_or(0, |ev| self.displaced(me, ev)))
@@ -40,7 +40,7 @@ impl SimState {
         let (line, a_bit, latency) = match ev {
             Evicted::Silent(l, _, a_bit) => (l, a_bit, 0),
             Evicted::WritebackM(l, a_bit) => {
-                self.cores[me].stats.writebacks += 1;
+                self.cores.unmarked(me).stats.writebacks += 1;
                 (l, a_bit, self.config.l2_latency)
             }
             Evicted::OverflowTmi(l, d) => return self.overflow_tmi(me, l, d),
@@ -48,7 +48,9 @@ impl SimState {
         if a_bit {
             // Conservative AOU: losing the marked line must alert, or a
             // remote write could go unnoticed.
-            self.cores[me].post_alert(AlertCause::AouInvalidated(line));
+            self.cores
+                .unmarked(me)
+                .post_alert(AlertCause::AouInvalidated(line));
         }
         latency
     }
@@ -62,7 +64,7 @@ impl SimState {
         if self.live_ot(me).is_some() {
             return 0;
         }
-        self.cores[me].ot = Some(OverflowTable::new(self.config.signature.clone()));
+        self.cores.unmarked(me).ot = Some(OverflowTable::new(self.config.signature.clone()));
         self.config.ot_alloc_trap_latency
     }
 
@@ -70,9 +72,14 @@ impl SimState {
     /// charged.
     fn overflow_tmi(&mut self, me: usize, line: LineAddr, data: Box<[u64; WORDS_PER_LINE]>) -> u64 {
         let trap = self.ensure_ot(me);
-        let ot = self.cores[me].ot.as_mut().expect("OT allocated above");
+        let ot = self
+            .cores
+            .unmarked(me)
+            .ot
+            .as_mut()
+            .expect("OT allocated above");
         ot.insert(line, data);
-        self.cores[me].stats.overflows += 1;
+        self.cores.unmarked(me).stats.overflows += 1;
         self.log.push(Event::Overflow { core: me, line });
         trap + self.config.l2_latency // controller write-back to VM
     }
@@ -84,10 +91,11 @@ impl SimState {
     /// having to engineer set conflicts. No-op if the line is not
     /// resident; returns true if something was evicted.
     pub fn evict_line(&mut self, me: usize, line: LineAddr) -> bool {
-        let Some(entry) = self.cores[me].l1.invalidate(line) else {
+        self.cores.mark(me);
+        let Some(entry) = self.cores.unmarked(me).l1.invalidate(line) else {
             return false;
         };
-        let ev = self.cores[me].l1.classify_eviction(entry);
+        let ev = self.cores.unmarked(me).l1.classify_eviction(entry);
         let latency = self.config.l1_latency + self.displaced(me, ev);
         self.charge_mem(me, latency);
         self.maybe_check_invariants();
@@ -101,7 +109,7 @@ impl SimState {
         me: usize,
         line: LineAddr,
     ) -> Box<[u64; WORDS_PER_LINE]> {
-        let mut d = self.cores[me].l1.alloc_data();
+        let mut d = self.cores.unmarked(me).l1.alloc_data();
         *d = self.mem.read_line(line);
         d
     }
@@ -117,12 +125,12 @@ impl SimState {
         let line = addr.line();
         let mut d = self.committed_copy(me, line);
         d[addr.word_in_line()] = value;
-        self.cores[me].l1.set_state(slot, L1State::Tmi);
+        self.cores.unmarked(me).l1.set_state(slot, L1State::Tmi);
         // A TI copy upgrading hands its snapshot buffer back.
-        if let Some(old) = self.cores[me].l1.put_data(slot, d) {
-            self.cores[me].l1.retire_data(old);
+        if let Some(old) = self.cores.unmarked(me).l1.put_data(slot, d) {
+            self.cores.unmarked(me).l1.retire_data(old);
         }
-        self.cores[me].l1.note_speculative(line);
+        self.cores.unmarked(me).l1.note_speculative(line);
     }
 
     /// Executes one memory access for core `me`. `store_val` is written
@@ -134,12 +142,13 @@ impl SimState {
         kind: AccessKind,
         store_val: u64,
     ) -> AccessResult {
+        self.cores.mark(me);
         let line = addr.line();
         match kind {
-            AccessKind::Load => self.cores[me].stats.loads += 1,
-            AccessKind::Store => self.cores[me].stats.stores += 1,
-            AccessKind::TLoad => self.cores[me].stats.tloads += 1,
-            AccessKind::TStore => self.cores[me].stats.tstores += 1,
+            AccessKind::Load => self.cores.unmarked(me).stats.loads += 1,
+            AccessKind::Store => self.cores.unmarked(me).stats.stores += 1,
+            AccessKind::TLoad => self.cores.unmarked(me).stats.tloads += 1,
+            AccessKind::TStore => self.cores.unmarked(me).stats.tstores += 1,
         }
 
         // Hash the line exactly once per access. Plain accesses only pay
@@ -156,13 +165,17 @@ impl SimState {
         if kind == AccessKind::Load && self.cores[me].watch_reads {
             let k = key.expect("key computed for watched loads");
             if self.cores[me].rsig.contains_key(k) {
-                self.cores[me].post_alert(AlertCause::WatchRead(addr));
+                self.cores
+                    .unmarked(me)
+                    .post_alert(AlertCause::WatchRead(addr));
             }
         }
         if kind == AccessKind::Store && self.cores[me].watch_writes {
             let k = key.expect("key computed for watched stores");
             if self.cores[me].wsig.contains_key(k) {
-                self.cores[me].post_alert(AlertCause::WatchWrite(addr));
+                self.cores
+                    .unmarked(me)
+                    .post_alert(AlertCause::WatchWrite(addr));
             }
         }
 
@@ -171,18 +184,20 @@ impl SimState {
 
         // Transactional accesses update the access signatures up front.
         if kind == AccessKind::TLoad {
-            self.cores[me]
+            self.cores
+                .unmarked(me)
                 .rsig
                 .insert_key(key.expect("key computed for TLoad"));
             self.mark_sig_live(me);
         } else if kind == AccessKind::TStore {
-            self.cores[me]
+            self.cores
+                .unmarked(me)
                 .wsig
                 .insert_key(key.expect("key computed for TStore"));
             self.mark_sig_live(me);
         }
 
-        let slot = self.cores[me].l1.probe_slot(line);
+        let slot = self.cores.unmarked(me).l1.probe_slot(line);
         let state = slot.map(|s| self.cores[me].l1.state(s));
         let served_locally = match (kind, state) {
             // ------- local hits -------
@@ -195,7 +210,8 @@ impl SimState {
             }
             (AccessKind::Store, Some(L1State::E)) => {
                 // Silent E→M upgrade.
-                self.cores[me]
+                self.cores
+                    .unmarked(me)
                     .l1
                     .set_state(slot.expect("probed"), L1State::M);
                 self.mem.write(addr, store_val);
@@ -213,7 +229,8 @@ impl SimState {
                 true
             }
             (AccessKind::TStore, Some(L1State::Tmi)) => {
-                self.cores[me]
+                self.cores
+                    .unmarked(me)
                     .l1
                     .data_mut(slot.expect("probed"))
                     .expect("TMI carries data")[addr.word_in_line()] = store_val;
@@ -223,7 +240,7 @@ impl SimState {
                 // First TStore to an M line: write the committed version
                 // back to L2 so later Loads elsewhere see it, then go
                 // speculative in place.
-                self.cores[me].stats.writebacks += 1;
+                self.cores.unmarked(me).stats.writebacks += 1;
                 latency += self.config.l2_latency;
                 self.go_speculative(me, slot.expect("probed"), addr, store_val);
                 true
@@ -238,7 +255,7 @@ impl SimState {
         };
 
         if served_locally {
-            self.cores[me].stats.l1_hits += 1;
+            self.cores.unmarked(me).stats.l1_hits += 1;
             result.value = match kind {
                 AccessKind::Store | AccessKind::TStore => store_val,
                 // We just probed: read through the slot handle instead
@@ -254,7 +271,7 @@ impl SimState {
         }
 
         // ------- L1 miss path -------
-        self.cores[me].stats.l1_misses += 1;
+        self.cores.unmarked(me).stats.l1_misses += 1;
 
         // Every miss consults signatures from here on; make sure the
         // line is hashed (plain unwatched accesses deferred it).
@@ -267,19 +284,21 @@ impl SimState {
             "ot_present mask lost core {me}"
         );
         if self.ot_threatens(me, key) {
-            if let Some(entry) = self.cores[me]
+            if let Some(entry) = self
+                .cores
+                .unmarked(me)
                 .ot
                 .as_mut()
                 .expect("checked above")
                 .lookup(line)
             {
-                self.cores[me].stats.ot_hits += 1;
+                self.cores.unmarked(me).stats.ot_hits += 1;
                 self.log.push(Event::OtFill { core: me, line });
                 latency += self.config.ot_lookup_latency;
                 let (slot, extra) = self.fill_line(me, line, L1State::Tmi, Some(entry.data));
                 latency += extra;
-                let word =
-                    &mut self.cores[me].l1.data_mut(slot).expect("TMI data")[addr.word_in_line()];
+                let word = &mut self.cores.unmarked(me).l1.data_mut(slot).expect("TMI data")
+                    [addr.word_in_line()];
                 if kind.is_write() {
                     *word = store_val;
                 }
@@ -324,7 +343,7 @@ impl SimState {
         // L2 tag reference; a miss costs memory and may require
         // directory recreation from L1 signatures (§4.1 sticky-style).
         if self.l2.reference(line) == crate::l2::L2Ref::Miss {
-            self.cores[me].stats.l2_misses += 1;
+            self.cores.unmarked(me).stats.l2_misses += 1;
             latency += self.config.mem_latency;
             if !self.l2.has_dir_info(line) {
                 latency += self.config.forward_penalty();
@@ -366,7 +385,7 @@ impl SimState {
                 }
             }
             for (o, done) in nacks {
-                self.cores[me].stats.nacks += 1;
+                self.cores.unmarked(me).stats.nacks += 1;
                 result.nacked = true;
                 self.log.push(Event::Nack {
                     requester: me,

@@ -88,13 +88,16 @@ impl SimState {
     /// `line` exists only while some remote core still threatens it, or
     /// while the reader's own R-W CST records the (possibly already
     /// settled) conflict that justified it, or while summary signatures
-    /// blur the picture (§5).
-    pub(crate) fn check_threat_invariants(&self, line: LineAddr) {
-        for (i, core) in self.cores.iter().enumerate() {
+    /// blur the picture (§5). Only the `touched` cores can hold a
+    /// snapshot or a threat.
+    pub(crate) fn check_threat_invariants(&self, line: LineAddr, touched: ProcSet) {
+        for i in touched {
+            let core = &self.cores[i];
             if core.l1.peek(line).is_none_or(|e| e.state != L1State::Ti) {
                 continue;
             }
-            let threatened = self.cores.iter().enumerate().any(|(j, rc)| {
+            let threatened = touched.iter().any(|j| {
+                let rc = &self.cores[j];
                 j != i
                     && (rc.l1.peek(line).is_some_and(|e| e.state == L1State::Tmi)
                         || rc.wsig.contains(line)
@@ -127,11 +130,11 @@ impl SimState {
             Edge::WriteVsWriter => (CstKind::WW, CstKind::WW, ConflictKind::Threatened),
             Edge::WriteVsReader => (CstKind::WR, CstKind::RW, ConflictKind::ExposedRead),
         };
-        self.cores[me].csts.set(requester_cst, other);
-        self.cores[other].csts.set(responder_cst, me);
+        self.cores.unmarked(me).csts.set(requester_cst, other);
+        self.cores.unmarked(other).csts.set(responder_cst, me);
         match kind {
-            ConflictKind::Threatened => self.cores[me].stats.threatened_seen += 1,
-            ConflictKind::ExposedRead => self.cores[me].stats.exposed_seen += 1,
+            ConflictKind::Threatened => self.cores.unmarked(me).stats.threatened_seen += 1,
+            ConflictKind::ExposedRead => self.cores.unmarked(me).stats.exposed_seen += 1,
         }
         result.conflicts.push(Conflict { with: other, kind });
         self.log.push(Event::Conflict {
@@ -146,17 +149,19 @@ impl SimState {
     /// L1 (nothing, if the snoop missed), firing AOU if marked.
     pub(super) fn invalidate_at(&mut self, s: usize, slot: Option<L1Slot>) {
         if let Some(slot) = slot {
-            let mut entry = self.cores[s].l1.invalidate_slot(slot);
+            let mut entry = self.cores.unmarked(s).l1.invalidate_slot(slot);
             let line = entry.line;
             if let Some(d) = entry.data.take() {
-                self.cores[s].l1.retire_data(d);
+                self.cores.unmarked(s).l1.retire_data(d);
             }
             if entry.a_bit {
-                self.cores[s].post_alert(AlertCause::AouInvalidated(line));
+                self.cores
+                    .unmarked(s)
+                    .post_alert(AlertCause::AouInvalidated(line));
                 self.log.push(Event::Alert { core: s, line });
             }
             if self.cores[s].aloaded == Some(line) {
-                self.cores[s].aloaded = None;
+                self.cores.unmarked(s).aloaded = None;
             }
         }
     }
@@ -172,7 +177,9 @@ impl SimState {
         // non-speculative copy the victim holds must invalidate too.
         self.invalidate_at(victim, slot);
         self.kill(victim, AbortCause::StrongIsolation);
-        self.cores[victim].post_alert(AlertCause::StrongIsolation(line));
+        self.cores
+            .unmarked(victim)
+            .post_alert(AlertCause::StrongIsolation(line));
         self.log.push(Event::StrongIsolationAbort {
             victim,
             requester,
@@ -201,7 +208,7 @@ impl SimState {
                 self.strong_isolation_abort(o, me, line, sn.slot);
             } else {
                 if sn.state == Some(L1State::M) {
-                    self.cores[o].stats.writebacks += 1;
+                    self.cores.unmarked(o).stats.writebacks += 1;
                 }
                 self.invalidate_at(o, sn.slot);
                 self.l2.drop_sharer_key(key, o);
@@ -224,7 +231,11 @@ impl SimState {
         let sweep = (dir.owners | dir.sharers).without(me);
         let forward = self.nontx_write_sweep(me, line, self.sig_key(line), sweep);
         let s = self.cores[me].l1.peek_slot(line).expect("TMI hit");
-        self.cores[me].l1.data_mut(s).expect("TMI carries data")[addr.word_in_line()] = store_val;
+        self.cores
+            .unmarked(me)
+            .l1
+            .data_mut(s)
+            .expect("TMI carries data")[addr.word_in_line()] = store_val;
         self.mem.write(addr, store_val);
         self.config.l2_round_trip() + forward
     }

@@ -47,28 +47,35 @@ impl SimState {
     /// conflicting access by anyone will miss and be caught by the
     /// summary signatures.
     pub fn save_tx_state(&mut self, me: usize) -> SavedTx {
-        let tmi_lines = self.cores[me].l1.drain_tmi();
+        self.cores.mark(me);
+        let tmi_lines = self.cores.unmarked(me).l1.drain_tmi();
         let mut latency = self.config.l1_latency * (2 + tmi_lines.len() as u64);
         if !tmi_lines.is_empty() {
             latency += self.ensure_ot(me);
-            let ot = self.cores[me].ot.as_mut().expect("allocated above");
+            let ot = self
+                .cores
+                .unmarked(me)
+                .ot
+                .as_mut()
+                .expect("allocated above");
             for (line, data) in tmi_lines {
                 ot.insert(line, data);
                 latency += self.config.l2_latency;
             }
         }
         // Drop TI snapshots; nothing else is speculative now.
-        self.cores[me].l1.flash_abort();
+        let core = self.cores.unmarked(me);
+        core.l1.flash_abort();
 
         let saved = SavedTx {
-            rsig: self.cores[me].rsig.words().to_vec(),
-            wsig: self.cores[me].wsig.words().to_vec(),
-            csts: { self.cores[me].csts.snapshot() },
-            ot: self.cores[me].ot.take(),
+            rsig: core.rsig.words().to_vec(),
+            wsig: core.wsig.words().to_vec(),
+            csts: core.csts.snapshot(),
+            ot: core.ot.take(),
         };
-        self.cores[me].rsig.clear();
-        self.cores[me].wsig.clear();
-        self.cores[me].csts.clear_all();
+        core.rsig.clear();
+        core.wsig.clear();
+        core.csts.clear_all();
         self.clear_aou(me);
         self.sync_core_masks(me);
         self.charge_mem(me, latency);
@@ -79,10 +86,12 @@ impl SimState {
     /// OT registers. (Migration to a different processor is
     /// abort-and-restart in FlexTM, so there is no cross-core restore.)
     pub fn restore_tx_state(&mut self, me: usize, saved: SavedTx) {
-        self.cores[me].rsig.load_words(&saved.rsig);
-        self.cores[me].wsig.load_words(&saved.wsig);
-        self.cores[me].csts.restore(saved.csts);
-        self.cores[me].ot = saved.ot;
+        self.cores.mark(me);
+        let core = self.cores.unmarked(me);
+        core.rsig.load_words(&saved.rsig);
+        core.wsig.load_words(&saved.wsig);
+        core.csts.restore(saved.csts);
+        core.ot = saved.ot;
         self.sync_core_masks(me);
         let latency = self.config.l1_latency * 4;
         self.charge_mem(me, latency);
@@ -91,6 +100,7 @@ impl SimState {
     /// Installs a descheduled thread's signatures into the directory
     /// summaries (the `Sig` message: request network out, ACK back).
     pub fn install_summary(&mut self, me: usize, thread_id: usize, saved: &SavedTx) {
+        self.cores.mark(me);
         let rsig = saved.read_signature(&self.config.signature);
         let wsig = saved.write_signature(&self.config.signature);
         self.l2.read_summary.install(thread_id, rsig);
@@ -101,6 +111,7 @@ impl SimState {
     /// Removes a rescheduled thread from the directory summaries; the
     /// OS recomputes the union from the survivors.
     pub fn remove_summary(&mut self, me: usize, thread_id: usize) {
+        self.cores.mark(me);
         self.l2.read_summary.remove(thread_id);
         self.l2.write_summary.remove(thread_id);
         self.charge_mem(me, self.config.l2_round_trip());
@@ -111,7 +122,7 @@ impl SimState {
     /// filters — old bits only cause false positives, as the paper
     /// notes), and OT tags are rewritten.
     pub fn remap_page(&mut self, old_first_line: LineAddr, new_first_line: LineAddr, lines: u64) {
-        for core in &mut self.cores {
+        for core in self.cores.iter_mut() {
             for i in 0..lines {
                 let old = LineAddr(old_first_line.index() + i);
                 let new = LineAddr(new_first_line.index() + i);

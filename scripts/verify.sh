@@ -12,7 +12,7 @@
 #      147700 transitions) serially, then again with --jobs 2 (the
 #      parallel engine must report bit-identical counts), then on a
 #      65-core wide machine (checker cores 0 and 64, multi-word
-#      ProcSets — identical graph again, at no more than 8x the narrow
+#      ProcSets — identical graph again, at no more than 3x the narrow
 #      cost per transition); a 3-core tx-alphabet run to
 #      its pinned fixpoint; a wide 3-core bounded-depth
 #      equality check; and the liveness pass — no fair abort/grant
@@ -151,15 +151,17 @@ if [ "$narrow_graph" != "$wide_graph" ]; then
     exit 1
 fi
 # Cost must follow touched state: both --jobs 2 runs walk the same
-# graph, and the 63 cores no transition touches are first-touch (no L1
-# planes, shared H3 constants), so a wide transition costs ~4x a narrow
-# one (15x before that). Above 8x some per-core plane has gone back to
-# being allocated, cloned or swept eagerly — a structural regression,
-# not host noise.
+# graph, the 63 cores no transition touches are first-touch (no L1
+# planes, shared H3 constants), and a transition's refill and invariant
+# sweeps visit the touched cores only, so a wide transition costs
+# 1.1-1.2x a narrow one (~4x before the touched set, 15x before
+# first-touch planes). Above 3x some per-core plane or loop has gone
+# back to being allocated, cloned or swept eagerly — a structural
+# regression, not host noise.
 width_ratio="$(awk -v n="$(rate_of "$par_json")" -v w="$(rate_of "$wide_json")" 'BEGIN { printf "%.1f", n / w }')"
 echo "wide / narrow cost per transition: ${width_ratio}x"
-if awk -v r="$width_ratio" 'BEGIN { exit !(r > 8) }'; then
-    echo "an untouched core costs too much: wide transitions are ${width_ratio}x narrow ones (limit 8x)"
+if awk -v r="$width_ratio" 'BEGIN { exit !(r > 3) }'; then
+    echo "an untouched core costs too much: wide transitions are ${width_ratio}x narrow ones (limit 3x)"
     exit 1
 fi
 
