@@ -24,6 +24,9 @@
 //! Every JSON result echoes the run parameters (`cores`, `lines`,
 //! `wide`, `alphabet`, and the mode-specific knobs) so downstream
 //! tooling can regroup mixed result streams without re-parsing argv.
+//! An exhaustive run also reports `peak_frontier_mib`: the most memory
+//! its kept states and op paths pinned at any level barrier
+//! (`ExploreOutcome::peak_frontier_bytes`).
 
 use flextm_check::config::{CORES, MAX_LINES};
 use flextm_check::{check_liveness, explore_jobs, random_walk, Alphabet, CheckConfig, Progress};
@@ -238,7 +241,8 @@ fn main() {
                     "{{\"bench\": \"proto_check\", {params}, \
                      \"depth\": {}, \"jobs\": {}, \"states\": {}, \"transitions\": {}, \
                      \"max_depth\": {}, \"truncated\": {}, \"wall_s\": {wall:.3}, \
-                     \"transitions_per_s\": {:.0}, \"violations\": 0}}",
+                     \"transitions_per_s\": {:.0}, \"peak_frontier_mib\": {:.1}, \
+                     \"violations\": 0}}",
                     a.depth.map_or(-1i64, |d| d as i64),
                     a.jobs,
                     out.states,
@@ -246,6 +250,7 @@ fn main() {
                     out.max_depth,
                     out.depth_truncated,
                     out.transitions as f64 / wall.max(1e-9),
+                    out.peak_frontier_bytes as f64 / (1u64 << 20) as f64,
                 )
             }
         }

@@ -2,19 +2,25 @@
 //! shadow an architectural observer can maintain, with the
 //! cross-validation asserts that turn a schedule into a test oracle.
 //!
-//! A driver is copied two ways. [`Driver::fork`] builds an owned copy,
-//! for a state that is kept. [`Driver::fork_into`] overwrites an
-//! existing driver in place and allocates nothing when the two have
-//! the same shape — the explorer's per-transition copy, whose child is
-//! checked ([`Driver::quiesce`] consumes it) and then overwritten by
-//! the next. A shadow core owns no heap (its access sets are value
-//! arrays under a presence mask), so its part of that copy is flat.
+//! A driver is copied one way and kept another. [`Driver::fork_into`]
+//! overwrites an existing driver in place and allocates nothing when
+//! the two have the same shape — the explorer's per-transition copy,
+//! whose child is checked ([`Driver::quiesce`] consumes it) and then
+//! overwritten by the next; [`Driver::fork`] is the same copy into a
+//! fresh driver, for a caller that goes on using its own state. A
+//! state the explorer *keeps* is a [`Snapshot`] ([`Driver::save`]): a
+//! record of what the state holds — the touched cores with only their
+//! resident L1 ways, the occupied L2 slots, the live directory
+//! entries, memory's non-zero words — which [`Driver::restore`]
+//! writes back into a reused driver. A shadow core owns no heap (its
+//! access sets are value arrays under a presence mask), so its part of
+//! every copy is flat.
 
 use crate::config::{CheckConfig, MAX_LINES};
 use crate::op::Op;
 use flextm_sim::{
     procs_in_mask, AbortCause, AccessKind, AccessResult, AlertCause, CasCommitOutcome,
-    ConflictKind, CstKind, MachineConfig, ProcSet, SimState,
+    ConflictKind, CstKind, ProcSet, SimRecord, SimState,
 };
 use std::sync::Arc;
 
@@ -127,16 +133,53 @@ pub struct Driver {
     cfg: Arc<CheckConfig>,
 }
 
+/// A kept checker state: what [`Driver::save`] records of a driver,
+/// and the only thing the explorer and the liveness pass hold per
+/// state. Its size follows what the state holds — the cores the
+/// schedule touched, the lines they cache, the directory entries and
+/// memory words that are live — not the machine's geometry or width.
+pub struct Snapshot {
+    st: SimRecord,
+    shadow: Vec<ShadowCore>,
+    shadow_mem: Vec<u64>,
+    cfg: Arc<CheckConfig>,
+}
+
+impl Snapshot {
+    /// Bytes the snapshot occupies on the heap once boxed: its inline
+    /// part plus everything it owns. Deterministic accounting — the
+    /// explorer sums it over its frontier — not an allocator reading.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Snapshot>()
+            + self.st.heap_bytes()
+            + self.shadow.capacity() * std::mem::size_of::<ShadowCore>()
+            + self.shadow_mem.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// A fresh driver holding this state — a worker's first scratch.
+    pub fn to_driver(&self) -> Driver {
+        let mut d = Driver::with_config(Arc::clone(&self.cfg));
+        d.restore(self);
+        d
+    }
+}
+
 impl Driver {
     /// A fresh machine in the all-idle initial state.
     pub fn new(cfg: CheckConfig) -> Self {
         assert!(cfg.lines <= MAX_LINES, "shadow sets hold {MAX_LINES} lines");
-        let mc: MachineConfig = cfg.machine();
+        Self::with_config(Arc::new(cfg))
+    }
+
+    /// The initial state under a configuration other drivers share —
+    /// what every copy ([`Driver::fork`], [`Snapshot::to_driver`]) is
+    /// refilled from.
+    fn with_config(cfg: Arc<CheckConfig>) -> Self {
         Driver {
-            st: SimState::for_tests(mc),
+            st: SimState::for_tests(cfg.machine()),
             shadow: vec![ShadowCore::default(); cfg.cores],
             shadow_mem: vec![0; cfg.lines],
-            cfg: Arc::new(cfg),
+            cfg,
         }
     }
 
@@ -145,31 +188,23 @@ impl Driver {
         &self.cfg
     }
 
-    /// Deep copy for a state that is kept: a frontier snapshot, or a
-    /// caller that goes on using its own. The `SimState` side goes
-    /// through `clone_for_check`: a plain clone (scheduler lanes
-    /// included) minus each L1's line-buffer free list. Its cost
-    /// follows the cores the schedule has touched — an undriven core's
-    /// L1 planes are unallocated and clone for free — not the machine's
-    /// width.
+    /// An owned copy, for a caller that goes on using its own state
+    /// (quiescence checks, shrink replay, tests): [`Driver::fork_into`]
+    /// a fresh driver of the same configuration.
     pub fn fork(&self) -> Self {
-        Driver {
-            st: self.st.clone_for_check(),
-            shadow: self.shadow.clone(),
-            shadow_mem: self.shadow_mem.clone(),
-            cfg: Arc::clone(&self.cfg),
-        }
+        let mut d = Self::with_config(Arc::clone(&self.cfg));
+        self.fork_into(&mut d);
+        d
     }
 
-    /// [`Driver::fork`] into a driver that already exists: `dst`
-    /// becomes the state `self.fork()` would build, reusing every
-    /// buffer it owns (`SimState::assign_for_check`), so refilling a
-    /// scratch that last held a same-shaped state allocates nothing.
-    /// The explorer makes one such refill per transition. `dst` must be
-    /// a fork (at any remove) of the root `self` descends from — same
-    /// shared config, hence the same machine. Exhaustive destructuring,
-    /// as in every `assign_for_check`: a new field that is not carried
-    /// over must not compile.
+    /// Makes `dst` a copy of `self` in place, reusing every buffer it
+    /// owns (`SimState::assign_for_check`), so refilling a scratch that
+    /// last held a same-shaped state allocates nothing. The explorer
+    /// makes one such refill per transition. `dst` must descend from
+    /// the same root as `self` — same shared config, hence the same
+    /// machine. Exhaustive destructuring, as in every
+    /// `assign_for_check`: a new field that is not carried over must
+    /// not compile.
     pub fn fork_into(&self, dst: &mut Driver) {
         let Driver {
             st,
@@ -184,6 +219,44 @@ impl Driver {
         dst.st.assign_for_check(st);
         dst.shadow.clone_from(shadow);
         dst.shadow_mem.clone_from(shadow_mem);
+    }
+
+    /// The record of this state that the explorer keeps
+    /// ([`Snapshot`]). Exhaustive destructuring, as in
+    /// [`Driver::fork_into`].
+    pub fn save(&self) -> Snapshot {
+        let Driver {
+            st,
+            shadow,
+            shadow_mem,
+            cfg,
+        } = self;
+        Snapshot {
+            st: st.save(),
+            shadow: shadow.clone(),
+            shadow_mem: shadow_mem.clone(),
+            cfg: Arc::clone(cfg),
+        }
+    }
+
+    /// Makes `self` the state `snap` was saved from, in place:
+    /// indistinguishable from a [`Driver::fork`] of that state, whatever
+    /// `self` held before, and allocation-free once `self` has held a
+    /// state as large. `self` must descend from the snapshot's root.
+    pub fn restore(&mut self, snap: &Snapshot) {
+        let Snapshot {
+            st,
+            shadow,
+            shadow_mem,
+            cfg,
+        } = snap;
+        assert!(
+            Arc::ptr_eq(cfg, &self.cfg),
+            "restore across checker configurations"
+        );
+        self.st.restore(st);
+        self.shadow.clone_from(shadow);
+        self.shadow_mem.clone_from(shadow_mem);
     }
 
     /// The value a `TWrite(c, l)` always stores. Path-independent so

@@ -59,6 +59,13 @@ pub struct ExploreOutcome {
     pub depth_truncated: u64,
     /// The first violation found, if any (exploration stops on it).
     pub violation: Option<Violation>,
+    /// The most frontier memory live at any level barrier: every
+    /// distinct kept state's [`crate::Snapshot::heap_bytes`] plus each
+    /// node's path and suffix, over the level just expanded and the
+    /// one it produced. Accounting, not an allocator reading: exact
+    /// for one worker; with more, which same-level path first claims a
+    /// state can move it slightly.
+    pub peak_frontier_bytes: u64,
 }
 
 /// Result of a random walk.
@@ -244,11 +251,11 @@ mod tests {
         // ProcSet word seam. Core ids must be protocol-irrelevant: the
         // wide run's state graph is the narrow one with bits relabeled,
         // so state and transition counts match exactly. (A transition's
-        // refill and sweeps visit the two touched cores only, but each
-        // kept snapshot still clones all 65, and the debug build checks
-        // the 63 idle ones pristine on every sweep: bounded depth keeps
-        // that out of the unit suite; verify.sh runs the wide config to
-        // a true fixpoint in release mode.)
+        // refill and sweeps, and each kept state's record, cover the two
+        // touched cores only, but the debug build checks the 63 idle
+        // ones pristine on every sweep: bounded depth keeps that out of
+        // the unit suite; verify.sh runs the wide config to a true
+        // fixpoint in release mode.)
         let depth = Some(6);
         let narrow = explore_jobs(
             &CheckConfig {

@@ -71,7 +71,7 @@ pub mod op;
 pub mod parallel;
 
 pub use config::{Alphabet, CheckConfig, InjectedFault};
-pub use driver::Driver;
+pub use driver::{Driver, Snapshot};
 pub use explore::{random_walk, ExploreOutcome, Progress, Violation, WalkOutcome};
 pub use liveness::{check_liveness, Livelock, LivenessOutcome};
 pub use op::Op;

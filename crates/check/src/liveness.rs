@@ -81,7 +81,7 @@
 
 use crate::canon::canon;
 use crate::config::CheckConfig;
-use crate::driver::{Driver, TSW_ACTIVE};
+use crate::driver::{Driver, Snapshot, TSW_ACTIVE};
 use crate::explore::QuietPanics;
 use crate::op::Op;
 use std::collections::HashMap;
@@ -126,9 +126,9 @@ struct Edge {
     desc: String,
 }
 
-/// One state: the real machine plus CM bookkeeping.
+/// One state: the real machine's record plus CM bookkeeping.
 struct Node {
-    d: Driver,
+    snap: Snapshot,
     cm: Vec<CmCore>,
 }
 
@@ -199,10 +199,17 @@ fn polka_kills(ka: u8, attacker: usize, kh: u8, holder: usize, tie_break: bool) 
     }
 }
 
-/// Executes core `c`'s next program step from `node`, returning the
-/// successor state, the edge label, and a human-readable description.
-fn step(cfg: &CheckConfig, node: &Node, c: usize) -> (Node, EdgeKind, String) {
-    let mut d = node.d.fork();
+/// Executes core `c`'s next program step from `node`: restores the
+/// node's machine into `d` and leaves the successor's there, returning
+/// the successor's CM bookkeeping, the edge label, and a human-readable
+/// description.
+fn step(
+    cfg: &CheckConfig,
+    node: &Node,
+    c: usize,
+    d: &mut Driver,
+) -> (Vec<CmCore>, EdgeKind, String) {
+    d.restore(&node.snap);
     let mut cm = node.cm.clone();
     let mc = cfg.machine_core(c);
 
@@ -223,7 +230,7 @@ fn step(cfg: &CheckConfig, node: &Node, c: usize) -> (Node, EdgeKind, String) {
             "c{c}: killed — aborts and retries (karma {} kept)",
             cm[c].karma
         );
-        return (Node { d, cm }, EdgeKind::Abort, desc);
+        return (cm, EdgeKind::Abort, desc);
     }
 
     if cm[c].pending.is_empty() && cm[c].pc as usize == cfg.lines {
@@ -237,11 +244,7 @@ fn step(cfg: &CheckConfig, node: &Node, c: usize) -> (Node, EdgeKind, String) {
         d.post_op_checks();
         cm[c].pc = 0;
         cm[c].karma = 0;
-        return (
-            Node { d, cm },
-            EdgeKind::Grant,
-            format!("c{c}: commits (karma resets)"),
-        );
+        return (cm, EdgeKind::Grant, format!("c{c}: commits (karma resets)"));
     }
 
     let l = line_order(c, cm[c].pc as usize, cfg.lines);
@@ -315,7 +318,7 @@ fn step(cfg: &CheckConfig, node: &Node, c: usize) -> (Node, EdgeKind, String) {
             )
         }
     };
-    (Node { d, cm }, kind, desc)
+    (cm, kind, desc)
 }
 
 fn render_cores(cores: &[usize]) -> String {
@@ -388,8 +391,11 @@ fn tarjan(adj: &[Vec<usize>]) -> Vec<usize> {
 pub fn check_liveness(cfg: &CheckConfig) -> LivenessOutcome {
     let _quiet = QuietPanics::install();
 
+    // Every step restores its node into this one driver; a node keeps
+    // only its record.
+    let mut scratch = Driver::new(cfg.clone());
     let root = Node {
-        d: Driver::new(cfg.clone()),
+        snap: scratch.save(),
         cm: vec![
             CmCore {
                 pc: 0,
@@ -399,7 +405,7 @@ pub fn check_liveness(cfg: &CheckConfig) -> LivenessOutcome {
             cfg.cores
         ],
     };
-    let root_key = (canon(&root.d), root.cm.clone());
+    let root_key = (canon(&scratch), root.cm.clone());
 
     let mut nodes: Vec<Node> = vec![root];
     let mut edges: Vec<Vec<Edge>> = Vec::new();
@@ -412,19 +418,24 @@ pub fn check_liveness(cfg: &CheckConfig) -> LivenessOutcome {
     while at < nodes.len() {
         let mut out = Vec::with_capacity(cfg.cores);
         for c in 0..cfg.cores {
-            let (succ, kind, desc) = step(cfg, &nodes[at], c);
-            succ.d.check_quiescence();
-            let key = (canon(&succ.d), succ.cm.clone());
+            let (cm, kind, desc) = step(cfg, &nodes[at], c, &mut scratch);
+            let key = (canon(&scratch), cm);
             let to = match seen.get(&key) {
                 Some(&i) => i,
                 None => {
                     let i = nodes.len();
+                    nodes.push(Node {
+                        snap: scratch.save(),
+                        cm: key.1.clone(),
+                    });
                     seen.insert(key, i);
-                    nodes.push(succ);
                     parent.push(Some((at, c)));
                     i
                 }
             };
+            // Quiescing consumes the successor; the next step restores
+            // over it.
+            scratch.quiesce();
             out.push(Edge { to, kind, desc });
         }
         assert!(

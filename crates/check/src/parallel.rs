@@ -30,23 +30,36 @@
 //! first reached along two same-depth paths is expanded exactly once
 //! no matter how the race resolves.
 //!
-//! # Snapshots instead of replay
+//! # Records instead of replay
 //!
 //! The serial explorer rebuilt every node by replaying its full op path
 //! from the initial state, so expansion cost grew linearly with depth —
 //! O(depth²) work overall, and the reason 3-core runs were impractical.
-//! Here every frontier node carries an `Arc` to a fully materialized
-//! [`Driver`] *snapshot* at the nearest ancestor whose depth is a
-//! multiple of [`SNAPSHOT_STRIDE`], plus the (< stride) op suffix from
-//! that ancestor. Rebuilding a node is one refill plus at most
-//! `SNAPSHOT_STRIDE - 1` op applications, independent of depth.
-//! Soundness is inherited from replay determinism — the suffix ops were
-//! applied successfully (under `catch_unwind`) when the node was first
-//! generated, and `Driver::apply` is deterministic, so re-applying them
-//! to a copy of the same snapshot reproduces the same state; a panic
-//! can therefore only surface at child-generation time, exactly as in
-//! the serial engine. Snapshots are dropped with their level, so at any
-//! moment only the current and next frontier pin memory.
+//! Here every frontier node carries an `Arc` to a [`Snapshot`] — a
+//! record of the state at the nearest ancestor whose depth is a
+//! multiple of [`SNAPSHOT_STRIDE`] — plus the (< stride) op suffix from
+//! that ancestor. Rebuilding a node is one restore into the worker's
+//! base scratch plus at most `SNAPSHOT_STRIDE - 1` op applications,
+//! independent of depth. Soundness is inherited from replay
+//! determinism — the suffix ops were applied successfully (under
+//! `catch_unwind`) when the node was first generated, and
+//! `Driver::apply` is deterministic, so re-applying them to a restore
+//! of the same record reproduces the same state; a panic can
+//! therefore only surface at child-generation time, exactly as in the
+//! serial engine.
+//!
+//! A kept state is a record, not a machine, because the frontier is
+//! what bounds a run. Every node of a snapshot level owns one — all
+//! 3 661 nodes of the 2×1 fixpoint's level 8, 61 761 at level 12 of
+//! the 3×1 tx fixpoint — so a record holds only what its state holds:
+//! the touched cores with their resident L1 ways, the occupied L2
+//! slots, the live directory entries and memory's non-zero words,
+//! about 3 KiB at 2×1 against the 19 KiB of a forked driver, and the
+//! same on a 65-core machine as on a 2-core one. Restoring reuses
+//! every buffer the scratch owns. Records are dropped with their
+//! level, so at any moment only the current and next frontier pin
+//! memory; [`ExploreOutcome::peak_frontier_bytes`] reports the most
+//! they pinned at once.
 //!
 //! # One refill per transition
 //!
@@ -57,18 +70,19 @@
 //! [`Scratch`]: the child is refilled in place ([`Driver::fork_into`],
 //! which reuses every buffer the scratch owns) instead of built and
 //! dropped, and quiescence runs on the child itself instead of on a
-//! second copy. Only a claimed child at a snapshot level is forked —
-//! before it is quiesced — because only that copy is kept. Claiming
-//! before quiescing is sound: a child whose quiescence panics is a
-//! violation, a violation ends the run after its level, and every
-//! same-level duplicate of that state is quiesced and reported too, so
-//! the least violating path is still the one chosen. A scratch whose
-//! op or quiescence panicked is in an unknown state and is dropped, not
-//! refilled; the node's later children start from a fresh fork.
+//! second copy. Only a claimed child at a snapshot level is recorded
+//! ([`Driver::save`]) — before it is quiesced — because only that
+//! state is kept. Claiming before quiescing is sound: a child whose
+//! quiescence panics is a violation, a violation ends the run after
+//! its level, and every same-level duplicate of that state is quiesced
+//! and reported too, so the least violating path is still the one
+//! chosen. A scratch whose op or quiescence panicked is in an unknown
+//! state and is dropped, not refilled; the node's later children start
+//! from a fresh fork.
 
 use crate::canon::canon;
 use crate::config::CheckConfig;
-use crate::driver::Driver;
+use crate::driver::{Driver, Snapshot};
 use crate::explore::{panic_message, shrink, ExploreOutcome, Progress, QuietPanics, Violation};
 use crate::op::Op;
 use std::collections::HashSet;
@@ -81,10 +95,10 @@ use std::sync::{Arc, Mutex};
 /// any plausible worker count while costing only 64 mutexes + sets.
 const SHARDS: usize = 64;
 
-/// A full [`Driver`] snapshot is kept every this-many levels; nodes in
-/// between carry an op suffix from their snapshot ancestor. 4 balances
-/// rebuild cost (≤ 3 applies) against frontier memory (~¼ of frontier
-/// nodes own a materialized machine state).
+/// A [`Snapshot`] is kept every this-many levels; nodes in between
+/// carry an op suffix from their snapshot ancestor. 4 bounds the
+/// rebuild at one restore and ≤ 3 applies, and keeps a record only on
+/// every fourth level's nodes.
 const SNAPSHOT_STRIDE: usize = 4;
 
 /// Pass-through hasher for canonical hashes: a key is already two
@@ -134,9 +148,9 @@ impl Visited {
 /// One frontier node: a snapshot ancestor, the ops from it to this
 /// state, and the full path for violation reporting.
 struct Node {
-    /// Materialized state at the nearest stride-aligned ancestor
-    /// (possibly this node itself, with an empty suffix).
-    snap: Arc<Driver>,
+    /// The kept state at the nearest stride-aligned ancestor (possibly
+    /// this node itself, with an empty suffix).
+    snap: Arc<Snapshot>,
     /// Ops from `snap` to this node; length < [`SNAPSHOT_STRIDE`].
     suffix: Vec<Op>,
     /// Full op path from the initial state.
@@ -156,7 +170,7 @@ struct WorkerOut {
 /// copy the explorer makes is dead a transition later.
 #[derive(Default)]
 struct Scratch {
-    /// The node being expanded, when it is not its own snapshot.
+    /// The node being expanded, restored from its snapshot.
     base: Option<Driver>,
     /// The child of the transition being taken.
     child: Option<Driver>,
@@ -175,6 +189,15 @@ fn refill<'a>(slot: &'a mut Option<Driver>, src: &Driver) -> &'a mut Driver {
     }
 }
 
+/// `prefix` with `op` appended, allocated to fit: a frontier holds a
+/// path and a suffix per node.
+fn extended(prefix: &[Op], op: Op) -> Vec<Op> {
+    let mut v = Vec::with_capacity(prefix.len() + 1);
+    v.extend_from_slice(prefix);
+    v.push(op);
+    v
+}
+
 /// Expands one node: rebuilds its driver from the snapshot, applies
 /// every enabled op to a copy, claims unvisited children, and quiesces
 /// every child.
@@ -185,17 +208,18 @@ fn expand(
     scratch: &mut Scratch,
     out: &mut WorkerOut,
 ) {
-    // Rebuild. The suffix replay cannot panic (see module docs); the
-    // copy is avoided entirely when the node is its own snapshot.
-    let base: &Driver = if node.suffix.is_empty() {
-        &node.snap
-    } else {
-        let d = refill(&mut scratch.base, &node.snap);
-        for &op in &node.suffix {
-            d.apply(op);
+    // Rebuild. The suffix replay cannot panic (see module docs).
+    let base = match &mut scratch.base {
+        Some(d) => {
+            d.restore(&node.snap);
+            d
         }
-        d
+        None => scratch.base.insert(node.snap.to_driver()),
     };
+    for &op in &node.suffix {
+        base.apply(op);
+    }
+    let base: &Driver = base;
     let snapshot_level = (cfg_depth + 1).is_multiple_of(SNAPSHOT_STRIDE);
 
     for op in base.enabled_ops() {
@@ -204,43 +228,51 @@ fn expand(
         let res = catch_unwind(AssertUnwindSafe(|| {
             child.apply(op);
             let claimed = visited.insert(canon(child));
-            // Quiescing consumes the child, so the one copy that is
-            // kept is taken first.
-            let snap = (claimed && snapshot_level).then(|| Arc::new(child.fork()));
+            // Quiescing consumes the child, so the one state that is
+            // kept is recorded first.
+            let snap = (claimed && snapshot_level).then(|| Arc::new(child.save()));
             child.quiesce();
             (claimed, snap)
         }));
         match res {
             Ok((false, _)) => {}
             Ok((true, snap)) => {
-                let mut path = node.path.clone();
-                path.push(op);
+                let path = extended(&node.path, op);
                 let node = match snap {
                     Some(snap) => Node {
                         snap,
                         suffix: Vec::new(),
                         path,
                     },
-                    None => {
-                        let mut suffix = node.suffix.clone();
-                        suffix.push(op);
-                        Node {
-                            snap: Arc::clone(&node.snap),
-                            suffix,
-                            path,
-                        }
-                    }
+                    None => Node {
+                        snap: Arc::clone(&node.snap),
+                        suffix: extended(&node.suffix, op),
+                        path,
+                    },
                 };
                 out.next.push(node);
             }
             Err(e) => {
                 scratch.child = None;
-                let mut path = node.path.clone();
-                path.push(op);
-                out.violations.push((path, panic_message(e)));
+                out.violations
+                    .push((extended(&node.path, op), panic_message(e)));
             }
         }
     }
+}
+
+/// The frontier memory `levels` pin: each distinct snapshot's
+/// [`Snapshot::heap_bytes`], plus every node's path and suffix.
+fn frontier_bytes(levels: [&[Node]; 2]) -> u64 {
+    let mut seen = HashSet::new();
+    let mut bytes = 0;
+    for node in levels.into_iter().flatten() {
+        if seen.insert(Arc::as_ptr(&node.snap)) {
+            bytes += node.snap.heap_bytes();
+        }
+        bytes += (node.path.capacity() + node.suffix.capacity()) * std::mem::size_of::<Op>();
+    }
+    bytes as u64
 }
 
 /// Parallel breadth-first exploration to a fixpoint or `depth` bound,
@@ -265,7 +297,7 @@ pub fn explore_jobs(
     let root = Driver::new(cfg.clone());
     visited.insert(canon(&root));
     let mut level: Vec<Node> = vec![Node {
-        snap: Arc::new(root),
+        snap: Arc::new(root.save()),
         suffix: Vec::new(),
         path: Vec::new(),
     }];
@@ -273,6 +305,7 @@ pub fn explore_jobs(
 
     let mut transitions = 0u64;
     let mut max_depth = 0usize;
+    let mut peak_frontier_bytes = frontier_bytes([&level, &[]]);
 
     while !level.is_empty() {
         if depth.is_some_and(|d| level_depth >= d) {
@@ -285,6 +318,7 @@ pub fn explore_jobs(
                 max_depth,
                 depth_truncated: level.len() as u64,
                 violation: None,
+                peak_frontier_bytes,
             };
         }
         max_depth = max_depth.max(level_depth);
@@ -321,6 +355,7 @@ pub fn explore_jobs(
             next.append(&mut out.next);
             violations.append(&mut out.violations);
         }
+        peak_frontier_bytes = peak_frontier_bytes.max(frontier_bytes([&level, &next]));
 
         if let Some((path, message)) = violations.into_iter().min() {
             let path = shrink(cfg, path);
@@ -330,6 +365,7 @@ pub fn explore_jobs(
                 max_depth,
                 depth_truncated: 0,
                 violation: Some(Violation { path, message }),
+                peak_frontier_bytes,
             };
         }
 
@@ -351,6 +387,7 @@ pub fn explore_jobs(
         max_depth,
         depth_truncated: 0,
         violation: None,
+        peak_frontier_bytes,
     }
 }
 

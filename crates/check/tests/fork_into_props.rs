@@ -1,16 +1,21 @@
-//! `Driver::fork_into` ≡ `Driver::fork`, by seeded property test.
+//! `Driver::fork_into` ≡ `Driver::fork`, and `Driver::restore` of a
+//! `Driver::save` record ≡ `Driver::fork`, by seeded property test.
 //!
 //! The explorer refills one scratch driver per transition instead of
 //! building and dropping a clone, so every buffer the scratch owns is
 //! overwritten in place — by hand-written `assign_for_check` methods
 //! that must carry over every field and take every shrink, grow and
-//! `Some` ↔ `None` path right. This suite refills a scratch that last
-//! held an *unrelated* state and requires the result to be
-//! indistinguishable from a fresh fork: same canonical hash, same
-//! per-core counters and clocks (the canonical projection leaves those
-//! out), same enabled ops, and the same again after every enabled op —
-//! which is what notices a stale LRU plane, speculative-line list or
-//! activity mask.
+//! `Some` ↔ `None` path right. The states it keeps are records, each
+//! written back into a reused scratch by hand-written `restore`
+//! methods under the same obligations — and a record holds only the
+//! touched cores and the resident lines, so a restore must also empty
+//! every way, core and lane the record does not mention. This suite
+//! overwrites a scratch that last held an *unrelated* state, both
+//! ways, and requires the result to be indistinguishable from a fresh
+//! fork: same canonical hash, same per-core counters and clocks (the
+//! canonical projection leaves those out), same enabled ops, and the
+//! same again after every enabled op — which is what notices a stale
+//! LRU plane, speculative-line list or activity mask.
 //!
 //! Two seeded random walks supply the states, one given a head start so
 //! the two differ in memory pages and directory banks. The checker's
@@ -21,12 +26,13 @@
 //! allocated overflow table.
 //!
 //! A refill copies only the cores touched on either side
-//! (`flextm_sim::Cores::touched`). On the wide machine each walk state
-//! therefore also appears crowded through an *undriven* core, one the
-//! checker never maps: consecutive sources then differ in their touched
-//! sets in both directions, so a scratch core that its next source
-//! never touched is refilled too. Every machine core's residency,
-//! counters and clock are compared, not just the mapped cores'.
+//! (`flextm_sim::Cores::touched`), and a record holds only its
+//! source's. On the wide machine each walk state therefore also
+//! appears crowded through an *undriven* core, one the checker never
+//! maps: consecutive sources then differ in their touched sets in both
+//! directions, so a scratch core that its next source never touched is
+//! overwritten too. Every machine core's residency, counters and clock
+//! are compared, not just the mapped cores'.
 
 use flextm_check::canon::canon;
 use flextm_check::{Alphabet, CheckConfig, Driver};
@@ -118,9 +124,9 @@ struct Coverage {
     victims: bool,
     victim_data: bool,
     overflow_table: bool,
-    /// A refill whose scratch had touched a core its source had not.
+    /// A copy whose scratch had touched a core its source had not.
     scratch_only_core: bool,
-    /// A refill whose source had touched a core its scratch had not.
+    /// A copy whose source had touched a core its scratch had not.
     source_only_core: bool,
 }
 
@@ -137,7 +143,27 @@ impl Coverage {
     }
 }
 
-fn refills_match_forks(cfg: CheckConfig, seed: u64, steps: usize, coverage: &mut Coverage) {
+/// How a scratch driver is made a copy of a source state.
+type CopyFn = fn(&Driver, &mut Driver);
+
+/// The explorer's per-transition refill.
+fn refill(src: &Driver, scratch: &mut Driver) {
+    src.fork_into(scratch);
+}
+
+/// What the explorer does with a kept state: record it, and later
+/// write the record back into a reused scratch.
+fn restore(src: &Driver, scratch: &mut Driver) {
+    scratch.restore(&src.save());
+}
+
+fn copies_match_forks(
+    cfg: CheckConfig,
+    seed: u64,
+    steps: usize,
+    copy: CopyFn,
+    coverage: &mut Coverage,
+) {
     let name = format!(
         "{} cores x {} lines on {} (seed {seed:#x})",
         cfg.cores,
@@ -170,13 +196,13 @@ fn refills_match_forks(cfg: CheckConfig, seed: u64, steps: usize, coverage: &mut
             let Some(src) = src else { continue };
             let ctx = format!("{name}, step {n}, source {which}");
             coverage.note(src, &scratch);
-            src.fork_into(&mut scratch);
+            copy(src, &mut scratch);
             assert_same(&scratch, &src.fork(), &ctx);
             for op in src.enabled_ops() {
                 let ctx = format!("{ctx}, after {op}");
                 let mut want = src.fork();
                 want.apply(op);
-                src.fork_into(&mut scratch);
+                copy(src, &mut scratch);
                 scratch.apply(op);
                 assert_same(&scratch, &want, &ctx);
             }
@@ -186,8 +212,10 @@ fn refills_match_forks(cfg: CheckConfig, seed: u64, steps: usize, coverage: &mut
     }
 }
 
-#[test]
-fn fork_into_matches_fork_on_random_walks() {
+/// Every configuration, seed and walk length, copying with `copy`; the
+/// crowded and undriven variants must have reached every path they are
+/// there for.
+fn copies_match_forks_on_random_walks(copy: CopyFn) {
     let tx_only = |cfg| CheckConfig {
         alphabet: Alphabet::TxOnly,
         ..cfg
@@ -199,7 +227,7 @@ fn fork_into_matches_fork_on_random_walks() {
             (tx_only(CheckConfig::new(3, 1)), 60),
             (CheckConfig::wide(2, 1), 30),
         ] {
-            refills_match_forks(cfg, seed, steps, &mut coverage);
+            copies_match_forks(cfg, seed, steps, copy, &mut coverage);
         }
     }
     assert!(
@@ -212,9 +240,19 @@ fn fork_into_matches_fork_on_random_walks() {
     );
     assert!(
         coverage.scratch_only_core && coverage.source_only_core,
-        "no refill had a core touched on the scratch side only ({}) or on \
+        "no copy had a core touched on the scratch side only ({}) or on \
          the source side only ({})",
         coverage.scratch_only_core,
         coverage.source_only_core
     );
+}
+
+#[test]
+fn fork_into_matches_fork_on_random_walks() {
+    copies_match_forks_on_random_walks(refill);
+}
+
+#[test]
+fn restore_matches_fork_on_random_walks() {
+    copies_match_forks_on_random_walks(restore);
 }

@@ -247,6 +247,35 @@ impl BankedDir {
             mine.len = *len;
         }
     }
+
+    /// Every stored entry, for a kept model-checker state's record of
+    /// the directory ([`crate::L2`]'s `save`). Bank order, then slot
+    /// order.
+    pub(crate) fn save(&self) -> Box<[(LineAddr, DirEntry)]> {
+        self.banks
+            .iter()
+            .flat_map(|b| &b.slots)
+            .filter(|s| s.tag != EMPTY)
+            .map(|s| (LineAddr(s.tag), s.entry))
+            .collect()
+    }
+
+    /// Makes `self` hold exactly `entries`, in place: every occupied
+    /// bank is emptied and the entries are reinserted, so restoring
+    /// onto a directory whose banks are already large enough allocates
+    /// nothing. Slot positions may differ from the saved directory's;
+    /// nothing observes them.
+    pub(crate) fn restore(&mut self, entries: &[(LineAddr, DirEntry)]) {
+        for bank in &mut self.banks {
+            if bank.len != 0 {
+                bank.slots.fill(VACANT);
+                bank.len = 0;
+            }
+        }
+        for &(line, entry) in entries {
+            self.insert(line, entry);
+        }
+    }
 }
 
 #[cfg(test)]

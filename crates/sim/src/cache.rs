@@ -146,6 +146,54 @@ impl LineEntry {
     }
 }
 
+/// One resident main-array way, as an [`L1Record`] keeps it.
+#[derive(Debug, Clone, Copy)]
+struct WayRecord {
+    way: u32,
+    meta: u8,
+    tag: u64,
+    lru: u64,
+}
+
+/// What an [`L1Cache`] holds, without its vacant ways
+/// ([`L1Cache::save`]). The default record is a cache that was never
+/// filled.
+#[derive(Debug, Default)]
+pub(crate) struct L1Record {
+    /// False for a cache whose planes no fill has allocated.
+    materialised: bool,
+    ways: Box<[WayRecord]>,
+    /// `(way, words)` for each resident way that carries a line buffer,
+    /// in ascending way order.
+    data: Box<[(u32, [u64; WORDS_PER_LINE])]>,
+    victim: Box<[LineEntry]>,
+    victim_set: [u64; 2],
+    tick: u64,
+    spec_touched: Box<[LineAddr]>,
+}
+
+impl L1Record {
+    /// Bytes the record owns on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let L1Record {
+            materialised: _,
+            ways,
+            data,
+            victim,
+            victim_set: _,
+            tick: _,
+            spec_touched,
+        } = self;
+        size_of_val(&**ways)
+            + size_of_val(&**data)
+            + size_of_val(&**victim)
+            + victim.iter().filter(|e| e.data.is_some()).count()
+                * size_of::<[u64; WORDS_PER_LINE]>()
+            + size_of_val(&**spec_touched)
+    }
+}
+
 /// Opaque handle to a resident L1 line, returned by
 /// [`L1Cache::probe_slot`] / [`L1Cache::peek_slot`] /
 /// [`L1Cache::fill_slot`] so hot paths that probe and then mutate the
@@ -185,10 +233,7 @@ const DATA_POOL_CAP: usize = 64;
 /// of the victim buffer too does it overflow to the OT. Setting the
 /// victim capacity to `usize::MAX` reproduces the §7.3 "unbounded victim
 /// buffer" ablation in which nothing ever overflows.
-///
-/// `Clone` exists for the model checker's state forking; the simulator
-/// proper never copies a cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct L1Cache {
     /// Tag plane, set-major: `nsets * ways` line indexes
     /// ([`EMPTY_TAG`] marks a vacant way). One contiguous allocation —
@@ -280,43 +325,16 @@ impl L1Cache {
         }
     }
 
-    /// Deep copy for the model checker's state forking
-    /// ([`crate::SimState::clone_for_check`]). Identical semantic
-    /// state. Planes no fill has materialised yet clone as the empty
-    /// `Vec`s they are — no allocation, so an untouched core forks for
-    /// the price of its inline fields. The buffer free list starts
-    /// empty: its contents are unspecified recycled buffers that every
-    /// consumer overwrites, and retained frontier snapshots would
-    /// otherwise pin up to `DATA_POOL_CAP` line buffers per core each —
-    /// measured as a net loss (page-fault churn) on large explorations,
-    /// despite the extra zeroing allocation it costs each forked
-    /// child's first few speculative fills.
-    pub fn clone_for_check(&self) -> Self {
-        L1Cache {
-            tags: self.tags.clone(),
-            meta: self.meta.clone(),
-            lru: self.lru.clone(),
-            data: self.data.clone(),
-            nsets: self.nsets,
-            ways: self.ways,
-            victim: self.victim.clone(),
-            victim_set: self.victim_set,
-            victim_cap: self.victim_cap,
-            unbounded_tmi: self.unbounded_tmi,
-            tick: self.tick,
-            spec_touched: self.spec_touched.clone(),
-            data_pool: Vec::new(),
-        }
-    }
-
-    /// Makes `self` the state [`L1Cache::clone_for_check`] would build
-    /// from `src`, in place: every plane, the victim buffer and each
-    /// line buffer both sides carry are reused, so refilling a scratch
-    /// that last held a same-shaped cache allocates nothing. The
-    /// destination's buffer free list is emptied, as a fresh clone's
-    /// is. The destructuring is exhaustive on purpose: a field added to
-    /// the cache must be assigned here or fail to compile, not leak
-    /// from one sibling child of the model checker into the next.
+    /// Makes `self` a copy of `src` in place — the model checker's
+    /// one copy routine for a cache ([`crate::SimState::assign_for_check`]):
+    /// every plane, the victim buffer and each line buffer both sides
+    /// carry are reused, so refilling a scratch that last held a
+    /// same-shaped cache allocates nothing. The destination's buffer
+    /// free list is emptied: its contents are unspecified recycled
+    /// buffers that every consumer overwrites. The destructuring is
+    /// exhaustive on purpose: a field added to the cache must be
+    /// assigned here or fail to compile, not leak from one sibling
+    /// child of the model checker into the next.
     pub fn assign_for_check(&mut self, src: &L1Cache) {
         let L1Cache {
             tags,
@@ -351,6 +369,121 @@ impl L1Cache {
         self.tick = *tick;
         self.spec_touched.clone_from(spec_touched);
         self.data_pool.clear();
+    }
+
+    /// The record a kept model-checker state stores for this cache:
+    /// its resident ways, victims, clock and speculative-line notes —
+    /// nothing for a vacant way, so its size follows the lines the
+    /// cache holds, not its geometry. Geometry is configuration and the
+    /// free list is unspecified; neither is kept.
+    pub(crate) fn save(&self) -> L1Record {
+        let L1Cache {
+            tags,
+            meta,
+            lru,
+            data,
+            nsets: _,
+            ways: _,
+            victim,
+            victim_set,
+            victim_cap: _,
+            unbounded_tmi: _,
+            tick,
+            spec_touched,
+            data_pool: _,
+        } = self;
+        let resident = || (0..tags.len()).filter(|&i| tags[i] != EMPTY_TAG);
+        L1Record {
+            materialised: !tags.is_empty(),
+            ways: resident()
+                .map(|i| WayRecord {
+                    way: i as u32,
+                    meta: meta[i],
+                    tag: tags[i],
+                    lru: lru[i],
+                })
+                .collect(),
+            data: resident()
+                .filter_map(|i| Some((i as u32, **data[i].as_ref()?)))
+                .collect(),
+            victim: victim.as_slice().into(),
+            victim_set: *victim_set,
+            tick: *tick,
+            spec_touched: spec_touched.as_slice().into(),
+        }
+    }
+
+    /// Makes `self` the cache `rec` was saved from, in place. A line
+    /// buffer in a way the record has one for is overwritten where it
+    /// is; every other buffer goes to the free list, and the record's
+    /// missing ones come back out of it — so restoring onto a cache that
+    /// last held as many buffers allocates nothing. Vacant ways keep
+    /// stale metadata, which nothing reads (see `meta`).
+    pub(crate) fn restore(&mut self, rec: &L1Record) {
+        let L1Record {
+            materialised,
+            ways,
+            data,
+            victim,
+            victim_set,
+            tick,
+            spec_touched,
+        } = rec;
+        let mut kept = data.iter().map(|&(way, _)| way as usize).peekable();
+        for i in 0..self.data.len() {
+            if *materialised && kept.next_if_eq(&i).is_some() {
+                continue;
+            }
+            if let Some(d) = self.data[i].take() {
+                self.retire_data(d);
+            }
+        }
+        let mut victims = std::mem::take(&mut self.victim);
+        for e in victims.drain(..) {
+            if let Some(d) = e.data {
+                self.retire_data(d);
+            }
+        }
+        self.victim = victims;
+        if !materialised {
+            self.tags.clear();
+            self.meta.clear();
+            self.lru.clear();
+            self.data.clear();
+        } else if self.tags.is_empty() {
+            self.materialise();
+        } else {
+            self.tags.fill(EMPTY_TAG);
+        }
+        for w in ways {
+            let i = w.way as usize;
+            self.tags[i] = w.tag;
+            self.meta[i] = w.meta;
+            self.lru[i] = w.lru;
+        }
+        for (way, words) in data.iter() {
+            let i = *way as usize;
+            match &mut self.data[i] {
+                Some(d) => **d = *words,
+                None => {
+                    let mut d = self.alloc_data();
+                    *d = *words;
+                    self.data[i] = Some(d);
+                }
+            }
+        }
+        for e in victim.iter() {
+            let data = e.data.as_ref().map(|words| {
+                let mut d = self.alloc_data();
+                *d = **words;
+                d
+            });
+            self.victim.push(LineEntry { data, ..*e });
+        }
+        self.victim_set = *victim_set;
+        self.tick = *tick;
+        self.spec_touched.clear();
+        self.spec_touched.extend_from_slice(spec_touched);
     }
 
     /// True if the cache is in the state [`L1Cache::new`] built: no
@@ -495,14 +628,15 @@ impl L1Cache {
             .fold(0, |set, e| set | 1 << victim_bit(e.line))
     }
 
-    /// Allocates the four planes, all ways vacant (the first fill).
+    /// Sizes the four planes, all ways vacant (the first fill) —
+    /// inside the capacity they kept, for a cache a restore emptied.
     #[cold]
     fn materialise(&mut self) {
         let n = self.nsets as usize * self.ways as usize;
-        self.tags = vec![EMPTY_TAG; n];
-        self.meta = vec![0; n];
-        self.lru = vec![0; n];
-        self.data = vec![None; n];
+        self.tags.resize(n, EMPTY_TAG);
+        self.meta.resize(n, 0);
+        self.lru.resize(n, 0);
+        self.data.resize_with(n, || None);
     }
 
     fn bump(&mut self) -> u64 {
@@ -1352,9 +1486,8 @@ mod tests {
         assert_eq!(c.len(), 1);
         attach(&mut c, line(3), 9);
         c.check_invariants(0);
-        // A fork of a never-filled cache shares nothing and owns nothing.
-        let idle = L1Cache::new(8, 4, 2).clone_for_check();
-        assert_eq!(idle.tags.capacity() + idle.data.capacity(), 0);
+        // The record of a never-filled cache owns nothing.
+        assert_eq!(L1Cache::new(8, 4, 2).save().heap_bytes(), 0);
     }
 
     /// xorshift64*, as in the other seeded suites.

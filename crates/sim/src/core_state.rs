@@ -1,7 +1,7 @@
 //! Per-processor hardware state: L1 + signatures + CSTs + AOU + OT
 //! controller registers (the dark-lined boxes of paper Fig. 2).
 
-use crate::cache::L1Cache;
+use crate::cache::{L1Cache, L1Record};
 use crate::config::MachineConfig;
 use crate::cst::CstSet;
 use crate::mem::Addr;
@@ -27,9 +27,7 @@ pub enum AlertCause {
 }
 
 /// All FlexTM-specific state attached to one processor.
-/// `Clone` exists for the model checker's state forking; the simulator
-/// proper never copies a core.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CoreState {
     /// Private L1 data cache (with victim buffer).
     pub l1: L1Cache,
@@ -89,28 +87,10 @@ impl CoreState {
         }
     }
 
-    /// Deep copy for the model checker's state forking: `clone`, minus
-    /// the L1's line-buffer free list (see [`L1Cache::clone_for_check`]).
-    pub fn clone_for_check(&self) -> Self {
-        CoreState {
-            l1: self.l1.clone_for_check(),
-            rsig: self.rsig.clone(),
-            wsig: self.wsig.clone(),
-            csts: self.csts,
-            aloaded: self.aloaded,
-            alert_pending: self.alert_pending,
-            ot: self.ot.clone(),
-            watch_reads: self.watch_reads,
-            watch_writes: self.watch_writes,
-            attempt_mark: self.attempt_mark,
-            stats: self.stats,
-        }
-    }
-
-    /// Makes `self` the state [`CoreState::clone_for_check`] would
-    /// build from `src`, in place, reusing the L1's planes and both
-    /// signatures' word buffers (see [`L1Cache::assign_for_check`],
-    /// which also says why the destructuring is exhaustive).
+    /// Makes `self` a copy of `src` in place, reusing the L1's planes
+    /// and both signatures' word buffers (see
+    /// [`L1Cache::assign_for_check`], which also says why the
+    /// destructuring is exhaustive).
     pub fn assign_for_check(&mut self, src: &CoreState) {
         let CoreState {
             l1,
@@ -136,6 +116,97 @@ impl CoreState {
         self.watch_writes = *watch_writes;
         self.attempt_mark = *attempt_mark;
         self.stats = *stats;
+    }
+
+    /// The record a kept model-checker state stores for this core: the
+    /// inline fields as they are, the L1 as an [`L1Record`].
+    /// Exhaustive destructuring, as in [`CoreState::assign_for_check`].
+    pub(crate) fn save(&self) -> CoreRecord {
+        let CoreState {
+            l1,
+            rsig,
+            wsig,
+            csts,
+            aloaded,
+            alert_pending,
+            ot,
+            watch_reads,
+            watch_writes,
+            attempt_mark,
+            stats,
+        } = self;
+        CoreRecord {
+            l1: l1.save(),
+            rsig: rsig.clone(),
+            wsig: wsig.clone(),
+            csts: *csts,
+            aloaded: *aloaded,
+            alert_pending: *alert_pending,
+            ot: ot.clone(),
+            watch_reads: *watch_reads,
+            watch_writes: *watch_writes,
+            attempt_mark: *attempt_mark,
+            stats: *stats,
+        }
+    }
+
+    /// Makes `self` the core `rec` was saved from, in place; the L1's
+    /// buffers and both signatures' word buffers are reused.
+    pub(crate) fn restore(&mut self, rec: &CoreRecord) {
+        let CoreRecord {
+            l1,
+            rsig,
+            wsig,
+            csts,
+            aloaded,
+            alert_pending,
+            ot,
+            watch_reads,
+            watch_writes,
+            attempt_mark,
+            stats,
+        } = rec;
+        self.l1.restore(l1);
+        self.rsig.assign_for_check(rsig);
+        self.wsig.assign_for_check(wsig);
+        self.csts = *csts;
+        self.aloaded = *aloaded;
+        self.alert_pending = *alert_pending;
+        self.ot.clone_from(ot);
+        self.watch_reads = *watch_reads;
+        self.watch_writes = *watch_writes;
+        self.attempt_mark = *attempt_mark;
+        self.stats = *stats;
+    }
+
+    /// Returns the core to the state [`CoreState::new`] built, in place
+    /// and without allocating: what a restore does to a core its record
+    /// does not hold.
+    fn reset(&mut self) {
+        let CoreState {
+            l1,
+            rsig,
+            wsig,
+            csts,
+            aloaded,
+            alert_pending,
+            ot,
+            watch_reads,
+            watch_writes,
+            attempt_mark,
+            stats,
+        } = self;
+        l1.restore(&L1Record::default());
+        rsig.clear();
+        wsig.clear();
+        *csts = CstSet::new();
+        *aloaded = None;
+        *alert_pending = None;
+        *ot = None;
+        *watch_reads = false;
+        *watch_writes = false;
+        *attempt_mark = None;
+        *stats = CoreStats::default();
     }
 
     /// True if the core is in the state [`CoreState::new`] built — what
@@ -284,6 +355,57 @@ impl CoreState {
     }
 }
 
+/// A [`CoreState`] as a kept model-checker state stores it
+/// ([`CoreState::save`]).
+#[derive(Debug)]
+pub(crate) struct CoreRecord {
+    l1: L1Record,
+    rsig: Signature,
+    wsig: Signature,
+    csts: CstSet,
+    aloaded: Option<LineAddr>,
+    alert_pending: Option<AlertCause>,
+    ot: Option<OverflowTable>,
+    watch_reads: bool,
+    watch_writes: bool,
+    attempt_mark: Option<(u64, u64)>,
+    stats: CoreStats,
+}
+
+impl CoreRecord {
+    /// Bytes the record owns on the heap, not counting its inline part.
+    fn heap_bytes(&self) -> usize {
+        let words = |s: &Signature| std::mem::size_of_val(s.words());
+        self.l1.heap_bytes()
+            + words(&self.rsig)
+            + words(&self.wsig)
+            + self.ot.as_ref().map_or(0, OverflowTable::heap_bytes)
+    }
+}
+
+/// The touched cores of a [`Cores`], as a kept model-checker state
+/// stores them ([`Cores::save`]): one [`CoreRecord`] per touched core,
+/// in ascending core order, and nothing for the rest — a record's size
+/// follows the cores a schedule drives, not the machine's width.
+#[derive(Debug)]
+pub(crate) struct CoresRecord {
+    touched: ProcSet,
+    cores: Box<[CoreRecord]>,
+}
+
+impl CoresRecord {
+    /// The cores the record holds.
+    pub(crate) fn touched(&self) -> ProcSet {
+        self.touched
+    }
+
+    /// Bytes the record owns on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.cores)
+            + self.cores.iter().map(CoreRecord::heap_bytes).sum::<usize>()
+    }
+}
+
 /// Every processor's [`CoreState`], plus `touched`: a superset of the
 /// cores whose state — or scheduler lane — differs from what
 /// [`crate::SimState`] was built with. The invariant sweep and the
@@ -344,15 +466,6 @@ impl Cores {
         self.cores.iter_mut()
     }
 
-    /// Deep copy for the model checker (every core, as a kept snapshot
-    /// needs).
-    pub(crate) fn clone_for_check(&self) -> Self {
-        Cores {
-            cores: self.cores.iter().map(CoreState::clone_for_check).collect(),
-            touched: self.touched,
-        }
-    }
-
     /// Makes `self` equal to `src` in place, visiting only the cores
     /// touched on either side: a core untouched on both is pristine on
     /// both. Same width required.
@@ -366,6 +479,30 @@ impl Cores {
             self.cores[i].assign_for_check(&src.cores[i]);
         }
         self.touched = src.touched;
+    }
+
+    /// The record of the touched cores ([`CoresRecord`]).
+    pub(crate) fn save(&self) -> CoresRecord {
+        let Cores { cores, touched } = self;
+        CoresRecord {
+            touched: *touched,
+            cores: touched.iter().map(|i| cores[i].save()).collect(),
+        }
+    }
+
+    /// Makes `self` the cores `rec` was saved from, in place, visiting
+    /// only the cores touched on either side: a core the scratch
+    /// touched and the record does not hold is reset to its initial
+    /// state. Same width required.
+    pub(crate) fn restore(&mut self, rec: &CoresRecord) {
+        let CoresRecord { touched, cores } = rec;
+        for i in self.touched.minus(*touched) {
+            self.cores[i].reset();
+        }
+        for (i, core) in touched.iter().zip(cores.iter()) {
+            self.cores[i].restore(core);
+        }
+        self.touched = *touched;
     }
 }
 

@@ -15,7 +15,7 @@
 //! bits (§4.1).
 
 use crate::bankdir::BankedDir;
-use flextm_sig::{LineAddr, ProcSet, SigKey, SignatureConfig, SummarySignature};
+use flextm_sig::{LineAddr, ProcSet, SigKey, Signature, SignatureConfig, SummarySignature};
 
 /// Directory state for one line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,9 +37,7 @@ impl DirEntry {
 /// The shared L2: a set-associative tag array (for hit/miss timing and
 /// directory-info lifetime) plus the directory map and the
 /// context-switch summary state (§5).
-/// `Clone` exists for the model checker's state forking; the simulator
-/// proper never copies the L2.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct L2 {
     /// Tag array, set-major: `nsets * ways` slots of `(line, lru)`.
     /// One contiguous allocation — a 16K-set L2 as one `Vec` of tiny
@@ -228,12 +226,90 @@ impl L2 {
         self.write_summary.assign_for_check(write_summary);
         self.cores_summary = *cores_summary;
     }
+
+    /// The record a kept model-checker state stores for the L2: its
+    /// occupied tag slots, clock, live directory entries and summaries.
+    /// Exhaustive destructuring, as in [`L2::assign_for_check`].
+    pub(crate) fn save(&self) -> L2Record {
+        let L2 {
+            slots,
+            nsets: _,
+            ways: _,
+            tick,
+            dir,
+            read_summary,
+            write_summary,
+            cores_summary,
+        } = self;
+        L2Record {
+            slots: slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| Some((i as u32, (*s)?)))
+                .collect(),
+            tick: *tick,
+            dir: dir.save(),
+            read_summary: read_summary.clone(),
+            write_summary: write_summary.clone(),
+            cores_summary: *cores_summary,
+        }
+    }
+
+    /// Makes `self` the L2 `rec` was saved from, in place, reusing the
+    /// tag array, the directory banks and the summaries' word buffers.
+    pub(crate) fn restore(&mut self, rec: &L2Record) {
+        let L2Record {
+            slots,
+            tick,
+            dir,
+            read_summary,
+            write_summary,
+            cores_summary,
+        } = rec;
+        self.slots.fill(None);
+        for &(i, s) in slots.iter() {
+            self.slots[i as usize] = Some(s);
+        }
+        self.tick = *tick;
+        self.dir.restore(dir);
+        self.read_summary.assign_for_check(read_summary);
+        self.write_summary.assign_for_check(write_summary);
+        self.cores_summary = *cores_summary;
+    }
+}
+
+/// An [`L2`] as a kept model-checker state stores it ([`L2::save`]).
+/// Geometry is configuration and is not kept.
+#[derive(Debug)]
+pub(crate) struct L2Record {
+    /// `(slot, (line, lru))` for each occupied tag slot.
+    slots: Box<[(u32, (LineAddr, u64))]>,
+    tick: u64,
+    dir: Box<[(LineAddr, DirEntry)]>,
+    read_summary: SummarySignature,
+    write_summary: SummarySignature,
+    cores_summary: ProcSet,
+}
+
+impl L2Record {
+    /// Bytes the record owns on the heap (B-tree node slack in the
+    /// summaries' contributor maps not counted).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let summary = |s: &SummarySignature| {
+            let words = size_of_val(s.union().words());
+            words + s.len() * (size_of::<(usize, Signature)>() + words)
+        };
+        size_of_val(&*self.slots)
+            + size_of_val(&*self.dir)
+            + summary(&self.read_summary)
+            + summary(&self.write_summary)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextm_sig::Signature;
 
     fn l2() -> L2 {
         L2::new(4, 2, SignatureConfig::paper_default())

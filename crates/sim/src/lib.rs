@@ -70,7 +70,7 @@ pub use config::{ConfigError, MachineConfig};
 pub use core_state::{AlertCause, CoreState, Cores};
 pub use cst::{procs_in_mask, CstKind, CstSet};
 pub use l2::{DirEntry, L2Ref, L2};
-pub use machine::{GrantQueue, Machine, SimState};
+pub use machine::{GrantQueue, Machine, SimRecord, SimState};
 pub use mem::{Addr, Arena, Heap, Memory, WORDS_PER_LINE};
 pub use ot::{OtEntry, OverflowTable};
 pub use proc::{ProcHandle, SigKind};

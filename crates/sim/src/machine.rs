@@ -60,10 +60,10 @@
 
 use crate::config::ConfigError;
 use crate::config::MachineConfig;
-use crate::core_state::Cores;
+use crate::core_state::{Cores, CoresRecord};
 use crate::fiber;
-use crate::l2::L2;
-use crate::mem::Memory;
+use crate::l2::{L2Record, L2};
+use crate::mem::{MemRecord, Memory};
 use crate::proc::ProcHandle;
 use crate::stats::{EventLog, MachineReport, SchedStats};
 use flextm_sig::{LineAddr, LineHasher, ProcSet, SigKey};
@@ -75,8 +75,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 /// One core's clock and the counters the scheduler's local paths bump
-/// without entering the protocol. Plain fields: [`SimState`] must stay
-/// `Send + Sync` (the model checker's snapshots cross worker threads).
+/// without entering the protocol. Plain fields: [`SimRecord`], which
+/// keeps lanes, must stay `Send + Sync` (the model checker's kept
+/// states cross worker threads).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Lane {
     /// The core's local clock, in cycles.
@@ -92,11 +93,42 @@ struct Lane {
     fast_ops: u64,
 }
 
-// The checker shares `Arc<Driver>` snapshots across its workers.
+// The checker shares its kept states' records across its workers.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SimState>();
+    assert_send_sync::<SimRecord>();
 };
+
+/// A [`SimState`] as a kept model-checker state stores it
+/// ([`SimState::save`], [`SimState::restore`]): the touched cores and
+/// their scheduler lanes, the L2's occupied slots, the live directory
+/// entries, memory's non-zero words, the activity masks. Nothing of
+/// the configuration is kept — a record restores only onto a state of
+/// the configuration it was saved from.
+#[derive(Debug)]
+pub struct SimRecord {
+    mem: MemRecord,
+    cores: CoresRecord,
+    /// One lane per touched core, in ascending core order.
+    lanes: Box<[Lane]>,
+    l2: L2Record,
+    log: EventLog,
+    sig_live: ProcSet,
+    ot_present: ProcSet,
+    check_every_op: bool,
+}
+
+impl SimRecord {
+    /// Bytes the record owns on the heap, not counting its inline part
+    /// (nor a logged event's own payload; the model checker logs none).
+    pub fn heap_bytes(&self) -> usize {
+        self.mem.heap_bytes()
+            + self.cores.heap_bytes()
+            + std::mem::size_of_val(&*self.lanes)
+            + self.l2.heap_bytes()
+            + std::mem::size_of_val(self.log.events())
+    }
+}
 
 /// All mutable simulator state. During a run it is reached only through
 /// the scheduler (one operation at a time, see the module doc); between
@@ -289,34 +321,17 @@ impl SimState {
         c.stats.wasted_cycles += dw + dm;
     }
 
-    /// Deep copy for the model checker's state forking.
-    pub fn clone_for_check(&self) -> Self {
-        SimState {
-            config: self.config.clone(),
-            mem: self.mem.clone(),
-            cores: self.cores.clone_for_check(),
-            l2: self.l2.clone(),
-            log: self.log.clone(),
-            lanes: self.lanes.clone(),
-            hasher: self.hasher.clone(),
-            sig_live: self.sig_live,
-            ot_present: self.ot_present,
-            commit_scratch: Vec::new(),
-            check_every_op: self.check_every_op,
-        }
-    }
-
-    /// Makes `self` the state [`SimState::clone_for_check`] would build
-    /// from `src`, in place: the model checker refills one scratch
-    /// state per transition instead of building and dropping a clone,
-    /// and every plane, page, bank and word buffer the scratch already
-    /// owns is reused. Both states must be forks of one root — same
-    /// configuration (hence the same hasher), same core count. Cores
-    /// and lanes are copied only where either side is touched
-    /// ([`Cores::assign_for_check`]). The destructuring is exhaustive
-    /// on purpose: a field added to the machine must be assigned here
-    /// or fail to compile, not leak from one sibling child into the
-    /// next.
+    /// Makes `self` a copy of `src` in place — the model checker's one
+    /// copy routine for a machine: it refills one scratch state per
+    /// transition instead of building and dropping a clone, and builds
+    /// an owned copy by refilling a fresh state. Every plane, page,
+    /// bank and word buffer the destination already owns is reused.
+    /// Both states must come from one configuration (hence the same
+    /// hasher and core count). Cores and lanes are copied only where
+    /// either side is touched ([`Cores::assign_for_check`]). The
+    /// destructuring is exhaustive on purpose: a field added to the
+    /// machine must be assigned here or fail to compile, not leak from
+    /// one sibling child into the next.
     pub fn assign_for_check(&mut self, src: &SimState) {
         let SimState {
             config: _,
@@ -340,6 +355,68 @@ impl SimState {
         }
         self.mem.assign_for_check(mem);
         self.l2.assign_for_check(l2);
+        self.log.clone_from(log);
+        self.sig_live = *sig_live;
+        self.ot_present = *ot_present;
+        self.check_every_op = *check_every_op;
+    }
+
+    /// The record a kept model-checker state stores for the machine
+    /// ([`SimRecord`]): what it holds, and nothing for a core no
+    /// schedule touched. Exhaustive destructuring, as in
+    /// [`SimState::assign_for_check`].
+    pub fn save(&self) -> SimRecord {
+        let SimState {
+            config: _,
+            mem,
+            cores,
+            l2,
+            log,
+            lanes,
+            hasher: _,
+            sig_live,
+            ot_present,
+            commit_scratch: _,
+            check_every_op,
+        } = self;
+        let cores = cores.save();
+        SimRecord {
+            lanes: cores.touched().iter().map(|i| lanes[i]).collect(),
+            mem: mem.save(),
+            cores,
+            l2: l2.save(),
+            log: log.clone(),
+            sig_live: *sig_live,
+            ot_present: *ot_present,
+            check_every_op: *check_every_op,
+        }
+    }
+
+    /// Makes `self` the machine `rec` was saved from, in place. `self`
+    /// may hold any state of the same configuration: a core or lane it
+    /// touched that the record does not hold returns to its initial
+    /// state. Restoring onto a state that last held as many lines,
+    /// line buffers, pages and directory entries allocates nothing.
+    pub fn restore(&mut self, rec: &SimRecord) {
+        let SimRecord {
+            mem,
+            cores,
+            lanes,
+            l2,
+            log,
+            sig_live,
+            ot_present,
+            check_every_op,
+        } = rec;
+        for i in self.cores.touched().minus(cores.touched()) {
+            self.lanes[i] = Lane::default();
+        }
+        for (i, lane) in cores.touched().iter().zip(lanes.iter()) {
+            self.lanes[i] = *lane;
+        }
+        self.cores.restore(cores);
+        self.mem.restore(mem);
+        self.l2.restore(l2);
         self.log.clone_from(log);
         self.sig_live = *sig_live;
         self.ot_present = *ot_present;

@@ -111,10 +111,7 @@ impl Hasher for PageHasher {
 }
 
 /// Sparse simulated memory: committed word values, allocated on demand.
-/// `Clone` exists for the model checker's state forking
-/// ([`crate::SimState::clone_for_check`]); the simulator proper never
-/// copies memory.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Memory {
     pages: HashMap<u64, Box<[u64; PAGE_WORDS]>, BuildHasherDefault<PageHasher>>,
 }
@@ -185,6 +182,37 @@ impl Memory {
         }
     }
 
+    /// The record a kept model-checker state stores for memory: its
+    /// non-zero words, as `(word index, value)`.
+    pub(crate) fn save(&self) -> MemRecord {
+        let Memory { pages } = self;
+        MemRecord {
+            words: pages
+                .iter()
+                .flat_map(|(&page, words)| {
+                    (0..PAGE_WORDS)
+                        .filter(|&off| words[off] != 0)
+                        .map(move |off| (page * PAGE_WORDS as u64 + off as u64, words[off]))
+                })
+                .collect(),
+        }
+    }
+
+    /// Makes `self` read as the memory `rec` was saved from, in place:
+    /// every page is zeroed, then the record's words are written back.
+    /// A page the record has no word on stays allocated, all zero —
+    /// which reads as the absent page it stands for — so restoring onto
+    /// a memory that last held the same pages allocates nothing.
+    pub(crate) fn restore(&mut self, rec: &MemRecord) {
+        let MemRecord { words } = rec;
+        for page in self.pages.values_mut() {
+            page.fill(0);
+        }
+        for &(word, value) in words.iter() {
+            self.write(Addr::new(word * 8), value);
+        }
+    }
+
     /// Base byte addresses of every touched 4 KiB page, ascending.
     /// The workload harness uses this for functional cache warming:
     /// sweeping all live data once before timing removes cold-miss
@@ -197,6 +225,20 @@ impl Memory {
             .collect();
         pages.sort_unstable();
         pages
+    }
+}
+
+/// [`Memory`] as a kept model-checker state stores it
+/// ([`Memory::save`]).
+#[derive(Debug)]
+pub(crate) struct MemRecord {
+    words: Box<[(u64, u64)]>,
+}
+
+impl MemRecord {
+    /// Bytes the record owns on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.words)
     }
 }
 

@@ -185,6 +185,15 @@ impl OverflowTable {
         self.entries.iter()
     }
 
+    /// Bytes the table owns on the heap: its entries, their line
+    /// buffers and the `Osig` words (B-tree node slack not counted).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.len()
+            * (std::mem::size_of::<(LineAddr, OtEntry)>()
+                + std::mem::size_of::<[u64; WORDS_PER_LINE]>())
+            + std::mem::size_of_val(self.osig.words())
+    }
+
     /// Raw `Osig` filter words, exposed so the model checker can fold
     /// the (stale-bit-carrying) filter into its canonical state hash —
     /// two OTs with equal entries but different stale Osig bits behave

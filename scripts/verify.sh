@@ -14,7 +14,8 @@
 #      65-core wide machine (checker cores 0 and 64, multi-word
 #      ProcSets — identical graph again, at no more than 3x the narrow
 #      cost per transition); a 3-core tx-alphabet run to
-#      its pinned fixpoint; a wide 3-core bounded-depth
+#      its pinned fixpoint, with its kept states' peak memory
+#      (peak_frontier_mib) at most 640 MiB; a wide 3-core bounded-depth
 #      equality check; and the liveness pass — no fair abort/grant
 #      cycle under the shipped tie-break, and the Polka mutual-abort
 #      livelock rediscovered when the tie-break is reverted
@@ -54,7 +55,7 @@
 # Every step's wall clock is printed as a table at the end (the "time
 # to run scripts/verify.sh" number of ROADMAP aim 1; a recorded table
 # is in EXPERIMENTS.md), the proto_check exploration steps with their
-# transitions per second beside it.
+# transitions per second and peak frontier memory beside it.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -64,6 +65,7 @@ now_us() { echo "${EPOCHREALTIME/[.,]/}"; }
 step_labels=()
 step_walls=()
 step_rates=()
+step_frontiers=()
 step() {
     # $1: label. Prints the banner and starts the step's clock, closing
     # the previous step's; with no label, only closes.
@@ -81,17 +83,21 @@ step() {
 rate_of() {
     echo "$1" | sed 's/.*"transitions_per_s": \([0-9]*\).*/\1/'
 }
+frontier_of() {
+    echo "$1" | sed 's/.*"peak_frontier_mib": \([0-9.]*\).*/\1/'
+}
 step_rate() {
-    # $1: a proto_check JSON line. Records its exploration rate for the
-    # current step's row of the wall table.
+    # $1: a proto_check JSON line. Records its exploration rate and
+    # peak frontier memory for the current step's row of the wall table.
     step_rates[${#step_labels[@]} - 1]="$(rate_of "$1")"
+    step_frontiers[${#step_labels[@]} - 1]="$(frontier_of "$1")"
 }
 wall_table() {
     local i total=0
     for i in "${!step_walls[@]}"; do
         total=$((total + step_walls[i]))
         printf 'wall: %7.2f s  %s%s\n' "$((step_walls[i] / 10000))e-2" "${step_labels[$i]}" \
-            "${step_rates[$i]:+ [${step_rates[$i]} transitions/s]}"
+            "${step_rates[$i]:+ [${step_rates[$i]} transitions/s, peak frontier ${step_frontiers[$i]} MiB]}"
     done
     printf 'wall: %7.2f s  total\n' "$((total / 10000))e-2"
 }
@@ -122,9 +128,11 @@ esac
 graph_of() {
     # Graph shape only: states/transitions/depth/violations — the
     # leading strip drops the parameter echo (cores/lines/wide/
-    # alphabet/jobs all precede "states"), the others drop wall time
-    # and the rate derived from it.
-    echo "$1" | sed 's/.*"states"/"states"/; s/ "wall_s": [0-9.]*,//; s/ "transitions_per_s": [0-9.]*,//'
+    # alphabet/jobs all precede "states"), the others drop wall time,
+    # the rate derived from it, and the frontier's memory (with more
+    # than one worker, which same-level path claims a state first can
+    # move it slightly).
+    echo "$1" | sed 's/.*"states"/"states"/; s/ "wall_s": [0-9.]*,//; s/ "transitions_per_s": [0-9.]*,//; s/ "peak_frontier_mib": [0-9.]*,//'
 }
 
 step "proto_check parallel equality (same config, --jobs 2)"
@@ -176,6 +184,15 @@ case "$deep_json" in
     exit 1
     ;;
 esac
+# A kept state is a record of what it holds (~2 GiB of forked drivers
+# before; ~390 MiB of records since). Above 640 MiB something a
+# record should leave out — a vacant way, an untouched core, a zero
+# word — is being kept again.
+deep_frontier="$(frontier_of "$deep_json")"
+if awk -v m="$deep_frontier" 'BEGIN { exit !(m > 640) }'; then
+    echo "3x1 kept states pinned ${deep_frontier} MiB of frontier (limit 640 MiB)"
+    exit 1
+fi
 
 step "proto_check wide 3-core bounded equality (66-core machine, depth 7)"
 n3_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --jobs 2 2>/dev/null)"
