@@ -19,7 +19,8 @@
 //! ```
 //!
 //! Exits 0 on a clean run, 1 on an invariant violation or livelock (the
-//! shrunk schedule / abort-cycle witness is printed), 2 on bad usage.
+//! shrunk schedule / abort-cycle witness is printed), 2 on bad usage,
+//! which includes a flag the chosen mode would ignore.
 //!
 //! Every JSON result echoes the run parameters (`cores`, `lines`,
 //! `wide`, `alphabet`, and the mode-specific knobs) so downstream
@@ -70,6 +71,7 @@ fn parse_args() -> Args {
         liveness: false,
         revert_tie_break: false,
     };
+    let mut given = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> String {
@@ -94,6 +96,20 @@ fn parse_args() -> Args {
             "--revert-tie-break" => args.revert_tie_break = true,
             _ => usage(),
         }
+        given.push(flag);
+    }
+    // A flag the chosen mode would ignore is a mistake, not a default.
+    let (mode, ignored) = match (args.liveness, args.walk) {
+        (true, _) => (
+            "--liveness",
+            "--depth --jobs --alphabet --walk --steps --seed",
+        ),
+        (false, true) => ("--walk", "--depth --jobs --revert-tie-break"),
+        (false, false) => ("an exhaustive run", "--steps --seed --revert-tie-break"),
+    };
+    if let Some(flag) = given.iter().find(|g| ignored.split(' ').any(|f| f == *g)) {
+        eprintln!("{flag} has no effect with {mode}");
+        usage();
     }
     if args.jobs == 0 {
         eprintln!("--jobs must be >= 1");

@@ -1,8 +1,16 @@
-//! `proto_check`'s usage contract: an out-of-range configuration is
-//! bad usage — exit 2 with the range on stderr — not a panic in
-//! `CheckConfig::new`.
+//! `proto_check`'s usage contract: an out-of-range configuration, or a
+//! flag the chosen mode would ignore, is bad usage — exit 2 with the
+//! reason on stderr — not a panic in `CheckConfig::new` or a run that
+//! silently drops what was asked for.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn proto_check(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_proto_check"))
+        .args(args)
+        .output()
+        .expect("proto_check runs")
+}
 
 #[test]
 fn out_of_range_configurations_exit_2_without_a_panic() {
@@ -12,10 +20,7 @@ fn out_of_range_configurations_exit_2_without_a_panic() {
         ["--lines", "0"],
         ["--lines", "17"],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_proto_check"))
-            .args(args)
-            .output()
-            .expect("proto_check runs");
+        let out = proto_check(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
@@ -23,5 +28,33 @@ fn out_of_range_configurations_exit_2_without_a_panic() {
             stderr.contains(&format!("{} must be in", args[0])),
             "{args:?}: {stderr}"
         );
+    }
+}
+
+/// Each case names the flag its mode ignores; none of them explores
+/// anything before exiting.
+#[test]
+fn a_flag_the_mode_ignores_exits_2_naming_it() {
+    for (args, flag) in [
+        (&["--revert-tie-break"][..], "--revert-tie-break"),
+        (&["--walk", "--revert-tie-break"], "--revert-tie-break"),
+        (&["--liveness", "--depth", "3"], "--depth"),
+        (&["--liveness", "--jobs", "2"], "--jobs"),
+        (&["--liveness", "--alphabet", "tx"], "--alphabet"),
+        (&["--liveness", "--walk"], "--walk"),
+        (&["--walk", "--depth", "3"], "--depth"),
+        (&["--walk", "--jobs", "2"], "--jobs"),
+        (&["--steps", "10"], "--steps"),
+        (&["--seed", "7"], "--seed"),
+        (&["--liveness", "--seed", "7"], "--seed"),
+    ] {
+        let out = proto_check(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} has no effect")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }

@@ -63,7 +63,7 @@ pub const MAX_LINES: usize = 16;
 pub const CORES: RangeInclusive<usize> = 2..=16;
 
 /// A checker instance: `cores × lines` with a fixed op alphabet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckConfig {
     /// Processor count (2–3 for exhaustive runs, up to 8 for walks).
     pub cores: usize,

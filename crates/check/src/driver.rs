@@ -2,19 +2,17 @@
 //! shadow an architectural observer can maintain, with the
 //! cross-validation asserts that turn a schedule into a test oracle.
 //!
-//! A driver is copied one way and kept another. [`Driver::fork_into`]
-//! overwrites an existing driver in place and allocates nothing when
-//! the two have the same shape — the explorer's per-transition copy,
-//! whose child is checked ([`Driver::quiesce`] consumes it) and then
-//! overwritten by the next; [`Driver::fork`] is the same copy into a
+//! A driver is copied one way: [`Driver::record`] writes what the
+//! state holds into a [`Snapshot`] — the touched cores with only their
+//! resident L1 lines, the occupied L2 slots, the live directory
+//! entries, memory's non-zero words — and [`Driver::restore`] writes a
+//! record back into a reused driver. Both reuse the buffers of what
+//! they overwrite. The explorer restores every child it steps from a
+//! record, and keeps a state as an exact-size clone of one
+//! ([`Driver::save`]); [`Driver::fork`] is a record restored into a
 //! fresh driver, for a caller that goes on using its own state. A
-//! state the explorer *keeps* is a [`Snapshot`] ([`Driver::save`]): a
-//! record of what the state holds — the touched cores with only their
-//! resident L1 ways, the occupied L2 slots, the live directory
-//! entries, memory's non-zero words — which [`Driver::restore`]
-//! writes back into a reused driver. A shadow core owns no heap (its
-//! access sets are value arrays under a presence mask), so its part of
-//! every copy is flat.
+//! shadow core owns no heap (its access sets are value arrays under a
+//! presence mask), so its part of every copy is flat.
 
 use crate::config::{CheckConfig, MAX_LINES};
 use crate::op::Op;
@@ -38,7 +36,7 @@ pub const TSW_COMMITTED: u64 = 3;
 
 /// A true access set: data-line index → value, for at most
 /// [`MAX_LINES`] lines. Inline — a presence mask over a value array —
-/// so a shadow core is a flat copy that a fork or refill never walks.
+/// so a shadow core is a flat copy that a record or restore never walks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LineVals {
     present: u16,
@@ -133,11 +131,11 @@ pub struct Driver {
     cfg: Arc<CheckConfig>,
 }
 
-/// A kept checker state: what [`Driver::save`] records of a driver,
-/// and the only thing the explorer and the liveness pass hold per
-/// state. Its size follows what the state holds — the cores the
-/// schedule touched, the lines they cache, the directory entries and
-/// memory words that are live — not the machine's geometry or width.
+/// A record of a checker state ([`Driver::record`]), and the only
+/// thing the explorer and the liveness pass hold per state. Its size
+/// follows what the state holds, not the machine's geometry or width;
+/// a kept state is a clone, which is exact-size.
+#[derive(Clone)]
 pub struct Snapshot {
     st: SimRecord,
     shadow: Vec<ShadowCore>,
@@ -173,7 +171,7 @@ impl Driver {
 
     /// The initial state under a configuration other drivers share —
     /// what every copy ([`Driver::fork`], [`Snapshot::to_driver`]) is
-    /// refilled from.
+    /// restored onto.
     fn with_config(cfg: Arc<CheckConfig>) -> Self {
         Driver {
             st: SimState::for_tests(cfg.machine()),
@@ -189,60 +187,52 @@ impl Driver {
     }
 
     /// An owned copy, for a caller that goes on using its own state
-    /// (quiescence checks, shrink replay, tests): [`Driver::fork_into`]
-    /// a fresh driver of the same configuration.
+    /// (quiescence checks, shrink replay, tests): a record restored
+    /// into a fresh driver of the same configuration.
     pub fn fork(&self) -> Self {
-        let mut d = Self::with_config(Arc::clone(&self.cfg));
-        self.fork_into(&mut d);
-        d
+        self.recorded().to_driver()
     }
 
-    /// Makes `dst` a copy of `self` in place, reusing every buffer it
-    /// owns (`SimState::assign_for_check`), so refilling a scratch that
-    /// last held a same-shaped state allocates nothing. The explorer
-    /// makes one such refill per transition. `dst` must descend from
-    /// the same root as `self` — same shared config, hence the same
-    /// machine. Exhaustive destructuring, as in every
-    /// `assign_for_check`: a new field that is not carried over must
-    /// not compile.
-    pub fn fork_into(&self, dst: &mut Driver) {
-        let Driver {
-            st,
-            shadow,
-            shadow_mem,
-            cfg,
-        } = self;
-        assert!(
-            Arc::ptr_eq(cfg, &dst.cfg),
-            "fork_into across checker configurations"
-        );
-        dst.st.assign_for_check(st);
-        dst.shadow.clone_from(shadow);
-        dst.shadow_mem.clone_from(shadow_mem);
-    }
-
-    /// The record of this state that the explorer keeps
-    /// ([`Snapshot`]). Exhaustive destructuring, as in
-    /// [`Driver::fork_into`].
+    /// A kept record of this state: exactly as large as what it holds.
     pub fn save(&self) -> Snapshot {
+        self.recorded().clone()
+    }
+
+    /// A new record of this state. Its buffers grew as it was written,
+    /// so a state that is kept is a clone of it ([`Driver::save`]).
+    fn recorded(&self) -> Snapshot {
+        let mut rec = Snapshot {
+            st: SimRecord::default(),
+            shadow: Vec::new(),
+            shadow_mem: Vec::new(),
+            cfg: Arc::clone(&self.cfg),
+        };
+        self.record(&mut rec);
+        rec
+    }
+
+    /// Writes this state into `rec` in place, reusing every buffer
+    /// `rec` owns: writing over a record that last held a state as
+    /// large allocates nothing. `rec` must be of `self`'s configuration.
+    /// Exhaustive destructuring: a new field that is not recorded must
+    /// not compile.
+    pub fn record(&self, rec: &mut Snapshot) {
         let Driver {
             st,
             shadow,
             shadow_mem,
             cfg,
         } = self;
-        Snapshot {
-            st: st.save(),
-            shadow: shadow.clone(),
-            shadow_mem: shadow_mem.clone(),
-            cfg: Arc::clone(cfg),
-        }
+        assert!(*cfg == rec.cfg, "record across checker configurations");
+        st.record(&mut rec.st);
+        rec.shadow.clone_from(shadow);
+        rec.shadow_mem.clone_from(shadow_mem);
     }
 
-    /// Makes `self` the state `snap` was saved from, in place:
-    /// indistinguishable from a [`Driver::fork`] of that state, whatever
-    /// `self` held before, and allocation-free once `self` has held a
-    /// state as large. `self` must descend from the snapshot's root.
+    /// Makes `self` the state `snap` was written from, in place,
+    /// whatever `self` held before, and allocation-free once `self` has
+    /// held a state as large. `snap` must be of `self`'s
+    /// configuration.
     pub fn restore(&mut self, snap: &Snapshot) {
         let Snapshot {
             st,
@@ -250,10 +240,7 @@ impl Driver {
             shadow_mem,
             cfg,
         } = snap;
-        assert!(
-            Arc::ptr_eq(cfg, &self.cfg),
-            "restore across checker configurations"
-        );
+        assert!(*cfg == self.cfg, "restore across checker configurations");
         self.st.restore(st);
         self.shadow.clone_from(shadow);
         self.shadow_mem.clone_from(shadow_mem);

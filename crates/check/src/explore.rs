@@ -1,5 +1,6 @@
-//! Breadth-first exhaustive exploration, bounded-depth exploration,
-//! random walks, and counterexample shrinking.
+//! Random walks, counterexample shrinking, and the outcome types the
+//! explorers report. Exhaustive and bounded-depth breadth-first
+//! exploration lives in [`crate::parallel`].
 
 use crate::config::CheckConfig;
 use crate::driver::Driver;
@@ -251,7 +252,7 @@ mod tests {
         // ProcSet word seam. Core ids must be protocol-irrelevant: the
         // wide run's state graph is the narrow one with bits relabeled,
         // so state and transition counts match exactly. (A transition's
-        // refill and sweeps, and each kept state's record, cover the two
+        // restore and sweeps, and each kept state's record, cover the two
         // touched cores only, but the debug build checks the 63 idle
         // ones pristine on every sweep: bounded depth keeps that out of
         // the unit suite; verify.sh runs the wide config to a true

@@ -32,53 +32,36 @@
 //!
 //! # Records instead of replay
 //!
-//! The serial explorer rebuilt every node by replaying its full op path
-//! from the initial state, so expansion cost grew linearly with depth —
-//! O(depth²) work overall, and the reason 3-core runs were impractical.
-//! Here every frontier node carries an `Arc` to a [`Snapshot`] — a
-//! record of the state at the nearest ancestor whose depth is a
-//! multiple of [`SNAPSHOT_STRIDE`] — plus the (< stride) op suffix from
-//! that ancestor. Rebuilding a node is one restore into the worker's
-//! base scratch plus at most `SNAPSHOT_STRIDE - 1` op applications,
-//! independent of depth. Soundness is inherited from replay
-//! determinism — the suffix ops were applied successfully (under
-//! `catch_unwind`) when the node was first generated, and
-//! `Driver::apply` is deterministic, so re-applying them to a restore
-//! of the same record reproduces the same state; a panic can
-//! therefore only surface at child-generation time, exactly as in the
-//! serial engine.
+//! Every frontier node carries an `Arc` to a [`Snapshot`] — a record of
+//! its nearest ancestor at a depth multiple of [`SNAPSHOT_STRIDE`] —
+//! plus the (< stride) op suffix from it, so a rebuild is one restore
+//! plus at most `SNAPSHOT_STRIDE - 1` applies, independent of depth
+//! (replaying the full path would make the whole run O(depth²)). The
+//! suffix ops succeeded under `catch_unwind` when the node was
+//! generated and `Driver::apply` is deterministic, so replaying them
+//! cannot panic: a panic surfaces only at child generation.
 //!
 //! A kept state is a record, not a machine, because the frontier is
-//! what bounds a run. Every node of a snapshot level owns one — all
-//! 3 661 nodes of the 2×1 fixpoint's level 8, 61 761 at level 12 of
-//! the 3×1 tx fixpoint — so a record holds only what its state holds:
-//! the touched cores with their resident L1 ways, the occupied L2
-//! slots, the live directory entries and memory's non-zero words,
-//! about 3 KiB at 2×1 against the 19 KiB of a forked driver, and the
-//! same on a 65-core machine as on a 2-core one. Restoring reuses
-//! every buffer the scratch owns. Records are dropped with their
-//! level, so at any moment only the current and next frontier pin
-//! memory; [`ExploreOutcome::peak_frontier_bytes`] reports the most
-//! they pinned at once.
+//! what bounds a run: every node of a snapshot level owns one (3 661 at
+//! level 8 of the 2×1 fixpoint, 61 761 at level 12 of the 3×1 tx one),
+//! and a record holds only what its state holds — about 3.5 KiB at 2×1,
+//! the same on a 65-core machine. Records die with their level;
+//! [`ExploreOutcome::peak_frontier_bytes`] reports the most two levels
+//! pinned at once.
 //!
-//! # One refill per transition
+//! # One restore per transition
 //!
-//! A transition is: copy the node's state, apply the op, hash the
-//! child, claim the hash, then quiesce the child — abort everything
-//! and assert the machine clean — on every transition, claimed or not.
-//! Nearly every child is dead after that, so each worker keeps one
-//! [`Scratch`]: the child is refilled in place ([`Driver::fork_into`],
-//! which reuses every buffer the scratch owns) instead of built and
-//! dropped, and quiescence runs on the child itself instead of on a
-//! second copy. Only a claimed child at a snapshot level is recorded
-//! ([`Driver::save`]) — before it is quiesced — because only that
-//! state is kept. Claiming before quiescing is sound: a child whose
-//! quiescence panics is a violation, a violation ends the run after
-//! its level, and every same-level duplicate of that state is quiesced
-//! and reported too, so the least violating path is still the one
-//! chosen. A scratch whose op or quiescence panicked is in an unknown
-//! state and is dropped, not refilled; the node's later children start
-//! from a fresh fork.
+//! A transition restores the child from the node's record — the node's
+//! snapshot when its suffix is empty, else the rebuilt node written
+//! once into the worker's own record — applies the op, hashes and
+//! claims the child, then quiesces it in place (abort everything,
+//! assert the machine clean), claimed or not. Each worker's [`Scratch`]
+//! is overwritten, not reallocated. A claimed child at a snapshot level
+//! is recorded before it is quiesced and kept as an exact-size clone.
+//! Claiming before quiescing is sound: a violation ends the run after
+//! its level, and every same-level duplicate is quiesced and reported
+//! too, so the least violating path is still the one chosen. A child
+//! whose op or quiescence panicked is dropped, not restored over.
 
 use crate::canon::canon;
 use crate::config::CheckConfig;
@@ -166,26 +149,41 @@ struct WorkerOut {
     violations: Vec<(Vec<Op>, String)>,
 }
 
-/// The two drivers a worker refills instead of forking: nearly every
-/// copy the explorer makes is dead a transition later.
+/// What a worker overwrites instead of allocating: nearly every state
+/// the explorer builds is dead a transition later.
 #[derive(Default)]
 struct Scratch {
     /// The node being expanded, restored from its snapshot.
     base: Option<Driver>,
     /// The child of the transition being taken.
     child: Option<Driver>,
+    /// The node's record, when it is not its own snapshot.
+    base_rec: Option<Snapshot>,
+    /// A claimed child at a snapshot level, before a clone is kept.
+    kept_rec: Option<Snapshot>,
 }
 
-/// Makes `slot` hold a copy of `src`: in place when it holds a driver,
-/// by forking when it is empty (a worker's first use, or after a panic
-/// left the last occupant in an unknown state).
-fn refill<'a>(slot: &'a mut Option<Driver>, src: &Driver) -> &'a mut Driver {
+/// Makes `slot` hold the state `rec` records: in place when it holds a
+/// driver, in a fresh one when it is empty (a worker's first use, or
+/// after a panic left the last occupant in an unknown state).
+fn restored<'a>(slot: &'a mut Option<Driver>, rec: &Snapshot) -> &'a mut Driver {
     match slot {
         Some(d) => {
-            src.fork_into(d);
+            d.restore(rec);
             d
         }
-        None => slot.insert(src.fork()),
+        None => slot.insert(rec.to_driver()),
+    }
+}
+
+/// Makes `slot` hold a record of `d`: in place when it holds one.
+fn recorded<'a>(slot: &'a mut Option<Snapshot>, d: &Driver) -> &'a Snapshot {
+    match slot {
+        Some(rec) => {
+            d.record(rec);
+            rec
+        }
+        None => slot.insert(d.save()),
     }
 }
 
@@ -198,9 +196,9 @@ fn extended(prefix: &[Op], op: Op) -> Vec<Op> {
     v
 }
 
-/// Expands one node: rebuilds its driver from the snapshot, applies
-/// every enabled op to a copy, claims unvisited children, and quiesces
-/// every child.
+/// Expands one node: rebuilds its driver from the snapshot, restores
+/// a child from the node's record for every enabled op, claims
+/// unvisited children, and quiesces every child.
 fn expand(
     cfg_depth: usize,
     node: &Node,
@@ -208,29 +206,34 @@ fn expand(
     scratch: &mut Scratch,
     out: &mut WorkerOut,
 ) {
+    let Scratch {
+        base,
+        child: child_slot,
+        base_rec,
+        kept_rec,
+    } = scratch;
     // Rebuild. The suffix replay cannot panic (see module docs).
-    let base = match &mut scratch.base {
-        Some(d) => {
-            d.restore(&node.snap);
-            d
-        }
-        None => scratch.base.insert(node.snap.to_driver()),
-    };
+    let base = restored(base, &node.snap);
     for &op in &node.suffix {
         base.apply(op);
     }
-    let base: &Driver = base;
+    let rec = if node.suffix.is_empty() {
+        &*node.snap
+    } else {
+        recorded(base_rec, base)
+    };
     let snapshot_level = (cfg_depth + 1).is_multiple_of(SNAPSHOT_STRIDE);
 
     for op in base.enabled_ops() {
         out.transitions += 1;
-        let child = refill(&mut scratch.child, base);
+        let child = restored(child_slot, rec);
         let res = catch_unwind(AssertUnwindSafe(|| {
             child.apply(op);
             let claimed = visited.insert(canon(child));
             // Quiescing consumes the child, so the one state that is
             // kept is recorded first.
-            let snap = (claimed && snapshot_level).then(|| Arc::new(child.save()));
+            let snap =
+                (claimed && snapshot_level).then(|| Arc::new(recorded(kept_rec, child).clone()));
             child.quiesce();
             (claimed, snap)
         }));
@@ -253,7 +256,7 @@ fn expand(
                 out.next.push(node);
             }
             Err(e) => {
-                scratch.child = None;
+                *child_slot = None;
                 out.violations
                     .push((extended(&node.path, op), panic_message(e)));
             }

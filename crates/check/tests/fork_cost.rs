@@ -3,23 +3,27 @@
 //!
 //! `CheckConfig::wide(2, 1)` explores the same state graph as
 //! `CheckConfig::new(2, 1)` on a 65-core machine whose other 63 cores
-//! no transition ever touches. Three costs follow from that:
+//! no transition ever touches. A state is copied one way: written into
+//! a record (`Driver::record`) of what it holds — the touched cores,
+//! each L1 reduced to its resident lines, the occupied L2 slots, the
+//! live directory entries and memory's non-zero words — and restored
+//! from one (`Driver::restore`). Three costs follow:
 //!
-//! - The per-transition refill and invariant sweep visit the machine's
-//!   `touched` cores only (`flextm_sim::Cores`). After the same four
-//!   ops the set is exactly the two driven cores on either machine, so
-//!   both are 2-core work at any width.
-//! - A kept state is a record (`Driver::save`) of what the state holds:
-//!   the touched cores, each L1 reduced to its resident ways, the
-//!   occupied L2 slots, the live directory entries and memory's
-//!   non-zero words. A counting allocator pins it: the wide record owns
-//!   exactly the narrow record's bytes, the narrow one fits 4 KiB, its
-//!   `heap_bytes` accounting is what it really owns, and writing it
-//!   back into a warm scratch (`Driver::restore`) allocates nothing.
+//! - A transition restores its child from the node's record and sweeps
+//!   the invariants after the op; both visit the machine's `touched`
+//!   cores only (`flextm_sim::Cores`). After the same four ops the set
+//!   is exactly the two driven cores on either machine, so both are
+//!   2-core work at any width. Writing the node's record into the
+//!   worker's warm record, restoring from a record into a warm scratch
+//!   and sweeping the invariants make no allocator call.
+//! - A kept state is an exact-size record (`Driver::save`). A counting
+//!   allocator pins it: the wide record owns exactly the narrow
+//!   record's bytes, the narrow one fits 4 KiB, and its `heap_bytes`
+//!   accounting is what it really owns.
 //! - An owned copy (`Driver::fork`, for quiescence checks and shrink
-//!   replay — no longer on the explorer's path) is a refill of a fresh
-//!   driver. Per-core heap state is allocated on first touch (the L1
-//!   planes materialise on the first fill, the OT on the first
+//!   replay — not on the explorer's path) is a record restored into a
+//!   fresh driver. Per-core heap state is allocated on first touch (the
+//!   L1 planes materialise on the first fill, the OT on the first
 //!   overflow), so an undriven core may cost only what it still owns
 //!   eagerly — its two signature word vectors (making those lazy too
 //!   was measured and rejected, DESIGN.md "Cost follows touched
@@ -160,15 +164,16 @@ fn fork_cost_follows_driven_cores() {
     );
 }
 
-/// A transition's copy and its sweeps are allocation-free. The
-/// explorer refills one scratch driver per transition
-/// (`Driver::fork_into`): onto a scratch that last held a same-shaped
-/// state — here the same point of the graph, one L1 hit later, so its
-/// clocks, counters and LRU plane all differ — the refill must reuse
-/// every buffer, on the narrow machine and on the wide one. The shadow
-/// access sets are inline for the same reason. And the invariant sweep
-/// that follows every protocol step must prove what it proves without
-/// building a set or a list.
+/// A node's record and the sweeps are allocation-free. The explorer
+/// writes each node it expands into one per-worker record
+/// (`Driver::record`) and restores every child from it: written over a
+/// record that last held a same-shaped state — here the same point of
+/// the graph, one L1 hit later, so its clocks, counters and LRU plane
+/// all differ — the write must reuse every buffer, on the narrow
+/// machine and on the wide one. The shadow access sets are inline for
+/// the same reason. And the invariant sweep that follows every
+/// protocol step must prove what it proves without building a set or a
+/// list.
 #[test]
 fn refill_and_sweep_allocate_nothing() {
     for cfg in [CheckConfig::new(2, 1), CheckConfig::wide(2, 1)] {
@@ -179,18 +184,24 @@ fn refill_and_sweep_allocate_nothing() {
         assert_ne!(
             scratch.st.now(0),
             d.st.now(0),
-            "the scratch should differ from the state it is refilled with"
+            "the warm record should differ from the state written into it"
         );
+        let mut rec = scratch.save();
 
         let calls = CALLS.get();
-        d.fork_into(&mut scratch);
+        d.record(&mut rec);
         let calls = CALLS.get() - calls;
         assert_eq!(
             calls, 0,
-            "{width}-core refill onto a same-shaped scratch made {calls} allocations"
+            "{width}-core record into a warm record made {calls} allocations"
         );
-        assert_eq!(canon(&scratch), canon(&d), "refill changed the state");
-        assert_eq!(scratch.st.now(0), d.st.now(0), "refill kept a stale clock");
+        scratch.restore(&rec);
+        assert_eq!(canon(&scratch), canon(&d), "the record changed the state");
+        assert_eq!(
+            scratch.st.now(0),
+            d.st.now(0),
+            "the record kept a stale clock"
+        );
 
         let calls = CALLS.get();
         scratch.st.check_invariants();

@@ -94,7 +94,7 @@ impl Default for SignatureConfig {
 /// software-visible for virtualization: the OS saves a descheduled
 /// transaction's `Rsig`/`Wsig` to its descriptor and unions them into
 /// the directory's summary signature (paper §5).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Signature {
     config: SignatureConfig,
     hasher: LineHasher,
@@ -369,12 +369,23 @@ impl Signature {
         self.inserted = 0;
         self.nonempty = words.iter().any(|&w| w != 0);
     }
+}
 
-    /// Makes `self` a copy of `src` in place, keeping the word buffer:
-    /// `clone` without the allocation, for the model checker's refilled
-    /// scratch state. The destructuring is exhaustive on purpose — a new
-    /// field that is not assigned here must not compile.
-    pub fn assign_for_check(&mut self, src: &Signature) {
+impl Clone for Signature {
+    fn clone(&self) -> Self {
+        Signature {
+            config: self.config.clone(),
+            hasher: self.hasher.clone(),
+            bits: self.bits.clone(),
+            ..*self
+        }
+    }
+
+    /// Keeps the word buffer, so the model checker's records and
+    /// restored states copy a signature without allocating. The
+    /// destructuring is exhaustive on purpose — a new field that is not
+    /// assigned here must not compile.
+    fn clone_from(&mut self, src: &Signature) {
         let Signature {
             config,
             hasher,

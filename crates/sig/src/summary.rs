@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 /// rssig.remove(3);                        // thread 3 rescheduled
 /// assert!(!rssig.contains(LineAddr(7)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SummarySignature {
     config: SignatureConfig,
     union: Signature,
@@ -159,19 +159,29 @@ impl SummarySignature {
     pub fn union(&self) -> &Signature {
         &self.union
     }
+}
 
-    /// Makes `self` a copy of `src` in place, keeping the union's word
-    /// buffer (see [`Signature::assign_for_check`]; exhaustive for the
-    /// same reason). The contributor map is cloned whole: the model
-    /// checker deschedules nothing, and an empty map clones for free.
-    pub fn assign_for_check(&mut self, src: &SummarySignature) {
+impl Clone for SummarySignature {
+    fn clone(&self) -> Self {
+        SummarySignature {
+            config: self.config.clone(),
+            union: self.union.clone(),
+            contributors: self.contributors.clone(),
+        }
+    }
+
+    /// Keeps the union's word buffer (see [`Signature`]'s `clone_from`;
+    /// exhaustive for the same reason). The contributor map is cloned
+    /// whole: the model checker deschedules nothing, and an empty map
+    /// clones for free.
+    fn clone_from(&mut self, src: &SummarySignature) {
         let SummarySignature {
             config,
             union,
             contributors,
         } = src;
         self.config.clone_from(config);
-        self.union.assign_for_check(union);
+        self.union.clone_from(union);
         self.contributors.clone_from(contributors);
     }
 }

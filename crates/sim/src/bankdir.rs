@@ -236,28 +236,18 @@ impl BankedDir {
         self.banks[Self::bank_of(line)].remove(Self::tag_of(line))
     }
 
-    /// Makes `self` a copy of `src` in place, bank by bank, reusing
-    /// every bank's slot buffer (the model checker's refilled scratch
-    /// state; see [`crate::SimState::assign_for_check`]).
-    pub fn assign_for_check(&mut self, src: &BankedDir) {
-        let BankedDir { banks } = src;
-        for (mine, bank) in self.banks.iter_mut().zip(banks) {
-            let Bank { slots, len } = bank;
-            mine.slots.clone_from(slots);
-            mine.len = *len;
-        }
-    }
-
-    /// Every stored entry, for a kept model-checker state's record of
-    /// the directory ([`crate::L2`]'s `save`). Bank order, then slot
-    /// order.
-    pub(crate) fn save(&self) -> Box<[(LineAddr, DirEntry)]> {
-        self.banks
-            .iter()
-            .flat_map(|b| &b.slots)
-            .filter(|s| s.tag != EMPTY)
-            .map(|s| (LineAddr(s.tag), s.entry))
-            .collect()
+    /// Writes every stored entry into `out` in place, for a model-checker
+    /// record of the directory ([`crate::L2`]'s `record`). Bank order,
+    /// then slot order.
+    pub(crate) fn record(&self, out: &mut Vec<(LineAddr, DirEntry)>) {
+        out.clear();
+        out.extend(
+            self.banks
+                .iter()
+                .flat_map(|b| &b.slots)
+                .filter(|s| s.tag != EMPTY)
+                .map(|s| (LineAddr(s.tag), s.entry)),
+        );
     }
 
     /// Makes `self` hold exactly `entries`, in place: every occupied

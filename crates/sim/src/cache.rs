@@ -127,26 +127,8 @@ pub struct LineEntry {
     pub lru: u64,
 }
 
-impl LineEntry {
-    /// Makes `self` a copy of `src` in place, reusing a line buffer
-    /// both sides carry (see [`L1Cache::assign_for_check`]).
-    fn assign_for_check(&mut self, src: &LineEntry) {
-        let LineEntry {
-            line,
-            state,
-            a_bit,
-            data,
-            lru,
-        } = src;
-        self.line = *line;
-        self.state = *state;
-        self.a_bit = *a_bit;
-        self.data.clone_from(data);
-        self.lru = *lru;
-    }
-}
-
-/// One resident main-array way, as an [`L1Record`] keeps it.
+/// One resident line, as an [`L1Record`] keeps it: a main-array way, or
+/// a victim-buffer entry numbered past the main array's last way.
 #[derive(Debug, Clone, Copy)]
 struct WayRecord {
     way: u32,
@@ -156,41 +138,34 @@ struct WayRecord {
 }
 
 /// What an [`L1Cache`] holds, without its vacant ways
-/// ([`L1Cache::save`]). The default record is a cache that was never
-/// filled.
-#[derive(Debug, Default)]
+/// ([`L1Cache::record`]). The default record is an empty cache. Every
+/// part is plain data, so writing a record over an older one reuses its
+/// buffers, and a clone is exactly as large as what it holds.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct L1Record {
-    /// False for a cache whose planes no fill has allocated.
-    materialised: bool,
-    ways: Box<[WayRecord]>,
-    /// `(way, words)` for each resident way that carries a line buffer,
-    /// in ascending way order.
-    data: Box<[(u32, [u64; WORDS_PER_LINE])]>,
-    victim: Box<[LineEntry]>,
-    victim_set: [u64; 2],
+    /// Resident main-array ways in ascending order, then the victim
+    /// buffer's entries in buffer order.
+    ways: Vec<WayRecord>,
+    /// `(way, words)` for each resident line that carries a line
+    /// buffer, in ascending way order.
+    data: Vec<(u32, [u64; WORDS_PER_LINE])>,
     tick: u64,
-    spec_touched: Box<[LineAddr]>,
+    spec_touched: Vec<LineAddr>,
 }
 
 impl L1Record {
     /// Bytes the record owns on the heap.
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of;
         let L1Record {
-            materialised: _,
             ways,
             data,
-            victim,
-            victim_set: _,
             tick: _,
             spec_touched,
         } = self;
-        size_of_val(&**ways)
-            + size_of_val(&**data)
-            + size_of_val(&**victim)
-            + victim.iter().filter(|e| e.data.is_some()).count()
-                * size_of::<[u64; WORDS_PER_LINE]>()
-            + size_of_val(&**spec_touched)
+        ways.capacity() * size_of::<WayRecord>()
+            + data.capacity() * size_of::<(u32, [u64; WORDS_PER_LINE])>()
+            + spec_touched.capacity() * size_of::<LineAddr>()
     }
 }
 
@@ -325,58 +300,12 @@ impl L1Cache {
         }
     }
 
-    /// Makes `self` a copy of `src` in place — the model checker's
-    /// one copy routine for a cache ([`crate::SimState::assign_for_check`]):
-    /// every plane, the victim buffer and each line buffer both sides
-    /// carry are reused, so refilling a scratch that last held a
-    /// same-shaped cache allocates nothing. The destination's buffer
-    /// free list is emptied: its contents are unspecified recycled
-    /// buffers that every consumer overwrites. The destructuring is
-    /// exhaustive on purpose: a field added to the cache must be
-    /// assigned here or fail to compile, not leak from one sibling
-    /// child of the model checker into the next.
-    pub fn assign_for_check(&mut self, src: &L1Cache) {
-        let L1Cache {
-            tags,
-            meta,
-            lru,
-            data,
-            nsets,
-            ways,
-            victim,
-            victim_set,
-            victim_cap,
-            unbounded_tmi,
-            tick,
-            spec_touched,
-            data_pool: _,
-        } = src;
-        self.tags.clone_from(tags);
-        self.meta.clone_from(meta);
-        self.lru.clone_from(lru);
-        self.data.clone_from(data);
-        self.nsets = *nsets;
-        self.ways = *ways;
-        self.victim.truncate(victim.len());
-        let (shared, extra) = victim.split_at(self.victim.len());
-        for (mine, e) in self.victim.iter_mut().zip(shared) {
-            mine.assign_for_check(e);
-        }
-        self.victim.extend_from_slice(extra);
-        self.victim_set = *victim_set;
-        self.victim_cap = *victim_cap;
-        self.unbounded_tmi = *unbounded_tmi;
-        self.tick = *tick;
-        self.spec_touched.clone_from(spec_touched);
-        self.data_pool.clear();
-    }
-
-    /// The record a kept model-checker state stores for this cache:
-    /// its resident ways, victims, clock and speculative-line notes —
-    /// nothing for a vacant way, so its size follows the lines the
-    /// cache holds, not its geometry. Geometry is configuration and the
-    /// free list is unspecified; neither is kept.
-    pub(crate) fn save(&self) -> L1Record {
+    /// Writes this cache's record into `rec` in place: its resident
+    /// lines (victims numbered past the last way), clock and
+    /// speculative-line notes. Geometry, the free list and the victim
+    /// set (the fold of the victims) are not kept. The destructuring is
+    /// exhaustive: a field added to the cache must be judged here.
+    pub(crate) fn record(&self, rec: &mut L1Record) {
         let L1Cache {
             tags,
             meta,
@@ -385,53 +314,57 @@ impl L1Cache {
             nsets: _,
             ways: _,
             victim,
-            victim_set,
+            victim_set: _,
             victim_cap: _,
             unbounded_tmi: _,
             tick,
             spec_touched,
             data_pool: _,
         } = self;
-        let resident = || (0..tags.len()).filter(|&i| tags[i] != EMPTY_TAG);
-        L1Record {
-            materialised: !tags.is_empty(),
-            ways: resident()
-                .map(|i| WayRecord {
-                    way: i as u32,
-                    meta: meta[i],
-                    tag: tags[i],
-                    lru: lru[i],
-                })
-                .collect(),
-            data: resident()
-                .filter_map(|i| Some((i as u32, **data[i].as_ref()?)))
-                .collect(),
-            victim: victim.as_slice().into(),
-            victim_set: *victim_set,
-            tick: *tick,
-            spec_touched: spec_touched.as_slice().into(),
+        rec.ways.clear();
+        rec.data.clear();
+        let main = (0..tags.len())
+            .filter(|&i| tags[i] != EMPTY_TAG)
+            .map(|i| (i, meta[i], tags[i], lru[i], &data[i]));
+        let victims = victim.iter().enumerate().map(|(k, e)| {
+            let meta = encode_state(e.state) | if e.a_bit { A_FLAG } else { 0 };
+            (tags.len() + k, meta, e.line.index(), e.lru, &e.data)
+        });
+        for (way, meta, tag, lru, data) in main.chain(victims) {
+            let way = way as u32;
+            rec.ways.push(WayRecord {
+                way,
+                meta,
+                tag,
+                lru,
+            });
+            if let Some(d) = data {
+                rec.data.push((way, **d));
+            }
         }
+        rec.tick = *tick;
+        rec.spec_touched.clone_from(spec_touched);
     }
 
-    /// Makes `self` the cache `rec` was saved from, in place. A line
+    /// Makes `self` the cache `rec` was written from, in place. A line
     /// buffer in a way the record has one for is overwritten where it
     /// is; every other buffer goes to the free list, and the record's
     /// missing ones come back out of it — so restoring onto a cache that
     /// last held as many buffers allocates nothing. Vacant ways keep
-    /// stale metadata, which nothing reads (see `meta`).
+    /// stale metadata, which nothing reads (see `meta`). Planes are
+    /// materialised when the record holds a line and kept when they
+    /// exist: an empty materialised cache answers every lookup as an
+    /// unmaterialised one does.
     pub(crate) fn restore(&mut self, rec: &L1Record) {
         let L1Record {
-            materialised,
             ways,
             data,
-            victim,
-            victim_set,
             tick,
             spec_touched,
         } = rec;
         let mut kept = data.iter().map(|&(way, _)| way as usize).peekable();
         for i in 0..self.data.len() {
-            if *materialised && kept.next_if_eq(&i).is_some() {
+            if kept.next_if_eq(&i).is_some() {
                 continue;
             }
             if let Some(d) = self.data[i].take() {
@@ -445,52 +378,60 @@ impl L1Cache {
             }
         }
         self.victim = victims;
-        if !materialised {
-            self.tags.clear();
-            self.meta.clear();
-            self.lru.clear();
-            self.data.clear();
-        } else if self.tags.is_empty() {
+        if self.tags.is_empty() && !ways.is_empty() {
             self.materialise();
         } else {
             self.tags.fill(EMPTY_TAG);
         }
+        self.victim_set = [0; 2];
+        let n = self.tags.len();
         for w in ways {
             let i = w.way as usize;
-            self.tags[i] = w.tag;
-            self.meta[i] = w.meta;
-            self.lru[i] = w.lru;
-        }
-        for (way, words) in data.iter() {
-            let i = *way as usize;
-            match &mut self.data[i] {
-                Some(d) => **d = *words,
-                None => {
-                    let mut d = self.alloc_data();
-                    *d = *words;
-                    self.data[i] = Some(d);
-                }
+            if i < n {
+                self.tags[i] = w.tag;
+                self.meta[i] = w.meta;
+                self.lru[i] = w.lru;
+            } else {
+                self.push_victim(LineEntry {
+                    line: LineAddr(w.tag),
+                    state: decode_state(w.meta),
+                    a_bit: w.meta & A_FLAG != 0,
+                    data: None,
+                    lru: w.lru,
+                });
             }
         }
-        for e in victim.iter() {
-            let data = e.data.as_ref().map(|words| {
-                let mut d = self.alloc_data();
-                *d = **words;
-                d
-            });
-            self.victim.push(LineEntry { data, ..*e });
+        for &(way, words) in data.iter() {
+            let i = way as usize;
+            let held = if i < n { self.data[i].take() } else { None };
+            let mut d = held.unwrap_or_else(|| self.alloc_data());
+            *d = words;
+            *if i < n {
+                &mut self.data[i]
+            } else {
+                &mut self.victim[i - n].data
+            } = Some(d);
         }
-        self.victim_set = *victim_set;
         self.tick = *tick;
-        self.spec_touched.clear();
-        self.spec_touched.extend_from_slice(spec_touched);
+        self.spec_touched.clone_from(spec_touched);
+    }
+
+    /// Returns the cache to the state [`L1Cache::new`] built, in place
+    /// and without allocating: what a restore does to a core its record
+    /// does not hold. The planes keep their capacity.
+    pub(crate) fn reset(&mut self) {
+        self.restore(&L1Record::default());
+        self.tags.clear();
+        self.meta.clear();
+        self.lru.clear();
+        self.data.clear();
     }
 
     /// True if the cache is in the state [`L1Cache::new`] built: no
     /// plane materialised, nothing in the victim buffer, no access
     /// ever ticked the LRU clock. Exhaustive destructuring, as in
-    /// [`L1Cache::assign_for_check`]; the free list is unspecified
-    /// contents and the geometry is configuration.
+    /// [`L1Cache::record`]; the free list is unspecified contents and
+    /// the geometry is configuration.
     pub(crate) fn is_pristine(&self) -> bool {
         let L1Cache {
             tags,
@@ -629,7 +570,7 @@ impl L1Cache {
     }
 
     /// Sizes the four planes, all ways vacant (the first fill) —
-    /// inside the capacity they kept, for a cache a restore emptied.
+    /// inside the capacity they kept, for a cache a reset emptied.
     #[cold]
     fn materialise(&mut self) {
         let n = self.nsets as usize * self.ways as usize;
@@ -1487,7 +1428,9 @@ mod tests {
         attach(&mut c, line(3), 9);
         c.check_invariants(0);
         // The record of a never-filled cache owns nothing.
-        assert_eq!(L1Cache::new(8, 4, 2).save().heap_bytes(), 0);
+        let mut rec = L1Record::default();
+        L1Cache::new(8, 4, 2).record(&mut rec);
+        assert_eq!(rec.heap_bytes(), 0);
     }
 
     /// xorshift64*, as in the other seeded suites.

@@ -67,8 +67,7 @@ impl CoreState {
     /// L1 planes materialise on the core's first fill and the OT on its
     /// first overflow, so a core that never runs owns only its two
     /// signature word vectors (kept eager — see DESIGN.md "Cost follows
-    /// touched state") and forks, for the model checker, as a flat
-    /// copy.
+    /// touched state").
     pub fn new(config: &MachineConfig) -> Self {
         let mut l1 = L1Cache::new(config.l1_sets(), config.l1_ways, config.victim_entries);
         l1.set_unbounded_tmi(config.unbounded_tmi_victim);
@@ -87,41 +86,11 @@ impl CoreState {
         }
     }
 
-    /// Makes `self` a copy of `src` in place, reusing the L1's planes
-    /// and both signatures' word buffers (see
-    /// [`L1Cache::assign_for_check`], which also says why the
-    /// destructuring is exhaustive).
-    pub fn assign_for_check(&mut self, src: &CoreState) {
-        let CoreState {
-            l1,
-            rsig,
-            wsig,
-            csts,
-            aloaded,
-            alert_pending,
-            ot,
-            watch_reads,
-            watch_writes,
-            attempt_mark,
-            stats,
-        } = src;
-        self.l1.assign_for_check(l1);
-        self.rsig.assign_for_check(rsig);
-        self.wsig.assign_for_check(wsig);
-        self.csts = *csts;
-        self.aloaded = *aloaded;
-        self.alert_pending = *alert_pending;
-        self.ot.clone_from(ot);
-        self.watch_reads = *watch_reads;
-        self.watch_writes = *watch_writes;
-        self.attempt_mark = *attempt_mark;
-        self.stats = *stats;
-    }
-
-    /// The record a kept model-checker state stores for this core: the
-    /// inline fields as they are, the L1 as an [`L1Record`].
-    /// Exhaustive destructuring, as in [`CoreState::assign_for_check`].
-    pub(crate) fn save(&self) -> CoreRecord {
+    /// Writes this core's record into `rec` in place: the inline fields
+    /// as they are, the L1 as an [`L1Record`], reusing the record's
+    /// buffers and both signatures' word buffers. Exhaustive
+    /// destructuring, as in [`L1Cache::record`].
+    pub(crate) fn record(&self, rec: &mut CoreRecord) {
         let CoreState {
             l1,
             rsig,
@@ -135,22 +104,20 @@ impl CoreState {
             attempt_mark,
             stats,
         } = self;
-        CoreRecord {
-            l1: l1.save(),
-            rsig: rsig.clone(),
-            wsig: wsig.clone(),
-            csts: *csts,
-            aloaded: *aloaded,
-            alert_pending: *alert_pending,
-            ot: ot.clone(),
-            watch_reads: *watch_reads,
-            watch_writes: *watch_writes,
-            attempt_mark: *attempt_mark,
-            stats: *stats,
-        }
+        l1.record(&mut rec.l1);
+        write_into(&mut rec.rsig, rsig);
+        write_into(&mut rec.wsig, wsig);
+        rec.csts = *csts;
+        rec.aloaded = *aloaded;
+        rec.alert_pending = *alert_pending;
+        rec.ot.clone_from(ot);
+        rec.watch_reads = *watch_reads;
+        rec.watch_writes = *watch_writes;
+        rec.attempt_mark = *attempt_mark;
+        rec.stats = *stats;
     }
 
-    /// Makes `self` the core `rec` was saved from, in place; the L1's
+    /// Makes `self` the core `rec` was written from, in place; the L1's
     /// buffers and both signatures' word buffers are reused.
     pub(crate) fn restore(&mut self, rec: &CoreRecord) {
         let CoreRecord {
@@ -167,8 +134,8 @@ impl CoreState {
             stats,
         } = rec;
         self.l1.restore(l1);
-        self.rsig.assign_for_check(rsig);
-        self.wsig.assign_for_check(wsig);
+        self.rsig.clone_from(written(rsig));
+        self.wsig.clone_from(written(wsig));
         self.csts = *csts;
         self.aloaded = *aloaded;
         self.alert_pending = *alert_pending;
@@ -196,7 +163,7 @@ impl CoreState {
             attempt_mark,
             stats,
         } = self;
-        l1.restore(&L1Record::default());
+        l1.reset();
         rsig.clear();
         wsig.clear();
         *csts = CstSet::new();
@@ -211,8 +178,8 @@ impl CoreState {
 
     /// True if the core is in the state [`CoreState::new`] built — what
     /// every core outside [`Cores::touched`] must be. Exhaustive
-    /// destructuring, as in [`CoreState::assign_for_check`]: a field
-    /// added to the core must be judged here or fail to compile.
+    /// destructuring, as in [`CoreState::record`]: a field added to the
+    /// core must be judged here or fail to compile.
     pub(crate) fn is_pristine(&self) -> bool {
         let CoreState {
             l1,
@@ -355,13 +322,29 @@ impl CoreState {
     }
 }
 
+/// Makes `slot` a copy of `src`, reusing the buffers of the value it
+/// holds. A record's signatures are `None` only until its first write,
+/// so a blank record builds no signature — and no signature hasher.
+pub(crate) fn write_into<T: Clone>(slot: &mut Option<T>, src: &T) {
+    match slot {
+        Some(t) => t.clone_from(src),
+        None => *slot = Some(src.clone()),
+    }
+}
+
+/// What [`write_into`] wrote into `slot`.
+pub(crate) fn written<T>(slot: &Option<T>) -> &T {
+    slot.as_ref()
+        .expect("restore from a record that was never written")
+}
+
 /// A [`CoreState`] as a kept model-checker state stores it
-/// ([`CoreState::save`]).
-#[derive(Debug)]
+/// ([`CoreState::record`]).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CoreRecord {
     l1: L1Record,
-    rsig: Signature,
-    wsig: Signature,
+    rsig: Option<Signature>,
+    wsig: Option<Signature>,
     csts: CstSet,
     aloaded: Option<LineAddr>,
     alert_pending: Option<AlertCause>,
@@ -377,20 +360,20 @@ impl CoreRecord {
     fn heap_bytes(&self) -> usize {
         let words = |s: &Signature| std::mem::size_of_val(s.words());
         self.l1.heap_bytes()
-            + words(&self.rsig)
-            + words(&self.wsig)
+            + self.rsig.as_ref().map_or(0, words)
+            + self.wsig.as_ref().map_or(0, words)
             + self.ot.as_ref().map_or(0, OverflowTable::heap_bytes)
     }
 }
 
 /// The touched cores of a [`Cores`], as a kept model-checker state
-/// stores them ([`Cores::save`]): one [`CoreRecord`] per touched core,
+/// stores them ([`Cores::record`]): one [`CoreRecord`] per touched core,
 /// in ascending core order, and nothing for the rest — a record's size
 /// follows the cores a schedule drives, not the machine's width.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CoresRecord {
     touched: ProcSet,
-    cores: Box<[CoreRecord]>,
+    cores: Vec<CoreRecord>,
 }
 
 impl CoresRecord {
@@ -401,7 +384,7 @@ impl CoresRecord {
 
     /// Bytes the record owns on the heap.
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.cores)
+        self.cores.capacity() * std::mem::size_of::<CoreRecord>()
             + self.cores.iter().map(CoreRecord::heap_bytes).sum::<usize>()
     }
 }
@@ -409,8 +392,9 @@ impl CoresRecord {
 /// Every processor's [`CoreState`], plus `touched`: a superset of the
 /// cores whose state — or scheduler lane — differs from what
 /// [`crate::SimState`] was built with. The invariant sweep and the
-/// model checker's refill visit `touched` only, so a wide machine
-/// whose schedule drives two cores costs two cores per transition.
+/// model checker's records and restores visit `touched` only, so a
+/// wide machine whose schedule drives two cores costs two cores per
+/// transition.
 ///
 /// The type keeps the superset honest from outside the crate: the one
 /// mutable borrow there, [`IndexMut`], marks its core, and there is no
@@ -466,31 +450,19 @@ impl Cores {
         self.cores.iter_mut()
     }
 
-    /// Makes `self` equal to `src` in place, visiting only the cores
-    /// touched on either side: a core untouched on both is pristine on
-    /// both. Same width required.
-    pub(crate) fn assign_for_check(&mut self, src: &Cores) {
-        assert_eq!(
-            self.cores.len(),
-            src.cores.len(),
-            "refill from a machine of another width"
-        );
-        for i in self.touched | src.touched {
-            self.cores[i].assign_for_check(&src.cores[i]);
-        }
-        self.touched = src.touched;
-    }
-
-    /// The record of the touched cores ([`CoresRecord`]).
-    pub(crate) fn save(&self) -> CoresRecord {
+    /// Writes the touched cores' record ([`CoresRecord`]) into `rec` in
+    /// place, reusing the record of the core at each position.
+    pub(crate) fn record(&self, rec: &mut CoresRecord) {
         let Cores { cores, touched } = self;
-        CoresRecord {
-            touched: *touched,
-            cores: touched.iter().map(|i| cores[i].save()).collect(),
+        rec.touched = *touched;
+        rec.cores
+            .resize_with(touched.count() as usize, CoreRecord::default);
+        for (r, i) in rec.cores.iter_mut().zip(touched.iter()) {
+            cores[i].record(r);
         }
     }
 
-    /// Makes `self` the cores `rec` was saved from, in place, visiting
+    /// Makes `self` the cores `rec` was written from, in place, visiting
     /// only the cores touched on either side: a core the scratch
     /// touched and the record does not hold is reset to its initial
     /// state. Same width required.

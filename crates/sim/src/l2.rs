@@ -15,6 +15,7 @@
 //! bits (§4.1).
 
 use crate::bankdir::BankedDir;
+use crate::core_state::{write_into, written};
 use flextm_sig::{LineAddr, ProcSet, SigKey, Signature, SignatureConfig, SummarySignature};
 
 /// Directory state for one line.
@@ -202,35 +203,10 @@ impl L2 {
         hits
     }
 
-    /// Makes `self` a copy of `src` in place, reusing the tag array,
-    /// every directory bank and the summaries' word buffers (the model
-    /// checker's refilled scratch state; see
-    /// [`crate::SimState::assign_for_check`]).
-    pub fn assign_for_check(&mut self, src: &L2) {
-        let L2 {
-            slots,
-            nsets,
-            ways,
-            tick,
-            dir,
-            read_summary,
-            write_summary,
-            cores_summary,
-        } = src;
-        self.slots.clone_from(slots);
-        self.nsets = *nsets;
-        self.ways = *ways;
-        self.tick = *tick;
-        self.dir.assign_for_check(dir);
-        self.read_summary.assign_for_check(read_summary);
-        self.write_summary.assign_for_check(write_summary);
-        self.cores_summary = *cores_summary;
-    }
-
-    /// The record a kept model-checker state stores for the L2: its
-    /// occupied tag slots, clock, live directory entries and summaries.
-    /// Exhaustive destructuring, as in [`L2::assign_for_check`].
-    pub(crate) fn save(&self) -> L2Record {
+    /// Writes the L2's record into `rec` in place: its occupied tag
+    /// slots, clock, live directory entries and summaries. Exhaustive
+    /// destructuring, as in [`crate::SimState::record`].
+    pub(crate) fn record(&self, rec: &mut L2Record) {
         let L2 {
             slots,
             nsets: _,
@@ -241,22 +217,23 @@ impl L2 {
             write_summary,
             cores_summary,
         } = self;
-        L2Record {
-            slots: slots
+        rec.slots.clear();
+        rec.slots.extend(
+            slots
                 .iter()
                 .enumerate()
-                .filter_map(|(i, s)| Some((i as u32, (*s)?)))
-                .collect(),
-            tick: *tick,
-            dir: dir.save(),
-            read_summary: read_summary.clone(),
-            write_summary: write_summary.clone(),
-            cores_summary: *cores_summary,
-        }
+                .filter_map(|(i, s)| Some((i as u32, (*s)?))),
+        );
+        rec.tick = *tick;
+        dir.record(&mut rec.dir);
+        write_into(&mut rec.read_summary, read_summary);
+        write_into(&mut rec.write_summary, write_summary);
+        rec.cores_summary = *cores_summary;
     }
 
-    /// Makes `self` the L2 `rec` was saved from, in place, reusing the
-    /// tag array, the directory banks and the summaries' word buffers.
+    /// Makes `self` the L2 `rec` was written from, in place, reusing
+    /// the tag array, the directory banks and the summaries' word
+    /// buffers.
     pub(crate) fn restore(&mut self, rec: &L2Record) {
         let L2Record {
             slots,
@@ -272,22 +249,22 @@ impl L2 {
         }
         self.tick = *tick;
         self.dir.restore(dir);
-        self.read_summary.assign_for_check(read_summary);
-        self.write_summary.assign_for_check(write_summary);
+        self.read_summary.clone_from(written(read_summary));
+        self.write_summary.clone_from(written(write_summary));
         self.cores_summary = *cores_summary;
     }
 }
 
-/// An [`L2`] as a kept model-checker state stores it ([`L2::save`]).
+/// An [`L2`] as a kept model-checker state stores it ([`L2::record`]).
 /// Geometry is configuration and is not kept.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct L2Record {
     /// `(slot, (line, lru))` for each occupied tag slot.
-    slots: Box<[(u32, (LineAddr, u64))]>,
+    slots: Vec<(u32, (LineAddr, u64))>,
     tick: u64,
-    dir: Box<[(LineAddr, DirEntry)]>,
-    read_summary: SummarySignature,
-    write_summary: SummarySignature,
+    dir: Vec<(LineAddr, DirEntry)>,
+    read_summary: Option<SummarySignature>,
+    write_summary: Option<SummarySignature>,
     cores_summary: ProcSet,
 }
 
@@ -296,12 +273,14 @@ impl L2Record {
     /// summaries' contributor maps not counted).
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
-        let summary = |s: &SummarySignature| {
-            let words = size_of_val(s.union().words());
-            words + s.len() * (size_of::<(usize, Signature)>() + words)
+        let summary = |s: &Option<SummarySignature>| {
+            s.as_ref().map_or(0, |s| {
+                let words = size_of_val(s.union().words());
+                words + s.len() * (size_of::<(usize, Signature)>() + words)
+            })
         };
-        size_of_val(&*self.slots)
-            + size_of_val(&*self.dir)
+        self.slots.capacity() * size_of::<(u32, (LineAddr, u64))>()
+            + self.dir.capacity() * size_of::<(LineAddr, DirEntry)>()
             + summary(&self.read_summary)
             + summary(&self.write_summary)
     }

@@ -99,23 +99,22 @@ const _: fn() = || {
     assert_send_sync::<SimRecord>();
 };
 
-/// A [`SimState`] as a kept model-checker state stores it
-/// ([`SimState::save`], [`SimState::restore`]): the touched cores and
+/// A [`SimState`] as a model-checker record stores it
+/// ([`SimState::record`], [`SimState::restore`]): the touched cores and
 /// their scheduler lanes, the L2's occupied slots, the live directory
-/// entries, memory's non-zero words, the activity masks. Nothing of
-/// the configuration is kept — a record restores only onto a state of
-/// the configuration it was saved from.
-#[derive(Debug)]
+/// entries, memory's non-zero words, the activity masks — not the
+/// configuration nor the invariant switch, so a record restores only
+/// onto a state of its configuration. A clone is exact-size.
+#[derive(Debug, Clone, Default)]
 pub struct SimRecord {
     mem: MemRecord,
     cores: CoresRecord,
     /// One lane per touched core, in ascending core order.
-    lanes: Box<[Lane]>,
+    lanes: Vec<Lane>,
     l2: L2Record,
     log: EventLog,
     sig_live: ProcSet,
     ot_present: ProcSet,
-    check_every_op: bool,
 }
 
 impl SimRecord {
@@ -124,7 +123,7 @@ impl SimRecord {
     pub fn heap_bytes(&self) -> usize {
         self.mem.heap_bytes()
             + self.cores.heap_bytes()
-            + std::mem::size_of_val(&*self.lanes)
+            + self.lanes.capacity() * std::mem::size_of::<Lane>()
             + self.l2.heap_bytes()
             + std::mem::size_of_val(self.log.events())
     }
@@ -321,18 +320,13 @@ impl SimState {
         c.stats.wasted_cycles += dw + dm;
     }
 
-    /// Makes `self` a copy of `src` in place — the model checker's one
-    /// copy routine for a machine: it refills one scratch state per
-    /// transition instead of building and dropping a clone, and builds
-    /// an owned copy by refilling a fresh state. Every plane, page,
-    /// bank and word buffer the destination already owns is reused.
-    /// Both states must come from one configuration (hence the same
-    /// hasher and core count). Cores and lanes are copied only where
-    /// either side is touched ([`Cores::assign_for_check`]). The
-    /// destructuring is exhaustive on purpose: a field added to the
-    /// machine must be assigned here or fail to compile, not leak from
-    /// one sibling child into the next.
-    pub fn assign_for_check(&mut self, src: &SimState) {
+    /// Writes the machine's record ([`SimRecord`]) into `rec` in place,
+    /// reusing its buffers: with [`SimState::restore`], the model
+    /// checker's one way to copy a machine. The destructuring is
+    /// exhaustive on purpose: a field added to the machine must be
+    /// recorded here or fail to compile, not leak from one restored
+    /// state into the next.
+    pub fn record(&self, rec: &mut SimRecord) {
         let SimState {
             config: _,
             mem,
@@ -343,56 +337,23 @@ impl SimState {
             hasher: _,
             sig_live,
             ot_present,
-            // Empty between commits on both sides; the scratch keeps
-            // its buffer.
+            // Empty between commits; a restored state keeps its own
+            // buffer.
             commit_scratch: _,
-            check_every_op,
-        } = src;
-        let either = self.cores.touched() | cores.touched();
-        self.cores.assign_for_check(cores);
-        for i in either {
-            self.lanes[i] = lanes[i];
-        }
-        self.mem.assign_for_check(mem);
-        self.l2.assign_for_check(l2);
-        self.log.clone_from(log);
-        self.sig_live = *sig_live;
-        self.ot_present = *ot_present;
-        self.check_every_op = *check_every_op;
-    }
-
-    /// The record a kept model-checker state stores for the machine
-    /// ([`SimRecord`]): what it holds, and nothing for a core no
-    /// schedule touched. Exhaustive destructuring, as in
-    /// [`SimState::assign_for_check`].
-    pub fn save(&self) -> SimRecord {
-        let SimState {
-            config: _,
-            mem,
-            cores,
-            l2,
-            log,
-            lanes,
-            hasher: _,
-            sig_live,
-            ot_present,
-            commit_scratch: _,
-            check_every_op,
+            // A switch, not state: a restored state keeps its own.
+            check_every_op: _,
         } = self;
-        let cores = cores.save();
-        SimRecord {
-            lanes: cores.touched().iter().map(|i| lanes[i]).collect(),
-            mem: mem.save(),
-            cores,
-            l2: l2.save(),
-            log: log.clone(),
-            sig_live: *sig_live,
-            ot_present: *ot_present,
-            check_every_op: *check_every_op,
-        }
+        cores.record(&mut rec.cores);
+        rec.lanes.clear();
+        rec.lanes.extend(cores.touched().iter().map(|i| lanes[i]));
+        mem.record(&mut rec.mem);
+        l2.record(&mut rec.l2);
+        rec.log.clone_from(log);
+        rec.sig_live = *sig_live;
+        rec.ot_present = *ot_present;
     }
 
-    /// Makes `self` the machine `rec` was saved from, in place. `self`
+    /// Makes `self` the machine `rec` was written from, in place. `self`
     /// may hold any state of the same configuration: a core or lane it
     /// touched that the record does not hold returns to its initial
     /// state. Restoring onto a state that last held as many lines,
@@ -406,7 +367,6 @@ impl SimState {
             log,
             sig_live,
             ot_present,
-            check_every_op,
         } = rec;
         for i in self.cores.touched().minus(cores.touched()) {
             self.lanes[i] = Lane::default();
@@ -420,7 +380,6 @@ impl SimState {
         self.log.clone_from(log);
         self.sig_live = *sig_live;
         self.ot_present = *ot_present;
-        self.check_every_op = *check_every_op;
     }
 
     /// The full machine-level invariant sweep: per-core state checks

@@ -165,40 +165,19 @@ impl Memory {
         p[off..off + WORDS_PER_LINE].copy_from_slice(data);
     }
 
-    /// Makes `self` a copy of `src` in place for the model checker's
-    /// refilled scratch state ([`crate::SimState::assign_for_check`]):
-    /// a page both sides have is copied over, so a refill from a
-    /// same-shaped state allocates nothing.
-    pub fn assign_for_check(&mut self, src: &Memory) {
-        let Memory { pages } = src;
-        self.pages.retain(|page, _| pages.contains_key(page));
-        for (&page, words) in pages {
-            match self.pages.get_mut(&page) {
-                Some(mine) => mine.copy_from_slice(&words[..]),
-                None => {
-                    self.pages.insert(page, words.clone());
-                }
-            }
-        }
-    }
-
-    /// The record a kept model-checker state stores for memory: its
-    /// non-zero words, as `(word index, value)`.
-    pub(crate) fn save(&self) -> MemRecord {
+    /// Writes memory's record into `rec` in place: its non-zero words,
+    /// as `(word index, value)`.
+    pub(crate) fn record(&self, rec: &mut MemRecord) {
         let Memory { pages } = self;
-        MemRecord {
-            words: pages
-                .iter()
-                .flat_map(|(&page, words)| {
-                    (0..PAGE_WORDS)
-                        .filter(|&off| words[off] != 0)
-                        .map(move |off| (page * PAGE_WORDS as u64 + off as u64, words[off]))
-                })
-                .collect(),
-        }
+        rec.words.clear();
+        rec.words.extend(pages.iter().flat_map(|(&page, words)| {
+            (0..PAGE_WORDS)
+                .filter(|&off| words[off] != 0)
+                .map(move |off| (page * PAGE_WORDS as u64 + off as u64, words[off]))
+        }));
     }
 
-    /// Makes `self` read as the memory `rec` was saved from, in place:
+    /// Makes `self` read as the memory `rec` was written from, in place:
     /// every page is zeroed, then the record's words are written back.
     /// A page the record has no word on stays allocated, all zero —
     /// which reads as the absent page it stands for — so restoring onto
@@ -229,16 +208,16 @@ impl Memory {
 }
 
 /// [`Memory`] as a kept model-checker state stores it
-/// ([`Memory::save`]).
-#[derive(Debug)]
+/// ([`Memory::record`]).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MemRecord {
-    words: Box<[(u64, u64)]>,
+    words: Vec<(u64, u64)>,
 }
 
 impl MemRecord {
     /// Bytes the record owns on the heap.
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.words)
+        self.words.capacity() * std::mem::size_of::<(u64, u64)>()
     }
 }
 

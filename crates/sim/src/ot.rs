@@ -26,7 +26,7 @@ pub struct OtEntry {
 }
 
 /// Overflow-table controller state for one hardware context.
-/// `Clone` exists for the model checker's state forking; the simulator
+/// `Clone` exists for the model checker's records; the simulator
 /// proper never copies an OT.
 #[derive(Debug, Clone)]
 pub struct OverflowTable {

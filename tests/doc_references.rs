@@ -1,0 +1,177 @@
+//! The documents cite the code by name, and every citation must
+//! resolve. In README.md, DESIGN.md, EXPERIMENTS.md and the verify
+//! skill, a backticked path ending in `.rs`, `.sh`, `.json` or `.toml`
+//! (optionally `:line`) must name a file in the tree — as written, or
+//! as the tail of a longer path — and a backticked Rust path such as
+//! `Type::item` or `::item` must name identifiers the code itself
+//! still uses, outside comments and string literals. Struck-through
+//! text (`~~…~~`) and fenced blocks are exempt, and so are patterns
+//! such as `<spec>_cells.json`: they name what a tool emits, not a
+//! file.
+
+use std::collections::HashSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// Every file under `dir`, as a path relative to `root`, skipping build
+/// output and hidden directories.
+fn files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if path.is_dir() {
+            if !name.starts_with('.') && name != "target" {
+                files(root, &path, out);
+            }
+        } else {
+            out.push(path.strip_prefix(root).expect("under root").to_path_buf());
+        }
+    }
+}
+
+/// Adds the identifiers of Rust source `src` to `out`, skipping
+/// comments, string literals and character literals.
+fn identifiers(src: &str, out: &mut HashSet<String>) {
+    let b = src.as_bytes();
+    let ident = |c: u8| c == b'_' || c.is_ascii_alphanumeric();
+    let mut i = 0;
+    while i < b.len() {
+        let hashes = b[i + 1..].iter().take_while(|&&c| c == b'#').count();
+        match b[i] {
+            b'/' if b.get(i + 1) == Some(&b'/') => {
+                i = src[i..].find('\n').map_or(b.len(), |n| i + n);
+            }
+            b'/' if b.get(i + 1) == Some(&b'*') => {
+                let mut depth = 0;
+                while i < b.len() {
+                    if b[i..].starts_with(b"/*") {
+                        depth += 1;
+                        i += 2;
+                    } else if b[i..].starts_with(b"*/") {
+                        depth -= 1;
+                        i += 2;
+                        if depth == 0 {
+                            break;
+                        }
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            b'r' if b.get(i + 1 + hashes) == Some(&b'"') => {
+                let close = format!("\"{}", "#".repeat(hashes));
+                let body = i + 2 + hashes;
+                i = src[body..]
+                    .find(&close)
+                    .map_or(b.len(), |n| body + n + close.len());
+            }
+            b'"' => {
+                i += 1;
+                while i < b.len() && b[i] != b'"' {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
+                }
+                i += 1;
+            }
+            b'\'' if b.get(i + 1) == Some(&b'\\') => {
+                i = src[i + 3..].find('\'').map_or(b.len(), |n| i + 4 + n);
+            }
+            b'\'' if b.get(i + 2) == Some(&b'\'') => i += 3,
+            c if ident(c) => {
+                let start = i;
+                while i < b.len() && ident(b[i]) {
+                    i += 1;
+                }
+                out.insert(src[start..i].to_string());
+            }
+            _ => i += 1,
+        }
+    }
+}
+
+/// The backticked spans of `doc`, outside fenced blocks and struck text.
+fn spans(doc: &str) -> Vec<String> {
+    let mut live = String::new();
+    let mut fenced = false;
+    for line in doc.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            live.push_str(line);
+            live.push('\n');
+        }
+    }
+    let unstruck: String = live.split("~~").step_by(2).collect();
+    unstruck
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(|s| s.trim().to_string())
+        .collect()
+}
+
+/// `span` as a Rust path's segments, if it is one (`a::b`, `::b`, or
+/// either followed by an argument list).
+fn rust_path(span: &str) -> Option<Vec<&str>> {
+    let path = span.split('(').next()?;
+    let segments: Vec<&str> = path.trim_start_matches("::").split("::").collect();
+    let is_ident = |s: &&str| {
+        s.starts_with(|c: char| c == '_' || c.is_ascii_alphabetic())
+            && s.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
+    };
+    (path.contains("::") && segments.iter().all(is_ident)).then_some(segments)
+}
+
+#[test]
+fn every_cited_file_and_item_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut tree = Vec::new();
+    files(root, root, &mut tree);
+    let mut idents = HashSet::new();
+    for path in tree
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+    {
+        identifiers(&fs::read_to_string(root.join(path)).unwrap(), &mut idents);
+    }
+    let tree: Vec<String> = tree
+        .iter()
+        .map(|p| p.to_string_lossy().replace('\\', "/"))
+        .collect();
+
+    let mut dangling = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("document exists");
+        for span in spans(&text) {
+            let file = span.split(':').next().unwrap_or_default();
+            let is_file = [".rs", ".sh", ".json", ".toml"]
+                .iter()
+                .any(|ext| file.ends_with(ext))
+                && !file.contains(|c: char| c.is_whitespace() || "*<{".contains(c));
+            if is_file {
+                let tail = format!("/{file}");
+                if !tree.iter().any(|p| *p == file || p.ends_with(&tail)) {
+                    dangling.push(format!("{doc}: no file `{span}`"));
+                }
+            } else if let Some(segments) = rust_path(&span) {
+                if let Some(gone) = segments.iter().find(|s| !idents.contains(**s)) {
+                    dangling.push(format!(
+                        "{doc}: `{span}` names `{gone}`, which no code uses"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "{} citations do not resolve (strike them with ~~…~~ if they are history):\n{}",
+        dangling.len(),
+        dangling.join("\n")
+    );
+}
