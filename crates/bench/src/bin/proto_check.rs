@@ -12,15 +12,11 @@
 //! # random walk at 8x8
 //! cargo run --release -p flextm-bench --bin proto_check -- \
 //!     --cores 8 --lines 8 --walk --steps 200000 --seed 42
-//!
-//! # liveness: fair abort/grant cycle search over the CM-extended graph
-//! cargo run --release -p flextm-bench --bin proto_check -- \
-//!     --cores 2 --lines 2 --liveness
 //! ```
 //!
-//! Exits 0 on a clean run, 1 on an invariant violation or livelock (the
-//! shrunk schedule / abort-cycle witness is printed), 2 on bad usage,
-//! which includes a flag the chosen mode would ignore.
+//! Exits 0 on a clean run, 1 on an invariant violation (the shrunk
+//! schedule is printed), 2 on bad usage, which includes an unknown flag
+//! and a flag the chosen mode would ignore.
 //!
 //! Every JSON result echoes the run parameters (`cores`, `lines`,
 //! `wide`, `alphabet`, and the mode-specific knobs) so downstream
@@ -30,7 +26,7 @@
 //! (`ExploreOutcome::peak_frontier_bytes`).
 
 use flextm_check::config::{CORES, MAX_LINES};
-use flextm_check::{check_liveness, explore_jobs, random_walk, Alphabet, CheckConfig, Progress};
+use flextm_check::{explore_jobs, random_walk, Alphabet, CheckConfig, Progress};
 use flextm_workloads::rng::WlRng;
 use std::time::Instant;
 
@@ -44,15 +40,13 @@ struct Args {
     seed: u64,
     wide: bool,
     jobs: usize,
-    liveness: bool,
-    revert_tie_break: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: proto_check [--cores N] [--lines N] [--depth N] \
          [--alphabet full|tx|noevict] [--jobs N] [--walk] [--steps N] [--seed S] \
-         [--wide] [--liveness] [--revert-tie-break]"
+         [--wide]"
     );
     std::process::exit(2);
 }
@@ -68,8 +62,6 @@ fn parse_args() -> Args {
         seed: 0x5EED,
         wide: false,
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        liveness: false,
-        revert_tie_break: false,
     };
     let mut given = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -92,20 +84,18 @@ fn parse_args() -> Args {
             "--wide" => args.wide = true,
             "--steps" => args.steps = val("--steps").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--liveness" => args.liveness = true,
-            "--revert-tie-break" => args.revert_tie_break = true,
-            _ => usage(),
+            _ => {
+                eprintln!("unknown flag {flag}");
+                usage()
+            }
         }
         given.push(flag);
     }
     // A flag the chosen mode would ignore is a mistake, not a default.
-    let (mode, ignored) = match (args.liveness, args.walk) {
-        (true, _) => (
-            "--liveness",
-            "--depth --jobs --alphabet --walk --steps --seed",
-        ),
-        (false, true) => ("--walk", "--depth --jobs --revert-tie-break"),
-        (false, false) => ("an exhaustive run", "--steps --seed --revert-tie-break"),
+    let (mode, ignored) = if args.walk {
+        ("--walk", "--depth --jobs")
+    } else {
+        ("an exhaustive run", "--steps --seed")
     };
     if let Some(flag) = given.iter().find(|g| ignored.split(' ').any(|f| f == *g)) {
         eprintln!("{flag} has no effect with {mode}");
@@ -147,7 +137,6 @@ fn main() {
     };
     let cfg = CheckConfig {
         alphabet: a.alphabet,
-        cm_tie_break: !a.revert_tie_break,
         ..base
     };
     // Common parameter echo, spliced into every JSON result line.
@@ -160,36 +149,7 @@ fn main() {
     );
     let t0 = Instant::now();
 
-    if a.liveness {
-        eprintln!(
-            "proto_check: liveness, {} cores x {} lines{}, tie-break {}",
-            a.cores,
-            a.lines,
-            if a.wide { " (wide machine)" } else { "" },
-            if a.revert_tie_break {
-                "reverted (pre-fix)"
-            } else {
-                "shipped"
-            },
-        );
-        let out = check_liveness(&cfg);
-        let wall = t0.elapsed().as_secs_f64();
-        if let Some(lv) = &out.livelock {
-            eprintln!("{}", lv.render());
-            eprintln!(
-                "after {} states / {} edges in {wall:.2}s",
-                out.states, out.edges
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "{{\"bench\": \"proto_check_liveness\", {params}, \
-             \"tie_break\": {}, \"states\": {}, \"edges\": {}, \
-             \"aborts\": {}, \"grants\": {}, \"livelock\": false, \
-             \"wall_s\": {wall:.3}}}",
-            cfg.cm_tie_break, out.states, out.edges, out.aborts, out.grants
-        );
-    } else if a.walk {
+    if a.walk {
         eprintln!(
             "proto_check: random walk, {} cores x {} lines{}, {} steps, seed {:#x}",
             a.cores,

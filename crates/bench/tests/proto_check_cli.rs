@@ -1,7 +1,7 @@
-//! `proto_check`'s usage contract: an out-of-range configuration, or a
-//! flag the chosen mode would ignore, is bad usage — exit 2 with the
-//! reason on stderr — not a panic in `CheckConfig::new` or a run that
-//! silently drops what was asked for.
+//! `proto_check`'s usage contract: an out-of-range configuration, an
+//! unknown flag, or a flag the chosen mode would ignore, is bad usage —
+//! exit 2 with the reason on stderr — not a panic in `CheckConfig::new`
+//! or a run that silently drops what was asked for.
 
 use std::process::{Command, Output};
 
@@ -36,17 +36,10 @@ fn out_of_range_configurations_exit_2_without_a_panic() {
 #[test]
 fn a_flag_the_mode_ignores_exits_2_naming_it() {
     for (args, flag) in [
-        (&["--revert-tie-break"][..], "--revert-tie-break"),
-        (&["--walk", "--revert-tie-break"], "--revert-tie-break"),
-        (&["--liveness", "--depth", "3"], "--depth"),
-        (&["--liveness", "--jobs", "2"], "--jobs"),
-        (&["--liveness", "--alphabet", "tx"], "--alphabet"),
-        (&["--liveness", "--walk"], "--walk"),
-        (&["--walk", "--depth", "3"], "--depth"),
+        (&["--walk", "--depth", "3"][..], "--depth"),
         (&["--walk", "--jobs", "2"], "--jobs"),
         (&["--steps", "10"], "--steps"),
         (&["--seed", "7"], "--seed"),
-        (&["--liveness", "--seed", "7"], "--seed"),
     ] {
         let out = proto_check(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -56,5 +49,22 @@ fn a_flag_the_mode_ignores_exits_2_naming_it() {
             "{args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+/// An unknown flag is named, not just answered with the usage line.
+/// The liveness flags are gone: the pass is `flextm-check`'s unit tests.
+#[test]
+fn an_unknown_flag_exits_2_naming_it() {
+    for flag in ["--liveness", "--revert-tie-break", "--frobnicate"] {
+        let out = proto_check(&[flag]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} ran anyway");
     }
 }

@@ -77,15 +77,6 @@ pub struct CheckConfig {
     /// in the second 64-bit word — the machine is wide, the explored
     /// state space is not.
     pub core_ids: Vec<usize>,
-    /// Liveness-pass arbitration hook: when `true` (the shipped
-    /// policy) the contention-manager model breaks equal-priority ties
-    /// deterministically — the lower id kills, the higher id stalls.
-    /// Setting it `false` reverts to the pre-PR-3 `>=` arbitration in
-    /// which both sides of an equal-priority conflict choose
-    /// `AbortEnemy`; the liveness pass must then rediscover the Polka
-    /// mutual-abort livelock. Test-only: nothing but the liveness
-    /// model reads it.
-    pub cm_tie_break: bool,
     /// Test-only commit fault (see [`InjectedFault`]). `None` in every
     /// real run.
     pub injected_fault: Option<InjectedFault>,
@@ -104,7 +95,6 @@ impl CheckConfig {
             lines,
             alphabet: Alphabet::Full,
             core_ids: (0..cores).collect(),
-            cm_tie_break: true,
             injected_fault: None,
         }
     }

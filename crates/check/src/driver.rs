@@ -318,9 +318,7 @@ impl Driver {
             return;
         }
         match op {
-            Op::TRead(c, l) => {
-                self.tx_read(c, l);
-            }
+            Op::TRead(c, l) => self.tx_read(c, l),
             Op::TWrite(c, l) => {
                 self.tx_write(c, l);
             }
@@ -439,11 +437,8 @@ impl Driver {
         }
     }
 
-    /// Transactional load. Returns the machine cores the hardware
-    /// reported as conflicting on this access (the liveness pass feeds
-    /// them to its contention-manager model; safety exploration
-    /// ignores them).
-    pub(crate) fn tx_read(&mut self, c: usize, l: usize) -> ProcSet {
+    /// Transactional load.
+    fn tx_read(&mut self, c: usize, l: usize) {
         if !self.shadow[c].active {
             self.begin(c);
         }
@@ -475,15 +470,11 @@ impl Driver {
         if self.shadow[c].reads.get(l).is_none() {
             self.shadow[c].reads.insert(l, r.value);
         }
-        let mut enemies = ProcSet::empty();
-        for conflict in r.conflicts.iter() {
-            enemies.insert(conflict.with);
-        }
-        enemies
     }
 
-    /// Transactional store. Returns reported conflict cores, as
-    /// [`Driver::tx_read`] does.
+    /// Transactional store. Returns the machine cores the hardware
+    /// reported as conflicting on this access (the liveness pass feeds
+    /// them to a contention manager; safety exploration ignores them).
     pub(crate) fn tx_write(&mut self, c: usize, l: usize) -> ProcSet {
         if !self.shadow[c].active {
             self.begin(c);
@@ -561,15 +552,7 @@ impl Driver {
         self.shadow[c].wr = ProcSet::empty();
         self.shadow[c].ww = ProcSet::empty();
         for e in procs_in_mask(wr | ww) {
-            let le = self.cfg.checker_core(e);
-            if self.shadow[le].tsw == TSW_ACTIVE {
-                let (old, _) = self
-                    .st
-                    .cas(mc, self.cfg.tsw_addr(le), TSW_ACTIVE, TSW_ABORTED);
-                assert_eq!(old, TSW_ACTIVE, "core {c}: enemy {e} TSW raced the CAS");
-                self.shadow[le].tsw = TSW_ABORTED;
-                self.shadow[le].doomed = true;
-            }
+            self.kill_enemy(c, self.cfg.checker_core(e));
         }
         let outcome = self
             .st
@@ -611,10 +594,10 @@ impl Driver {
         committed
     }
 
-    /// The eager CMPC handler's `AbortEnemy` arm: CAS the enemy's TSW
-    /// from ACTIVE to ABORTED (the AOU invalidation dooms them). A
-    /// no-op when the enemy is no longer active. Used only by the
-    /// liveness pass; the lazy commit path has its own inline CAS.
+    /// The enemy CAS of the commit sweep and of the eager CMPC
+    /// handler's `AbortEnemy` arm: CAS checker core `enemy`'s TSW from
+    /// ACTIVE to ABORTED (the AOU invalidation dooms them). A no-op
+    /// when the enemy is no longer active.
     pub(crate) fn kill_enemy(&mut self, c: usize, enemy: usize) {
         if self.shadow[enemy].tsw != TSW_ACTIVE {
             return;
@@ -626,23 +609,6 @@ impl Driver {
         assert_eq!(old, TSW_ACTIVE, "core {c}: enemy {enemy} TSW raced the CAS");
         self.shadow[enemy].tsw = TSW_ABORTED;
         self.shadow[enemy].doomed = true;
-    }
-
-    /// The eager CMPC handler's conflict retirement
-    /// (`runtime::clear_enemy_bits`): once a conflict with `enemy` is
-    /// settled — they died, committed, or we killed them — our CST
-    /// bits for them are cleared so a later CAS-Commit is not blocked
-    /// by the stale conflict. Clears hardware and shadow in lockstep
-    /// (the CST-exactness sweep compares them after every step).
-    pub(crate) fn resolve_enemy(&mut self, c: usize, enemy: usize) {
-        let mc = self.cfg.machine_core(c);
-        let me = self.cfg.machine_core(enemy);
-        for kind in [CstKind::RW, CstKind::WR, CstKind::WW] {
-            self.st.cores[mc].csts.clear_bit(kind, me);
-        }
-        self.shadow[c].rw.remove(me);
-        self.shadow[c].wr.remove(me);
-        self.shadow[c].ww.remove(me);
     }
 
     /// The software abort protocol: retire the TSW, then the abort

@@ -38,11 +38,12 @@
 //! for every worker count; [`explore::random_walk`] drives long random
 //! schedules on
 //! larger configurations. Violations come back as shrunk op paths
-//! ready to paste into a regression test. [`liveness::check_liveness`]
-//! covers what safety exploration cannot: it closes the system with
-//! looping per-core programs under a Polka contention-manager model
-//! and searches the reachable graph for fair abort/retry cycles —
-//! schedules where transactions abort forever while nothing commits.
+//! ready to paste into a regression test. The liveness pass, a unit
+//! test module (`liveness.rs`), covers what safety exploration cannot:
+//! it closes the system with looping per-core programs under the
+//! shipped `flextm::cm` contention managers and searches the reachable
+//! graph for fair abort/retry cycles — schedules where transactions
+//! abort forever while nothing commits.
 //!
 //! # Soundness of the canonical projection
 //!
@@ -66,13 +67,13 @@ pub mod canon;
 pub mod config;
 pub mod driver;
 pub mod explore;
-pub mod liveness;
+#[cfg(test)]
+mod liveness;
 pub mod op;
 pub mod parallel;
 
 pub use config::{Alphabet, CheckConfig, InjectedFault};
 pub use driver::{Driver, Snapshot};
 pub use explore::{random_walk, ExploreOutcome, Progress, Violation, WalkOutcome};
-pub use liveness::{check_liveness, Livelock, LivenessOutcome};
 pub use op::Op;
 pub use parallel::explore_jobs;

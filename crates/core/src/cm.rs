@@ -87,7 +87,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// (Scherer & Scott, PODC'05). Stall (with growing backoff) while the
 /// enemy out-prioritizes us, up to a bounded number of tries, then
 /// abort the enemy.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Polka {
     karma: u64,
     consecutive_aborts: u32,
@@ -166,7 +166,7 @@ impl ContentionManager for Polka {
 /// and the higher id concedes one short fixed stall first (enough for
 /// the winner's kill to land), bounding the pathology instead of
 /// livelocking outright. Benchmarks use Polka.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Aggressive;
 
 impl ContentionManager for Aggressive {
@@ -186,7 +186,7 @@ impl ContentionManager for Aggressive {
 
 /// Timid: always abort self, with jittered backoff (the jitter is what
 /// keeps two timid transactions from re-colliding forever).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Timid {
     rng: u64,
     consecutive_aborts: u32,

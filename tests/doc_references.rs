@@ -4,10 +4,12 @@
 //! (optionally `:line`) must name a file in the tree — as written, or
 //! as the tail of a longer path — and a backticked Rust path such as
 //! `Type::item` or `::item` must name identifiers the code itself
-//! still uses, outside comments and string literals. Struck-through
-//! text (`~~…~~`) and fenced blocks are exempt, and so are patterns
-//! such as `<spec>_cells.json`: they name what a tool emits, not a
-//! file.
+//! still uses, outside comments and string literals. A backticked span
+//! that starts with a `--flag` must name flags a program still takes:
+//! each of its `--` words must be a `"--flag"` string literal in some
+//! `src/` tree or a word of a shell script. Struck-through text
+//! (`~~…~~`) and fenced blocks are exempt, and so are patterns such as
+//! `<spec>_cells.json`: they name what a tool emits, not a file.
 
 use std::collections::HashSet;
 use std::fs;
@@ -116,6 +118,22 @@ fn spans(doc: &str) -> Vec<String> {
         .collect()
 }
 
+/// The `--flag` words of `text`: a `--` and a letter, then letters,
+/// digits and dashes.
+fn flag_words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c == '-' || c.is_ascii_alphanumeric()))
+        .filter(|w| w.starts_with("--") && w[2..].starts_with(|c: char| c.is_ascii_alphabetic()))
+}
+
+/// Adds the `"--flag"` string literals of Rust source `src` to `out`.
+fn flag_literals(src: &str, out: &mut HashSet<String>) {
+    for (at, _) in src.match_indices("\"--") {
+        let rest = &src[at + 1..];
+        let end = rest.find('"').unwrap_or(rest.len());
+        out.extend(flag_words(&rest[..end]).map(String::from));
+    }
+}
+
 /// `span` as a Rust path's segments, if it is one (`a::b`, `::b`, or
 /// either followed by an argument list).
 fn rust_path(span: &str) -> Option<Vec<&str>> {
@@ -134,11 +152,19 @@ fn every_cited_file_and_item_exists() {
     let mut tree = Vec::new();
     files(root, root, &mut tree);
     let mut idents = HashSet::new();
-    for path in tree
-        .iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-    {
-        identifiers(&fs::read_to_string(root.join(path)).unwrap(), &mut idents);
+    let mut flags = HashSet::new();
+    for path in &tree {
+        let ext = path.extension().unwrap_or_default();
+        if ext == "rs" {
+            let src = fs::read_to_string(root.join(path)).unwrap();
+            identifiers(&src, &mut idents);
+            if path.components().any(|c| c.as_os_str() == "src") {
+                flag_literals(&src, &mut flags);
+            }
+        } else if ext == "sh" {
+            let script = fs::read_to_string(root.join(path)).unwrap();
+            flags.extend(flag_words(&script).map(String::from));
+        }
     }
     let tree: Vec<String> = tree
         .iter()
@@ -163,6 +189,12 @@ fn every_cited_file_and_item_exists() {
                 if let Some(gone) = segments.iter().find(|s| !idents.contains(**s)) {
                     dangling.push(format!(
                         "{doc}: `{span}` names `{gone}`, which no code uses"
+                    ));
+                }
+            } else if span.starts_with("--") {
+                if let Some(gone) = flag_words(&span).find(|f| !flags.contains(*f)) {
+                    dangling.push(format!(
+                        "{doc}: `{span}` names `{gone}`, which no program takes"
                     ));
                 }
             }
