@@ -1,9 +1,10 @@
 //! Stackful fibers: the context switch under [`crate::Machine::run`].
 //!
 //! The machine runs every simulated thread as a fiber on one host
-//! thread and knows two operations: [`FiberStack::prepare`] forges a
-//! context that will run an entry function on a fresh stack, and
-//! [`switch`] parks the current context in a slot and resumes another.
+//! thread and knows two operations: [`FiberStack::start`] forges a
+//! context that will run an entry function on a stack the machine
+//! keeps across runs, and [`switch`] parks the current context in a
+//! slot and resumes another.
 //! A context is an opaque non-zero `u64`. Which backend provides them
 //! is decided here, by `cfg`, and nowhere else:
 //!
@@ -30,9 +31,11 @@
 //! under `catch_unwind`, and a resumed fiber that must die re-raises the
 //! panic on its own stack (see `rendezvous` in `machine.rs`).
 
-/// Fiber stack size. Matches the 2 MiB default of `std::thread`; the
-/// red-black-tree workloads recurse and were sized against that.
-pub(crate) const STACK_BYTES: usize = 2 * 1024 * 1024;
+/// Fiber stack size. The deepest use measured is 19.7 KiB, by a
+/// panicking fiber that formats a backtrace in a debug build, where the
+/// workload bodies reach 4.8–6.5 KiB; the `stack_high_water` test of
+/// `flextm-workloads` holds each to a third of this.
+pub const STACK_BYTES: usize = 64 * 1024;
 
 /// Entry signature a prepared fiber starts in. Its return value is the
 /// context to resume in the finished fiber's place; the fiber's own
@@ -46,6 +49,22 @@ mod imp {
     use super::{Entry, STACK_BYTES};
     use std::alloc::{alloc, dealloc, Layout};
 
+    /// The lowest bytes of every stack, painted with [`PAINT`] when it is
+    /// allocated. A fiber that writes into them has all but overflowed, and
+    /// `Machine::run` aborts the process once the run is over.
+    const CANARY_BYTES: usize = 4096;
+
+    /// The paint word. A debug build paints the whole stack with it, so the
+    /// deepest word a fiber changed is its high-water mark.
+    const PAINT: u64 = 0xF1BE_57AC_F1BE_57AC;
+
+    /// Bytes painted per stack at allocation.
+    const PAINTED_BYTES: usize = if cfg!(debug_assertions) {
+        STACK_BYTES
+    } else {
+        CANARY_BYTES
+    };
+
     // The context switch and the first-entry trampoline.
     //
     // `flextm_sim_fiber_switch(save: *mut u64 /* rdi */, resume: u64 /* rsi */)`
@@ -53,7 +72,7 @@ mod imp {
     // installs `resume` as rsp, pops, and returns — on the *resumed*
     // stack. A suspended context is therefore always "rsp of a stack
     // whose top holds r15, r14, r13, r12, rbx, rbp, return-address",
-    // which is exactly what `FiberStack::prepare` forges for first
+    // which is exactly what `FiberStack::start` forges for first
     // entry.
     //
     // `flextm_sim_fiber_start` is the forged return target of that first
@@ -105,21 +124,22 @@ mod imp {
         /// # Safety
         ///
         /// `resume` must be a context produced by this same function
-        /// (or by [`FiberStack::prepare`]) that has not been resumed
-        /// since, and its stack must still be allocated. `save` must be
-        /// valid for writes and is the only record of the suspended
-        /// computation — resuming it twice, or never, leaks or corrupts
-        /// the stack above it.
+        /// (or by [`FiberStack::start`]) that has not been resumed
+        /// since, and its stack must still be allocated and not
+        /// re-armed by `start` since. `save` must be valid for writes
+        /// and is the only record of the suspended computation —
+        /// resuming it twice, or never, leaks or corrupts the stack
+        /// above it.
         #[link_name = "flextm_sim_fiber_switch"]
         pub(crate) fn switch(save: *mut u64, resume: u64);
 
         fn flextm_sim_fiber_start() -> !;
     }
 
-    /// A heap-allocated fiber stack. Freed on drop; the owner must
-    /// ensure no suspended context still points into it (the machine's
-    /// driver joins every fiber — normally or by unwinding — before
-    /// dropping).
+    /// A heap-allocated fiber stack, reused by every fiber started on
+    /// it. Freed on drop; the owner must ensure no suspended context
+    /// still points into it (the machine's driver joins every fiber —
+    /// normally or by unwinding — before a run returns).
     pub(crate) struct FiberStack {
         base: *mut u8,
     }
@@ -127,14 +147,60 @@ mod imp {
     impl FiberStack {
         fn layout() -> Layout {
             // 16-byte alignment and a 16-multiple size keep the stack
-            // top aligned, which `prepare` relies on.
+            // top aligned, which `start` relies on.
             Layout::from_size_align(STACK_BYTES, 16).expect("static stack layout")
         }
 
-        /// Allocates a stack and forges its initial suspended context:
-        /// resuming the returned rsp runs `entry(arg)` on it. Layout,
-        /// from the returned rsp upwards, mirroring what the switch
-        /// pops:
+        /// Allocates a stack and paints its lowest [`PAINTED_BYTES`].
+        pub(crate) fn new() -> Self {
+            // SAFETY: the layout has non-zero size. The memory above
+            // the paint is deliberately left uninitialised: a stack is
+            // written before it is read, the only words read first are
+            // the seven `start` forges, and `rbp = 0` there already
+            // terminates frame-pointer walks.
+            #[allow(unsafe_code)]
+            let base = unsafe { alloc(Self::layout()) };
+            assert!(!base.is_null(), "fiber stack allocation failed");
+            // SAFETY: the painted words lie inside the fresh allocation,
+            // which is 16-aligned and not yet shared.
+            #[allow(unsafe_code)]
+            unsafe {
+                std::slice::from_raw_parts_mut(base.cast::<u64>(), PAINTED_BYTES / 8).fill(PAINT);
+            }
+            FiberStack { base }
+        }
+
+        /// The painted words, lowest first.
+        fn painted(&self) -> &[u64] {
+            // SAFETY: `new` initialised these words and they stay inside
+            // the allocation; no fiber runs while the machine reads them.
+            #[allow(unsafe_code)]
+            unsafe {
+                std::slice::from_raw_parts(self.base.cast::<u64>(), PAINTED_BYTES / 8)
+            }
+        }
+
+        /// True if a fiber has written into the canary band.
+        pub(crate) fn overflowed(&self) -> bool {
+            self.painted()[..CANARY_BYTES / 8]
+                .iter()
+                .any(|&w| w != PAINT)
+        }
+
+        /// The deepest any fiber has reached into this stack, in bytes:
+        /// measured in a debug build, which paints the whole stack.
+        pub(crate) fn high_water(&self) -> Option<usize> {
+            if PAINTED_BYTES < STACK_BYTES {
+                return None;
+            }
+            let untouched = self.painted().iter().take_while(|&&w| w == PAINT).count();
+            Some(STACK_BYTES - untouched * 8)
+        }
+
+        /// Forges the stack's initial suspended context: resuming the
+        /// returned rsp runs `entry(arg)` on it. Whatever last ran here
+        /// must have returned (or never started). Layout, from the
+        /// returned rsp upwards, mirroring what the switch pops:
         ///
         /// ```text
         /// [0] r15 = 0
@@ -149,23 +215,15 @@ mod imp {
         /// The rsp sits 56 bytes below the 16-aligned stack top, so
         /// after the pops and the `ret` the trampoline runs 16-aligned
         /// and its `call` gives `entry` a standard SysV frame.
-        pub(crate) fn prepare(entry: Entry, arg: *mut u8) -> (Self, u64) {
-            // SAFETY: the layout has non-zero size. The memory is
-            // deliberately left uninitialised: a stack is written
-            // before it is read, the only words read first are the
-            // seven forged below, and `rbp = 0` there already
-            // terminates frame-pointer walks. Zeroing it was a 2 MiB
-            // memset per fiber once glibc's mmap threshold had risen
-            // past the stack size (52 µs a stack, 3.3 ms of a 64-thread
-            // `Machine::run`).
-            #[allow(unsafe_code)]
-            let base = unsafe { alloc(Self::layout()) };
-            assert!(!base.is_null(), "fiber stack allocation failed");
-            let top = base as u64 + STACK_BYTES as u64;
+        pub(crate) fn start(&mut self, entry: Entry, arg: *mut u8) -> u64 {
+            let top = self.base as u64 + STACK_BYTES as u64;
             let rsp = top - 7 * 8;
             // SAFETY: the seven slots lie inside this stack's
             // allocation, just below its top, and u64 stores at 8-byte
-            // offsets from a 16-aligned top are aligned.
+            // offsets from a 16-aligned top are aligned. Should a
+            // context on this stack still be suspended, overwriting its
+            // frame is not itself unsound; resuming it afterwards is,
+            // and `switch`'s contract forbids that.
             #[allow(unsafe_code)]
             unsafe {
                 let slot = rsp as *mut u64;
@@ -178,7 +236,7 @@ mod imp {
                 slot.add(6)
                     .write(flextm_sim_fiber_start as *const () as u64);
             }
-            (FiberStack { base }, rsp)
+            rsp
         }
     }
 
@@ -234,7 +292,7 @@ mod imp {
     }
 
     thread_local! {
-        /// The baton of the current OS thread: the one `prepare` gave a
+        /// The baton of the current OS thread: the one `start` gave a
         /// fiber thread, or one made on first use for a driver thread.
         static MINE: OnceCell<Arc<Baton>> = const { OnceCell::new() };
     }
@@ -275,9 +333,10 @@ mod imp {
     /// # Safety
     ///
     /// `resume` must be a context produced by this same function (or by
-    /// [`FiberStack::prepare`]) that has not been resumed since, whose
+    /// [`FiberStack::start`]) that has not been resumed since, whose
     /// `FiberStack` (or, for a driver, whose host thread) is still
-    /// alive. `save` must be valid for writes.
+    /// alive and not started again since. `save` must be valid for
+    /// writes.
     #[allow(unsafe_code)]
     pub(crate) unsafe fn switch(save: *mut u64, resume: u64) {
         let mine = MINE.with(|mine| Arc::clone(mine.get_or_init(Arc::default)));
@@ -291,47 +350,69 @@ mod imp {
         debug_assert_eq!(signal, Signal::Run, "fiber dropped while suspended");
     }
 
-    /// A fiber's OS thread. Dropping it ends the thread — at once if it
-    /// was never started, and it has already returned if it ran to
-    /// completion — and joins it, so no run leaves a thread behind. As
-    /// with a real stack, the owner must not drop it mid-suspension.
+    /// A fiber's OS thread, one per start. Starting again or dropping
+    /// ends the last thread — at once if it was never started, and it
+    /// has already returned if it ran to completion — and joins it, so
+    /// no run leaves a thread behind. As with a real stack, the owner
+    /// must not do either mid-suspension.
     pub(crate) struct FiberStack {
         baton: Arc<Baton>,
         thread: Option<JoinHandle<()>>,
     }
 
     impl FiberStack {
-        /// Spawns a parked thread that runs `entry(arg)` when its
-        /// context is first resumed, then resumes whatever context the
-        /// entry returns, and exits.
-        pub(crate) fn prepare(entry: Entry, arg: *mut u8) -> (Self, u64) {
-            let baton = Arc::new(Baton::default());
-            let context = Arc::as_ptr(&baton) as u64;
+        /// A stack with no thread yet: `start` spawns one.
+        pub(crate) fn new() -> Self {
+            FiberStack {
+                baton: Arc::default(),
+                thread: None,
+            }
+        }
+
+        /// Always false: a fiber thread's stack ends in a guard page, and
+        /// std aborts the process when a fiber reaches it.
+        pub(crate) fn overflowed(&self) -> bool {
+            false
+        }
+
+        /// Not measured: the stack is the OS thread's.
+        pub(crate) fn high_water(&self) -> Option<usize> {
+            None
+        }
+
+        /// Ends and joins the previous thread, if any, and spawns a
+        /// parked one that runs `entry(arg)` when its context is first
+        /// resumed, then resumes whatever context the entry returns, and
+        /// exits.
+        pub(crate) fn start(&mut self, entry: Entry, arg: *mut u8) -> u64 {
+            self.join();
+            self.baton = Arc::default();
             let start = Start {
                 entry,
                 arg,
-                baton: Arc::clone(&baton),
+                baton: Arc::clone(&self.baton),
             };
             let thread = std::thread::Builder::new()
                 .stack_size(STACK_BYTES)
                 .spawn(move || start.run())
                 .expect("spawning a fiber thread failed");
-            let stack = FiberStack {
-                baton,
-                thread: Some(thread),
-            };
-            (stack, context)
+            self.thread = Some(thread);
+            Arc::as_ptr(&self.baton) as u64
         }
-    }
 
-    impl Drop for FiberStack {
-        fn drop(&mut self) {
+        fn join(&mut self) {
             self.baton.post(Signal::Exit);
             if let Some(thread) = self.thread.take() {
                 // The thread cannot have panicked: its entry is
                 // `extern "C"`, which aborts on unwind.
                 let _ = thread.join();
             }
+        }
+    }
+
+    impl Drop for FiberStack {
+        fn drop(&mut self) {
+            self.join();
         }
     }
 }
@@ -361,26 +442,36 @@ mod tests {
     fn a_fiber_runs_its_entry_and_resumes_the_context_it_returns() {
         let mut probe = Probe { hits: 0, driver: 0 };
         let raw = &raw mut probe;
-        let (stack, context) = FiberStack::prepare(bump, raw.cast());
-        // SAFETY: `context` is fresh and its stack alive; `bump` returns
-        // the driver context this very switch saves into the probe.
-        #[allow(unsafe_code)]
-        unsafe {
-            switch(&raw mut (*raw).driver, context);
+        let mut stack = FiberStack::new();
+        // A stack is re-armed for every fiber the machine runs on it.
+        for _ in 0..2 {
+            let context = stack.start(bump, raw.cast());
+            // SAFETY: `context` is fresh and its stack alive; `bump`
+            // returns the driver context this very switch saves into
+            // the probe.
+            #[allow(unsafe_code)]
+            unsafe {
+                switch(&raw mut (*raw).driver, context);
+            }
         }
         drop(stack);
-        assert_eq!(probe.hits, 1);
+        assert_eq!(probe.hits, 2);
     }
 
     #[test]
     fn dropping_never_started_fibers_releases_them() {
         // On the thread backend each of these is a parked OS thread
-        // that `Drop` must wake and join; a leak would hang or exhaust
-        // the host long before the loop ends.
+        // that a restart or `Drop` must wake and join; a leak would
+        // hang or exhaust the host long before the loops end.
         let mut probe = Probe { hits: 0, driver: 0 };
-        for _ in 0..2000 {
-            let (stack, _) = FiberStack::prepare(bump, std::ptr::from_mut(&mut probe).cast());
-            drop(stack);
+        let arg = std::ptr::from_mut(&mut probe).cast();
+        let mut stack = FiberStack::new();
+        for _ in 0..1000 {
+            stack.start(bump, arg);
+        }
+        drop(stack);
+        for _ in 0..1000 {
+            FiberStack::new().start(bump, arg);
         }
         assert_eq!(probe.hits, 0);
     }

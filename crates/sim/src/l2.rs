@@ -35,15 +35,27 @@ impl DirEntry {
     }
 }
 
+/// The tag of a free L2 slot. Line addresses are byte addresses shifted
+/// right by [`flextm_sig::LINE_SHIFT`], so `line + 1` never wraps to it.
+const EMPTY: u64 = 0;
+
+/// The tag array's encoding of `line`.
+fn tag(line: LineAddr) -> u64 {
+    line.0 + 1
+}
+
 /// The shared L2: a set-associative tag array (for hit/miss timing and
 /// directory-info lifetime) plus the directory map and the
 /// context-switch summary state (§5).
 #[derive(Debug)]
 pub struct L2 {
-    /// Tag array, set-major: `nsets * ways` slots of `(line, lru)`.
-    /// One contiguous allocation — a 16K-set L2 as one `Vec` of tiny
+    /// Tag array, set-major: `nsets * ways` slots of `(tag, lru)`, a
+    /// tag being the line address plus one and [`EMPTY`] a free slot.
+    /// A free slot is all zero bits, so the array is allocated zeroed
+    /// and a fresh machine neither writes nor faults in its pages. One
+    /// contiguous allocation — a 16K-set L2 as one `Vec` of tiny
     /// `Vec`s costs a TLB walk per set visit.
-    slots: Vec<Option<(LineAddr, u64)>>,
+    slots: Vec<(u64, u64)>,
     nsets: usize,
     ways: usize,
     tick: u64,
@@ -80,7 +92,7 @@ impl L2 {
             "L2 set count must be a power of two"
         );
         L2 {
-            slots: vec![None; sets * ways],
+            slots: vec![(EMPTY, 0); sets * ways],
             nsets: sets,
             ways,
             tick: 0,
@@ -104,27 +116,27 @@ impl L2 {
         let range = self.set_range(line);
         let base = range.start;
         let set = &mut self.slots[range];
-        if let Some(e) = set.iter_mut().flatten().find(|(l, _)| *l == line) {
+        let tag = tag(line);
+        if let Some(e) = set.iter_mut().find(|(t, _)| *t == tag) {
             e.1 = tick;
             return L2Ref::Hit;
         }
-        let slot = match set.iter().position(Option::is_none) {
+        let slot = match set.iter().position(|(t, _)| *t == EMPTY) {
             Some(free) => free,
             None => {
                 let pos = set
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, s)| s.expect("full set").1)
+                    .min_by_key(|(_, (_, lru))| *lru)
                     .map(|(i, _)| i)
                     .expect("set non-empty");
-                let (victim, _) = set[pos].take().expect("chosen victim");
                 // Processor sharer information is lost on L2 eviction
                 // (paper §4.1); it will be recreated from signatures.
-                self.dir.remove(victim);
+                self.dir.remove(LineAddr(set[pos].0 - 1));
                 pos
             }
         };
-        self.slots[base + slot] = Some((line, tick));
+        self.slots[base + slot] = (tag, tick);
         L2Ref::Miss
     }
 
@@ -219,10 +231,9 @@ impl L2 {
         } = self;
         rec.slots.clear();
         rec.slots.extend(
-            slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| Some((i as u32, (*s)?))),
+            (slots.iter().enumerate())
+                .filter(|(_, (t, _))| *t != EMPTY)
+                .map(|(i, &(t, lru))| (i as u32, (LineAddr(t - 1), lru))),
         );
         rec.tick = *tick;
         dir.record(&mut rec.dir);
@@ -243,9 +254,9 @@ impl L2 {
             write_summary,
             cores_summary,
         } = rec;
-        self.slots.fill(None);
-        for &(i, s) in slots.iter() {
-            self.slots[i as usize] = Some(s);
+        self.slots.fill((EMPTY, 0));
+        for &(i, (line, lru)) in slots.iter() {
+            self.slots[i as usize] = (tag(line), lru);
         }
         self.tick = *tick;
         self.dir.restore(dir);

@@ -41,8 +41,8 @@
 //! assert_eq!(report.total(|c| c.stores), 20);
 //! ```
 
-// The one crate with `unsafe`: the stackful-fiber context switch
-// (`fiber.rs`, both backends) and its three uses in `machine.rs` (two
+// The one crate with `unsafe`: the stackful fibers' context switch and
+// stack memory (`fiber.rs`) and its three uses in `machine.rs` (two
 // switches and the hand-off of a fiber's job pointer). Each site
 // carries a SAFETY comment and an explicit `#[allow(unsafe_code)]`;
 // everything else is denied.
@@ -69,6 +69,8 @@ pub use cache::{Evicted, L1Cache, L1Slot, L1State, LineEntry, LineView};
 pub use config::{ConfigError, MachineConfig};
 pub use core_state::{AlertCause, CoreState, Cores};
 pub use cst::{procs_in_mask, CstKind, CstSet};
+/// Bytes of each fiber stack a [`Machine`] runs its simulated threads on.
+pub use fiber::STACK_BYTES as FIBER_STACK_BYTES;
 pub use l2::{DirEntry, L2Ref, L2};
 pub use machine::{GrantQueue, Machine, SimRecord, SimState};
 pub use mem::{Addr, Arena, Heap, Memory, WORDS_PER_LINE};

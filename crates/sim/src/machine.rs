@@ -71,6 +71,7 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
@@ -819,6 +820,10 @@ extern "C" fn fiber_main(arg: *mut u8) -> u64 {
 /// ```
 pub struct Machine {
     shared: SharedMachine,
+    /// One fiber stack per core a run has used, allocated by the first
+    /// run that needs it, re-armed by every later one and freed with
+    /// the machine.
+    stacks: RefCell<Vec<fiber::FiberStack>>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -861,6 +866,7 @@ impl Machine {
                 driver: Cell::new(DEAD),
                 ctx: (0..cores).map(|_| Cell::new(DEAD)).collect(),
             }),
+            stacks: RefCell::default(),
         })
     }
 
@@ -890,19 +896,21 @@ impl Machine {
     /// run (take a [`Machine::report`] before and after to measure a
     /// region).
     ///
-    /// Every thread is a fiber on the calling host thread. The driver
-    /// loop below starts them one at a time; each runs natively until
-    /// its first rendezvous. Once all are started, grants flow directly
+    /// Every thread is a fiber on the calling host thread, on a stack
+    /// the machine keeps for its core across runs. The driver loop
+    /// below starts them one at a time; each runs natively until its
+    /// first rendezvous. Once all are started, grants flow directly
     /// fiber-to-fiber and the driver is only resumed when everyone has
     /// finished — or, after a poisoning panic, to resume each parked
-    /// survivor so it unwinds its own stack before the stacks are
-    /// freed.
+    /// survivor so it unwinds its own stack before `run` returns.
     ///
     /// # Panics
     ///
     /// Panics if `threads` exceeds the configured core count or a body
     /// panics (the first panic is propagated; the machine is then
-    /// poisoned).
+    /// poisoned). A body that reaches the lowest 4 KiB of its
+    /// [`crate::FIBER_STACK_BYTES`] stack aborts the process, printing
+    /// `fiber stack overflow on core N`, once the run is over.
     pub fn run<R>(&self, threads: usize, body: impl Fn(ProcHandle) -> R) -> Vec<R> {
         let shared = &self.shared;
         self.assert_quiesced("run");
@@ -946,16 +954,13 @@ impl Machine {
                 Some(job)
             })
             .collect();
-        let stacks: Vec<fiber::FiberStack> = jobs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, job)| {
-                let (stack, ctx) =
-                    fiber::FiberStack::prepare(fiber_main, std::ptr::from_mut(job).cast());
-                shared.ctx[i].set(ctx);
-                stack
-            })
-            .collect();
+        let mut stacks = self.stacks.borrow_mut();
+        if stacks.len() < threads {
+            stacks.resize_with(threads, fiber::FiberStack::new);
+        }
+        for (i, (stack, job)) in stacks.iter_mut().zip(&mut jobs).enumerate() {
+            shared.ctx[i].set(stack.start(fiber_main, std::ptr::from_mut(job).cast()));
+        }
 
         let mut started = 0;
         loop {
@@ -989,6 +994,17 @@ impl Machine {
                 fiber::switch(shared.driver.as_ptr(), shared.ctx[i].get())
             };
         }
+        if let Some(core) = stacks[..threads]
+            .iter()
+            .position(fiber::FiberStack::overflowed)
+        {
+            // Straight to the stream: a test harness's output capture
+            // would swallow `eprintln!` before the abort. The band is
+            // all an overflow is sure to have hit; what lies below it
+            // may be corrupt, so nothing may run on.
+            let _ = writeln!(std::io::stderr(), "fiber stack overflow on core {core}");
+            std::process::abort();
+        }
         drop(stacks);
         drop(jobs);
 
@@ -999,6 +1015,24 @@ impl Machine {
             .into_iter()
             .map(|r| r.into_inner().expect("fiber finished without a result"))
             .collect()
+    }
+
+    /// The deepest any fiber of this machine has reached into its stack,
+    /// in bytes, over all of its runs. `None` before the first run and
+    /// wherever it is not measured: a release build paints only each
+    /// stack's canary band, and the thread-baton backend runs fibers on
+    /// OS-thread stacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while a run is in progress.
+    pub fn fiber_stack_high_water(&self) -> Option<usize> {
+        let stacks = (self.stacks.try_borrow())
+            .expect("fiber_stack_high_water called while a run is in progress");
+        stacks
+            .iter()
+            .filter_map(fiber::FiberStack::high_water)
+            .max()
     }
 
     /// Aligns every core's local clock to the current global maximum —
@@ -1357,5 +1391,60 @@ mod tests {
         assert_eq!(msg, "boom at op 5");
         assert_eq!(unwound.get(), 4, "a parked sibling's stack was not unwound");
         assert_poisoned(&m);
+    }
+
+    /// Recurses in 256-byte frames until one lies `depth` bytes below
+    /// `top`; returns the number of frames.
+    fn recurse_to(top: usize, depth: usize) -> usize {
+        let mut frame = [0u8; 256];
+        let here = std::hint::black_box(&mut frame).as_ptr() as usize;
+        if top - here >= depth {
+            return 0;
+        }
+        let deeper = recurse_to(top, depth);
+        std::hint::black_box(&frame);
+        deeper + 1
+    }
+
+    /// Set in the re-executed test binary that must die.
+    const OVERFLOW_CHILD: &str = "FLEXTM_SIM_OVERFLOW_CHILD";
+
+    /// A fiber that reaches its stack's canary band kills the process,
+    /// naming its core, instead of running on over whatever lies below.
+    /// The dying run happens in a re-executed copy of this test.
+    #[test]
+    fn a_fiber_stack_overflow_aborts_naming_the_core() {
+        if std::env::var_os(OVERFLOW_CHILD).is_some() {
+            let m = Machine::new(MachineConfig::small_test());
+            m.run(1, |_| {
+                let marker = 0u8;
+                let top = std::ptr::from_ref(std::hint::black_box(&marker)) as usize;
+                recurse_to(top, fiber::STACK_BYTES - 2048)
+            });
+            return;
+        }
+        let name = "machine::tests::a_fiber_stack_overflow_aborts_naming_the_core";
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", name])
+            .env(OVERFLOW_CHILD, "1")
+            .output()
+            .expect("re-running the test binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "the overflowing run returned:\n{stderr}"
+        );
+        // On the thread-baton backend a fiber's stack is its thread's,
+        // whose guard page std reports on its own.
+        let os_threads = cfg!(not(all(
+            target_arch = "x86_64",
+            not(windows),
+            not(flextm_fiber_fallback)
+        )));
+        assert!(
+            stderr.contains("fiber stack overflow on core 0")
+                || (os_threads && stderr.contains("has overflowed its stack")),
+            "unexpected death:\n{stderr}"
+        );
     }
 }

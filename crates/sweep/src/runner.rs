@@ -123,10 +123,7 @@ pub fn run_sweep(cells: &[CellSpec], store: &Store, config: &RunnerConfig) -> Sw
         *slots[index].lock().unwrap() = Some(slot);
     };
     // The calling thread is worker 0, so `jobs = 1` spawns nothing and
-    // a sweep's cells run on the process's main thread. (That
-    // matters on glibc: a spawned thread allocates from its own malloc
-    // arena, where every 2 MiB zeroed fiber stack is re-faulted and
-    // memset per run — ~3x the wall of a 4 ms cell; DESIGN.md.)
+    // a sweep's cells run on the process's main thread.
     let workers = config.jobs.max(1).min(total.max(1));
     std::thread::scope(|scope| {
         for _ in 1..workers {

@@ -1,66 +1,107 @@
-//! Steady-state heap-allocation gate.
+//! Host heap gates: steady state allocates nothing, and a machine
+//! allocates its fiber stacks once.
 //!
 //! The protocol hot path (access service, conflict recording, commit,
 //! abort) is supposed to run out of preallocated state: SoA cache
 //! planes, the banked directory, the inline `ConflictList`, the
-//! recycled commit scratch and line-data pool. This test pins that
+//! recycled commit scratch and line-data pool. The first gate pins that
 //! property with a counting global allocator: once a 16-core HashTable
 //! run reaches steady state, doubling the number of transactions must
 //! not add a single host heap allocation.
 //!
-//! Methodology: every `Machine::run` has constant per-run overhead
-//! (fiber stacks / thread spawns, the result vector, one boxed
-//! `TmThread` per worker), so the gate differences two otherwise
-//! identical measured runs of N and 2N transactions per thread. Any
-//! per-transaction allocation shows up as `delta(2N) - delta(N) =
-//! leak * N * threads`; the assertion demands exactly zero.
+//! Methodology: every `Machine::run` has constant per-run overhead (the
+//! job and result vectors, one boxed `TmThread` per worker; fiber
+//! stacks are the machine's, allocated by its first run of a width), so
+//! the gate differences two otherwise identical measured runs of N and
+//! 2N transactions per thread. Any per-transaction allocation shows up
+//! as `delta(2N) - delta(N) = leak * N * threads`; the assertion
+//! demands exactly zero.
 //!
 //! Simulated-page faults are kept out of the measured region by
 //! pre-touching every arena page the workers will carve nodes from and
 //! then sweeping all touched pages through the protocol once, so the
 //! directory banks are grown to their final size before counting
 //! starts.
+//!
+//! The second gate bounds what a fresh machine's first run adds to the
+//! live heap by its fiber stacks plus 1 MiB, and holds a second run of
+//! the same width to allocating no stack at all.
 
 // The counting `GlobalAlloc` below needs `unsafe impl`; everything it
-// does is delegate to `System` around a relaxed counter bump.
+// does is delegate to `System` around thread-local counter updates.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_sim::api::TmRuntime;
-use flextm_sim::{Addr, Heap, Machine, MachineConfig};
+use flextm_sim::{Addr, Heap, Machine, MachineConfig, FIBER_STACK_BYTES};
 use flextm_workloads::alloc::NodeAlloc;
 use flextm_workloads::harness::{ThreadCtx, Workload};
 use flextm_workloads::rng::WlRng;
 use flextm_workloads::HashTable;
 
-/// Counts allocation *calls* (alloc, alloc_zeroed, realloc); frees are
-/// irrelevant to the gate.
+/// Counts allocation *calls* (alloc, alloc_zeroed, realloc) by size,
+/// and live and peak bytes, per host thread: the gates run
+/// concurrently, and a machine runs every fiber on the thread that
+/// calls `Machine::run`. Live bytes may go negative when a thread frees
+/// what another allocated; the gates read differences only.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static SIZE_BUCKETS: [AtomicU64; 1024] = [const { AtomicU64::new(0) }; 1024];
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static SIZE_BUCKETS: [Cell<u64>; 1024] = const { [const { Cell::new(0) }; 1024] };
+    /// Allocation calls of at least a fiber stack's size.
+    static STACK_SIZED: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
 fn bump(size: usize) {
-    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    SIZE_BUCKETS[size.min(1023)].fetch_add(1, Ordering::Relaxed);
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+    SIZE_BUCKETS.with(|b| {
+        let bucket = &b[size.min(1023)];
+        bucket.set(bucket.get() + 1);
+    });
+    if size >= FIBER_STACK_BYTES {
+        STACK_SIZED.with(|c| c.set(c.get() + 1));
+    }
+}
+
+fn grow(bytes: i64) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + bytes);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+/// Restarts the peak at the current live bytes, which it returns.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live));
+    live
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
+        grow(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
+        grow(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(new_size);
+        grow(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -136,19 +177,14 @@ fn steady_state_adds_zero_host_allocations() {
     run_phase(&machine, &tm, &wl, 16, 128);
     run_phase(&machine, &tm, &wl, TXNS, 64);
 
-    let snap = || -> Vec<u64> {
-        SIZE_BUCKETS
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    };
+    let snap = || -> Vec<u64> { SIZE_BUCKETS.with(|b| b.iter().map(Cell::get).collect()) };
     let h0 = snap();
-    let t0 = ALLOC_CALLS.load(Ordering::Relaxed);
+    let t0 = ALLOC_CALLS.with(Cell::get);
     run_phase(&machine, &tm, &wl, TXNS, 0);
-    let t1 = ALLOC_CALLS.load(Ordering::Relaxed);
+    let t1 = ALLOC_CALLS.with(Cell::get);
     let h1 = snap();
     run_phase(&machine, &tm, &wl, 2 * TXNS, 32);
-    let t2 = ALLOC_CALLS.load(Ordering::Relaxed);
+    let t2 = ALLOC_CALLS.with(Cell::get);
     let h2 = snap();
     for sz in 0..1024 {
         let a = h1[sz] - h0[sz];
@@ -173,5 +209,32 @@ fn steady_state_adds_zero_host_allocations() {
         TXNS * THREADS as u64,
         leak as f64 / (TXNS * THREADS as u64) as f64,
         delta_a,
+    );
+}
+
+#[test]
+fn a_machine_allocates_its_fiber_stacks_once() {
+    const CORES: usize = 64;
+    let machine = Machine::new(MachineConfig::paper_default().with_cores(CORES));
+
+    let stacks_0 = STACK_SIZED.with(Cell::get);
+    let live = reset_peak();
+    machine.run(CORES, |_| ());
+    let raised = PEAK.with(Cell::get) - live;
+    let stacks_1 = STACK_SIZED.with(Cell::get);
+    let bound = (CORES * FIBER_STACK_BYTES + (1 << 20)) as i64;
+    assert!(
+        raised <= bound,
+        "an empty {CORES}-thread run on a fresh machine raised the heap peak by \
+         {raised} bytes, over {bound}"
+    );
+    assert_eq!(stacks_1 - stacks_0, CORES as u64, "one stack per fiber");
+
+    machine.run(CORES, |_| ());
+    let stacks_2 = STACK_SIZED.with(Cell::get);
+    assert_eq!(
+        stacks_2 - stacks_1,
+        0,
+        "a second run allocated fiber stacks"
     );
 }
