@@ -187,6 +187,13 @@ mod imp {
                 .any(|&w| w != PAINT)
         }
 
+        /// The address halfway up the canary band: a frame there has
+        /// reached the band without running past the allocation.
+        #[cfg(test)]
+        pub(crate) fn mid_band(&self) -> Option<usize> {
+            Some(self.base as usize + CANARY_BYTES / 2)
+        }
+
         /// The deepest any fiber has reached into this stack, in bytes:
         /// measured in a debug build, which paints the whole stack.
         pub(crate) fn high_water(&self) -> Option<usize> {
@@ -373,6 +380,12 @@ mod imp {
         /// std aborts the process when a fiber reaches it.
         pub(crate) fn overflowed(&self) -> bool {
             false
+        }
+
+        /// None: there is no band, only the guard page below the stack.
+        #[cfg(test)]
+        pub(crate) fn mid_band(&self) -> Option<usize> {
+            None
         }
 
         /// Not measured: the stack is the OS thread's.

@@ -1393,15 +1393,15 @@ mod tests {
         assert_poisoned(&m);
     }
 
-    /// Recurses in 256-byte frames until one lies `depth` bytes below
-    /// `top`; returns the number of frames.
-    fn recurse_to(top: usize, depth: usize) -> usize {
+    /// Recurses in 256-byte frames until one lies at or below `floor`;
+    /// returns the number of frames.
+    fn recurse_to(floor: usize) -> usize {
         let mut frame = [0u8; 256];
         let here = std::hint::black_box(&mut frame).as_ptr() as usize;
-        if top - here >= depth {
+        if here <= floor {
             return 0;
         }
-        let deeper = recurse_to(top, depth);
+        let deeper = recurse_to(floor);
         std::hint::black_box(&frame);
         deeper + 1
     }
@@ -1411,16 +1411,17 @@ mod tests {
 
     /// A fiber that reaches its stack's canary band kills the process,
     /// naming its core, instead of running on over whatever lies below.
-    /// The dying run happens in a re-executed copy of this test.
+    /// The dying run happens in a re-executed copy of this test. Its
+    /// fiber stops halfway into the band, inside the stack; on the
+    /// thread-baton backend, which has no band, it recurses into the
+    /// thread's guard page.
     #[test]
     fn a_fiber_stack_overflow_aborts_naming_the_core() {
         if std::env::var_os(OVERFLOW_CHILD).is_some() {
             let m = Machine::new(MachineConfig::small_test());
-            m.run(1, |_| {
-                let marker = 0u8;
-                let top = std::ptr::from_ref(std::hint::black_box(&marker)) as usize;
-                recurse_to(top, fiber::STACK_BYTES - 2048)
-            });
+            m.run(1, |_| ());
+            let floor = m.stacks.borrow()[0].mid_band().unwrap_or(0);
+            m.run(1, |_| recurse_to(floor));
             return;
         }
         let name = "machine::tests::a_fiber_stack_overflow_aborts_naming_the_core";

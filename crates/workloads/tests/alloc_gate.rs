@@ -25,14 +25,16 @@
 //!
 //! The second gate bounds what a fresh machine's first run adds to the
 //! live heap by its fiber stacks plus 1 MiB, and holds a second run of
-//! the same width to allocating no stack at all.
+//! the same width to allocating no stack at all. The counters are
+//! process-wide, so the two gates take turns through [`SERIAL`].
 
 // The counting `GlobalAlloc` below needs `unsafe impl`; everything it
-// does is delegate to `System` around thread-local counter updates.
+// does is delegate to `System` around relaxed counter updates.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_sim::api::TmRuntime;
@@ -43,45 +45,38 @@ use flextm_workloads::rng::WlRng;
 use flextm_workloads::HashTable;
 
 /// Counts allocation *calls* (alloc, alloc_zeroed, realloc) by size,
-/// and live and peak bytes, per host thread: the gates run
-/// concurrently, and a machine runs every fiber on the thread that
-/// calls `Machine::run`. Live bytes may go negative when a thread frees
-/// what another allocated; the gates read differences only.
+/// and live and peak bytes.
 struct CountingAlloc;
 
-thread_local! {
-    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
-    static SIZE_BUCKETS: [Cell<u64>; 1024] = const { [const { Cell::new(0) }; 1024] };
-    /// Allocation calls of at least a fiber stack's size.
-    static STACK_SIZED: Cell<u64> = const { Cell::new(0) };
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static SIZE_BUCKETS: [AtomicU64; 1024] = [const { AtomicU64::new(0) }; 1024];
+/// Allocation calls of at least a fiber stack's size.
+static STACK_SIZED: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// Held by each gate for its whole run: every allocation in the
+/// process lands in the same counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A gate that failed while holding the lock leaves nothing behind.
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn bump(size: usize) {
-    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
-    SIZE_BUCKETS.with(|b| {
-        let bucket = &b[size.min(1023)];
-        bucket.set(bucket.get() + 1);
-    });
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    SIZE_BUCKETS[size.min(1023)].fetch_add(1, Ordering::Relaxed);
     if size >= FIBER_STACK_BYTES {
-        STACK_SIZED.with(|c| c.set(c.get() + 1));
+        STACK_SIZED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 fn grow(bytes: i64) {
-    let live = LIVE.with(|l| {
-        l.set(l.get() + bytes);
-        l.get()
-    });
-    PEAK.with(|p| p.set(p.get().max(live)));
-}
-
-/// Restarts the peak at the current live bytes, which it returns.
-fn reset_peak() -> i64 {
-    let live = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(live));
-    live
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -136,6 +131,7 @@ fn run_phase(machine: &Machine, tm: &FlexTm, wl: &HashTable, txns: u64, arena_ba
 
 #[test]
 fn steady_state_adds_zero_host_allocations() {
+    let _serial = serial();
     let machine = Machine::new(MachineConfig::paper_default().with_cores(THREADS));
     let mut wl = HashTable::paper();
     wl.setup(&machine);
@@ -177,14 +173,19 @@ fn steady_state_adds_zero_host_allocations() {
     run_phase(&machine, &tm, &wl, 16, 128);
     run_phase(&machine, &tm, &wl, TXNS, 64);
 
-    let snap = || -> Vec<u64> { SIZE_BUCKETS.with(|b| b.iter().map(Cell::get).collect()) };
+    let snap = || -> Vec<u64> {
+        SIZE_BUCKETS
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    };
     let h0 = snap();
-    let t0 = ALLOC_CALLS.with(Cell::get);
+    let t0 = ALLOC_CALLS.load(Ordering::Relaxed);
     run_phase(&machine, &tm, &wl, TXNS, 0);
-    let t1 = ALLOC_CALLS.with(Cell::get);
+    let t1 = ALLOC_CALLS.load(Ordering::Relaxed);
     let h1 = snap();
     run_phase(&machine, &tm, &wl, 2 * TXNS, 32);
-    let t2 = ALLOC_CALLS.with(Cell::get);
+    let t2 = ALLOC_CALLS.load(Ordering::Relaxed);
     let h2 = snap();
     for sz in 0..1024 {
         let a = h1[sz] - h0[sz];
@@ -212,16 +213,22 @@ fn steady_state_adds_zero_host_allocations() {
     );
 }
 
+/// On the thread-baton backend fiber stacks are OS-thread stacks, not
+/// heap allocations; its runs spawn threads instead.
+#[cfg(all(target_arch = "x86_64", not(windows), not(flextm_fiber_fallback)))]
 #[test]
 fn a_machine_allocates_its_fiber_stacks_once() {
     const CORES: usize = 64;
+    let _serial = serial();
     let machine = Machine::new(MachineConfig::paper_default().with_cores(CORES));
+    let stacks = || STACK_SIZED.load(Ordering::Relaxed);
 
-    let stacks_0 = STACK_SIZED.with(Cell::get);
-    let live = reset_peak();
+    let stacks_0 = stacks();
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
     machine.run(CORES, |_| ());
-    let raised = PEAK.with(Cell::get) - live;
-    let stacks_1 = STACK_SIZED.with(Cell::get);
+    let raised = PEAK.load(Ordering::Relaxed) - live;
+    let stacks_1 = stacks();
     let bound = (CORES * FIBER_STACK_BYTES + (1 << 20)) as i64;
     assert!(
         raised <= bound,
@@ -231,9 +238,8 @@ fn a_machine_allocates_its_fiber_stacks_once() {
     assert_eq!(stacks_1 - stacks_0, CORES as u64, "one stack per fiber");
 
     machine.run(CORES, |_| ());
-    let stacks_2 = STACK_SIZED.with(Cell::get);
     assert_eq!(
-        stacks_2 - stacks_1,
+        stacks() - stacks_1,
         0,
         "a second run allocated fiber stacks"
     );

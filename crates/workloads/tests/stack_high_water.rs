@@ -7,9 +7,15 @@
 //! (eager and lazy) and RSTM, and a panicking body that formats a
 //! backtrace — the deepest use measured — must each stay within a third
 //! of the stack. A debug build paints whole stacks, so this reads the
-//! deepest word any fiber changed; a release build cannot measure it
-//! and the test does not exist there.
-#![cfg(debug_assertions)]
+//! deepest word any fiber changed; a release build cannot measure it,
+//! nor can the thread-baton backend, whose fibers run on OS-thread
+//! stacks, and the test does not exist there.
+#![cfg(all(
+    debug_assertions,
+    target_arch = "x86_64",
+    not(windows),
+    not(flextm_fiber_fallback)
+))]
 
 use flextm::{CmKind, FlexTm, FlexTmConfig};
 use flextm_sim::api::TmRuntime;
