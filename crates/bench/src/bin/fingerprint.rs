@@ -1,9 +1,11 @@
-//! Simulation fingerprint: stable digests of two recorded HashTable
+//! Simulation fingerprint: stable digests of three recorded HashTable
 //! runs.
 //!
-//! Runs the paper HashTable workload on the 16-core machine with event
-//! recording on, at 96 and at 384 timed transactions per thread, and
-//! prints one line per run with the simulated results that must stay
+//! Runs the paper HashTable workload with event recording on: on the
+//! 16-core machine at 96 and at 384 timed transactions per thread, and
+//! on a 64-core machine at 32 (the wide schedule, whose core ids cross
+//! the `ProcSet` word seam). It prints one line per run with the
+//! simulated results that must stay
 //! bit-identical across engine refactors: committed / attempts /
 //! sim_ops / sim_cycles plus an FNV-1a digest over the full protocol
 //! event log and the per-core counters.
@@ -23,21 +25,19 @@ use flextm_sim::{Machine, MachineConfig};
 use flextm_workloads::harness::{run_measured, RunConfig, Workload};
 use flextm_workloads::HashTable;
 
-const THREADS: usize = 16;
-
-fn fingerprint(txns: u64) {
-    let mut config = MachineConfig::paper_default().with_cores(THREADS);
+fn fingerprint(threads: usize, txns: u64) {
+    let mut config = MachineConfig::paper_default().with_cores(threads);
     config.record_events = true;
     let machine = Machine::new(config);
     let mut wl = HashTable::paper();
     wl.setup(&machine);
-    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(THREADS));
+    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(threads));
     let result = run_measured(
         &machine,
         &tm,
         &wl,
         RunConfig {
-            threads: THREADS,
+            threads,
             txns_per_thread: txns,
             warmup_per_thread: 8,
             seed: 0xF1E7,
@@ -59,7 +59,7 @@ fn fingerprint(txns: u64) {
             "\"sim_ops\": {}, \"sim_cycles\": {}, \"events\": {}, ",
             "\"event_digest\": \"{:016x}\", \"counter_digest\": \"{:016x}\"}}"
         ),
-        THREADS,
+        threads,
         txns,
         result.committed,
         result.attempts,
@@ -72,7 +72,7 @@ fn fingerprint(txns: u64) {
 }
 
 fn main() {
-    for txns in [96, 384] {
-        fingerprint(txns);
+    for (threads, txns) in [(16, 96), (16, 384), (64, 32)] {
+        fingerprint(threads, txns);
     }
 }

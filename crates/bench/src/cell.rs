@@ -11,13 +11,13 @@
 //! [`CellResult`] carries the deterministic simulated outcome
 //! (committed / attempts / sim_ops / sim_cycles / overflows / the
 //! conflict histogram plus [`counter_digest`], the digest the
-//! `fingerprint` binary also prints) and the host wall time, which is
-//! the only nondeterministic field.
+//! `fingerprint` binary also prints), the run's scheduler counters and
+//! the host wall time, which is the only nondeterministic field.
 
 use crate::{RuntimeKind, WorkloadKind};
 use flextm::CmKind;
 use flextm_sig::HashScheme;
-use flextm_sim::{Machine, MachineConfig, MachineReport};
+use flextm_sim::{Machine, MachineConfig, MachineReport, SchedStats};
 use flextm_workloads::harness::{run_measured, RunConfig, RunResult};
 use flextm_workloads::PrimeMix;
 use std::time::Instant;
@@ -214,6 +214,12 @@ pub struct CellResult {
     /// [`counter_digest`] over the per-core counter deltas — the
     /// bit-identity witness.
     pub digest: String,
+    /// The timed region's scheduler counters: ops on a fast path, ops
+    /// through the rendezvous, and grants that switched fibers. A
+    /// function of the schedule, so deterministic; the store keeps
+    /// them, but [`CellResult::fields_json`] leaves them out, so the
+    /// emitted cell documents do not change.
+    pub sched: SchedStats,
     /// Host wall-clock seconds of the measured run (the only
     /// nondeterministic field; excluded from emitted tables).
     pub wall_s: f64,
@@ -261,6 +267,7 @@ impl CellResult {
             overflows: run.report.total(|c| c.overflows),
             conflict_histogram: run.conflict_histogram.clone(),
             digest: format!("{:016x}", counter_digest(&run.report)),
+            sched: run.report.sched,
             wall_s,
         }
     }

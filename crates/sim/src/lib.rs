@@ -72,7 +72,7 @@ pub use cst::{procs_in_mask, CstKind, CstSet};
 /// Bytes of each fiber stack a [`Machine`] runs its simulated threads on.
 pub use fiber::STACK_BYTES as FIBER_STACK_BYTES;
 pub use l2::{DirEntry, L2Ref, L2};
-pub use machine::{GrantQueue, Machine, SimRecord, SimState};
+pub use machine::{GrantQueue, Machine, SimRecord, SimState, CLOCK_BOUND};
 pub use mem::{Addr, Arena, Heap, Memory, WORDS_PER_LINE};
 pub use ot::{OtEntry, OverflowTable};
 pub use proc::{ProcHandle, SigKind};

@@ -17,30 +17,37 @@
 //! host thread that called [`Machine::run`]; exactly one of them — or
 //! the driver loop in `run` — executes at any instant.
 //!
-//! * **Post.** To run an operation a core inserts its issue key
-//!   `(clock, id)` into the [`GrantQueue`] and parks. The operation
-//!   itself (a closure over `&mut SimState`) stays on the fiber's
-//!   stack — only the key travels.
+//! * **Key.** An operation's issue key is one `u64`, `clock << 7 |
+//!   id`, whose order is the order of `(clock, id)`: 7 bits name any of
+//!   [`flextm_sig::MAX_CORES`], and every clock stays below
+//!   [`CLOCK_BOUND`] (2^57 − 1) — a post or a `work`/`stall` that would
+//!   reach it panics, naming the core and the clock.
+//! * **Post.** To run an operation a core inserts its key into the
+//!   [`GrantQueue`], a winner tree, and parks. The operation itself (a
+//!   closure over `&mut SimState`) stays on the fiber's stack — only
+//!   the key travels.
 //! * **Grant.** Whenever a post or a thread exit leaves every live
-//!   core posted, the minimum key is popped and its core granted the
+//!   core posted, the minimum key is taken and its core granted the
 //!   *lease*; the poster switches straight into the grantee's context
 //!   (or carries on, if it granted itself).
 //! * **Horizon.** A grant carries the smallest key still queued — the
-//!   strict second minimum. While the holder's next operation is
-//!   issued strictly below it the scheduler would pick this core again
-//!   anyway (every rival is parked, its key frozen), so the operation
-//!   runs at once with no rendezvous. A single-threaded run has horizon
-//!   `(∞, ∞)`: after the first operation every call is a plain
-//!   function call. DESIGN.md shows why nothing may run *past* the
-//!   horizon.
+//!   strict second minimum — as one word. While the holder's next
+//!   operation has a key strictly below it the scheduler would pick
+//!   this core again anyway (every rival is parked, its key frozen), so
+//!   the operation runs at once with no rendezvous: the test is one
+//!   word compare. A grant with no rival has horizon `u64::MAX`, above
+//!   every key, so after a single-threaded run's first operation every
+//!   call is a plain function call. DESIGN.md shows why nothing may
+//!   run *past* the horizon.
 //! * **Local ops.** `work(n)` adds to the issuing core's clock and
 //!   `now()` reads it; neither touches protocol state, produces events,
 //!   or observes other cores, so they commute with every remote
 //!   operation and complete without a rendezvous even when the core
 //!   does not hold the lease (see `local_op`).
 //!
-//! [`crate::MachineConfig::strict_lockstep`] disables the horizon and
-//! the local-op paths, forcing one rendezvous per operation. The
+//! [`crate::MachineConfig::strict_lockstep`] disables the horizon (it
+//! stays 0, below every key) and the local-op paths, forcing one
+//! rendezvous per operation. The
 //! schedule — and therefore every event, counter and clock — is
 //! identical either way; `tests/determinism.rs` pins that equivalence,
 //! which makes the knob the reference the fast paths are tested
@@ -69,8 +76,6 @@ use crate::stats::{EventLog, MachineReport, SchedStats};
 use flextm_sig::{LineAddr, LineHasher, ProcSet, SigKey};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::Write;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -500,34 +505,79 @@ impl SimState {
     }
 }
 
-/// The horizon of a grant with no rival left in the queue: every key a
-/// core can issue sorts below it.
-const NO_RIVAL: (u64, usize) = (u64::MAX, usize::MAX);
+/// Bits of an issue key below its clock: the core id, which
+/// [`flextm_sig::MAX_CORES`] bounds.
+const CORE_BITS: u32 = 7;
+const _: () = assert!(flextm_sig::MAX_CORES <= 1 << CORE_BITS);
 
-/// The horizon while nobody holds the lease: no key sorts below it, so
-/// every op takes the rendezvous.
-const NO_LEASE: (u64, usize) = (0, 0);
+/// The first clock no core may post at (2^57 − 1). Every key of a
+/// clock below it packs into a word below `u64::MAX`, the horizon of a
+/// grant with no rival; [`GrantQueue::post_and_grant`] and the
+/// `work`/`stall` path panic rather than let a clock reach it.
+pub const CLOCK_BOUND: u64 = u64::MAX >> CORE_BITS;
 
-/// The scheduler's mailbox: the issue key `(clock, core)` of every
-/// posted operation in a min-heap, plus the number of live cores. A
-/// post that leaves some core computing is a push; the post that
-/// completes the set is also the grant, and swaps the poster's key for
-/// the minimum in one sift. The horizon is a peek at what remains —
-/// the queue always holds *every* posted key, so no grant ever rescans
-/// the cores. (A sorted `Vec` was measured as the alternative and lost
-/// to the heap on every interleaved pair at 16 and 64 cores;
-/// CHANGES.md, PR 12.)
+/// The issue key of an op `core` issues at `clock`: one word whose
+/// order is the order of `(clock, core)`. A clock at or past
+/// [`CLOCK_BOUND`] cannot wrap into a small key: past `2^57` it
+/// saturates to [`NO_RIVAL`], which no horizon lies above, so the op
+/// reaches the rendezvous, and the post there panics.
+#[inline]
+fn issue_key(clock: u64, core: usize) -> u64 {
+    clock.saturating_mul(1 << CORE_BITS) | core as u64
+}
+
+/// The core that posted `key`.
+#[inline]
+fn key_core(key: u64) -> usize {
+    (key & ((1 << CORE_BITS) - 1)) as usize
+}
+
+/// The horizon of a grant with no rival left in the queue, and the
+/// value of a leaf whose core has no key posted: every key a core may
+/// post sorts below it.
+const NO_RIVAL: u64 = u64::MAX;
+
+/// The horizon while nobody holds the lease, and always under
+/// `strict_lockstep`: no key sorts below it, so every op takes the
+/// rendezvous.
+const NO_LEASE: u64 = 0;
+
+/// The scheduler's mailbox: the issue key of every posted operation in
+/// a winner tree, plus the number of live cores. The tree has one leaf
+/// per core; every inner node holds the smaller of its two children,
+/// so node 1 is the minimum. A key names its core, so the grantee is
+/// read off the root. Leaves are slots, not cores: a post that
+/// completes the set and does not grant itself writes its key into the
+/// grantee's slot and takes the grantee's place in the permutation of
+/// slots, so a grant rewrites one leaf-to-root path — one branch-free
+/// `min` per level — and the horizon is the new root. The queue always
+/// holds *every* posted key, so no grant ever rescans the cores. (A
+/// hand-rolled binary heap of the same words, and a tree with one
+/// fixed leaf per core, lost to this tree on interleaved pairs;
+/// EXPERIMENTS.md "Measurement history".)
 ///
 /// Public (but hidden) only so `tests/grant_queue_props.rs` can drive
 /// it against a full-scan oracle.
 #[doc(hidden)]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GrantQueue {
-    /// Posted keys, minimum on top.
-    keys: BinaryHeap<Reverse<(u64, usize)>>,
+    /// `2 * cores` words, of which a run of `live` cores uses the first
+    /// `2 * live`: node `i`'s children at `2i` and `2i + 1`, the leaves
+    /// at `live..2 * live`, so a path is as long as the run is wide.
+    /// Word 0 is unused. An empty leaf holds [`NO_RIVAL`].
+    tree: Box<[u64]>,
+    /// The leaf each core's next key goes into: a permutation of the
+    /// run's leaves (`2 * live <= 256`). A computing core's leaf is
+    /// empty.
+    /// Inline, so a queue is one allocation like the heap it replaced:
+    /// with a second, `ht-1t`'s set-up ran 1.6× slower on a 2-CPU Xeon
+    /// (EXPERIMENTS.md "Measurement history").
+    leaf: [u8; flextm_sig::MAX_CORES],
+    /// Cores that have a key posted.
+    posted: usize,
     /// Cores between run entry and deregister. A grant needs a key from
     /// each of them (the conservative all-posted rule), which is
-    /// `keys.len() == live`.
+    /// `posted == live`.
     live: usize,
 }
 
@@ -535,21 +585,42 @@ impl GrantQueue {
     /// A queue for a machine of `cores` cores, sized so that no post
     /// ever allocates.
     pub fn with_capacity(cores: usize) -> Self {
+        assert!(cores <= flextm_sig::MAX_CORES, "{cores} cores");
         GrantQueue {
-            keys: BinaryHeap::with_capacity(cores),
+            tree: vec![NO_RIVAL; 2 * cores.max(1)].into(),
+            leaf: [0; flextm_sig::MAX_CORES],
+            posted: 0,
             live: 0,
         }
     }
 
-    /// Starts a run of `live` cores, none of them posted.
+    /// Starts a run of cores `0..live`, none of them posted.
     pub fn start(&mut self, live: usize) {
-        self.keys.clear();
+        let n = live.max(1);
+        self.tree[..2 * n].fill(NO_RIVAL);
+        for (core, leaf) in self.leaf[..live].iter_mut().enumerate() {
+            *leaf = u8::try_from(n + core).expect("at most 128 cores");
+        }
+        self.posted = 0;
         self.live = live;
     }
 
     /// Number of cores that have not deregistered.
     pub fn live(&self) -> usize {
         self.live
+    }
+
+    /// Writes `key` into leaf `i` and rewrites its path to the root.
+    #[inline]
+    fn settle(&mut self, mut i: usize, key: u64) {
+        let tree = &mut self.tree;
+        let mut min = key;
+        tree[i] = min;
+        while i > 1 {
+            min = min.min(tree[i ^ 1]);
+            i /= 2;
+            tree[i] = min;
+        }
     }
 
     /// Posts `core`'s next operation, issued at `clock`, and — if that
@@ -559,45 +630,50 @@ impl GrantQueue {
     /// poster is parked). `None` while some live core is still
     /// computing; the key stays queued.
     ///
-    /// The granting post never grows the heap. A poster below the root
-    /// grants itself and the heap is untouched; otherwise the root is
-    /// the grantee and the poster's key takes its place, settled by
-    /// one sift — half the work of a push followed by a pop.
-    pub fn post_and_grant(&mut self, clock: u64, core: usize) -> Option<(usize, (u64, usize))> {
+    /// A poster below the root grants itself and the tree is untouched;
+    /// otherwise the poster's key replaces the root's in its leaf.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `core` and `clock`, if `clock` is not below
+    /// [`CLOCK_BOUND`].
+    pub fn post_and_grant(&mut self, clock: u64, core: usize) -> Option<(usize, u64)> {
+        assert!(
+            clock < CLOCK_BOUND,
+            "core {core} posted at clock {clock}, past the issue-key bound {CLOCK_BOUND}"
+        );
+        let key = issue_key(clock, core);
         debug_assert!(
-            self.keys.iter().all(|k| k.0 .1 != core),
+            self.tree[usize::from(self.leaf[core])] == NO_RIVAL,
             "core {core} posted twice"
         );
-        let key = (clock, core);
-        if self.keys.len() + 1 != self.live {
-            self.keys.push(Reverse(key));
+        if self.posted + 1 != self.live {
+            self.posted += 1;
+            self.settle(usize::from(self.leaf[core]), key);
             return None;
         }
-        let Some(mut root) = self.keys.peek_mut() else {
-            return Some((core, NO_RIVAL));
-        };
-        if key < root.0 {
-            return Some((core, root.0));
+        let root = self.tree[1];
+        if key < root {
+            return Some((core, root));
         }
-        let grantee = root.0 .1;
-        // Dropping the written-through `PeekMut` sifts the new root
-        // down.
-        *root = Reverse(key);
-        drop(root);
-        let rival = self.keys.peek().expect("the poster's key is queued");
-        Some((grantee, rival.0))
+        let grantee = key_core(root);
+        self.leaf.swap(core, grantee);
+        self.settle(usize::from(self.leaf[core]), key);
+        Some((grantee, self.tree[1]))
     }
 
     /// Grants after an exit, if that exit left every live core posted:
     /// removes the minimum key and returns its core with the grant's
     /// horizon, as [`GrantQueue::post_and_grant`] does. `None` while
     /// some live core is still computing, or when no core is live.
-    pub fn grant(&mut self) -> Option<(usize, (u64, usize))> {
-        if self.keys.len() != self.live {
+    pub fn grant(&mut self) -> Option<(usize, u64)> {
+        if self.posted != self.live || self.posted == 0 {
             return None;
         }
-        let Reverse((_, next)) = self.keys.pop()?;
-        Some((next, self.keys.peek().map_or(NO_RIVAL, |rival| rival.0)))
+        self.posted -= 1;
+        let grantee = key_core(self.tree[1]);
+        self.settle(usize::from(self.leaf[grantee]), NO_RIVAL);
+        Some((grantee, self.tree[1]))
     }
 
     /// Removes an exiting core. A worker normally exits while computing
@@ -605,7 +681,11 @@ impl GrantQueue {
     /// of a rendezvous and takes its key with it.
     pub fn deregister(&mut self, core: usize) {
         self.live -= 1;
-        self.keys.retain(|k| k.0 .1 != core);
+        let i = usize::from(self.leaf[core]);
+        if self.tree[i] != NO_RIVAL {
+            self.posted -= 1;
+            self.settle(i, NO_RIVAL);
+        }
     }
 }
 
@@ -629,12 +709,13 @@ struct Sched {
 pub(crate) struct Shared {
     state: RefCell<SimState>,
     sched: RefCell<Sched>,
-    /// The lease: the running fiber may run an op issued at
-    /// `(clock, id)` strictly below this horizon without a rendezvous.
-    /// [`NO_LEASE`] between a post or an exit and the next grant; once
-    /// granted, the grantee is the only fiber that runs until it posts
-    /// or exits, so the horizon needs no owner field beside it.
-    horizon: Cell<(u64, usize)>,
+    /// The lease: the running fiber may run an op whose issue key lies
+    /// strictly below this horizon without a rendezvous. [`NO_LEASE`]
+    /// between a post or an exit and the next grant, and throughout a
+    /// `strict_lockstep` run; once granted, the grantee is the only
+    /// fiber that runs until it posts or exits, so the horizon needs no
+    /// owner field beside it.
+    horizon: Cell<u64>,
     /// A run body panicked; every fiber must bail out and the machine
     /// refuses further use rather than expose half-mutated state.
     poisoned: Cell<bool>,
@@ -649,40 +730,45 @@ pub(crate) struct Shared {
 pub(crate) type SharedMachine = Rc<Shared>;
 
 /// Publishes a grant's horizon — the lease now belongs to the grantee,
-/// which is returned.
-fn lease(shared: &Shared, grant: Option<(usize, (u64, usize))>) -> Option<usize> {
+/// which is returned. A strict run keeps [`NO_LEASE`], so its fast-path
+/// test never passes.
+fn lease(shared: &Shared, grant: Option<(usize, u64)>) -> Option<usize> {
     let (next, horizon) = grant?;
-    shared.horizon.set(horizon);
+    if !shared.strict {
+        shared.horizon.set(horizon);
+    }
     Some(next)
 }
 
 /// Executes one simulated operation for `core`: `f` runs exactly when
-/// the deterministic order reaches the op's `(issue clock, core)`.
+/// the deterministic order reaches the op's issue key.
 ///
-/// Fast path: while `core` holds the lease and the op is issued below
+/// Fast path: while `core` holds the lease and the op's key is below
 /// the horizon, the one-at-a-time scheduler would pick `core` again
 /// anyway — run `f` directly. `f` may touch anything in the state:
 /// rivals never run ahead of it.
 pub(crate) fn sync_op<R>(shared: &Shared, core: usize, f: impl FnOnce(&mut SimState) -> R) -> R {
-    if !shared.strict {
+    let clock = {
         let mut st = shared.state.borrow_mut();
-        if (st.now(core), core) < shared.horizon.get() {
+        let clock = st.now(core);
+        if issue_key(clock, core) < shared.horizon.get() {
             st.lanes[core].fast_ops += 1;
             return f(&mut st);
         }
-    }
-    rendezvous(shared, core);
+        clock
+    };
+    rendezvous(shared, core, clock);
     f(&mut shared.state.borrow_mut())
 }
 
-/// The slow path: post the issue key, give the lease up, and park until
-/// it comes back — by switching into the grantee's context, or to the
-/// driver while the schedule waits on a fiber that has not started.
-/// Returns with the lease held; a core that grants itself never leaves.
+/// The slow path: post the issue key of `core`'s op at `clock`, give
+/// the lease up, and park until it comes back — by switching into the
+/// grantee's context, or to the driver while the schedule waits on a
+/// fiber that has not started. Returns with the lease held; a core that
+/// grants itself never leaves.
 #[cold]
-fn rendezvous(shared: &Shared, core: usize) {
+fn rendezvous(shared: &Shared, core: usize, clock: u64) {
     assert!(!shared.poisoned.get(), "{POISONED}");
-    let clock = shared.state.borrow().now(core);
     let next = {
         let mut sched = shared.sched.borrow_mut();
         sched.stats.slow_ops += 1;
@@ -726,10 +812,16 @@ pub(crate) enum Bucket {
 /// events, no reads of shared state — so it commutes with every remote
 /// operation: removing it from the rendezvous changes no other core's
 /// issue clocks and therefore no scheduling decision.
+///
+/// Panics, naming the core and its clock, if the charge would carry
+/// the clock to [`CLOCK_BOUND`].
 pub(crate) fn local_op(shared: &Shared, core: usize, cycles: u64, bucket: Bucket) {
     let charge = |st: &mut SimState| {
         let lane = &mut st.lanes[core];
-        lane.clock += cycles;
+        lane.clock = match lane.clock.checked_add(cycles) {
+            Some(clock) if clock < CLOCK_BOUND => clock,
+            _ => past_clock_bound(core, lane.clock, cycles),
+        };
         match bucket {
             Bucket::Work => lane.work_cycles += cycles,
             Bucket::Stall => lane.stall_cycles += cycles,
@@ -741,6 +833,12 @@ pub(crate) fn local_op(shared: &Shared, core: usize, cycles: u64, bucket: Bucket
     let mut st = shared.state.borrow_mut();
     charge(&mut st);
     st.lanes[core].fast_ops += 1;
+}
+
+#[cold]
+#[inline(never)]
+fn past_clock_bound(core: usize, clock: u64, cycles: u64) -> ! {
+    panic!("core {core} at clock {clock} charged {cycles} cycles, past the issue-key bound {CLOCK_BOUND}")
 }
 
 /// `now`: reads the issuing core's clock, which only it advances — the
@@ -1314,6 +1412,32 @@ mod tests {
                 msg,
                 format!("core {idle}: left its initial state but is not marked touched")
             );
+        }
+    }
+
+    /// A `work` or `stall` whose charge would carry the clock to the
+    /// packing bound, or past `u64::MAX`, panics instead of posting a
+    /// wrapped key later.
+    #[test]
+    fn a_charge_that_reaches_the_clock_bound_panics_naming_core_and_clock() {
+        for (first, second) in [(CLOCK_BOUND - 1, 1), (5, u64::MAX)] {
+            let m = Machine::new(MachineConfig::small_test());
+            let msg = panic_message(|| {
+                m.run(2, |p| {
+                    if p.core() == 1 {
+                        p.work(first);
+                        p.stall(second);
+                    }
+                });
+            });
+            assert_eq!(
+                msg,
+                format!(
+                    "core 1 at clock {first} charged {second} cycles, \
+                     past the issue-key bound {CLOCK_BOUND}"
+                )
+            );
+            assert_poisoned(&m);
         }
     }
 

@@ -37,16 +37,21 @@ pub enum Metric {
     ConflictsMedian,
     /// Maximum of the same (the side table's "Mx").
     ConflictsMax,
+    /// Scheduler grants that switched fibers per simulated op — the
+    /// host cost of lockstep simulation, which no figure of the paper
+    /// shows and no built-in spec lists.
+    GrantsPerOp,
 }
 
 /// Every [`Metric`].
-pub const ALL_METRICS: [Metric; 6] = [
+pub const ALL_METRICS: [Metric; 7] = [
     Metric::Throughput,
     Metric::AbortPct,
     Metric::AbortsPerMcycle,
     Metric::Overflows,
     Metric::ConflictsMedian,
     Metric::ConflictsMax,
+    Metric::GrantsPerOp,
 ];
 
 impl Metric {
@@ -71,6 +76,7 @@ impl Metric {
                 "conflicting transactions per commit, maximum",
                 0,
             ),
+            Metric::GrantsPerOp => ("grants_per_op", "scheduler grants per simulated op", 3),
         }
     }
 
@@ -110,6 +116,8 @@ impl Metric {
                 .iter()
                 .rposition(|&count| count > 0)
                 .unwrap_or(0) as f64,
+            Metric::GrantsPerOp if r.sim_ops == 0 => 0.0,
+            Metric::GrantsPerOp => r.sched.grants as f64 / r.sim_ops as f64,
         }
     }
 }
@@ -315,6 +323,7 @@ mod tests {
     use super::*;
     use crate::spec::MatrixSpec;
     use flextm_bench::RuntimeKind;
+    use flextm_sim::SchedStats;
 
     fn outcome(cell: CellSpec, committed: u64, sim_cycles: u64) -> Outcome {
         Outcome {
@@ -327,6 +336,7 @@ mod tests {
                 overflows: 0,
                 conflict_histogram: Vec::new(),
                 digest: "f".repeat(16),
+                sched: SchedStats::default(),
                 wall_s: 1.0,
             },
             from_cache: false,
@@ -430,6 +440,7 @@ mod tests {
                 o.result.attempts = 150;
                 o.result.overflows = 7;
                 o.result.conflict_histogram = vec![40, 50, 10];
+                o.result.sched.grants = 100;
                 o
             })
             .collect();
@@ -437,7 +448,7 @@ mod tests {
             .iter()
             .map(|m| m.value(&outcomes[0].result))
             .collect();
-        assert_eq!(values, [10.0, 100.0 / 3.0, 5.0, 7.0, 1.0, 2.0]);
+        assert_eq!(values, [10.0, 100.0 / 3.0, 5.0, 7.0, 1.0, 2.0, 0.25]);
         // No commits, no attempts, no cycles: every metric is 0, not NaN.
         let idle = outcome(outcomes[0].cell.clone(), 0, 0);
         assert!(ALL_METRICS.iter().all(|m| m.value(&idle.result) == 0.0));

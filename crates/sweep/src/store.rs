@@ -19,6 +19,7 @@
 use crate::spec::cell_from_json;
 use flextm_bench::cell::{fnv1a, FNV_OFFSET};
 use flextm_bench::{CellResult, CellSpec};
+use flextm_sim::SchedStats;
 use flextm_trace::json::{parse, Json};
 use std::fs;
 use std::io;
@@ -168,6 +169,14 @@ impl Store {
         let Some(digest) = result.get("digest").and_then(Json::as_str) else {
             return Ok(None);
         };
+        let sched_field = |key: &str| result.get("sched")?.get(key)?.as_u64();
+        let (Some(fast_ops), Some(slow_ops), Some(grants)) = (
+            sched_field("fast_ops"),
+            sched_field("slow_ops"),
+            sched_field("grants"),
+        ) else {
+            return Ok(None);
+        };
         let wall_s = result.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0);
         let git_rev = doc
             .get("meta")
@@ -184,6 +193,11 @@ impl Store {
                 overflows,
                 conflict_histogram,
                 digest: digest.to_string(),
+                sched: SchedStats {
+                    fast_ops,
+                    slow_ops,
+                    grants,
+                },
                 wall_s,
             },
             git_rev,
@@ -199,13 +213,17 @@ impl Store {
             concat!(
                 "{{\"key\": \"{}-{}\",\n",
                 " \"config\": {},\n",
-                " \"result\": {{{}, \"wall_s\": {:.6}}},\n",
+                " \"result\": {{{}, \"sched\": {{\"fast_ops\": {}, \"slow_ops\": {}, ",
+                "\"grants\": {}}}, \"wall_s\": {:.6}}},\n",
                 " \"meta\": {{\"git_rev\": \"{}\", \"bin_fp\": \"{}\"}}}}\n"
             ),
             config_hash(cell),
             self.bin_fp,
             cell.canonical_json(),
             result.fields_json(),
+            result.sched.fast_ops,
+            result.sched.slow_ops,
+            result.sched.grants,
             result.wall_s,
             self.git_rev,
             self.bin_fp,
@@ -234,6 +252,11 @@ mod tests {
             overflows: 2,
             conflict_histogram: vec![30, 1, 0, 1],
             digest: "0123456789abcdef".to_string(),
+            sched: SchedStats {
+                fast_ops: 300,
+                slow_ops: 100,
+                grants: 90,
+            },
             wall_s: 0.125,
         }
     }

@@ -41,14 +41,23 @@ fn small_run() -> RunConfig {
 
 /// One complete measured run on a fresh machine; returns every
 /// recorded protocol event plus the final whole-machine report.
-fn run_once(mut workload: Box<dyn Workload>, strict: bool) -> (Vec<Event>, MachineReport) {
-    let mut config = MachineConfig::paper_default().with_cores(THREADS);
+fn run_once(workload: Box<dyn Workload>, strict: bool) -> (Vec<Event>, MachineReport) {
+    run_on(workload, small_run(), strict)
+}
+
+/// [`run_once`] on a machine exactly as wide as `run.threads`.
+fn run_on(
+    mut workload: Box<dyn Workload>,
+    run: RunConfig,
+    strict: bool,
+) -> (Vec<Event>, MachineReport) {
+    let mut config = MachineConfig::paper_default().with_cores(run.threads);
     config.record_events = true;
     config.strict_lockstep = strict;
     let machine = Machine::new(config);
     workload.setup(&machine);
-    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(THREADS));
-    run_measured(&machine, &tm, workload.as_ref(), small_run());
+    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(run.threads));
+    run_measured(&machine, &tm, workload.as_ref(), run);
     let events = machine.with_state(|st| st.log.take());
     (events, machine.report())
 }
@@ -230,25 +239,40 @@ fn event_log_off_does_not_perturb_counters() {
 
 /// Strict lockstep (all scheduler fast paths off) must be an exact
 /// semantic no-op: same events, same per-core counters, same simulated
-/// cycles. Only the host-side fast/slow split may differ.
+/// cycles. Only the host-side fast/slow split may differ. The 128-core
+/// run puts the top core id into the packed issue key and checks the
+/// one-compare fast-path test against the rendezvous-only reference.
 #[test]
 fn strict_lockstep_is_semantically_identical() {
-    let (events_fast, report_fast) = run_once(Box::new(HashTable::paper()), false);
-    let (events_strict, report_strict) = run_once(Box::new(HashTable::paper()), true);
-    assert_eq!(
-        events_fast, events_strict,
-        "strict_lockstep changed the protocol event stream"
-    );
-    assert_eq!(
-        report_fast.cores, report_strict.cores,
-        "strict_lockstep changed simulated per-core counters"
-    );
-    assert_eq!(
-        report_fast.core_cycles, report_strict.core_cycles,
-        "strict_lockstep changed simulated time"
-    );
-    assert_eq!(
-        report_strict.sched.fast_ops, 0,
-        "strict_lockstep left a fast path enabled"
-    );
+    let wide = RunConfig {
+        threads: 128,
+        txns_per_thread: 3,
+        warmup_per_thread: 1,
+        seed: 0xF1E7,
+    };
+    for run in [small_run(), wide] {
+        let threads = run.threads;
+        let (events_fast, report_fast) = run_on(Box::new(HashTable::paper()), run, false);
+        let (events_strict, report_strict) = run_on(Box::new(HashTable::paper()), run, true);
+        assert_eq!(
+            events_fast, events_strict,
+            "{threads} threads: strict_lockstep changed the protocol event stream"
+        );
+        assert_eq!(
+            report_fast.cores, report_strict.cores,
+            "{threads} threads: strict_lockstep changed simulated per-core counters"
+        );
+        assert_eq!(
+            report_fast.core_cycles, report_strict.core_cycles,
+            "{threads} threads: strict_lockstep changed simulated time"
+        );
+        assert_eq!(
+            report_strict.sched.fast_ops, 0,
+            "{threads} threads: strict_lockstep left a fast path enabled"
+        );
+        assert!(
+            report_fast.sched.fast_ops > 0,
+            "{threads} threads: no op took the fast path — the comparison is vacuous"
+        );
+    }
 }

@@ -20,17 +20,17 @@
 #      determinism, the 64/128-core smoke, the banked-directory
 #      properties and the allocation gate are tests step 1 runs)
 #   5. fingerprint gate: the 16-core HashTable event/counter digests
-#      at 96 and 384 transactions per thread must match the recorded
-#      values — any drift is a semantic change to the simulated
-#      machine, not a refactor
+#      at 96 and 384 transactions per thread, and the 64-core ones at
+#      32, must match the recorded values — any drift is a semantic
+#      change to the simulated machine, not a refactor
 #   6. fallback switch backend: hosts without the assembly context
 #      switch get a thread-baton backend selected by cfg in
 #      crates/sim/src/fiber.rs; `--cfg flextm_fiber_fallback` builds it
 #      here (separate target dir), and the simulator tests that reach
 #      `Machine::run` (the library's unit tests and tests/isa.rs — the
 #      other integration suites drive SimState, GrantQueue or BankedDir
-#      directly and cannot observe the backend) and both fingerprint
-#      digests must hold on it too
+#      directly and cannot observe the backend) and all three
+#      fingerprint lines must hold on it too
 #   7. sweep farm smoke: the 2x2 smoke matrix runs cold at --jobs 1 and
 #      at --jobs 2 into separate stores, then warm against the second;
 #      the warm run must execute zero cells (pure cache) and all three
@@ -199,7 +199,7 @@ if [ "$n3_graph" != "$w3_graph" ]; then
     exit 1
 fi
 
-step "fingerprint gate (16-core digests, 96 and 384 txns/thread)"
+step "fingerprint gate (16-core digests at 96 and 384 txns/thread, 64-core at 32)"
 check_fp() {
     # $1: label, $2: event digest, $3: counter digest, $4: the
     # fingerprint line.
@@ -213,22 +213,24 @@ check_fp() {
         ;;
     esac
 }
-check_both_fp() {
+check_all_fp() {
     # $1: label, rest: cargo arguments selecting the build. One run
-    # prints both lines, 96 txns/thread first.
+    # prints all three lines: 16 cores at 96 and 384 txns/thread, then
+    # 64 cores at 32.
     local label="$1" lines
     shift
     lines="$(cargo run -q --release -p flextm-bench --bin fingerprint "$@")"
     check_fp "$label, 96 txns" b91bf014cd6135a9 578f521ae8b7bc3c "$(sed -n 1p <<< "$lines")"
     check_fp "$label, 384 txns" f0cd4189940a6860 f95be49b738edeb6 "$(sed -n 2p <<< "$lines")"
+    check_fp "$label, 64 cores" a25e9df74ea848bd 651a176032609d86 "$(sed -n 3p <<< "$lines")"
 }
-check_both_fp "assembly switch"
+check_all_fp "assembly switch"
 
 step "fallback switch backend (--cfg flextm_fiber_fallback): sim tests + fingerprints"
 (
     export RUSTFLAGS="--cfg flextm_fiber_fallback"
     cargo test -q --release -p flextm-sim --lib --test isa --target-dir target/fiber-fallback
-    check_both_fp "thread-baton switch" --target-dir target/fiber-fallback
+    check_all_fp "thread-baton switch" --target-dir target/fiber-fallback
 )
 
 step "sweep farm smoke (2x2 matrix; jobs 1 == jobs 2 == warm, warm is pure cache)"
