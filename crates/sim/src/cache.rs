@@ -1590,4 +1590,136 @@ mod tests {
         c.fill(line(1), L1State::S);
         c.fill(line(1), L1State::E);
     }
+
+    /// The invariant sweep's kill list for the L1's own assertions: each
+    /// test plants one fault in core 0's cache and expects the machine
+    /// sweep ([`crate::SimState::check_invariants`]) to name it.
+    mod sweep_kills {
+        use super::*;
+        use crate::config::MachineConfig;
+        use crate::machine::SimState;
+        use crate::mem::Addr;
+        use crate::proto::AccessKind;
+
+        /// Line 0x40: home set 0 of `small_test`'s 32 × 2 L1.
+        const A: u64 = 0x1000;
+
+        /// A `small_test` machine whose core 0 holds `A` exclusive,
+        /// with the way it sits in.
+        fn holding_a() -> (SimState, usize) {
+            let mut st = SimState::for_tests(MachineConfig::small_test());
+            st.access(0, Addr::new(A), AccessKind::Load, 0);
+            let way = st.cores[0].l1.find_main(Addr::new(A).line()).unwrap();
+            (st, way)
+        }
+
+        /// A victim-buffer entry for a line no directory has heard of.
+        fn victim(l: u64, state: L1State) -> LineEntry {
+            let data = state
+                .is_speculative()
+                .then(|| Box::new([0; WORDS_PER_LINE]));
+            LineEntry {
+                line: line(l),
+                state,
+                a_bit: false,
+                data,
+                lru: 0,
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "L1 planes materialised unevenly")]
+        fn uneven_planes() {
+            let (mut st, _) = holding_a();
+            st.cores[0].l1.meta.pop();
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "victim set is not the fold")]
+        fn stray_victim_set_bit() {
+            let (mut st, _) = holding_a();
+            st.cores[0].l1.victim_set[1] |= 1;
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "vacant way 5 holds a data buffer")]
+        fn vacant_way_with_data() {
+            let (mut st, _) = holding_a();
+            st.cores[0].l1.data[5] = Some(Box::new([0; WORDS_PER_LINE]));
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "outside its set")]
+        fn line_outside_its_set() {
+            let (mut st, way) = holding_a();
+            let l1 = &mut st.cores[0].l1;
+            let stray = l1.ways as usize + way;
+            (l1.tags[stray], l1.meta[stray]) = (l1.tags[way], l1.meta[way]);
+            l1.tags[way] = EMPTY_TAG;
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "resident twice in L1")]
+        fn line_twice_in_its_set() {
+            let (mut st, way) = holding_a();
+            let l1 = &mut st.cores[0].l1;
+            let other = way ^ 1;
+            (l1.tags[other], l1.meta[other]) = (l1.tags[way], l1.meta[way]);
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "in E has data buffer: true")]
+        fn conventional_way_with_data() {
+            let (mut st, way) = holding_a();
+            st.cores[0].l1.data[way] = Some(Box::new([0; WORDS_PER_LINE]));
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "resident twice in L1")]
+        fn victim_shadowing_a_way() {
+            let (mut st, _) = holding_a();
+            st.cores[0]
+                .l1
+                .push_victim(victim(Addr::new(A).line().index(), L1State::E));
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "in S has data buffer: true")]
+        fn conventional_victim_with_data() {
+            let (mut st, _) = holding_a();
+            let mut e = victim(7, L1State::S);
+            e.data = Some(Box::new([0; WORDS_PER_LINE]));
+            st.cores[0].l1.push_victim(e);
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "non-TMI victim residents exceed cap 4")]
+        fn unbounded_tmi_buffer_over_its_conventional_cap() {
+            let (mut st, _) = holding_a();
+            let l1 = &mut st.cores[0].l1;
+            l1.set_unbounded_tmi(true);
+            for l in 1..=5 {
+                l1.push_victim(victim(l, L1State::S));
+            }
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "victim buffer holds 5 entries, cap 4")]
+        fn victim_buffer_over_its_cap() {
+            let (mut st, _) = holding_a();
+            for l in 1..=5 {
+                st.cores[0].l1.push_victim(victim(l, L1State::S));
+            }
+            st.check_invariants();
+        }
+    }
 }

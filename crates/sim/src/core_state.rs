@@ -551,4 +551,77 @@ mod tests {
         assert!(c.reads_line_key(key));
         assert!(!c.writes_line_key(key));
     }
+
+    /// The invariant sweep's kill list for the per-processor
+    /// assertions: one planted fault each, named by the machine sweep
+    /// ([`crate::SimState::check_invariants`]).
+    mod sweep_kills {
+        use super::*;
+        use crate::cst::CstKind;
+        use crate::machine::SimState;
+        use crate::mem::WORDS_PER_LINE;
+        use crate::proto::AccessKind;
+
+        fn st() -> SimState {
+            SimState::for_tests(MachineConfig::small_test())
+        }
+
+        fn a(x: u64) -> Addr {
+            Addr::new(x)
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: OT entry LineAddr(64) not covered by Wsig")]
+        fn overflowed_line_outside_wsig() {
+            let mut st = st();
+            st.access(0, a(0x2000), AccessKind::Load, 0);
+            let mut ot = OverflowTable::new(st.config.signature.clone());
+            ot.insert(a(0x1000).line(), Box::new([0; WORDS_PER_LINE]));
+            st.cores[0].ot = Some(ot);
+            st.mark_ot_present(0);
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: TMI line LineAddr(64) not covered by Wsig")]
+        fn tmi_line_outside_wsig() {
+            let mut st = st();
+            st.access(0, a(0x1000), AccessKind::TStore, 1);
+            st.cores[0].wsig.clear();
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: TI line LineAddr(64) not covered by Rsig")]
+        fn ti_line_outside_rsig() {
+            let mut st = st();
+            st.access(1, a(0x1000), AccessKind::TStore, 1);
+            st.access(0, a(0x1000), AccessKind::TLoad, 0);
+            let c = &mut st.cores[0];
+            c.rsig.clear();
+            // Keeps a footprint, so the CSTs the TLoad drew stay legal.
+            c.wsig.insert(LineAddr(0x300));
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: a_bit set on LineAddr(64) but aloaded is None")]
+        fn a_bit_without_aload() {
+            let mut st = st();
+            st.access(0, a(0x1000), AccessKind::Load, 0);
+            let l1 = &mut st.cores[0].l1;
+            let s = l1.peek_slot(a(0x1000).line()).unwrap();
+            l1.set_a_bit(s, true);
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: non-clear CSTs")]
+        fn csts_without_footprint() {
+            let mut st = st();
+            st.access(0, a(0x1000), AccessKind::Load, 0);
+            st.cores[0].csts.set(CstKind::WW, 1);
+            st.check_invariants();
+        }
+    }
 }

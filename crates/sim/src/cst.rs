@@ -280,4 +280,36 @@ mod tests {
         c.set(CstKind::RW, 9);
         c.check_invariants(0, 8);
     }
+
+    /// The invariant sweep's kill list for CST well-formedness: core 0
+    /// runs a transaction (so non-clear CSTs are legal) and one bad bit
+    /// is planted; the machine sweep must name it.
+    mod sweep_kills {
+        use crate::config::MachineConfig;
+        use crate::machine::SimState;
+        use crate::mem::Addr;
+        use crate::proto::AccessKind;
+
+        fn in_tx() -> SimState {
+            let mut st = SimState::for_tests(MachineConfig::small_test());
+            st.access(0, Addr::new(0x1000), AccessKind::TLoad, 0);
+            st
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: W-W CST has its own bit set")]
+        fn own_bit() {
+            let mut st = in_tx();
+            st.cores[0].csts.ww.insert(0);
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: R-W CST names nonexistent processors")]
+        fn processor_past_the_machine() {
+            let mut st = in_tx();
+            st.cores[0].csts.rw.insert(4);
+            st.check_invariants();
+        }
+    }
 }

@@ -1572,4 +1572,88 @@ mod tests {
             "unexpected death:\n{stderr}"
         );
     }
+
+    /// The invariant sweep's kill list for its machine-level
+    /// assertions: one planted fault each, named by
+    /// [`SimState::check_invariants`].
+    mod sweep_kills {
+        use super::*;
+        use crate::cache::L1State;
+        use crate::mem::Addr;
+        use crate::ot::OverflowTable;
+        use crate::proto::AccessKind;
+
+        const A: u64 = 0x1000;
+
+        /// A `small_test` machine whose core 0 has loaded `A`.
+        fn st() -> SimState {
+            let mut st = SimState::for_tests(MachineConfig::small_test());
+            st.access(0, Addr::new(A), AccessKind::Load, 0);
+            st
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "core 3: left its initial state but is not marked touched")]
+        fn unmarked_core_off_its_initial_state() {
+            let mut st = st();
+            st.cores.unmarked(3).stats.alerts += 1;
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: live signatures but sig_live bit clear")]
+        fn live_signatures_off_the_mask() {
+            let mut st = st();
+            st.access(0, Addr::new(A), AccessKind::TLoad, 0);
+            st.sig_live.remove(0);
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: OT allocated but ot_present bit clear")]
+        fn ot_off_the_mask() {
+            let mut st = st();
+            st.cores[0].ot = Some(OverflowTable::new(st.config.signature.clone()));
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: cycle buckets diverge from the clock")]
+        fn clock_past_its_buckets() {
+            let mut st = st();
+            st.lanes[0].clock += 1;
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: abort causes do not sum to tx_aborts + failed_commits")]
+        fn abort_without_a_cause() {
+            let mut st = st();
+            st.cores[0].stats.tx_aborts += 1;
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "line LineAddr(64): multiple M/E holders ProcSet{0, 2}")]
+        fn two_exclusive_holders() {
+            let mut st = st();
+            let line = Addr::new(A).line();
+            st.cores[2].l1.fill(line, L1State::M);
+            st.l2.dir_mut(line).owners.insert(2);
+            st.check_invariants();
+        }
+
+        #[test]
+        #[should_panic(
+            expected = "line LineAddr(64): M/E holder ProcSet{0} coexists with sharers ProcSet{1}"
+        )]
+        fn exclusive_holder_beside_a_sharer() {
+            let mut st = st();
+            let line = Addr::new(A).line();
+            st.cores[1].l1.fill(line, L1State::S);
+            st.l2.dir_mut(line).sharers.insert(1);
+            st.check_invariants();
+        }
+    }
 }

@@ -387,4 +387,48 @@ mod tests {
         assert!(t.peek(LineAddr(200)).is_some());
         assert_eq!(t.peek(LineAddr(1024)).unwrap().logical, LineAddr(64));
     }
+
+    /// The invariant sweep's kill list for the OT controller: core 0
+    /// holds an OT whose one entry its `Wsig` covers, with one field
+    /// planted wrong; the machine sweep must name it.
+    mod sweep_kills {
+        use super::*;
+        use crate::config::MachineConfig;
+        use crate::machine::SimState;
+        use crate::mem::Addr;
+        use crate::proto::AccessKind;
+
+        const X: LineAddr = LineAddr(0x40);
+
+        fn overflowed(plant: impl FnOnce(&mut OverflowTable)) -> SimState {
+            let mut st = SimState::for_tests(MachineConfig::small_test());
+            st.access(0, Addr::new(0x2000), AccessKind::TLoad, 0);
+            let mut ot = OverflowTable::new(st.config.signature.clone());
+            ot.insert(X, data(1));
+            plant(&mut ot);
+            let c = &mut st.cores[0];
+            c.wsig.insert(X);
+            c.ot = Some(ot);
+            st.mark_ot_present(0);
+            st
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: OT entry LineAddr(64) missing from Osig")]
+        fn entry_outside_osig() {
+            overflowed(|ot| ot.osig.clear()).check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: committed OT still holds 1 entries")]
+        fn committed_with_entries() {
+            overflowed(|ot| ot.committed = true).check_invariants();
+        }
+
+        #[test]
+        #[should_panic(expected = "core 0: OT peak 0 below current population 1")]
+        fn peak_below_population() {
+            overflowed(|ot| ot.peak = 0).check_invariants();
+        }
+    }
 }

@@ -356,3 +356,34 @@ impl SimState {
         latency
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::config::MachineConfig;
+    use crate::machine::SimState;
+    use crate::mem::Addr;
+    use crate::proto::AccessKind;
+
+    const A: u64 = 0x1000;
+
+    /// The invariant sweep's kill list for directory coverage: one
+    /// directory bit dropped under a resident copy.
+    #[test]
+    #[should_panic(expected = "line LineAddr(64): core 0 holds M but is not a directory owner")]
+    fn owner_bit_dropped() {
+        let mut st = SimState::for_tests(MachineConfig::small_test());
+        st.access(0, Addr::new(A), AccessKind::Store, 1);
+        st.l2.dir_mut(Addr::new(A).line()).owners.remove(0);
+        st.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "line LineAddr(64): core 1 holds S but is not a directory sharer")]
+    fn sharer_bit_dropped() {
+        let mut st = SimState::for_tests(MachineConfig::small_test());
+        st.access(0, Addr::new(A), AccessKind::Load, 0);
+        st.access(1, Addr::new(A), AccessKind::Load, 0);
+        st.l2.dir_mut(Addr::new(A).line()).sharers.remove(1);
+        st.check_invariants();
+    }
+}

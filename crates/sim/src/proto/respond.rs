@@ -240,3 +240,29 @@ impl SimState {
         self.config.l2_round_trip() + forward
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::cache::L1State;
+    use crate::config::MachineConfig;
+    use crate::machine::SimState;
+    use crate::mem::{Addr, WORDS_PER_LINE};
+    use crate::proto::AccessKind;
+
+    /// The invariant sweep's kill list for TI legality: core 0 holds a
+    /// TI snapshot (covered by its `Rsig`, with its data buffer) that
+    /// nothing justifies — no remote threat, no R-W record, no
+    /// summaries.
+    #[test]
+    #[should_panic(expected = "core 0: TI line LineAddr(64) with no remote threat")]
+    fn ti_snapshot_nothing_justifies() {
+        let mut st = SimState::for_tests(MachineConfig::small_test());
+        let line = Addr::new(0x1000).line();
+        st.access(0, Addr::new(0x1000), AccessKind::TLoad, 0);
+        let l1 = &mut st.cores[0].l1;
+        let s = l1.peek_slot(line).unwrap();
+        l1.set_state(s, L1State::Ti);
+        l1.put_data(s, Box::new([0; WORDS_PER_LINE]));
+        st.check_invariants();
+    }
+}
