@@ -23,7 +23,8 @@
 //! tooling can regroup mixed result streams without re-parsing argv.
 //! An exhaustive run also reports `peak_frontier_mib`: the most memory
 //! its kept states and op paths pinned at any level barrier
-//! (`ExploreOutcome::peak_frontier_bytes`).
+//! (`ExploreOutcome::peak_frontier_bytes`), and `sweeps`: the
+//! invariant sweeps it ran (`ExploreOutcome::sweeps`).
 
 use flextm_check::config::{CORES, MAX_LINES};
 use flextm_check::{explore_jobs, random_walk, Alphabet, CheckConfig, Progress};
@@ -216,7 +217,7 @@ fn main() {
                 println!(
                     "{{\"bench\": \"proto_check\", {params}, \
                      \"depth\": {}, \"jobs\": {}, \"states\": {}, \"transitions\": {}, \
-                     \"max_depth\": {}, \"truncated\": {}, \"wall_s\": {wall:.3}, \
+                     \"max_depth\": {}, \"truncated\": {}, \"sweeps\": {}, \"wall_s\": {wall:.3}, \
                      \"transitions_per_s\": {:.0}, \"peak_frontier_mib\": {:.1}, \
                      \"violations\": 0}}",
                     a.depth.map_or(-1i64, |d| d as i64),
@@ -225,6 +226,7 @@ fn main() {
                     out.transitions,
                     out.max_depth,
                     out.depth_truncated,
+                    out.sweeps,
                     out.transitions as f64 / wall.max(1e-9),
                     out.peak_frontier_bytes as f64 / (1u64 << 20) as f64,
                 )

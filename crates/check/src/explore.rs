@@ -53,6 +53,12 @@ pub struct ExploreOutcome {
     pub states: u64,
     /// Transitions executed.
     pub transitions: u64,
+    /// Invariant sweeps the exploration ran
+    /// ([`flextm_sim::SimState::sweeps`], summed over every state the
+    /// explorer applied an op to or quiesced). Exact for one worker;
+    /// with more, which same-level path first claims a state decides
+    /// which ops its expansion replays, so the count can move slightly.
+    pub sweeps: u64,
     /// Deepest node expanded.
     pub max_depth: usize,
     /// Nodes left unexpanded because of the depth bound (0 means the

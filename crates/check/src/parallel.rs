@@ -146,6 +146,7 @@ struct Node {
 struct WorkerOut {
     next: Vec<Node>,
     transitions: u64,
+    sweeps: u64,
     violations: Vec<(Vec<Op>, String)>,
 }
 
@@ -161,6 +162,17 @@ struct Scratch {
     base_rec: Option<Snapshot>,
     /// A claimed child at a snapshot level, before a clone is kept.
     kept_rec: Option<Snapshot>,
+}
+
+impl Scratch {
+    /// The invariant sweeps the scratch drivers have run.
+    fn sweeps(&self) -> u64 {
+        [&self.base, &self.child]
+            .into_iter()
+            .flatten()
+            .map(|d| d.st.sweeps())
+            .sum()
+    }
 }
 
 /// Makes `slot` hold the state `rec` records: in place when it holds a
@@ -256,7 +268,7 @@ fn expand(
                 out.next.push(node);
             }
             Err(e) => {
-                *child_slot = None;
+                out.sweeps += child_slot.take().map_or(0, |d| d.st.sweeps());
                 out.violations
                     .push((extended(&node.path, op), panic_message(e)));
             }
@@ -307,6 +319,7 @@ pub fn explore_jobs(
     let mut level_depth = 0usize;
 
     let mut transitions = 0u64;
+    let mut sweeps = root.st.sweeps();
     let mut max_depth = 0usize;
     let mut peak_frontier_bytes = frontier_bytes([&level, &[]]);
 
@@ -318,6 +331,7 @@ pub fn explore_jobs(
             return ExploreOutcome {
                 states: visited.len(),
                 transitions,
+                sweeps,
                 max_depth,
                 depth_truncated: level.len() as u64,
                 violation: None,
@@ -338,6 +352,7 @@ pub fn explore_jobs(
                             let Some(node) = level.get(i) else { break };
                             expand(level_depth, node, &visited, &mut scratch, &mut out);
                         }
+                        out.sweeps += scratch.sweeps();
                         out
                     })
                 })
@@ -355,6 +370,7 @@ pub fn explore_jobs(
         let mut violations: Vec<(Vec<Op>, String)> = Vec::new();
         for mut out in outs {
             transitions += out.transitions;
+            sweeps += out.sweeps;
             next.append(&mut out.next);
             violations.append(&mut out.violations);
         }
@@ -365,6 +381,7 @@ pub fn explore_jobs(
             return ExploreOutcome {
                 states: visited.len(),
                 transitions,
+                sweeps,
                 max_depth,
                 depth_truncated: 0,
                 violation: Some(Violation { path, message }),
@@ -387,6 +404,7 @@ pub fn explore_jobs(
     ExploreOutcome {
         states: visited.len(),
         transitions,
+        sweeps,
         max_depth,
         depth_truncated: 0,
         violation: None,
@@ -409,6 +427,8 @@ mod tests {
         let cfg = CheckConfig::new(2, 1);
         let serial = explore_jobs(&cfg, None, 1, None);
         assert!(serial.violation.is_none());
+        // Every transition ends in at least the quiescence sweep.
+        assert!(serial.sweeps >= serial.transitions);
         let par = explore_jobs(&cfg, None, 3, None);
         assert!(par.violation.is_none());
         assert_eq!(

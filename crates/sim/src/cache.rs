@@ -27,6 +27,12 @@
 //! elsewhere), so a 128-bit summary of its residents kept inline
 //! answers most of them without reading it.
 //!
+//! Walks: the invariant sweep ([`L1Cache::check_lines`]) and
+//! [`L1Cache::iter_all`] find the residents eight ways at a time — one
+//! AND of eight tags proves them all vacant, which in a cache holding a
+//! handful of lines is nearly every group — and the sweep tests the
+//! data plane's vacant ways with one count, not a branch per way.
+//!
 //! First touch: a new cache owns no plane at all. The four `Vec`s stay
 //! empty until the first fill allocates them at `sets × ways`, so a
 //! core that never misses — every undriven core of a wide model-checker
@@ -1014,12 +1020,9 @@ impl L1Cache {
     /// Iterates over every resident line's metadata (main array +
     /// victim buffer), by value.
     pub fn iter_all(&self) -> impl Iterator<Item = LineView> + '_ {
-        self.tags
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t != EMPTY_TAG)
-            .map(|(i, &t)| LineView {
-                line: LineAddr(t),
+        self.resident_ways()
+            .map(|i| LineView {
+                line: LineAddr(self.tags[i]),
                 state: decode_state(self.meta[i]),
                 a_bit: self.meta[i] & A_FLAG != 0,
             })
@@ -1028,6 +1031,21 @@ impl L1Cache {
                 state: e.state,
                 a_bit: e.a_bit,
             }))
+    }
+
+    /// The main array's resident ways, ascending. Eight ways at a time:
+    /// one AND of their tags proves a run of vacant ways — nearly all of
+    /// them, in a cache that holds a few lines — without a branch per
+    /// way.
+    fn resident_ways(&self) -> impl Iterator<Item = usize> + '_ {
+        let (chunks, rest) = self.tags.as_chunks::<8>();
+        chunks
+            .iter()
+            .enumerate()
+            .filter(|(_, tags)| tags.iter().fold(EMPTY_TAG, |all, &t| all & t) != EMPTY_TAG)
+            .flat_map(|(c, _)| c * 8..c * 8 + 8)
+            .chain(self.tags.len() - rest.len()..self.tags.len())
+            .filter(|&i| self.tags[i] != EMPTY_TAG)
     }
 
     /// The victim buffer's residents, for tests that must know a line
@@ -1051,18 +1069,13 @@ impl L1Cache {
         self.len() == 0
     }
 
-    /// Cache-internal invariants for the processor `me` that owns this
-    /// L1: a line is resident at most once (main array + victim buffer
-    /// form one cache) and, in the main array, only in its home set; a
-    /// private data buffer exists iff the line is in
-    /// a PDI state (TMI holds speculative values, TI a pre-transaction
-    /// snapshot; everything else reads through simulated memory), the
-    /// data plane carries nothing for vacant ways, and the victim
-    /// buffer respects its capacity (modulo the §7.3 unbounded-TMI
-    /// ablation, where only non-speculative residents count). The four
-    /// planes are all unmaterialised or all `sets × ways` long, and
-    /// `victim_set` is exactly the fold of the victim residents — a
-    /// stray clear bit would hide a resident line from every lookup.
+    /// Cache-wide invariants for the processor `me` that owns this L1:
+    /// the four planes are all unmaterialised or all `sets × ways`
+    /// long, `victim_set` is exactly the fold of the victim residents —
+    /// a stray clear bit would hide a resident line from every lookup —
+    /// and the victim buffer respects its capacity (modulo the §7.3
+    /// unbounded-TMI ablation, where only non-speculative residents
+    /// count). The per-line invariants are [`L1Cache::check_lines`]'s.
     pub fn check_invariants(&self, me: usize) {
         let n = self.tags.len();
         let all_ways = self.nsets as usize * self.ways as usize;
@@ -1081,52 +1094,6 @@ impl L1Cache {
             "core {me}: victim set is not the fold of the {} victim residents",
             self.victim.len()
         );
-        for i in 0..self.tags.len() {
-            if self.tags[i] == EMPTY_TAG {
-                assert!(
-                    self.data[i].is_none(),
-                    "core {me}: vacant way {i} holds a data buffer"
-                );
-                continue;
-            }
-            let line = LineAddr(self.tags[i]);
-            // Unique residency without a set of seen lines: a line in
-            // the main array sits in its home set, so a second copy
-            // can only be an earlier way of that set — or a victim,
-            // checked against the whole array below.
-            let set = self.set_range(line);
-            assert!(
-                set.contains(&i),
-                "core {me}: line {line:?} sits in way {i}, outside its set {set:?}"
-            );
-            assert!(
-                !self.tags[set.start..i].contains(&line.index()),
-                "core {me}: line {line:?} resident twice in L1"
-            );
-            let state = decode_state(self.meta[i]);
-            assert_eq!(
-                self.data[i].is_some(),
-                state.is_speculative(),
-                "core {me}: line {line:?} in {state:?} has data buffer: {}",
-                self.data[i].is_some()
-            );
-        }
-        for (pos, e) in self.victim.iter().enumerate() {
-            assert!(
-                self.find_main(e.line).is_none()
-                    && self.victim[..pos].iter().all(|v| v.line != e.line),
-                "core {me}: line {:?} resident twice in L1",
-                e.line
-            );
-            assert_eq!(
-                e.data.is_some(),
-                e.state.is_speculative(),
-                "core {me}: line {:?} in {:?} has data buffer: {}",
-                e.line,
-                e.state,
-                e.data.is_some()
-            );
-        }
         if self.unbounded_tmi {
             let non_tmi = self
                 .victim
@@ -1144,6 +1111,92 @@ impl L1Cache {
                 "core {me}: victim buffer holds {} entries, cap {}",
                 self.victim.len(),
                 self.victim_cap
+            );
+        }
+    }
+
+    /// Per-line invariants for the processor `me`, in one walk of the
+    /// planes that hands each resident line to `each` once its own
+    /// checks pass — main array in way order, then the victim buffer.
+    /// A line is resident at most once (main array + victim buffer form
+    /// one cache) and, in the main array, only in its home set; a
+    /// private data buffer exists iff the line is in a PDI state (TMI
+    /// holds speculative values, TI a pre-transaction snapshot;
+    /// everything else reads through simulated memory), and the data
+    /// plane carries nothing for vacant ways. Vacant ways cost their
+    /// share of one AND per eight tags and of one count over the data
+    /// plane; the way at fault is looked for only once the count says
+    /// there is one. Assumes [`L1Cache::check_invariants`] passed (the
+    /// planes are even).
+    pub fn check_lines(&self, me: usize, mut each: impl FnMut(LineView)) {
+        // Data buffers the resident ways hold: any other buffer in the
+        // data plane sits in a vacant way.
+        let mut held = 0;
+        for i in self.resident_ways() {
+            // Unique residency without a set of seen lines: a line in
+            // the main array sits in its home set, so a second copy
+            // can only be an earlier way of that set — or a victim,
+            // checked against the whole array below.
+            let tag = self.tags[i];
+            let line = LineAddr(tag);
+            let set = self.set_range(line);
+            assert!(
+                set.contains(&i),
+                "core {me}: line {line:?} sits in way {i}, outside its set {set:?}"
+            );
+            assert!(
+                !self.tags[set.start..i].contains(&tag),
+                "core {me}: line {line:?} resident twice in L1"
+            );
+            let state = decode_state(self.meta[i]);
+            let has_data = self.data[i].is_some();
+            assert_eq!(
+                has_data,
+                state.is_speculative(),
+                "core {me}: line {line:?} in {state:?} has data buffer: {has_data}"
+            );
+            held += usize::from(has_data);
+            each(LineView {
+                line,
+                state,
+                a_bit: self.meta[i] & A_FLAG != 0,
+            });
+        }
+        if self.data.iter().filter(|d| d.is_some()).count() != held {
+            self.name_vacant_way_with_data(me);
+        }
+        for (pos, e) in self.victim.iter().enumerate() {
+            assert!(
+                self.find_main(e.line).is_none()
+                    && self.victim[..pos].iter().all(|v| v.line != e.line),
+                "core {me}: line {:?} resident twice in L1",
+                e.line
+            );
+            assert_eq!(
+                e.data.is_some(),
+                e.state.is_speculative(),
+                "core {me}: line {:?} in {:?} has data buffer: {}",
+                e.line,
+                e.state,
+                e.data.is_some()
+            );
+            each(LineView {
+                line: e.line,
+                state: e.state,
+                a_bit: e.a_bit,
+            });
+        }
+    }
+
+    /// The failure path of [`L1Cache::check_lines`]' vacant-way test:
+    /// panics naming the first vacant way that holds a data buffer.
+    #[cold]
+    #[inline(never)]
+    fn name_vacant_way_with_data(&self, me: usize) {
+        for (i, (&tag, d)) in self.tags.iter().zip(&self.data).enumerate() {
+            assert!(
+                tag != EMPTY_TAG || d.is_none(),
+                "core {me}: vacant way {i} holds a data buffer"
             );
         }
     }

@@ -1,7 +1,13 @@
 //! Per-processor hardware state: L1 + signatures + CSTs + AOU + OT
 //! controller registers (the dark-lined boxes of paper Fig. 2).
+//!
+//! The invariant sweep checks a core in two halves: what needs no walk
+//! of the L1 ([`CoreState::check_invariants`]), then the per-line
+//! properties inside the L1's one walk ([`CoreState::check_lines`]),
+//! which hands each resident line on to the machine's cross-core
+//! checks.
 
-use crate::cache::{L1Cache, L1Record};
+use crate::cache::{L1Cache, L1Record, LineView};
 use crate::config::MachineConfig;
 use crate::cst::CstSet;
 use crate::mem::Addr;
@@ -261,14 +267,13 @@ impl CoreState {
         !self.rsig.is_empty() || !self.wsig.is_empty()
     }
 
-    /// Per-processor invariants: signature conservativeness (every
-    /// speculative line is covered by the matching signature, paper
-    /// §3.3), OT/cache/CST well-formedness, and AOU consistency. Called
-    /// after every protocol transition by
-    /// [`crate::SimState::check_invariants`].
+    /// Per-processor invariants that need no walk of the L1: the
+    /// cache-wide ones, CST well-formedness, and OT well-formedness
+    /// with every overflowed speculative write still covered by the
+    /// `Wsig` (signature conservativeness, paper §3.3). The per-line
+    /// half is [`CoreState::check_lines`]; both are called after every
+    /// protocol transition by [`crate::SimState::check_invariants`].
     pub fn check_invariants(&self, me: usize, ncores: usize) {
-        use crate::cache::L1State;
-
         self.l1.check_invariants(me);
         self.csts.check_invariants(me, ncores);
         if let Some(ot) = &self.ot {
@@ -284,7 +289,17 @@ impl CoreState {
                 }
             }
         }
-        for e in self.l1.iter_all() {
+    }
+
+    /// Per-line invariants, in the L1's one walk
+    /// ([`L1Cache::check_lines`]): every speculative line is covered by
+    /// the matching signature (§3.3) and an A bit marks the ALoaded
+    /// line. Each resident line goes on to `each` once its checks pass.
+    /// Ends with the CST/footprint agreement.
+    pub fn check_lines(&self, me: usize, mut each: impl FnMut(LineView)) {
+        use crate::cache::L1State;
+
+        self.l1.check_lines(me, |e| {
             match e.state {
                 L1State::Tmi => assert!(
                     self.wsig.contains(e.line),
@@ -309,7 +324,8 @@ impl CoreState {
                     self.aloaded
                 );
             }
-        }
+            each(e);
+        });
         // A conflict is only recorded for transactional footprints; a
         // core with clear signatures has nothing for CSTs to summarize.
         if !self.csts.is_clear() {

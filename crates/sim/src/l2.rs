@@ -150,6 +150,11 @@ impl L2 {
         self.dir.get(line).copied().unwrap_or_default()
     }
 
+    /// The directory's (possibly stale) info for `line`, if it has any.
+    pub(crate) fn dir_info(&self, line: LineAddr) -> Option<DirEntry> {
+        self.dir.get(line).copied()
+    }
+
     /// True if the directory currently has (possibly stale) info for
     /// `line` — i.e. no signature-based recreation is needed.
     pub fn has_dir_info(&self, line: LineAddr) -> bool {

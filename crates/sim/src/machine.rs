@@ -65,6 +65,7 @@
 //! borrow panic rather than alias. The only `unsafe` left is the
 //! context switch itself and the hand-off of each fiber's job pointer.
 
+use crate::cache::{L1State, LineView};
 use crate::config::ConfigError;
 use crate::config::MachineConfig;
 use crate::core_state::{Cores, CoresRecord};
@@ -109,7 +110,7 @@ const _: fn() = || {
 /// ([`SimState::record`], [`SimState::restore`]): the touched cores and
 /// their scheduler lanes, the L2's occupied slots, the live directory
 /// entries, memory's non-zero words, the activity masks — not the
-/// configuration nor the invariant switch, so a record restores only
+/// configuration, the invariant switch nor its sweep count, so a record restores only
 /// onto a state of its configuration. A clone is exact-size.
 #[derive(Debug, Clone, Default)]
 pub struct SimRecord {
@@ -174,6 +175,9 @@ pub struct SimState {
     /// so the unit suites and the model checker sweep invariants after
     /// every step.
     check_every_op: bool,
+    /// Invariant sweeps run on this state ([`SimState::sweeps`]). A
+    /// host-side count, not machine state: records do not keep it.
+    sweeps: Cell<u64>,
 }
 
 impl SimState {
@@ -195,6 +199,7 @@ impl SimState {
             ot_present: ProcSet::empty(),
             commit_scratch: Vec::new(),
             check_every_op: false,
+            sweeps: Cell::new(0),
         }
     }
 
@@ -262,6 +267,12 @@ impl SimState {
     /// checker leaves them on; throughput comparisons turn them off).
     pub fn set_check_every_op(&mut self, on: bool) {
         self.check_every_op = on;
+    }
+
+    /// Invariant sweeps ([`SimState::check_invariants`]) this state
+    /// has run since it was built; a restore leaves the count as it is.
+    pub fn sweeps(&self) -> u64 {
+        self.sweeps.get()
     }
 
     /// Runs the full invariant sweep if per-transition checking is
@@ -348,6 +359,8 @@ impl SimState {
             commit_scratch: _,
             // A switch, not state: a restored state keeps its own.
             check_every_op: _,
+            // A host-side count; a restored state keeps counting.
+            sweeps: _,
         } = self;
         cores.record(&mut rec.cores);
         rec.lanes.clear();
@@ -400,9 +413,15 @@ impl SimState {
     /// and holds nothing a cross-core one could see. Debug builds
     /// check that first, naming any core that left its initial state
     /// unmarked.
+    ///
+    /// Two passes. The first runs every per-core check that needs no
+    /// walk of the L1. The second walks each L1 once
+    /// ([`crate::CoreState::check_lines`]) and judges each resident line at
+    /// its lowest-numbered holder, from one snoop of every other
+    /// touched core (`SimState::check_line`): no cross-core judgement
+    /// reads a core whose cache-wide, CST or OT state is unchecked.
     pub fn check_invariants(&self) {
-        use crate::cache::L1State;
-
+        self.sweeps.set(self.sweeps.get() + 1);
         let ncores = self.config.cores;
         let touched = self.cores.touched();
         if cfg!(debug_assertions) {
@@ -455,53 +474,75 @@ impl SimState {
                 "core {i}: abort causes do not sum to tx_aborts + failed_commits"
             );
         }
-
-        // Cross-core sweep over every resident line, each visited once,
-        // at its lowest-numbered holder — no list of lines is built.
-        for (first, line) in touched
-            .iter()
-            .flat_map(|i| self.cores[i].l1.iter_all().map(move |e| (i, e.line)))
-        {
-            if touched
-                .iter()
-                .take_while(|&j| j < first)
-                .any(|j| self.cores[j].l1.peek(line).is_some())
-            {
-                continue;
-            }
-            let mut exclusive_holders = ProcSet::empty();
-            let mut shared_holders = ProcSet::empty();
-            for i in touched.iter_from(first) {
-                let Some(e) = self.cores[i].l1.peek(line) else {
-                    continue;
-                };
-                match e.state {
-                    L1State::M | L1State::E => exclusive_holders.insert(i),
-                    L1State::S => shared_holders.insert(i),
-                    L1State::Tmi | L1State::Ti => {}
-                }
-            }
-            // SWMR modulo TMI: conventional ownership stays singular.
-            // Any number of TMI owners may coexist with it — a doomed
-            // speculative writer legitimately persists past the point
-            // where a conventional owner (or a committed rival's M
-            // line) appears; its CSTs guarantee it can never commit.
-            assert!(
-                exclusive_holders.count() <= 1,
-                "line {line:?}: multiple M/E holders {exclusive_holders:?}"
-            );
-            assert!(
-                exclusive_holders.is_empty() || shared_holders.is_empty(),
-                "line {line:?}: M/E holder {exclusive_holders:?} coexists \
-                 with sharers {shared_holders:?}"
-            );
-
-            // TI legality lives next to the threat test it mirrors;
-            // directory coverage next to the handlers that maintain
-            // the bits.
-            self.check_threat_invariants(line, touched);
-            self.check_directory_invariants(line, touched);
+        for i in touched {
+            self.cores[i].check_lines(i, |e| self.check_line(i, e, touched));
         }
+    }
+
+    /// The cross-core checks of one resident line, which `first` holds
+    /// as `e`: gathers the line's holders with one snoop of every other
+    /// touched core, and judges the line only at its lowest-numbered
+    /// holder, so each line is judged once and no list of lines is
+    /// built.
+    fn check_line(&self, first: usize, e: LineView, touched: ProcSet) {
+        let line = e.line;
+        let mut holders = Holders::default();
+        holders.add(first, e.state);
+        for j in touched.without(first) {
+            let Some(h) = self.cores[j].l1.peek(line) else {
+                continue;
+            };
+            if j < first {
+                return;
+            }
+            holders.add(j, h.state);
+        }
+        // SWMR modulo TMI: conventional ownership stays singular. Any
+        // number of TMI owners may coexist with it — a doomed
+        // speculative writer legitimately persists past the point
+        // where a conventional owner (or a committed rival's M line)
+        // appears; its CSTs guarantee it can never commit.
+        let (exclusive_holders, shared_holders) = (holders.exclusive, holders.shared);
+        assert!(
+            exclusive_holders.count() <= 1,
+            "line {line:?}: multiple M/E holders {exclusive_holders:?}"
+        );
+        assert!(
+            exclusive_holders.is_empty() || shared_holders.is_empty(),
+            "line {line:?}: M/E holder {exclusive_holders:?} coexists \
+             with sharers {shared_holders:?}"
+        );
+
+        // TI legality lives next to the threat test it mirrors;
+        // directory coverage next to the handlers that maintain the
+        // bits.
+        self.check_threat_invariants(line, &holders, touched);
+        self.check_directory_invariants(line, &holders);
+    }
+}
+
+/// The touched cores that hold one line, by state: what the invariant
+/// sweep's one snoop per core gathers, and what each of its cross-core
+/// checks judges.
+#[derive(Default)]
+pub(crate) struct Holders {
+    /// M or E holders.
+    pub(crate) exclusive: ProcSet,
+    /// S holders.
+    pub(crate) shared: ProcSet,
+    pub(crate) tmi: ProcSet,
+    pub(crate) ti: ProcSet,
+}
+
+impl Holders {
+    fn add(&mut self, core: usize, state: L1State) {
+        match state {
+            L1State::M | L1State::E => &mut self.exclusive,
+            L1State::S => &mut self.shared,
+            L1State::Tmi => &mut self.tmi,
+            L1State::Ti => &mut self.ti,
+        }
+        .insert(core);
     }
 }
 

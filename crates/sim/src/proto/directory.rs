@@ -6,9 +6,9 @@ use super::msg::{AccessKind, AccessResult, Conflict, ConflictKind};
 use super::respond::Edge;
 use crate::cache::L1State;
 use crate::cst::{procs_in_mask, CstKind};
-use crate::machine::SimState;
+use crate::machine::{Holders, SimState};
 use crate::mem::Addr;
-use flextm_sig::{LineAddr, ProcSet, SigKey};
+use flextm_sig::{LineAddr, SigKey};
 
 impl SimState {
     /// Rebuilds a directory entry by querying every L1's signatures and
@@ -51,34 +51,37 @@ impl SimState {
     /// for `line`, L1 residency implies the matching over-approximate
     /// directory bit — M/E/TMI holders appear as owners, S/TI holders
     /// as sharers. The reverse is deliberately unchecked: stale bits
-    /// are the design (§4.1). Reads tags directly, not through the
-    /// handlers' snoop: this is the reference they are held against.
-    /// Only the `touched` cores can hold the line.
-    pub(crate) fn check_directory_invariants(&self, line: LineAddr, touched: ProcSet) {
-        if !self.l2.has_dir_info(line) {
+    /// are the design (§4.1). Judged from the sweep's gathered
+    /// `holders`, which read tags directly, not through the handlers'
+    /// snoop: this is the reference they are held against. The
+    /// lowest-numbered holder the directory misses is named.
+    pub(crate) fn check_directory_invariants(&self, line: LineAddr, holders: &Holders) {
+        let Some(dir) = self.l2.dir_info(line) else {
             return;
-        }
-        let dir = self.l2.dir(line);
-        for i in touched {
-            let Some(e) = self.cores[i].l1.peek(line) else {
-                continue;
-            };
-            match e.state {
-                L1State::M | L1State::E | L1State::Tmi => assert!(
-                    dir.owners.contains(i),
-                    "line {line:?}: core {i} holds {:?} but is not a \
-                     directory owner ({:?})",
-                    e.state,
-                    dir.owners
-                ),
-                L1State::S | L1State::Ti => assert!(
-                    dir.sharers.contains(i),
-                    "line {line:?}: core {i} holds {:?} but is not a \
-                     directory sharer ({:?})",
-                    e.state,
-                    dir.sharers
-                ),
-            }
+        };
+        let unlisted = (holders.exclusive | holders.tmi).minus(dir.owners)
+            | (holders.shared | holders.ti).minus(dir.sharers);
+        let Some(i) = unlisted.iter().next() else {
+            return;
+        };
+        let state = self.cores[i]
+            .l1
+            .peek(line)
+            .expect("a gathered holder")
+            .state;
+        match state {
+            L1State::M | L1State::E | L1State::Tmi => assert!(
+                dir.owners.contains(i),
+                "line {line:?}: core {i} holds {state:?} but is not a \
+                 directory owner ({:?})",
+                dir.owners
+            ),
+            L1State::S | L1State::Ti => assert!(
+                dir.sharers.contains(i),
+                "line {line:?}: core {i} holds {state:?} but is not a \
+                 directory sharer ({:?})",
+                dir.sharers
+            ),
         }
     }
 

@@ -321,6 +321,26 @@ impl SimState {
         result
     }
 
+    /// The L2 tag reference every directory access starts with; a
+    /// miss costs memory and may require directory recreation from L1
+    /// signatures (§4.1 sticky-style). Returns the latency beyond the
+    /// L2 round trip.
+    #[inline]
+    pub(super) fn reference_l2(&mut self, me: usize, line: LineAddr, key: SigKey) -> u64 {
+        if self.l2.reference(line) == crate::l2::L2Ref::Hit {
+            return 0;
+        }
+        self.cores.unmarked(me).stats.l2_misses += 1;
+        let mut latency = self.config.mem_latency;
+        if !self.l2.has_dir_info(line) {
+            latency += self.config.forward_penalty();
+            let entry = self.recreate_dir(key);
+            self.l2.install_dir(line, entry);
+            self.log.push(Event::DirRecreated { line });
+        }
+        latency
+    }
+
     /// The directory request machinery shared by misses and upgrades.
     /// Returns the latency of the request (beyond the L1 probe).
     ///
@@ -338,20 +358,7 @@ impl SimState {
         result: &mut AccessResult,
     ) -> u64 {
         let line = addr.line();
-        let mut latency = self.config.l2_round_trip();
-
-        // L2 tag reference; a miss costs memory and may require
-        // directory recreation from L1 signatures (§4.1 sticky-style).
-        if self.l2.reference(line) == crate::l2::L2Ref::Miss {
-            self.cores.unmarked(me).stats.l2_misses += 1;
-            latency += self.config.mem_latency;
-            if !self.l2.has_dir_info(line) {
-                latency += self.config.forward_penalty();
-                let entry = self.recreate_dir(key);
-                self.l2.install_dir(line, entry);
-                self.log.push(Event::DirRecreated { line });
-            }
-        }
+        let mut latency = self.config.l2_round_trip() + self.reference_l2(me, line, key);
 
         // Summary-signature check for descheduled transactions (§5).
         // Skipped entirely while nothing is descheduled — the common

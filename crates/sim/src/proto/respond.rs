@@ -7,7 +7,7 @@ use super::msg::{AccessResult, Conflict, ConflictKind};
 use crate::cache::{L1Slot, L1State};
 use crate::core_state::AlertCause;
 use crate::cst::{procs_in_mask, CstKind};
-use crate::machine::SimState;
+use crate::machine::{Holders, SimState};
 use crate::mem::Addr;
 use crate::ot::OverflowTable;
 use crate::stats::{AbortCause, Event};
@@ -88,26 +88,26 @@ impl SimState {
     /// `line` exists only while some remote core still threatens it, or
     /// while the reader's own R-W CST records the (possibly already
     /// settled) conflict that justified it, or while summary signatures
-    /// blur the picture (§5). Only the `touched` cores can hold a
-    /// snapshot or a threat.
-    pub(crate) fn check_threat_invariants(&self, line: LineAddr, touched: ProcSet) {
-        for i in touched {
-            let core = &self.cores[i];
-            if core.l1.peek(line).is_none_or(|e| e.state != L1State::Ti) {
-                continue;
-            }
-            let threatened = touched.iter().any(|j| {
-                let rc = &self.cores[j];
-                j != i
-                    && (rc.l1.peek(line).is_some_and(|e| e.state == L1State::Tmi)
-                        || rc.wsig.contains(line)
+    /// blur the picture (§5). Judged from the sweep's gathered
+    /// `holders`; only the `touched` cores can hold a threat.
+    pub(crate) fn check_threat_invariants(
+        &self,
+        line: LineAddr,
+        holders: &Holders,
+        touched: ProcSet,
+    ) {
+        for i in holders.ti {
+            let threatened = !holders.tmi.without(i).is_empty()
+                || touched.without(i).iter().any(|j| {
+                    let rc = &self.cores[j];
+                    rc.wsig.contains(line)
                         || rc
                             .ot
                             .as_ref()
-                            .is_some_and(|ot| !ot.is_committed() && ot.maybe_contains(line)))
-            });
+                            .is_some_and(|ot| !ot.is_committed() && ot.maybe_contains(line))
+                });
             assert!(
-                threatened || core.csts.read(CstKind::RW) != 0 || self.l2.any_summary(),
+                threatened || self.cores[i].csts.read(CstKind::RW) != 0 || self.l2.any_summary(),
                 "core {i}: TI line {line:?} with no remote threat, no R-W \
                  record, and no summaries"
             );
@@ -225,11 +225,15 @@ impl SimState {
     /// Plain store hitting the local TMI copy: sweep remote
     /// transactional readers/writers (strong isolation) through the
     /// directory, then update both the speculative and committed views.
+    /// The directory is reached as a request reaches it, so an entry an
+    /// L2 eviction dropped is rebuilt before the sweep reads it.
     pub(super) fn escape_store_tmi(&mut self, me: usize, addr: Addr, store_val: u64) -> u64 {
         let line = addr.line();
+        let key = self.sig_key(line);
+        let l2 = self.reference_l2(me, line, key);
         let dir = self.l2.dir(line);
         let sweep = (dir.owners | dir.sharers).without(me);
-        let forward = self.nontx_write_sweep(me, line, self.sig_key(line), sweep);
+        let forward = self.nontx_write_sweep(me, line, key, sweep);
         let s = self.cores[me].l1.peek_slot(line).expect("TMI hit");
         self.cores
             .unmarked(me)
@@ -237,7 +241,7 @@ impl SimState {
             .data_mut(s)
             .expect("TMI carries data")[addr.word_in_line()] = store_val;
         self.mem.write(addr, store_val);
-        self.config.l2_round_trip() + forward
+        self.config.l2_round_trip() + l2 + forward
     }
 }
 

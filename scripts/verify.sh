@@ -46,7 +46,8 @@
 # Every step's wall clock is printed as a table at the end (the "time
 # to run scripts/verify.sh" number of ROADMAP aim 1; a recorded table
 # is in EXPERIMENTS.md), the proto_check exploration steps with their
-# transitions per second and peak frontier memory beside it.
+# transitions per second, invariant sweeps per transition and peak
+# frontier memory beside it.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -56,6 +57,7 @@ now_us() { echo "${EPOCHREALTIME/[.,]/}"; }
 step_labels=()
 step_walls=()
 step_rates=()
+step_sweeps=()
 step_frontiers=()
 step() {
     # $1: label. Prints the banner and starts the step's clock, closing
@@ -77,10 +79,16 @@ rate_of() {
 frontier_of() {
     echo "$1" | sed 's/.*"peak_frontier_mib": \([0-9.]*\).*/\1/'
 }
+sweeps_per_transition_of() {
+    echo "$1" | sed 's/.*"transitions": \([0-9]*\).*"sweeps": \([0-9]*\).*/\2 \1/' |
+        awk '{ printf "%.2f", $1 / $2 }'
+}
 step_rate() {
-    # $1: a proto_check JSON line. Records its exploration rate and
-    # peak frontier memory for the current step's row of the wall table.
+    # $1: a proto_check JSON line. Records its exploration rate,
+    # invariant sweeps per transition and peak frontier memory for the
+    # current step's row of the wall table.
     step_rates[${#step_labels[@]} - 1]="$(rate_of "$1")"
+    step_sweeps[${#step_labels[@]} - 1]="$(sweeps_per_transition_of "$1")"
     step_frontiers[${#step_labels[@]} - 1]="$(frontier_of "$1")"
 }
 wall_table() {
@@ -88,7 +96,7 @@ wall_table() {
     for i in "${!step_walls[@]}"; do
         total=$((total + step_walls[i]))
         printf 'wall: %7.2f s  %s%s\n' "$((step_walls[i] / 10000))e-2" "${step_labels[$i]}" \
-            "${step_rates[$i]:+ [${step_rates[$i]} transitions/s, peak frontier ${step_frontiers[$i]} MiB]}"
+            "${step_rates[$i]:+ [${step_rates[$i]} transitions/s, ${step_sweeps[$i]} sweeps/transition, peak frontier ${step_frontiers[$i]} MiB]}"
     done
     printf 'wall: %7.2f s  total\n' "$((total / 10000))e-2"
 }
@@ -120,10 +128,10 @@ graph_of() {
     # Graph shape only: states/transitions/depth/violations — the
     # leading strip drops the parameter echo (cores/lines/wide/
     # alphabet/jobs all precede "states"), the others drop wall time,
-    # the rate derived from it, and the frontier's memory (with more
-    # than one worker, which same-level path claims a state first can
-    # move it slightly).
-    echo "$1" | sed 's/.*"states"/"states"/; s/ "wall_s": [0-9.]*,//; s/ "transitions_per_s": [0-9.]*,//; s/ "peak_frontier_mib": [0-9.]*,//'
+    # the rate derived from it, and the sweep count and frontier memory
+    # (with more than one worker, which same-level path claims a state
+    # first can move them slightly).
+    echo "$1" | sed 's/.*"states"/"states"/; s/ "sweeps": [0-9]*,//; s/ "wall_s": [0-9.]*,//; s/ "transitions_per_s": [0-9.]*,//; s/ "peak_frontier_mib": [0-9.]*,//'
 }
 
 step "proto_check parallel equality (same config, --jobs 2)"
