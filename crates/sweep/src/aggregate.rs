@@ -15,9 +15,9 @@
 //! appear — so `scripts/verify.sh` can assert that a cached re-run
 //! emits byte-identical files.
 
+use crate::cell::{cm_label, CellResult, CellSpec, Variant, WorkloadKind};
 use crate::runner::Outcome;
 use flextm::CmKind;
-use flextm_bench::{cm_label, CellResult, CellSpec, Variant, WorkloadKind};
 
 /// What a table prints: one function of a cell's result each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,8 +321,8 @@ pub fn emit_cells_json(spec_name: &str, outcomes: &[Outcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::RuntimeKind;
     use crate::spec::MatrixSpec;
-    use flextm_bench::RuntimeKind;
     use flextm_sim::SchedStats;
 
     fn outcome(cell: CellSpec, committed: u64, sim_cycles: u64) -> Outcome {

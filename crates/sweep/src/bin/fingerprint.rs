@@ -11,8 +11,11 @@
 //! event log and the per-core counters.
 //!
 //! ```text
-//! cargo run --release -p flextm-bench --bin fingerprint
+//! cargo run --release -p flextm-sweep --bin fingerprint
 //! ```
+//!
+//! It takes no arguments: any argument is bad usage, exit 2 naming it,
+//! before any run starts.
 //!
 //! Two trees implementing the same simulated machine must print the
 //! same lines; anything else is a semantic change, not a refactor.
@@ -20,8 +23,8 @@
 //! both fiber switch backends.
 
 use flextm::{FlexTm, FlexTmConfig};
-use flextm_bench::cell::{counter_digest, fnv1a, FNV_OFFSET};
 use flextm_sim::{Machine, MachineConfig};
+use flextm_sweep::cell::{counter_digest, fnv1a, FNV_OFFSET};
 use flextm_workloads::harness::{run_measured, RunConfig, Workload};
 use flextm_workloads::HashTable;
 
@@ -72,6 +75,13 @@ fn fingerprint(threads: usize, txns: u64) {
 }
 
 fn main() {
+    // The three runs are pinned; an argument would only look like it
+    // chose another one.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unexpected argument {arg}: fingerprint takes none");
+        eprintln!("usage: fingerprint");
+        std::process::exit(2);
+    }
     for (threads, txns) in [(16, 96), (16, 384), (64, 32)] {
         fingerprint(threads, txns);
     }

@@ -3,14 +3,14 @@
 //!
 //! ```text
 //! # exhaustive, to fixpoint (default 2 cores x 1 line, full alphabet)
-//! cargo run --release -p flextm-bench --bin proto_check
+//! cargo run --release -p flextm-sweep --bin proto_check
 //!
 //! # parallel bounded-depth exhaustive at 3x1
-//! cargo run --release -p flextm-bench --bin proto_check -- \
+//! cargo run --release -p flextm-sweep --bin proto_check -- \
 //!     --cores 3 --lines 1 --depth 7 --jobs 4
 //!
 //! # random walk at 8x8
-//! cargo run --release -p flextm-bench --bin proto_check -- \
+//! cargo run --release -p flextm-sweep --bin proto_check -- \
 //!     --cores 8 --lines 8 --walk --steps 200000 --seed 42
 //! ```
 //!

@@ -4,7 +4,7 @@
 //! Workers are plain scoped threads pulling from one shared queue
 //! (idle workers take the next pending cell the moment they finish, so
 //! the tail of the batch stays packed no matter how uneven the cells
-//! are). A worker calls [`flextm_bench::run_cell_timed`] directly — a
+//! are). A worker calls [`run_cell_timed`] directly — a
 //! `Machine` is built and dropped entirely on the thread that runs the
 //! cell, so no process boundary is needed to spend host cores. Each
 //! cell runs under `catch_unwind`: a panicking cell (bad width,
@@ -14,8 +14,8 @@
 //! process takes the sweep with it, exactly as it would take `cargo
 //! test` (DESIGN.md, "Sweep farm").
 
+use crate::cell::{run_cell_timed, CellResult, CellSpec};
 use crate::store::Store;
-use flextm_bench::{CellResult, CellSpec};
 use std::collections::VecDeque;
 use std::panic::catch_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -153,7 +153,7 @@ fn run_one(cell: &CellSpec, store: &Store) -> Result<(CellResult, bool), String>
     if let Some(hit) = store.lookup(cell).map_err(|e| e.to_string())? {
         return Ok((hit.result, true));
     }
-    let result = catch_cell(|| flextm_bench::run_cell_timed(cell))?;
+    let result = catch_cell(|| run_cell_timed(cell))?;
     store
         .insert(cell, &result)
         .map_err(|e| format!("storing result: {e}"))?;
@@ -190,7 +190,7 @@ mod tests {
             .unwrap()
             .expand()
             .remove(3);
-        let before = catch_cell(|| flextm_bench::run_cell_timed(&cell)).expect("cell runs");
+        let before = catch_cell(|| run_cell_timed(&cell)).expect("cell runs");
 
         let err = catch_cell(|| {
             let machine = Machine::new(MachineConfig::small_test());
@@ -208,7 +208,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, "boom at op 5");
 
-        let after = catch_cell(|| flextm_bench::run_cell_timed(&cell)).expect("cell still runs");
+        let after = catch_cell(|| run_cell_timed(&cell)).expect("cell still runs");
         assert_eq!(
             (after.committed, after.sim_cycles, &after.digest),
             (before.committed, before.sim_cycles, &before.digest),

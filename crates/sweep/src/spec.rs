@@ -11,8 +11,8 @@
 //! Fig. 5(a–d) and (e–f), and the three ablations — plus the CI smoke.
 
 use crate::aggregate::Metric;
+use crate::cell::{cm_from_label, cm_label, CellSpec, RuntimeKind, Variant, WorkloadKind};
 use flextm::CmKind;
-use flextm_bench::{cm_from_label, cm_label, CellSpec, RuntimeKind, Variant, WorkloadKind};
 use flextm_trace::json::{parse, Json};
 
 /// The top-level keys a spec document may carry.
@@ -119,7 +119,7 @@ impl MatrixSpec {
             "fig4_conflicts" => Some(MatrixSpec {
                 threads: vec![8, 16],
                 metrics: vec![ConflictsMedian, ConflictsMax],
-                ..paper(&flextm_bench::ALL_WORKLOADS, &[FlexTmLazy])
+                ..paper(&crate::cell::ALL_WORKLOADS, &[FlexTmLazy])
             }),
             "fig5_multiprog" => Some(MatrixSpec {
                 threads: vec![4, 8, 16],
@@ -523,7 +523,7 @@ mod tests {
     #[test]
     fn expand_sizes_each_workload_from_the_base_count() {
         let spec = MatrixSpec {
-            workloads: flextm_bench::ALL_WORKLOADS.to_vec(),
+            workloads: crate::cell::ALL_WORKLOADS.to_vec(),
             ..MatrixSpec::builtin("fig4_ws1").unwrap()
         };
         assert_eq!(spec.txns_per_thread, 96);

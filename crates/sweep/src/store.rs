@@ -16,9 +16,8 @@
 //! fingerprint covers both; the revision is recorded in each entry for
 //! audit.
 
+use crate::cell::{fnv1a, CellResult, CellSpec, FNV_OFFSET};
 use crate::spec::cell_from_json;
-use flextm_bench::cell::{fnv1a, FNV_OFFSET};
-use flextm_bench::{CellResult, CellSpec};
 use flextm_sim::SchedStats;
 use flextm_trace::json::{parse, Json};
 use std::fs;

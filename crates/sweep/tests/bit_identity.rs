@@ -1,6 +1,6 @@
 //! Bit-identity of the farmed path: a cell executed on a sweep worker
 //! thread must produce exactly the simulated results of
-//! `flextm_bench::run_cell` on the calling thread — every counter, the
+//! `flextm_sweep::cell::run_cell` on the calling thread — every counter, the
 //! conflict histogram and the per-core counter digest — and a store
 //! round trip must hand back the same. This is the property that lets
 //! any `--jobs` regenerate EXPERIMENTS.md without changing a single
@@ -10,7 +10,7 @@
 //! runner (worker threads, store) twice, asserting the second pass is
 //! served entirely from cache with identical results.
 
-use flextm_bench::{run_cell, CellResult, CellSpec, RuntimeKind, Variant, WorkloadKind};
+use flextm_sweep::cell::{run_cell, CellResult, CellSpec, RuntimeKind, Variant, WorkloadKind};
 use flextm_sweep::{run_sweep, MatrixSpec, RunnerConfig, Store};
 use std::path::PathBuf;
 

@@ -4,7 +4,7 @@
 //! semantic change to the cell moves the key.
 
 use flextm::CmKind;
-use flextm_bench::{CellSpec, RuntimeKind, Variant, WorkloadKind};
+use flextm_sweep::cell::{CellSpec, RuntimeKind, Variant, WorkloadKind};
 use flextm_sweep::{config_hash, MatrixSpec};
 use std::process::Command;
 

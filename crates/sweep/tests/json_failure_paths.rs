@@ -65,7 +65,7 @@ fn trace_text() -> String {
     to_jsonl(&records)
 }
 
-fn smoke_cells() -> Vec<flextm_bench::CellSpec> {
+fn smoke_cells() -> Vec<flextm_sweep::cell::CellSpec> {
     MatrixSpec::builtin("smoke2x2").unwrap().expand()
 }
 

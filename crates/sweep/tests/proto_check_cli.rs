@@ -1,7 +1,9 @@
-//! `proto_check`'s usage contract: an out-of-range configuration, an
-//! unknown flag, or a flag the chosen mode would ignore, is bad usage —
-//! exit 2 with the reason on stderr — not a panic in `CheckConfig::new`
-//! or a run that silently drops what was asked for.
+//! The gate binaries' usage contract. For `proto_check`, an
+//! out-of-range configuration, an unknown flag, or a flag the chosen
+//! mode would ignore, is bad usage — exit 2 with the reason on stderr —
+//! not a panic in `CheckConfig::new` or a run that silently drops what
+//! was asked for. `fingerprint` takes no arguments, so any argument is
+//! bad usage the same way.
 
 use std::process::{Command, Output};
 
@@ -66,5 +68,25 @@ fn an_unknown_flag_exits_2_naming_it() {
             "{flag}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{flag} ran anyway");
+    }
+}
+
+/// `fingerprint`'s three runs are pinned: an argument is named and
+/// refused before any run starts, not ignored while the pinned lines
+/// print.
+#[test]
+fn fingerprint_refuses_any_argument_naming_it() {
+    for args in [&["--threads", "8"][..], &["64"], &["--help"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fingerprint"))
+            .args(args)
+            .output()
+            .expect("fingerprint runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unexpected argument {}", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }

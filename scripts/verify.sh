@@ -114,7 +114,7 @@ step "rustfmt check"
 cargo fmt --all --check
 
 step "proto_check smoke (exhaustive 2 cores x 1 line, serial)"
-narrow_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --jobs 1)"
+narrow_json="$(cargo run -q --release -p flextm-sweep --bin proto_check -- --cores 2 --lines 1 --jobs 1)"
 echo "$narrow_json"
 step_rate "$narrow_json"
 case "$narrow_json" in
@@ -135,7 +135,7 @@ graph_of() {
 }
 
 step "proto_check parallel equality (same config, --jobs 2)"
-par_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --jobs 2)"
+par_json="$(cargo run -q --release -p flextm-sweep --bin proto_check -- --cores 2 --lines 1 --jobs 2)"
 echo "$par_json"
 step_rate "$par_json"
 if [ "$(graph_of "$narrow_json")" != "$(graph_of "$par_json")" ]; then
@@ -146,7 +146,7 @@ if [ "$(graph_of "$narrow_json")" != "$(graph_of "$par_json")" ]; then
 fi
 
 step "proto_check wide smoke (same alphabet, cores 0 and 64 of a 65-core machine)"
-wide_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 2 --lines 1 --wide --jobs 2)"
+wide_json="$(cargo run -q --release -p flextm-sweep --bin proto_check -- --cores 2 --lines 1 --wide --jobs 2)"
 echo "$wide_json"
 step_rate "$wide_json"
 narrow_graph="$(graph_of "$narrow_json")"
@@ -173,7 +173,7 @@ if awk -v r="$width_ratio" 'BEGIN { exit !(r > 3) }'; then
 fi
 
 step "proto_check 3-core fixpoint (tx alphabet; the deep-coverage gate)"
-deep_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --jobs 2 2>/dev/null)"
+deep_json="$(cargo run -q --release -p flextm-sweep --bin proto_check -- --cores 3 --lines 1 --alphabet tx --jobs 2 2>/dev/null)"
 echo "$deep_json"
 step_rate "$deep_json"
 case "$deep_json" in
@@ -194,8 +194,8 @@ if awk -v m="$deep_frontier" 'BEGIN { exit !(m > 640) }'; then
 fi
 
 step "proto_check wide 3-core bounded equality (66-core machine, depth 7)"
-n3_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --jobs 2 2>/dev/null)"
-w3_json="$(cargo run -q --release -p flextm-bench --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --wide --jobs 2 2>/dev/null)"
+n3_json="$(cargo run -q --release -p flextm-sweep --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --jobs 2 2>/dev/null)"
+w3_json="$(cargo run -q --release -p flextm-sweep --bin proto_check -- --cores 3 --lines 1 --alphabet tx --depth 7 --wide --jobs 2 2>/dev/null)"
 echo "$w3_json"
 step_rate "$w3_json"
 n3_graph="$(graph_of "$n3_json")"
@@ -227,7 +227,7 @@ check_all_fp() {
     # 64 cores at 32.
     local label="$1" lines
     shift
-    lines="$(cargo run -q --release -p flextm-bench --bin fingerprint "$@")"
+    lines="$(cargo run -q --release -p flextm-sweep --bin fingerprint "$@")"
     check_fp "$label, 96 txns" b91bf014cd6135a9 578f521ae8b7bc3c "$(sed -n 1p <<< "$lines")"
     check_fp "$label, 384 txns" f0cd4189940a6860 f95be49b738edeb6 "$(sed -n 2p <<< "$lines")"
     check_fp "$label, 64 cores" a25e9df74ea848bd 651a176032609d86 "$(sed -n 3p <<< "$lines")"

@@ -10,6 +10,11 @@
 //! `src/` tree or a word of a shell script. Struck-through text
 //! (`~~…~~`) and fenced blocks are exempt, and so are patterns such as
 //! `<spec>_cells.json`: they name what a tool emits, not a file.
+//!
+//! A cargo command, in those spans or in `scripts/*.sh`, must name
+//! packages and binaries that exist: each `-p <name>` a workspace
+//! package, and each `--bin <name>` a binary of it (of any package,
+//! without a `-p`).
 
 use std::collections::HashSet;
 use std::fs;
@@ -205,5 +210,116 @@ fn every_cited_file_and_item_exists() {
         "{} citations do not resolve (strike them with ~~…~~ if they are history):\n{}",
         dangling.len(),
         dangling.join("\n")
+    );
+}
+
+/// The workspace's packages with their binaries: the root package and
+/// every `crates/*` member; a binary is `src/main.rs` (named for its
+/// package) or a file under `src/bin/`.
+fn packages(root: &Path) -> Vec<(String, Vec<String>)> {
+    let mut dirs = vec![root.to_path_buf()];
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        dirs.push(entry.expect("directory entry").path());
+    }
+    dirs.iter()
+        .filter_map(|dir| {
+            let manifest = fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+            let package = &manifest[manifest.find("[package]")?..];
+            let name = package.lines().find_map(|l| l.strip_prefix("name = "))?;
+            let name = name.trim_matches('"').to_string();
+            let mut bins: Vec<String> = fs::read_dir(dir.join("src/bin"))
+                .into_iter()
+                .flatten()
+                .map(|e| e.expect("directory entry").path())
+                .filter_map(|p| Some(p.file_stem()?.to_string_lossy().into_owned()))
+                .collect();
+            if dir.join("src/main.rs").exists() {
+                bins.push(name.clone());
+            }
+            Some((name, bins))
+        })
+        .collect()
+}
+
+/// The cargo commands of shell text: each runs from a `cargo` word to
+/// the end of its command (a `)`, `|`, `;`, `&` or newline).
+fn cargo_commands(text: &str) -> impl Iterator<Item = &str> {
+    text.match_indices("cargo ").map(|(at, _)| {
+        let rest = &text[at..];
+        &rest[..rest.find(|c| ")|;&\n".contains(c)).unwrap_or(rest.len())]
+    })
+}
+
+/// The first `-p` or `--bin` name of cargo command `cmd` that names no
+/// workspace package, or no binary of the named package, described.
+/// Words after a bare `--` are the program's arguments, not cargo's.
+fn stale_cargo_name(cmd: &str, packages: &[(String, Vec<String>)]) -> Option<String> {
+    let words: Vec<&str> = cmd.split_whitespace().take_while(|w| *w != "--").collect();
+    let named = |flag: &'static str| words.windows(2).filter(move |w| w[0] == flag).map(|w| w[1]);
+    let mut owners = Vec::new();
+    for name in named("-p") {
+        match packages.iter().find(|(p, _)| p == name) {
+            Some(package) => owners.push(package),
+            None => return Some(format!("`-p {name}` names no workspace package")),
+        }
+    }
+    if owners.is_empty() {
+        owners = packages.iter().collect();
+    }
+    named("--bin")
+        .find(|bin| !owners.iter().any(|(_, bins)| bins.iter().any(|b| b == bin)))
+        .map(|bin| format!("`--bin {bin}` names no binary of the package it runs"))
+}
+
+#[test]
+fn every_cargo_package_and_binary_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let packages = packages(root);
+    let mut stale = Vec::new();
+    for entry in fs::read_dir(root.join("scripts")).expect("scripts/ exists") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().unwrap_or_default() != "sh" {
+            continue;
+        }
+        let script = fs::read_to_string(&path).unwrap();
+        let name = path.strip_prefix(root).expect("under root").display();
+        // One logical line per command: a `\` continuation joins the
+        // next line, and the command is reported at its first.
+        let mut start = 0;
+        let mut command = String::new();
+        for (i, line) in script.lines().enumerate() {
+            if command.is_empty() {
+                start = i + 1;
+            }
+            match line.strip_suffix('\\') {
+                Some(head) => command.push_str(head),
+                None => {
+                    command.push_str(line);
+                    for cmd in cargo_commands(&command) {
+                        if let Some(why) = stale_cargo_name(cmd, &packages) {
+                            stale.push(format!("{name}:{start}: {why}"));
+                        }
+                    }
+                    command.clear();
+                }
+            }
+        }
+    }
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).expect("document exists");
+        for span in spans(&text) {
+            let span = span.replace('\n', " ");
+            for cmd in cargo_commands(&span) {
+                if let Some(why) = stale_cargo_name(cmd, &packages) {
+                    stale.push(format!("{doc}: `{span}`: {why}"));
+                }
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "{} cargo commands name a package or binary that does not exist:\n{}",
+        stale.len(),
+        stale.join("\n")
     );
 }
