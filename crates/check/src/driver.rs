@@ -337,8 +337,10 @@ impl Driver {
     }
 
     /// The user-mode alert handler (runtime `Alert` upcall): ack the
-    /// alert, figure out who died, and clean up.
-    pub(crate) fn service_alert(&mut self, c: usize) {
+    /// alert, figure out who died, and clean up. Returns whether its
+    /// last machine change ran the machine's own sweep: the raw ack and
+    /// a re-arming ALoad do not; an abort or a CAS does.
+    pub(crate) fn service_alert(&mut self, c: usize) -> bool {
         let mc = self.cfg.machine_core(c);
         let cause = self.st.cores[mc]
             .alert_pending
@@ -353,7 +355,7 @@ impl Driver {
                     // Spurious (e.g. conservative alert from an uncached
                     // ALoad): re-arm and continue.
                     self.st.aload(mc, self.cfg.tsw_addr(c));
-                    return;
+                    return false;
                 }
                 assert_eq!(
                     v, TSW_ABORTED,
@@ -363,11 +365,13 @@ impl Driver {
                     self.shadow[c].doomed,
                     "core {c}: TSW flipped to ABORTED without any enemy CAS"
                 );
-                if self.shadow[c].active {
+                let swept = self.shadow[c].active;
+                if swept {
                     self.st.abort_tx(mc, AbortCause::AouAlert);
                 }
                 self.shadow[c].clear_tx();
                 self.shadow[c].tsw = TSW_ABORTED;
+                swept
             }
             AlertCause::StrongIsolation(_) => {
                 // The hardware already aborted the transaction; the
@@ -376,7 +380,8 @@ impl Driver {
                     !self.st.cores[mc].has_tx_footprint(),
                     "core {c}: strong-isolation alert but signatures still live"
                 );
-                if self.shadow[c].tsw == TSW_ACTIVE {
+                let swept = self.shadow[c].tsw == TSW_ACTIVE;
+                if swept {
                     let (old, _) = self
                         .st
                         .cas(mc, self.cfg.tsw_addr(c), TSW_ACTIVE, TSW_ABORTED);
@@ -384,6 +389,7 @@ impl Driver {
                     self.shadow[c].tsw = TSW_ABORTED;
                 }
                 self.shadow[c].clear_tx();
+                swept
             }
             AlertCause::WatchRead(_) | AlertCause::WatchWrite(_) => {
                 unreachable!("checker configures no watchpoints")
@@ -630,8 +636,17 @@ impl Driver {
         self.shadow[c].clear_tx();
     }
 
-    /// The cross-validation sweep run after every op.
+    /// The cross-validation sweep run after every op: the shadow
+    /// checks, then the machine's own invariant layer (also fired after
+    /// every protocol transition via the check-every-op hooks; this
+    /// covers driver steps like raw CST reads that bypass them).
     pub(crate) fn post_op_checks(&mut self) {
+        self.check_shadow();
+        self.st.check_invariants();
+    }
+
+    /// The shadow half of [`Driver::post_op_checks`].
+    fn check_shadow(&mut self) {
         // 1. Reconcile strong-isolation kills: the hardware aborts
         //    transactional victims of plain writes asynchronously; the
         //    shadow learns of it from the emptied signatures.
@@ -701,11 +716,6 @@ impl Driver {
                 "core {c}: TSW memory diverged from driver bookkeeping"
             );
         }
-
-        // 5. The machine's own invariant layer (also fired after every
-        //    protocol transition via the check-every-op hooks; this
-        //    covers driver steps like raw CST reads that bypass them).
-        self.st.check_invariants();
     }
 
     /// Quiescence, for a caller that keeps its state (shrink replay,
@@ -718,20 +728,25 @@ impl Driver {
     /// Quiescence: aborting every live transaction from here must
     /// yield a clean machine with committed memory untouched. Consumes
     /// the state it checks — the explorer runs it on the child it is
-    /// about to discard.
+    /// about to discard. It is handed a swept state (every
+    /// [`Driver::apply`] ends in a sweep) and sweeps the machine again
+    /// only after a change no sweep has covered.
     pub fn quiesce(&mut self) {
         let mut committed = [0; MAX_LINES];
         committed[..self.shadow_mem.len()].copy_from_slice(&self.shadow_mem);
+        let mut unswept = false;
         for c in 0..self.cfg.cores {
             let mc = self.cfg.machine_core(c);
             if self.st.cores[mc].alert_pending.is_some() {
-                self.service_alert(c);
+                unswept = !self.service_alert(c);
             }
             if self.shadow[c].active {
+                // A CAS and an abort, each ending in a sweep.
                 self.abort(c);
+                unswept = false;
             }
             if self.st.cores[mc].alert_pending.is_some() {
-                self.service_alert(c);
+                unswept = !self.service_alert(c);
             }
         }
         for (l, &v) in self.shadow_mem.iter().enumerate() {
@@ -759,7 +774,30 @@ impl Driver {
                 "quiescence: core {c} keeps uncommitted OT entries after abort-all"
             );
         }
-        // Ends in the machine's own invariant sweep (its step 5).
-        self.post_op_checks();
+        self.check_shadow();
+        if unswept {
+            self.st.check_invariants();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// From a swept state, quiescence costs the sweeps of its abort (the
+    /// CAS and the abort instruction) and no trailing re-sweep; with
+    /// nothing to abort, it costs none.
+    #[test]
+    fn quiesce_does_not_resweep_a_swept_state() {
+        let mut d = Driver::new(CheckConfig::new(2, 1));
+        d.quiesce();
+        assert_eq!(d.st.sweeps(), 0);
+        d.apply(Op::TWrite(0, 0));
+        let (mut aborted, before) = (d.fork(), d.st.sweeps());
+        aborted.abort(0);
+        d.quiesce();
+        assert!(aborted.st.sweeps() > 0);
+        assert_eq!(d.st.sweeps() - before, aborted.st.sweeps());
     }
 }

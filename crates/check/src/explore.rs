@@ -1,11 +1,80 @@
-//! Random walks, counterexample shrinking, and the outcome types the
-//! explorers report. Exhaustive and bounded-depth breadth-first
-//! exploration lives in [`crate::parallel`].
+//! The explorers — level-synchronized parallel BFS over canonical state
+//! hashes ([`explore_jobs`]) and the long random walk ([`random_walk`])
+//! — and the outcome types they report.
+//!
+//! # Why level-synchronized
+//!
+//! The serial explorer's counts are definitionally simple: `states` is
+//! the number of distinct canonical hashes ever inserted, `transitions`
+//! is the sum of `|enabled_ops|` over every expanded state, and both
+//! are independent of the order states happen to be expanded in —
+//! *provided* each state is expanded exactly once and depth truncation
+//! cuts at the same frontier. A free-running work-stealing BFS breaks
+//! the last property: a worker racing ahead can expand a state at depth
+//! d+1 before another worker has generated its depth-d duplicate,
+//! changing which node "owns" the state and, under a depth bound, how
+//! many nodes get truncated. Expanding one full depth level at a time
+//! (a barrier between levels) restores it: the set of states first
+//! reached at each depth is a deterministic function of the graph, so
+//! `states`/`transitions`/`max_depth`/`depth_truncated` are bit-equal
+//! for every worker count — the property the verify gate pins.
+//!
+//! # Visited-set sharding
+//!
+//! The only cross-worker contention is the visited set. It is split
+//! into [`SHARDS`] shards selected by the top bits of the canonical
+//! hash (the hash is a two-lane FNV mix, so its high bits are already
+//! uniform); each shard is an independent `Mutex<HashSet<u128>>` held
+//! for a single insert, and hashes its keys by passing their low lane
+//! through ([`LowLane`]) — the shard index used the other lane's top
+//! bits, so the two stay independent. Membership *is* ownership: the
+//! worker whose insert returns `true` enqueues the child, so a state
+//! first reached along two same-depth paths is expanded exactly once
+//! no matter how the race resolves.
+//!
+//! # Records instead of replay
+//!
+//! Every frontier node carries an `Arc` to a [`Snapshot`] — a record of
+//! its nearest ancestor at a depth multiple of [`SNAPSHOT_STRIDE`] —
+//! plus the (< stride) op suffix from it, so a rebuild is one restore
+//! plus at most `SNAPSHOT_STRIDE - 1` applies, independent of depth
+//! (replaying the full path would make the whole run O(depth²)). The
+//! suffix ops succeeded under `catch_unwind` when the node was
+//! generated and `Driver::apply` is deterministic, so replaying them
+//! cannot panic: a panic surfaces only at child generation.
+//!
+//! A kept state is a record, not a machine, because the frontier is
+//! what bounds a run: every node of a snapshot level owns one (3 661 at
+//! level 8 of the 2×1 fixpoint, 61 761 at level 12 of the 3×1 tx one),
+//! and a record holds only what its state holds — about 3.5 KiB at 2×1,
+//! the same on a 65-core machine. Records die with their level;
+//! [`ExploreOutcome::peak_frontier_bytes`] reports the most two levels
+//! pinned at once.
+//!
+//! # One restore per transition
+//!
+//! A transition restores the child from the node's record — the node's
+//! snapshot when its suffix is empty, else the rebuilt node written
+//! once into the worker's own record — applies the op, hashes and
+//! claims the child, then quiesces it in place (abort everything,
+//! assert the machine clean), claimed or not. Each worker's [`Scratch`]
+//! is overwritten, not reallocated. A claimed child at a snapshot level
+//! is recorded before it is quiesced and kept as an exact-size clone.
+//! Claiming before quiescing is sound: a violation ends the run after
+//! its level, and every same-level duplicate is quiesced and reported
+//! too, so the least violating path is still the one chosen. A child
+//! whose op or quiescence panicked is dropped, not restored over.
 
+use crate::canon::canon;
 use crate::config::CheckConfig;
-use crate::driver::Driver;
+use crate::driver::{Driver, Snapshot};
 use crate::op::Op;
+use crate::shrink::{panic_message, shrink, QuietPanics};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A found invariant violation: the op schedule from the initial state
 /// and the panic message of the assert that fired.
@@ -84,95 +153,342 @@ pub struct WalkOutcome {
     pub violation: Option<Violation>,
 }
 
-/// Silences the default panic printer for the duration of a scope;
-/// exploration legitimately catches panics and would otherwise spray
-/// backtraces for every shrink replay.
-type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send + 'static>;
+/// Visited-set shard count. 64 keeps insert contention negligible for
+/// any plausible worker count while costing only 64 mutexes + sets.
+const SHARDS: usize = 64;
 
-pub(crate) struct QuietPanics(Option<PanicHook>);
+/// A [`Snapshot`] is kept every this-many levels; nodes in between
+/// carry an op suffix from their snapshot ancestor. 4 bounds the
+/// rebuild at one restore and ≤ 3 applies, and keeps a record only on
+/// every fourth level's nodes.
+const SNAPSHOT_STRIDE: usize = 4;
 
-impl QuietPanics {
-    pub(crate) fn install() -> Self {
-        let old = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        QuietPanics(Some(old))
+/// Pass-through hasher for canonical hashes: a key is already two
+/// decorrelated 64-bit lanes, so the table takes the low one as is.
+#[derive(Default)]
+struct LowLane(u64);
+
+impl Hasher for LowLane {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the visited set hashes u128 keys only");
+    }
+    fn write_u128(&mut self, h: u128) {
+        self.0 = h as u64;
     }
 }
 
-impl Drop for QuietPanics {
-    fn drop(&mut self) {
-        if let Some(old) = self.0.take() {
-            std::panic::set_hook(old);
+/// The visited set: canonical hashes sharded by their top bits.
+struct Visited {
+    shards: Vec<Mutex<HashSet<u128, BuildHasherDefault<LowLane>>>>,
+}
+
+impl Visited {
+    fn new() -> Self {
+        Visited {
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
-}
 
-pub(crate) fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    match e.downcast::<String>() {
-        Ok(s) => *s,
-        Err(e) => match e.downcast::<&str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "panic with non-string payload".to_string(),
-        },
+    /// Inserts `h`, returning `true` if it was new. The returning-true
+    /// caller owns the state (enqueues it for expansion).
+    fn insert(&self, h: u128) -> bool {
+        let shard = (h >> (128 - SHARDS.trailing_zeros())) as usize;
+        self.shards[shard].lock().unwrap().insert(h)
+    }
+
+    fn len(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap().len() as u64)
+            .sum()
     }
 }
 
-/// True if replaying `path` (with per-op quiescence checks) panics.
-fn replay_panics(cfg: &CheckConfig, path: &[Op]) -> bool {
-    let mut d = Driver::new(cfg.clone());
-    for &op in path {
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            d.apply(op);
-            d.check_quiescence();
+/// One frontier node: a snapshot ancestor, the ops from it to this
+/// state, and the full path for violation reporting.
+struct Node {
+    /// The kept state at the nearest stride-aligned ancestor (possibly
+    /// this node itself, with an empty suffix).
+    snap: Arc<Snapshot>,
+    /// Ops from `snap` to this node; length < [`SNAPSHOT_STRIDE`].
+    suffix: Vec<Op>,
+    /// Full op path from the initial state.
+    path: Vec<Op>,
+}
+
+/// What one worker accumulated over one level: merged single-threaded
+/// after the level barrier.
+#[derive(Default)]
+struct WorkerOut {
+    next: Vec<Node>,
+    transitions: u64,
+    sweeps: u64,
+    violations: Vec<(Vec<Op>, String)>,
+}
+
+/// What a worker overwrites instead of allocating: nearly every state
+/// the explorer builds is dead a transition later.
+#[derive(Default)]
+struct Scratch {
+    /// The node being expanded, restored from its snapshot.
+    base: Option<Driver>,
+    /// The child of the transition being taken.
+    child: Option<Driver>,
+    /// The node's record, when it is not its own snapshot.
+    base_rec: Option<Snapshot>,
+    /// A claimed child at a snapshot level, before a clone is kept.
+    kept_rec: Option<Snapshot>,
+}
+
+impl Scratch {
+    /// The invariant sweeps the scratch drivers have run.
+    fn sweeps(&self) -> u64 {
+        [&self.base, &self.child]
+            .into_iter()
+            .flatten()
+            .map(|d| d.st.sweeps())
+            .sum()
+    }
+}
+
+/// Makes `slot` hold the state `rec` records: in place when it holds a
+/// driver, in a fresh one when it is empty (a worker's first use, or
+/// after a panic left the last occupant in an unknown state).
+fn restored<'a>(slot: &'a mut Option<Driver>, rec: &Snapshot) -> &'a mut Driver {
+    match slot {
+        Some(d) => {
+            d.restore(rec);
+            d
+        }
+        None => slot.insert(rec.to_driver()),
+    }
+}
+
+/// Makes `slot` hold a record of `d`: in place when it holds one.
+fn recorded<'a>(slot: &'a mut Option<Snapshot>, d: &Driver) -> &'a Snapshot {
+    match slot {
+        Some(rec) => {
+            d.record(rec);
+            rec
+        }
+        None => slot.insert(d.save()),
+    }
+}
+
+/// `prefix` with `op` appended, allocated to fit: a frontier holds a
+/// path and a suffix per node.
+fn extended(prefix: &[Op], op: Op) -> Vec<Op> {
+    let mut v = Vec::with_capacity(prefix.len() + 1);
+    v.extend_from_slice(prefix);
+    v.push(op);
+    v
+}
+
+/// Expands one node: rebuilds its driver from the snapshot, restores
+/// a child from the node's record for every enabled op, claims
+/// unvisited children, and quiesces every child.
+fn expand(
+    cfg_depth: usize,
+    node: &Node,
+    visited: &Visited,
+    scratch: &mut Scratch,
+    out: &mut WorkerOut,
+) {
+    let Scratch {
+        base,
+        child: child_slot,
+        base_rec,
+        kept_rec,
+    } = scratch;
+    // Rebuild. The suffix replay cannot panic (see module docs).
+    let base = restored(base, &node.snap);
+    for &op in &node.suffix {
+        base.apply(op);
+    }
+    let rec = if node.suffix.is_empty() {
+        &*node.snap
+    } else {
+        recorded(base_rec, base)
+    };
+    let snapshot_level = (cfg_depth + 1).is_multiple_of(SNAPSHOT_STRIDE);
+
+    for op in base.enabled_ops() {
+        out.transitions += 1;
+        let child = restored(child_slot, rec);
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            child.apply(op);
+            let claimed = visited.insert(canon(child));
+            // Quiescing consumes the child, so the one state that is
+            // kept is recorded first.
+            let snap =
+                (claimed && snapshot_level).then(|| Arc::new(recorded(kept_rec, child).clone()));
+            child.quiesce();
+            (claimed, snap)
         }));
-        if r.is_err() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Replay budget for [`shrink`]: greedy one-op-removal is quadratic in
-/// the path length (each pass replays every candidate), so a
-/// pathological schedule could otherwise pin the checker in shrinking
-/// long after the violation is known. The budget counts *replays*; a
-/// 60-op counterexample minimizes comfortably inside it, and when it
-/// runs out the best path found so far is returned (still a valid
-/// reproducer, just possibly not locally minimal).
-const SHRINK_REPLAY_BUDGET: usize = 20_000;
-
-/// Greedy one-op-removal shrinking to a locally minimal reproducer:
-/// on return (budget permitting), removing any single op no longer
-/// reproduces the panic. Skipped outright for very long (walk)
-/// schedules; bounded by `budget` replays otherwise.
-pub(crate) fn shrink_with_budget(cfg: &CheckConfig, mut path: Vec<Op>, budget: usize) -> Vec<Op> {
-    if path.len() > 500 {
-        return path;
-    }
-    let mut replays = 0usize;
-    loop {
-        let mut improved = false;
-        for i in 0..path.len() {
-            if replays >= budget {
-                return path;
+        match res {
+            Ok((false, _)) => {}
+            Ok((true, snap)) => {
+                let path = extended(&node.path, op);
+                let node = match snap {
+                    Some(snap) => Node {
+                        snap,
+                        suffix: Vec::new(),
+                        path,
+                    },
+                    None => Node {
+                        snap: Arc::clone(&node.snap),
+                        suffix: extended(&node.suffix, op),
+                        path,
+                    },
+                };
+                out.next.push(node);
             }
-            let mut cand = path.clone();
-            cand.remove(i);
-            replays += 1;
-            if replay_panics(cfg, &cand) {
-                path = cand;
-                improved = true;
-                break;
+            Err(e) => {
+                out.sweeps += child_slot.take().map_or(0, |d| d.st.sweeps());
+                out.violations
+                    .push((extended(&node.path, op), panic_message(e)));
             }
-        }
-        if !improved {
-            return path;
         }
     }
 }
 
-pub(crate) fn shrink(cfg: &CheckConfig, path: Vec<Op>) -> Vec<Op> {
-    shrink_with_budget(cfg, path, SHRINK_REPLAY_BUDGET)
+/// The frontier memory `levels` pin: each distinct snapshot's
+/// [`Snapshot::heap_bytes`], plus every node's path and suffix.
+fn frontier_bytes(levels: [&[Node]; 2]) -> u64 {
+    let mut seen = HashSet::new();
+    let mut bytes = 0;
+    for node in levels.into_iter().flatten() {
+        if seen.insert(Arc::as_ptr(&node.snap)) {
+            bytes += node.snap.heap_bytes();
+        }
+        bytes += (node.path.capacity() + node.suffix.capacity()) * std::mem::size_of::<Op>();
+    }
+    bytes as u64
+}
+
+/// Parallel breadth-first exploration to a fixpoint or `depth` bound,
+/// expanding each level across `jobs` scoped worker threads.
+///
+/// Reports bit-identical `states` / `transitions` / `max_depth` /
+/// `depth_truncated` for every `jobs` value (see module docs). On a
+/// violation the level is still completed, the lexicographically least
+/// violating path is chosen (so even the failure report is stable
+/// across worker counts up to same-level path aliasing), shrunk, and
+/// returned. `progress` fires once per completed level.
+pub fn explore_jobs(
+    cfg: &CheckConfig,
+    depth: Option<usize>,
+    jobs: usize,
+    mut progress: Option<&mut dyn FnMut(&Progress)>,
+) -> ExploreOutcome {
+    let jobs = jobs.max(1);
+    let _quiet = QuietPanics::install();
+
+    let visited = Visited::new();
+    let root = Driver::new(cfg.clone());
+    visited.insert(canon(&root));
+    let mut level: Vec<Node> = vec![Node {
+        snap: Arc::new(root.save()),
+        suffix: Vec::new(),
+        path: Vec::new(),
+    }];
+    let mut level_depth = 0usize;
+
+    let mut transitions = 0u64;
+    let mut sweeps = root.st.sweeps();
+    let mut max_depth = 0usize;
+    let mut peak_frontier_bytes = frontier_bytes([&level, &[]]);
+
+    while !level.is_empty() {
+        if depth.is_some_and(|d| level_depth >= d) {
+            // Every remaining node sits exactly at the bound (BFS), so
+            // the whole level is truncated unexpanded — the same cut
+            // the serial engine made node by node.
+            return ExploreOutcome {
+                states: visited.len(),
+                transitions,
+                sweeps,
+                max_depth,
+                depth_truncated: level.len() as u64,
+                violation: None,
+                peak_frontier_bytes,
+            };
+        }
+        max_depth = max_depth.max(level_depth);
+
+        let cursor = AtomicUsize::new(0);
+        let outs: Vec<WorkerOut> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut out = WorkerOut::default();
+                        let mut scratch = Scratch::default();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(node) = level.get(i) else { break };
+                            expand(level_depth, node, &visited, &mut scratch, &mut out);
+                        }
+                        out.sweeps += scratch.sweeps();
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .expect("checker worker panicked outside catch_unwind")
+                })
+                .collect()
+        });
+
+        let mut next = Vec::new();
+        let mut violations: Vec<(Vec<Op>, String)> = Vec::new();
+        for mut out in outs {
+            transitions += out.transitions;
+            sweeps += out.sweeps;
+            next.append(&mut out.next);
+            violations.append(&mut out.violations);
+        }
+        peak_frontier_bytes = peak_frontier_bytes.max(frontier_bytes([&level, &next]));
+
+        if let Some((path, message)) = violations.into_iter().min() {
+            let path = shrink(cfg, path);
+            return ExploreOutcome {
+                states: visited.len(),
+                transitions,
+                sweeps,
+                max_depth,
+                depth_truncated: 0,
+                violation: Some(Violation { path, message }),
+                peak_frontier_bytes,
+            };
+        }
+
+        level = next;
+        level_depth += 1;
+        if let Some(cb) = progress.as_deref_mut() {
+            cb(&Progress {
+                states: visited.len(),
+                transitions,
+                frontier: level.len(),
+                depth: level_depth,
+            });
+        }
+    }
+
+    ExploreOutcome {
+        states: visited.len(),
+        transitions,
+        sweeps,
+        max_depth,
+        depth_truncated: 0,
+        violation: None,
+        peak_frontier_bytes,
+    }
 }
 
 /// Drives one long random schedule: at each step an enabled op is
@@ -227,8 +543,128 @@ pub fn random_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Alphabet;
-    use crate::parallel::explore_jobs;
+    use crate::config::{Alphabet, InjectedFault};
+
+    /// The determinism contract, on the full 2×1 fixpoint: a parallel
+    /// run reports the numbers the serial engine reports. One worker
+    /// count here keeps the debug suite affordable; verify.sh repeats
+    /// the same equality in release, and
+    /// `truncated_bounded_runs_match_across_jobs` covers jobs=4.
+    #[test]
+    fn jobs_report_bit_identical_counts() {
+        let cfg = CheckConfig::new(2, 1);
+        let serial = explore_jobs(&cfg, None, 1, None);
+        assert!(serial.violation.is_none());
+        // Every transition ends in at least the quiescence sweep.
+        assert!(serial.sweeps >= serial.transitions);
+        let par = explore_jobs(&cfg, None, 3, None);
+        assert!(par.violation.is_none());
+        assert_eq!(
+            (
+                par.states,
+                par.transitions,
+                par.max_depth,
+                par.depth_truncated
+            ),
+            (
+                serial.states,
+                serial.transitions,
+                serial.max_depth,
+                serial.depth_truncated
+            ),
+            "jobs=3 diverged from serial"
+        );
+    }
+
+    /// Depth truncation must also be jobs-invariant (the subtle case —
+    /// it depends on which node first owns each state).
+    #[test]
+    fn truncated_bounded_runs_match_across_jobs() {
+        let cfg = CheckConfig {
+            alphabet: Alphabet::TxOnly,
+            ..CheckConfig::new(2, 1)
+        };
+        let serial = explore_jobs(&cfg, Some(5), 1, None);
+        assert!(serial.depth_truncated > 0, "bound must actually truncate");
+        let par = explore_jobs(&cfg, Some(5), 4, None);
+        assert_eq!(
+            (
+                par.states,
+                par.transitions,
+                par.max_depth,
+                par.depth_truncated
+            ),
+            (
+                serial.states,
+                serial.transitions,
+                serial.max_depth,
+                serial.depth_truncated
+            ),
+        );
+    }
+
+    /// An injected violation is found, reported with the fault's
+    /// message, and shrunk to a locally minimal path — in parallel.
+    #[test]
+    fn parallel_violation_is_found_and_shrunk() {
+        let cfg = CheckConfig {
+            alphabet: Alphabet::TxOnly,
+            injected_fault: Some(InjectedFault {
+                core: 0,
+                min_writes: 1,
+            }),
+            ..CheckConfig::new(2, 1)
+        };
+        let out = explore_jobs(&cfg, None, 2, None);
+        let v = out.violation.expect("injected fault must be found");
+        assert!(
+            v.message.contains("injected fault"),
+            "shrinking lost the message: {}",
+            v.message
+        );
+        // Minimal reproducer: one write then the faulting commit.
+        assert_eq!(v.path, vec![Op::TWrite(0, 0), Op::Commit(0)]);
+    }
+
+    /// A violation reports the same path whatever the worker count, on
+    /// the full alphabet — where the faulting `Commit(0)` has later
+    /// siblings (`Abort(0)`, all of core 1's ops) that are expanded
+    /// after the panic cost the worker its scratch child, and must not
+    /// turn into violations of their own — and the reported path
+    /// replays to the reported panic.
+    #[test]
+    fn violation_report_is_jobs_invariant_and_replays() {
+        let cfg = CheckConfig {
+            injected_fault: Some(InjectedFault {
+                core: 0,
+                min_writes: 1,
+            }),
+            ..CheckConfig::new(2, 1)
+        };
+        let report = |jobs| {
+            let v = explore_jobs(&cfg, None, jobs, None)
+                .violation
+                .expect("injected fault must be found");
+            (v.path, v.message)
+        };
+        let (path, message) = report(1);
+        assert_eq!(report(3), (path.clone(), message.clone()));
+        assert_eq!(path, vec![Op::TWrite(0, 0), Op::Commit(0)]);
+
+        let _quiet = QuietPanics::install();
+        let mut d = Driver::new(cfg.clone());
+        let mut replayed = None;
+        for &op in &path {
+            assert!(replayed.is_none(), "the path panics before its last op");
+            replayed = catch_unwind(AssertUnwindSafe(|| {
+                d.apply(op);
+                d.check_quiescence();
+            }))
+            .err()
+            .map(panic_message);
+        }
+        assert_eq!(replayed, Some(message));
+    }
 
     #[test]
     fn exhaustive_2x1_reaches_fixpoint_clean() {
@@ -344,99 +780,6 @@ mod tests {
         let b = explore_jobs(&cfg, Some(6), 1, None);
         assert_eq!(a.states, b.states);
         assert_eq!(a.transitions, b.transitions);
-    }
-
-    /// Shrinking contract, pinned end to end on an injected fault:
-    /// the shrunk schedule still reproduces the *same* panic message,
-    /// and it is locally minimal — removing any single remaining op
-    /// kills the reproduction.
-    #[test]
-    fn shrink_is_locally_minimal_and_preserves_the_panic() {
-        let _quiet = QuietPanics::install();
-        let cfg = CheckConfig {
-            alphabet: Alphabet::TxOnly,
-            injected_fault: Some(crate::config::InjectedFault {
-                core: 0,
-                min_writes: 2,
-            }),
-            ..CheckConfig::new(2, 2)
-        };
-        // A padded reproducer: core 1 noise plus a redundant read
-        // around the two writes that arm the fault.
-        let fat = vec![
-            Op::TRead(1, 0),
-            Op::TWrite(0, 0),
-            Op::TRead(0, 1),
-            Op::TRead(1, 1),
-            Op::Abort(1),
-            Op::TWrite(0, 1),
-            Op::Commit(0),
-        ];
-        assert!(replay_panics(&cfg, &fat), "padded schedule must reproduce");
-        let shrunk = shrink(&cfg, fat);
-        assert_eq!(
-            shrunk,
-            vec![Op::TWrite(0, 0), Op::TWrite(0, 1), Op::Commit(0)],
-            "two distinct writes and the faulting commit are all essential"
-        );
-        // Same panic, not just any panic.
-        let mut d = Driver::new(cfg.clone());
-        let mut message = String::new();
-        for &op in &shrunk {
-            match catch_unwind(AssertUnwindSafe(|| {
-                d.apply(op);
-                d.check_quiescence();
-            })) {
-                Ok(()) => {}
-                Err(e) => message = panic_message(e),
-            }
-        }
-        assert!(
-            message.contains("injected fault"),
-            "shrinking drifted to a different panic: {message}"
-        );
-        // Local minimality, re-checked mechanically.
-        for i in 0..shrunk.len() {
-            let mut cand = shrunk.clone();
-            cand.remove(i);
-            assert!(
-                !replay_panics(&cfg, &cand),
-                "op {i} was removable — shrink stopped early"
-            );
-        }
-    }
-
-    /// The replay budget is a hard bound: with a zero budget the path
-    /// comes back untouched, and overlong (walk-length) schedules are
-    /// skipped outright without a single replay.
-    #[test]
-    fn shrink_respects_its_replay_budget() {
-        let _quiet = QuietPanics::install();
-        let cfg = CheckConfig {
-            alphabet: Alphabet::TxOnly,
-            injected_fault: Some(crate::config::InjectedFault {
-                core: 0,
-                min_writes: 1,
-            }),
-            ..CheckConfig::new(2, 1)
-        };
-        let fat = vec![Op::TRead(1, 0), Op::TWrite(0, 0), Op::Commit(0)];
-        assert_eq!(
-            shrink_with_budget(&cfg, fat.clone(), 0),
-            fat,
-            "zero budget must not shrink"
-        );
-        // One pass of candidates costs `len` replays; a budget of 1
-        // allows exactly the first candidate (which succeeds here —
-        // dropping the leading read still reproduces).
-        assert_eq!(
-            shrink_with_budget(&cfg, fat.clone(), 1),
-            vec![Op::TWrite(0, 0), Op::Commit(0)],
-        );
-        // The >500-op walk guard: returned untouched (no replays, so
-        // a non-reproducing giant path is fine).
-        let giant = vec![Op::TRead(0, 0); 501];
-        assert_eq!(shrink_with_budget(&cfg, giant.clone(), 10), giant);
     }
 
     #[test]

@@ -32,14 +32,14 @@
 //! * **Quiescence** — from any reachable state, aborting every live
 //!   transaction yields a clean machine with memory untouched.
 //!
-//! [`parallel::explore_jobs`] runs breadth-first over canonical state
+//! [`explore::explore_jobs`] runs breadth-first over canonical state
 //! hashes ([`canon`]) to a fixpoint or depth bound — a
 //! level-synchronized parallel engine whose counts are bit-identical
 //! for every worker count; [`explore::random_walk`] drives long random
-//! schedules on
-//! larger configurations. Violations come back as shrunk op paths
-//! ready to paste into a regression test. The liveness pass, a unit
-//! test module (`liveness.rs`), covers what safety exploration cannot:
+//! schedules on larger configurations. Violations come back as op
+//! paths shrunk ([`shrink`]) to paste into a regression test. The
+//! liveness pass, a unit test module (`liveness.rs`), covers what
+//! safety exploration cannot:
 //! it closes the system with looping per-core programs under the
 //! shipped `flextm::cm` contention managers and searches the reachable
 //! graph for fair abort/retry cycles — schedules where transactions
@@ -70,10 +70,9 @@ pub mod explore;
 #[cfg(test)]
 mod liveness;
 pub mod op;
-pub mod parallel;
+pub mod shrink;
 
 pub use config::{Alphabet, CheckConfig, InjectedFault};
 pub use driver::{Driver, Snapshot};
-pub use explore::{random_walk, ExploreOutcome, Progress, Violation, WalkOutcome};
+pub use explore::{explore_jobs, random_walk, ExploreOutcome, Progress, Violation, WalkOutcome};
 pub use op::Op;
-pub use parallel::explore_jobs;

@@ -26,8 +26,7 @@
 //!   L1 planes materialise on the first fill, the OT on the first
 //!   overflow), so an undriven core may cost only what it still owns
 //!   eagerly — its two signature word vectors (making those lazy too
-//!   was measured and rejected, DESIGN.md "Cost follows touched
-//!   state") — plus the inline `CoreState` and its scheduler lane.
+//!   was measured and rejected, DESIGN.md "Retired designs") — plus the inline `CoreState` and its scheduler lane.
 
 // The counting `GlobalAlloc` below needs `unsafe impl`; everything it
 // does is delegate to `System` around two thread-local counter bumps.

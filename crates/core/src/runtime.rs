@@ -410,12 +410,7 @@ impl<'r> FlexTmThread<'r> {
                         // Stalling behind a suspended transaction risks
                         // convoying (the LogTM-SE failure mode the paper
                         // calls out); FlexTM can simply abort it.
-                        let old = self.proc.load(info.tsw);
-                        if tsw_tag(old) == TSW_ACTIVE
-                            && self.proc.cas(info.tsw, old, (old & !3) | TSW_ABORTED) == old
-                        {
-                            self.proc.note_cm_event(CmEvent::EnemyAbort);
-                        }
+                        self.kill_enemy(info.tsw);
                     }
                     Mode::Lazy => {
                         if !self.suspended_enemies.contains(&tid) {
@@ -426,6 +421,16 @@ impl<'r> FlexTmThread<'r> {
             }
         }
         true
+    }
+
+    /// Aborts the transaction whose status word is `tsw` if it is
+    /// still active: load the word, CAS its tag from ACTIVE to ABORTED,
+    /// and count an enemy abort when the CAS wins.
+    fn kill_enemy(&self, tsw: Addr) {
+        let old = self.proc.load(tsw);
+        if tsw_tag(old) == TSW_ACTIVE && self.proc.cas(tsw, old, (old & !3) | TSW_ABORTED) == old {
+            self.proc.note_cm_event(CmEvent::EnemyAbort);
+        }
     }
 
     fn attempt_result(&mut self, res: &AccessResult, addr: Addr, is_write: bool) -> bool {
@@ -490,13 +495,7 @@ impl<'r> FlexTmThread<'r> {
                     if enemy == self.proc.core() || enemy >= self.rt.descriptors.len() {
                         continue;
                     }
-                    let edesc = self.rt.descriptors.descriptor(enemy);
-                    let old = self.proc.load(edesc.tsw);
-                    if tsw_tag(old) == TSW_ACTIVE
-                        && self.proc.cas(edesc.tsw, old, (old & !3) | TSW_ABORTED) == old
-                    {
-                        self.proc.note_cm_event(CmEvent::EnemyAbort);
-                    }
+                    self.kill_enemy(self.rt.descriptors.descriptor(enemy).tsw);
                 }
             }
             // Virtualized enemies (descheduled transactions we
@@ -504,12 +503,7 @@ impl<'r> FlexTmThread<'r> {
             for tid in std::mem::take(&mut self.suspended_enemies) {
                 let cmt = &self.rt.cmt;
                 if let Some(info) = self.proc.with_sync(|| cmt.lookup(tid)) {
-                    let old = self.proc.load(info.tsw);
-                    if tsw_tag(old) == TSW_ACTIVE
-                        && self.proc.cas(info.tsw, old, (old & !3) | TSW_ABORTED) == old
-                    {
-                        self.proc.note_cm_event(CmEvent::EnemyAbort);
-                    }
+                    self.kill_enemy(info.tsw);
                 }
             }
             // Line 4: CAS-Commit our own status word.

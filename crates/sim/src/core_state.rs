@@ -417,7 +417,7 @@ impl CoresRecord {
 /// `DerefMut`. Inside, the protocol mutates
 /// through [`Cores::unmarked`] and each public entry point marks its
 /// requester once — a mark per borrow on the L1-hit path was measured
-/// at 10–13 % of `ht-1t` (DESIGN.md "Cost follows touched state").
+/// at 10–13 % of `ht-1t` (DESIGN.md "Retired designs").
 /// Responders need no mark: a core the protocol answers for holds a
 /// line, a signature bit, an OT or a CST edge, all acquired as a
 /// requester. Debug builds check that argument on every sweep

@@ -263,12 +263,6 @@ impl SimState {
         st
     }
 
-    /// Turns per-transition invariant sweeps on or off (the model
-    /// checker leaves them on; throughput comparisons turn them off).
-    pub fn set_check_every_op(&mut self, on: bool) {
-        self.check_every_op = on;
-    }
-
     /// Invariant sweeps ([`SimState::check_invariants`]) this state
     /// has run since it was built; a restore leaves the count as it is.
     pub fn sweeps(&self) -> u64 {

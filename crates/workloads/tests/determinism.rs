@@ -7,7 +7,8 @@
 //!
 //! * the same workload run twice yields bit-identical event logs and
 //!   machine reports (scheduler wall-clock excluded by `SchedStats`'s
-//!   `PartialEq`), and
+//!   `PartialEq`) under lazy and eager conflict management, while a
+//!   different seed yields a different run, and
 //! * a `strict_lockstep` run — every fast path disabled, every op
 //!   through the full rendezvous — yields the same protocol
 //!   events and simulated state as the default engine, proving the
@@ -23,10 +24,11 @@
 //!   byte-identical JSONL and round-trips through the parser, and
 //! * turning the event log off does not perturb simulated counters.
 
+use flextm::Mode::{self, Eager, Lazy};
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_sim::{Event, Machine, MachineConfig, MachineReport};
 use flextm_workloads::harness::{run_measured, RunConfig, Workload};
-use flextm_workloads::{HashTable, RbTree};
+use flextm_workloads::{HashTable, LfuCache, RandomGraph, RbTree};
 
 const THREADS: usize = 8;
 
@@ -39,16 +41,18 @@ fn small_run() -> RunConfig {
     }
 }
 
-/// One complete measured run on a fresh machine; returns every
+/// One complete lazy measured run on a fresh machine; returns every
 /// recorded protocol event plus the final whole-machine report.
 fn run_once(workload: Box<dyn Workload>, strict: bool) -> (Vec<Event>, MachineReport) {
-    run_on(workload, small_run(), strict)
+    run_on(workload, small_run(), Lazy, strict)
 }
 
-/// [`run_once`] on a machine exactly as wide as `run.threads`.
+/// [`run_once`] in conflict-management `mode`, on a machine exactly as
+/// wide as `run.threads`.
 fn run_on(
     mut workload: Box<dyn Workload>,
     run: RunConfig,
+    mode: Mode,
     strict: bool,
 ) -> (Vec<Event>, MachineReport) {
     let mut config = MachineConfig::paper_default().with_cores(run.threads);
@@ -56,15 +60,17 @@ fn run_on(
     config.strict_lockstep = strict;
     let machine = Machine::new(config);
     workload.setup(&machine);
-    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(run.threads));
+    let mut tm = FlexTmConfig::lazy(run.threads);
+    tm.mode = mode;
+    let tm = FlexTm::new(&machine, tm);
     run_measured(&machine, &tm, workload.as_ref(), run);
     let events = machine.with_state(|st| st.log.take());
     (events, machine.report())
 }
 
-fn assert_identical(name: &str, make: fn() -> Box<dyn Workload>) {
-    let (events_a, report_a) = run_once(make(), false);
-    let (events_b, report_b) = run_once(make(), false);
+fn assert_identical(name: &str, mode: Mode, make: fn() -> Box<dyn Workload>) {
+    let (events_a, report_a) = run_on(make(), small_run(), mode, false);
+    let (events_b, report_b) = run_on(make(), small_run(), mode, false);
     assert!(
         !events_a.is_empty(),
         "{name}: no protocol events recorded — the comparison is vacuous"
@@ -106,12 +112,37 @@ fn assert_accounting_invariants(name: &str, report: &MachineReport) {
 
 #[test]
 fn hashtable_replays_identically() {
-    assert_identical("HashTable", || Box::new(HashTable::paper()));
+    assert_identical("HashTable", Lazy, || Box::new(HashTable::paper()));
 }
 
 #[test]
 fn rbtree_replays_identically() {
-    assert_identical("RBTree", || Box::new(RbTree::paper()));
+    assert_identical("RBTree", Lazy, || Box::new(RbTree::paper()));
+}
+
+/// LFUCache's Zipf-skewed keys make it the most contended workload.
+#[test]
+fn contended_lazy_runs_are_bit_identical() {
+    assert_identical("LFUCache", Lazy, || Box::new(LfuCache::paper()));
+}
+
+#[test]
+fn contended_eager_runs_are_bit_identical() {
+    assert_identical("LFUCache(E)", Eager, || Box::new(LfuCache::paper()));
+}
+
+#[test]
+fn graph_final_state_is_reproducible() {
+    assert_identical("RandomGraph", Lazy, || Box::new(RandomGraph::new(24)));
+}
+
+/// The replays are not vacuous: the seed reaches the run.
+#[test]
+fn different_seeds_differ() {
+    let mut reseeded = small_run();
+    reseeded.seed += 1;
+    let (other, _) = run_on(Box::new(LfuCache::paper()), reseeded, Lazy, false);
+    assert_ne!(run_once(Box::new(LfuCache::paper()), false).0, other);
 }
 
 #[test]
@@ -252,8 +283,8 @@ fn strict_lockstep_is_semantically_identical() {
     };
     for run in [small_run(), wide] {
         let threads = run.threads;
-        let (events_fast, report_fast) = run_on(Box::new(HashTable::paper()), run, false);
-        let (events_strict, report_strict) = run_on(Box::new(HashTable::paper()), run, true);
+        let (events_fast, report_fast) = run_on(Box::new(HashTable::paper()), run, Lazy, false);
+        let (events_strict, report_strict) = run_on(Box::new(HashTable::paper()), run, Lazy, true);
         assert_eq!(
             events_fast, events_strict,
             "{threads} threads: strict_lockstep changed the protocol event stream"

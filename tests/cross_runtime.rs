@@ -7,7 +7,7 @@
 use flextm::{FlexTm, FlexTmConfig};
 use flextm_repro::*;
 use flextm_sim::api::TmRuntime;
-use flextm_sim::{Machine, MachineConfig};
+use flextm_sim::{Addr, Machine, MachineConfig};
 use flextm_stm::{Cgl, Rstm, RtmF, Tl2};
 use flextm_workloads::alloc::NodeAlloc;
 use flextm_workloads::harness::Workload;
@@ -111,8 +111,34 @@ fn all_runtimes_agree_on_partitioned_counters() {
     }
 }
 
-/// The two structural workloads keep their invariants under every
-/// runtime at 4 threads (sanity net over the generic API).
+/// Four threads move money between 16 one-line accounts in contended
+/// transactions; returns the total, which no interleaving may change.
+fn bank_total(m: &Machine, rt: &dyn TmRuntime) -> u64 {
+    let account = |i: u64| Addr::new(0x10_000).offset(i * 8);
+    m.with_state(|st| (0..16).for_each(|i| st.mem.write(account(i), 1000)));
+    m.run(4, |proc| {
+        let mut th = rt.thread(proc.core(), proc);
+        let mut rng = WlRng::new(7, th.proc().core());
+        for _ in 0..200 {
+            let (from, amount) = (rng.below(16), rng.below(50));
+            let to = (from + 1 + rng.below(15)) % 16; // never a self-transfer
+            th.txn(&mut |tx| {
+                let f = tx.read(account(from))?;
+                if f >= amount {
+                    let t = tx.read(account(to))?;
+                    tx.write(account(from), f - amount)?;
+                    tx.write(account(to), t + amount)?;
+                }
+                Ok(())
+            });
+        }
+    });
+    m.with_state(|st| (0..16).map(|i| st.mem.read(account(i))).sum())
+}
+
+/// The two structural workloads keep their invariants, and a contended
+/// bank conserves its total, under the runtimes at 4 threads (sanity
+/// net over the generic API).
 #[test]
 fn structural_invariants_hold_across_runtimes() {
     for runtime_idx in 0..3 {
@@ -136,6 +162,12 @@ fn structural_invariants_hold_across_runtimes() {
             },
         );
         assert_eq!(r.committed, 80);
+        // RSTM loses updates on the bank (ROADMAP item 16): left out
+        // until that is fixed.
+        if runtime_idx != 2 {
+            let total = bank_total(&m, rt.as_ref());
+            assert_eq!(total, 16_000, "runtime {runtime_idx} made or lost money");
+        }
     }
     // RandomGraph structural check under FlexTM eager (the harshest).
     let m = Machine::new(MachineConfig::small_test().with_cores(4));

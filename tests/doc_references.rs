@@ -11,10 +11,13 @@
 //! (`~~…~~`) and fenced blocks are exempt, and so are patterns such as
 //! `<spec>_cells.json`: they name what a tool emits, not a file.
 //!
-//! A cargo command, in those spans or in `scripts/*.sh`, must name
-//! packages and binaries that exist: each `-p <name>` a workspace
-//! package, and each `--bin <name>` a binary of it (of any package,
-//! without a `-p`).
+//! A cargo command — in those spans, in those documents' fenced shell
+//! blocks, or in `scripts/*.sh` — must name packages, binaries and
+//! examples that exist: each `-p <name>` a workspace package, and each
+//! `--bin <name>` or `--example <name>` (or `=<name>`) a binary or
+//! `examples/<name>.rs` of it (of any package, without a `-p`). A
+//! script's `examples=(…)` array, which it expands into `--example`
+//! words, must name examples too.
 
 use std::collections::HashSet;
 use std::fs;
@@ -213,10 +216,14 @@ fn every_cited_file_and_item_exists() {
     );
 }
 
-/// The workspace's packages with their binaries: the root package and
-/// every `crates/*` member; a binary is `src/main.rs` (named for its
-/// package) or a file under `src/bin/`.
-fn packages(root: &Path) -> Vec<(String, Vec<String>)> {
+/// A package's name and its targets.
+type Package = (String, Vec<String>);
+
+/// The workspace's packages with their targets: the root package and
+/// every `crates/*` member; a target is `--bin <name>` for `src/main.rs`
+/// (named for its package) or a file under `src/bin/`, and
+/// `--example <name>` for a file under `examples/`.
+fn packages(root: &Path) -> Vec<Package> {
     let mut dirs = vec![root.to_path_buf()];
     for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
         dirs.push(entry.expect("directory entry").path());
@@ -227,16 +234,20 @@ fn packages(root: &Path) -> Vec<(String, Vec<String>)> {
             let package = &manifest[manifest.find("[package]")?..];
             let name = package.lines().find_map(|l| l.strip_prefix("name = "))?;
             let name = name.trim_matches('"').to_string();
-            let mut bins: Vec<String> = fs::read_dir(dir.join("src/bin"))
-                .into_iter()
-                .flatten()
-                .map(|e| e.expect("directory entry").path())
-                .filter_map(|p| Some(p.file_stem()?.to_string_lossy().into_owned()))
+            let mut targets: Vec<String> = [("--bin", "src/bin"), ("--example", "examples")]
+                .iter()
+                .flat_map(|(flag, sub)| {
+                    let files = fs::read_dir(dir.join(sub)).into_iter().flatten();
+                    files.filter_map(move |e| {
+                        let stem = e.expect("directory entry").path();
+                        Some(format!("{flag} {}", stem.file_stem()?.to_string_lossy()))
+                    })
+                })
                 .collect();
             if dir.join("src/main.rs").exists() {
-                bins.push(name.clone());
+                targets.push(format!("--bin {name}"));
             }
-            Some((name, bins))
+            Some((name, targets))
         })
         .collect()
 }
@@ -250,12 +261,20 @@ fn cargo_commands(text: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-/// The first `-p` or `--bin` name of cargo command `cmd` that names no
-/// workspace package, or no binary of the named package, described.
-/// Words after a bare `--` are the program's arguments, not cargo's.
-fn stale_cargo_name(cmd: &str, packages: &[(String, Vec<String>)]) -> Option<String> {
+/// The first `-p`, `--bin` or `--example` name (`--flag name` or
+/// `--flag=name`) of cargo command `cmd` that names no workspace
+/// package, or no target of the package it runs, described. Words after
+/// a bare `--` are the program's arguments, not cargo's, and a shell
+/// variable names nothing yet.
+fn stale_cargo_name(cmd: &str, packages: &[Package]) -> Option<String> {
     let words: Vec<&str> = cmd.split_whitespace().take_while(|w| *w != "--").collect();
-    let named = |flag: &'static str| words.windows(2).filter(move |w| w[0] == flag).map(|w| w[1]);
+    let named = |flag: &'static str| {
+        let spaced = words.windows(2).filter(move |w| w[0] == flag).map(|w| w[1]);
+        let joined = words
+            .iter()
+            .filter_map(move |w| w.strip_prefix(flag)?.strip_prefix('='));
+        spaced.chain(joined).filter(|name| !name.contains('$'))
+    };
     let mut owners = Vec::new();
     for name in named("-p") {
         match packages.iter().find(|(p, _)| p == name) {
@@ -266,9 +285,60 @@ fn stale_cargo_name(cmd: &str, packages: &[(String, Vec<String>)]) -> Option<Str
     if owners.is_empty() {
         owners = packages.iter().collect();
     }
-    named("--bin")
-        .find(|bin| !owners.iter().any(|(_, bins)| bins.iter().any(|b| b == bin)))
-        .map(|bin| format!("`--bin {bin}` names no binary of the package it runs"))
+    ["--bin", "--example"].into_iter().find_map(|flag| {
+        let target = named(flag)
+            .map(|name| format!("{flag} {name}"))
+            .find(|t| !owners.iter().any(|(_, targets)| targets.contains(t)))?;
+        Some(format!("`{target}` names no target of the package it runs"))
+    })
+}
+
+/// Checks the cargo commands of shell text `text` from `name`, one
+/// logical line at a time: a `\` continuation joins the next line, a
+/// ` #` comment is dropped, and a command is reported at its first
+/// line. A script's `examples=(…)` array, which it expands into
+/// `--example` words, must name examples too.
+fn check_shell(name: &str, text: &str, packages: &[Package], stale: &mut Vec<String>) {
+    let mut start = 0;
+    let mut command = String::new();
+    for (i, line) in text.lines().enumerate() {
+        if command.is_empty() {
+            start = i + 1;
+        }
+        let line = line.split(" #").next().unwrap_or_default();
+        match line.strip_suffix('\\') {
+            Some(head) => command.push_str(head),
+            None => {
+                command.push_str(line);
+                let array = command.trim().strip_prefix("examples=(");
+                let examples = array.map(|a| a.trim_end_matches(')').replace(' ', " --example="));
+                let examples = examples.map(|a| format!("cargo run --example={a}"));
+                for cmd in cargo_commands(&command).chain(examples.as_deref()) {
+                    if let Some(why) = stale_cargo_name(cmd, packages) {
+                        stale.push(format!("{name}:{start}: {why}"));
+                    }
+                }
+                command.clear();
+            }
+        }
+    }
+}
+
+/// `doc` with every line outside its fenced `bash`, `sh` and `shell`
+/// blocks blanked, so line numbers still count from the document's top.
+fn fenced_shell(doc: &str) -> String {
+    let mut fence = None; // inside a fence: whether it is a shell block
+    let mut shell = String::new();
+    for line in doc.lines() {
+        match (line.trim_start().strip_prefix("```"), fence) {
+            (Some(info), None) => fence = Some(["bash", "sh", "shell"].contains(&info.trim())),
+            (Some(_), Some(_)) => fence = None,
+            (None, Some(true)) => shell.push_str(line),
+            _ => {}
+        }
+        shell.push('\n');
+    }
+    shell
 }
 
 #[test]
@@ -283,30 +353,11 @@ fn every_cargo_package_and_binary_exists() {
         }
         let script = fs::read_to_string(&path).unwrap();
         let name = path.strip_prefix(root).expect("under root").display();
-        // One logical line per command: a `\` continuation joins the
-        // next line, and the command is reported at its first.
-        let mut start = 0;
-        let mut command = String::new();
-        for (i, line) in script.lines().enumerate() {
-            if command.is_empty() {
-                start = i + 1;
-            }
-            match line.strip_suffix('\\') {
-                Some(head) => command.push_str(head),
-                None => {
-                    command.push_str(line);
-                    for cmd in cargo_commands(&command) {
-                        if let Some(why) = stale_cargo_name(cmd, &packages) {
-                            stale.push(format!("{name}:{start}: {why}"));
-                        }
-                    }
-                    command.clear();
-                }
-            }
-        }
+        check_shell(&name.to_string(), &script, &packages, &mut stale);
     }
     for doc in DOCS {
         let text = fs::read_to_string(root.join(doc)).expect("document exists");
+        check_shell(doc, &fenced_shell(&text), &packages, &mut stale);
         for span in spans(&text) {
             let span = span.replace('\n', " ");
             for cmd in cargo_commands(&span) {
@@ -318,7 +369,7 @@ fn every_cargo_package_and_binary_exists() {
     }
     assert!(
         stale.is_empty(),
-        "{} cargo commands name a package or binary that does not exist:\n{}",
+        "{} cargo commands name a package, binary or example that does not exist:\n{}",
         stale.len(),
         stale.join("\n")
     );
