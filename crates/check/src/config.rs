@@ -14,9 +14,6 @@ pub enum Alphabet {
     /// Transactional ops only (no plain read/write, no evictions).
     /// Shrinks the branching factor for deeper bounded runs.
     TxOnly,
-    /// Everything except evictions (keeps strong isolation in play
-    /// without the OT-overflow paths).
-    NoEvict,
 }
 
 impl Alphabet {
@@ -25,19 +22,8 @@ impl Alphabet {
         match s {
             "full" => Some(Alphabet::Full),
             "tx" => Some(Alphabet::TxOnly),
-            "noevict" => Some(Alphabet::NoEvict),
             _ => None,
         }
-    }
-
-    /// True if plain (non-transactional) accesses are enumerated.
-    pub fn plain_ops(self) -> bool {
-        self != Alphabet::TxOnly
-    }
-
-    /// True if explicit evictions are enumerated.
-    pub fn evictions(self) -> bool {
-        self == Alphabet::Full
     }
 }
 

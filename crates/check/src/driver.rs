@@ -14,7 +14,7 @@
 //! shadow core owns no heap (its access sets are value arrays under a
 //! presence mask), so its part of every copy is flat.
 
-use crate::config::{CheckConfig, MAX_LINES};
+use crate::config::{Alphabet, CheckConfig, MAX_LINES};
 use crate::op::Op;
 use flextm_sim::{
     procs_in_mask, AbortCause, AccessKind, AccessResult, AlertCause, CasCommitOutcome,
@@ -262,6 +262,9 @@ impl Driver {
     /// pruning sound.
     pub fn enabled_ops(&self) -> Vec<Op> {
         let mut ops = Vec::new();
+        // Plain accesses and explicit evictions come in the full
+        // alphabet only.
+        let full = self.cfg.alphabet == Alphabet::Full;
         for c in 0..self.cfg.cores {
             let mc = self.cfg.machine_core(c);
             if self.st.cores[mc].alert_pending.is_some() {
@@ -281,13 +284,11 @@ impl Driver {
             for l in 0..self.cfg.lines {
                 ops.push(Op::TRead(c, l));
                 ops.push(Op::TWrite(c, l));
-                if !active && self.cfg.alphabet.plain_ops() {
+                if !active && full {
                     ops.push(Op::Read(c, l));
                     ops.push(Op::Write(c, l));
                 }
-                if self.cfg.alphabet.evictions()
-                    && self.st.cores[mc].l1.peek(self.cfg.data_line(l)).is_some()
-                {
+                if full && self.st.cores[mc].l1.peek(self.cfg.data_line(l)).is_some() {
                     ops.push(Op::Evict(c, l));
                 }
             }

@@ -23,9 +23,6 @@ use flextm_sim::{
     procs_in_mask, Addr, AlertCause, Conflict, ConflictList, CstKind, Machine, ProcHandle, ProcSet,
 };
 use flextm_sim::{AbortCause, AccessResult, CasCommitOutcome, CmEvent};
-use flextm_trace::{ConflictClass, TraceEv, TraceRecord};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Maps a hardware alert to the abort-attribution cause recorded when
 /// software reacts to it by aborting the local attempt.
@@ -100,12 +97,6 @@ pub struct FlexTm {
     /// Global commit token (serialized-commit ablation only).
     commit_token: Option<Addr>,
     name: String,
-    /// Per-attempt tracing switch. Threads sample it at BEGIN, so flip
-    /// it before `Machine::run` for full coverage. Off by default:
-    /// disabled runs take no trace branch beyond one relaxed load.
-    tracing: AtomicBool,
-    /// Where threads flush their trace buffers when they drop.
-    trace_sink: Mutex<Vec<TraceRecord>>,
 }
 
 impl FlexTm {
@@ -137,31 +128,7 @@ impl FlexTm {
             sig_config,
             commit_token,
             name,
-            tracing: AtomicBool::new(false),
-            trace_sink: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Enables or disables per-transaction attempt tracing. Threads
-    /// sample the flag at each BEGIN.
-    pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether attempt tracing is currently on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracing.load(Ordering::Relaxed)
-    }
-
-    /// Drains every record flushed so far, stably sorted by thread id
-    /// (per-thread order is preserved). Worker threads flush their
-    /// buffers when their handles drop — call this after `Machine::run`
-    /// returns for a complete, deterministic trace.
-    pub fn take_trace(&self) -> Vec<TraceRecord> {
-        let mut records =
-            std::mem::take(&mut *self.trace_sink.lock().expect("trace sink poisoned"));
-        records.sort_by_key(|r| r.tid);
-        records
     }
 
     /// The conflict-detection mode.
@@ -196,8 +163,6 @@ impl FlexTm {
             // allocation-free in steady state.
             conflict_histogram: Vec::with_capacity(flextm_sim::MAX_CORES),
             pending_abort: None,
-            tracing: false,
-            trace: Vec::new(),
         }
     }
 }
@@ -231,24 +196,9 @@ pub struct FlexTmThread<'r> {
     /// plus eagerly-resolved enemies) — the Fig. 4 side-table metric,
     /// read through [`TmThread::conflict_histogram`].
     conflict_histogram: Vec<u64>,
-    /// Cause to attribute if the current attempt aborts, plus the enemy
-    /// core when software knows it (CM-directed self-aborts do; async
-    /// alerts do not). First cause wins; `abort_attempt` consumes it.
-    pending_abort: Option<(AbortCause, Option<u64>)>,
-    /// Tracing flag sampled from the runtime at BEGIN.
-    tracing: bool,
-    /// Local trace buffer; flushed into the runtime sink on drop.
-    trace: Vec<TraceRecord>,
-}
-
-impl Drop for FlexTmThread<'_> {
-    fn drop(&mut self) {
-        if !self.trace.is_empty() {
-            if let Ok(mut sink) = self.rt.trace_sink.lock() {
-                sink.append(&mut self.trace);
-            }
-        }
-    }
+    /// Cause to attribute if the current attempt aborts. First cause
+    /// wins; `abort_attempt` consumes it.
+    pending_abort: Option<AbortCause>,
 }
 
 impl std::fmt::Debug for FlexTmThread<'_> {
@@ -270,24 +220,11 @@ impl<'r> FlexTmThread<'r> {
         self.tid
     }
 
-    /// Appends a trace record for the current attempt (no-op unless
-    /// tracing was on at BEGIN).
-    fn emit(&mut self, ev: TraceEv) {
-        if self.tracing {
-            self.trace.push(TraceRecord {
-                tid: self.tid as u64,
-                seq: self.seq,
-                clock: self.proc.now(),
-                ev,
-            });
-        }
-    }
-
     /// Records the abort cause for a hardware alert, unless an earlier
     /// cause already claimed this attempt.
     fn note_alert(&mut self, alert: AlertCause) {
         if self.pending_abort.is_none() {
-            self.pending_abort = Some((alert_cause(alert), None));
+            self.pending_abort = Some(alert_cause(alert));
         }
     }
 
@@ -299,8 +236,6 @@ impl<'r> FlexTmThread<'r> {
         self.pending_abort = None;
         self.cm.on_begin();
         self.seq += 1;
-        self.tracing = self.rt.tracing_enabled();
-        self.emit(TraceEv::Begin);
         let d = self.rt.descriptors.descriptor(self.tid);
         self.proc.store(d.priority, self.cm.priority());
         self.proc.store(d.tsw, tsw_word(self.seq, TSW_ACTIVE));
@@ -326,10 +261,6 @@ impl<'r> FlexTmThread<'r> {
                 continue;
             }
             self.enemies_this_txn.insert(enemy);
-            self.emit(TraceEv::Conflict {
-                enemy: enemy as u64,
-                kind: ConflictClass::from(c.kind),
-            });
             let edesc = self.rt.descriptors.descriptor(enemy);
             let mut stalls = 0u32;
             loop {
@@ -356,7 +287,6 @@ impl<'r> FlexTmThread<'r> {
                         // step. Stalling may have got us aborted
                         // meanwhile.
                         let alert = self.proc.stall_poll(cycles);
-                        self.emit(TraceEv::Stall { cycles });
                         stalls += 1;
                         if let Some(alert) = alert {
                             self.note_alert(alert);
@@ -373,7 +303,7 @@ impl<'r> FlexTmThread<'r> {
                     }
                     CmDecision::AbortSelf => {
                         if self.pending_abort.is_none() {
-                            self.pending_abort = Some((AbortCause::CmSelf, Some(enemy as u64)));
+                            self.pending_abort = Some(AbortCause::CmSelf);
                         }
                         return false;
                     }
@@ -390,10 +320,6 @@ impl<'r> FlexTmThread<'r> {
         // Charge the trap + software handler.
         self.proc.work(80);
         for tid in hits.iter() {
-            self.emit(TraceEv::Conflict {
-                enemy: tid as u64,
-                kind: ConflictClass::Summary,
-            });
             let core = self.proc.core();
             let cmt = &self.rt.cmt;
             let info = self
@@ -466,7 +392,6 @@ impl<'r> FlexTmThread<'r> {
                     break;
                 }
                 alert = self.proc.stall_poll(backoff);
-                self.emit(TraceEv::Stall { cycles: backoff });
                 backoff = (backoff * 2).min(512);
             }
             let committed = self.commit_inner();
@@ -522,7 +447,7 @@ impl<'r> FlexTmThread<'r> {
                     // base counters; attribute the software retry path
                     // the same way.
                     if self.pending_abort.is_none() {
-                        self.pending_abort = Some((AbortCause::LostTsw, None));
+                        self.pending_abort = Some(AbortCause::LostTsw);
                     }
                     return false;
                 }
@@ -553,19 +478,12 @@ impl<'r> FlexTmThread<'r> {
             tsw_word(self.seq, TSW_ACTIVE),
             tsw_word(self.seq, TSW_ABORTED),
         );
-        let (cause, enemy) = self
-            .pending_abort
-            .take()
-            .unwrap_or((AbortCause::Explicit, None));
+        let cause = self.pending_abort.take().unwrap_or(AbortCause::Explicit);
         self.proc.abort_tx(cause);
-        self.emit(TraceEv::Abort { cause, enemy });
         self.suspended_enemies.clear();
         self.enemies_this_txn = ProcSet::empty();
         let backoff = self.cm.on_abort();
         self.proc.stall(backoff);
-        if backoff > 0 {
-            self.emit(TraceEv::Stall { cycles: backoff });
-        }
     }
 
     /// Access to the underlying processor handle.
@@ -603,15 +521,11 @@ impl TmThread for FlexTmThread<'_> {
         }
         if self.commit() {
             self.cm.on_commit();
-            let enemies = std::mem::take(&mut self.enemies_this_txn);
-            let n = enemies.count() as usize;
+            let n = std::mem::take(&mut self.enemies_this_txn).count() as usize;
             if self.conflict_histogram.len() <= n {
                 self.conflict_histogram.resize(n + 1, 0);
             }
             self.conflict_histogram[n] += 1;
-            self.emit(TraceEv::Commit {
-                enemies: enemies.to_u128(),
-            });
             AttemptOutcome::Committed
         } else {
             self.abort_attempt();

@@ -4,56 +4,14 @@
 //! abort-on-migration policy.
 
 use flextm::{FlexTm, FlexTmConfig, Mode, ResumeOutcome, TSW_ABORTED, TSW_COMMITTED};
-use flextm_sim::api::{TmRuntime, TmThread, TxRetry, Txn};
+use flextm_sim::api::{TmRuntime, TxRetry, Txn};
 use flextm_sim::{Addr, Machine, MachineConfig};
 
 fn machine(cores: usize) -> Machine {
     Machine::new(MachineConfig::small_test().with_cores(cores))
 }
 
-/// Drives one attempt manually through the concrete FlexTmThread so a
-/// test can suspend in the middle. (Workload code would use `txn`;
-/// tests need the seams.)
-#[test]
-fn transaction_survives_suspend_resume() {
-    let m = machine(1);
-    let tm = FlexTm::new(&m, FlexTmConfig::lazy(1));
-    let a = Addr::new(0x10_000);
-    let b = Addr::new(0x20_000);
-    m.run(1, |proc| {
-        let mut th = tm.flex_thread(0, proc);
-        // Phase 1: start a transaction, write `a`, then get suspended.
-        let committed = th.txn_once(&mut |tx| {
-            tx.write(a, 11)?;
-            Ok(())
-        });
-        // txn_once commits — so for the suspend test we drive pieces
-        // manually via a transaction that suspends inside its body.
-        assert_eq!(committed, flextm_sim::api::AttemptOutcome::Committed);
-
-        // Manual suspended transaction: begin happens inside txn_once;
-        // we emulate a preemption by descheduling between two txn_once
-        // halves is not possible through the public body API, so use
-        // deschedule/reschedule around a long-running body instead.
-        let mut suspended_mid_tx = false;
-        let out = th.txn(&mut |tx| {
-            tx.write(b, 22)?;
-            if !suspended_mid_tx {
-                suspended_mid_tx = true;
-                // Body cannot call deschedule (borrow); this flag path
-                // exercises retry determinism only.
-            }
-            Ok(())
-        });
-        assert!(out.attempts >= 1);
-    });
-    m.with_state(|st| {
-        assert_eq!(st.mem.read(a), 11);
-        assert_eq!(st.mem.read(b), 22);
-    });
-}
-
-/// The real mid-transaction suspend: drive the hardware directly
+/// A mid-transaction suspend: drive the hardware directly
 /// through the runtime's seams — begin a transaction, deschedule,
 /// verify the machine state, reschedule, and commit.
 #[test]

@@ -209,8 +209,7 @@ impl ProcSet {
         &self.words
     }
 
-    /// The set as one wide integer (bit *i* ⇔ processor *i*); used by
-    /// the trace layer, whose JSONL encoding is width-independent.
+    /// The set as one wide integer (bit *i* ⇔ processor *i*).
     #[inline]
     pub fn to_u128(self) -> u128 {
         (self.words[1] as u128) << 64 | self.words[0] as u128

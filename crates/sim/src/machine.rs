@@ -49,9 +49,10 @@
 //! stays 0, below every key) and the local-op paths, forcing one
 //! rendezvous per operation. The
 //! schedule — and therefore every event, counter and clock — is
-//! identical either way; `tests/determinism.rs` pins that equivalence,
-//! which makes the knob the reference the fast paths are tested
-//! against.
+//! identical either way;
+//! `crates/workloads/tests/determinism.rs::strict_lockstep_is_semantically_identical`
+//! pins that equivalence, which makes the knob the reference the fast
+//! paths are tested against.
 //!
 //! # Safety discipline
 //!

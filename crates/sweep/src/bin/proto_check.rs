@@ -46,7 +46,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: proto_check [--cores N] [--lines N] [--depth N] \
-         [--alphabet full|tx|noevict] [--jobs N] [--walk] [--steps N] [--seed S] \
+         [--alphabet full|tx] [--jobs N] [--walk] [--steps N] [--seed S] \
          [--wide]"
     );
     std::process::exit(2);
@@ -122,7 +122,6 @@ fn alphabet_name(a: Alphabet) -> &'static str {
     match a {
         Alphabet::Full => "full",
         Alphabet::TxOnly => "tx",
-        Alphabet::NoEvict => "noevict",
     }
 }
 

@@ -1,15 +1,12 @@
-//! Failure paths of everything that reads JSON back in: the attempt
-//! trace (`flextm_trace::parse_jsonl`), matrix spec documents, and
-//! store entries all go through `flextm_trace::json`. Valid documents
-//! are truncated and byte-mutated under a seeded RNG (hand-rolled, like
-//! `procset_props.rs` — the offline build has no `proptest`): no
-//! parser may panic, a trace cut mid-record must name the cut line,
-//! and a store entry cut mid-write must read as a miss so the cell
-//! re-runs.
+//! Failure paths of everything that reads JSON back in: matrix spec
+//! documents and store entries both go through `flextm_trace::json`.
+//! Valid documents are truncated and byte-mutated under a seeded RNG
+//! (hand-rolled, like `procset_props.rs` — the offline build has no
+//! `proptest`): no parser may panic, and a store entry cut mid-write
+//! must read as a miss so the cell re-runs.
 
-use flextm_sim::AbortCause;
 use flextm_sweep::{cell_from_json, run_sweep, MatrixSpec, RunnerConfig, Store};
-use flextm_trace::{json, parse_jsonl, to_jsonl, ConflictClass, TraceEv, TraceRecord};
+use flextm_trace::json;
 use std::path::PathBuf;
 
 /// xorshift64* — any deterministic stream works here.
@@ -28,41 +25,6 @@ impl Rng {
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
-}
-
-/// One record of every event shape, including a commit mask wider than
-/// 64 bits.
-fn trace_text() -> String {
-    let evs = [
-        TraceEv::Begin,
-        TraceEv::Conflict {
-            enemy: 3,
-            kind: ConflictClass::ExposedRead,
-        },
-        TraceEv::Stall { cycles: 48 },
-        TraceEv::Abort {
-            cause: AbortCause::CmSelf,
-            enemy: Some(3),
-        },
-        TraceEv::Abort {
-            cause: AbortCause::AouAlert,
-            enemy: None,
-        },
-        TraceEv::Commit {
-            enemies: (1 << 100) | 0b101,
-        },
-    ];
-    let records: Vec<TraceRecord> = evs
-        .into_iter()
-        .enumerate()
-        .map(|(i, ev)| TraceRecord {
-            tid: i as u64 % 2,
-            seq: 1 + i as u64 / 2,
-            clock: 20 + 70 * i as u64,
-            ev,
-        })
-        .collect();
-    to_jsonl(&records)
 }
 
 fn smoke_cells() -> Vec<flextm_sweep::cell::CellSpec> {
@@ -114,7 +76,6 @@ fn mutated_documents_never_panic_a_parser() {
     let (store, dir, entry) = one_entry_store("mutate");
     let cell = smoke_cells().remove(0);
     let corpus = [
-        trace_text(),
         MatrixSpec::builtin("fig4_ws1").unwrap().canonical_json(),
         cell.canonical_json(),
         std::fs::read_to_string(&entry).expect("entry reads"),
@@ -123,11 +84,10 @@ fn mutated_documents_never_panic_a_parser() {
     let mut rejected = 0;
     for round in 0..4000 {
         let text = mutate(&mut rng, &corpus[round % corpus.len()]);
-        // Every reader sees every document: a mutated trace is also a
-        // hostile spec, and so on. Any `Result` is acceptable; a panic
-        // fails the test.
+        // Every reader sees every document: a mutated spec is also a
+        // hostile store entry, and so on. Any `Result` is acceptable; a
+        // panic fails the test.
         rejected += usize::from(json::parse(&text).is_err());
-        let _ = parse_jsonl(&text);
         let _ = MatrixSpec::from_json(&text);
         let _ = cell_from_json(&text);
         std::fs::write(&entry, &text).expect("entry writes");
@@ -135,26 +95,6 @@ fn mutated_documents_never_panic_a_parser() {
     }
     assert!(rejected > 1000, "the mutations were too gentle: {rejected}");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_trace_cut_mid_record_errors_naming_the_cut_line() {
-    let text = trace_text();
-    let lines = text.lines().count();
-    for cut in 0..=text.len() {
-        let prefix = &text[..cut];
-        let whole_lines = prefix.matches('\n').count();
-        if prefix.is_empty() || prefix.ends_with('\n') || prefix.ends_with('}') {
-            // Cut between records (or after a record's closing brace).
-            let complete = whole_lines + usize::from(prefix.ends_with('}'));
-            let records = parse_jsonl(prefix).expect("whole records parse");
-            assert_eq!(records.len(), complete, "cut at byte {cut}");
-        } else {
-            let err = parse_jsonl(prefix).expect_err("a cut record must not parse");
-            assert_eq!(err.line, whole_lines + 1, "cut at byte {cut}: {err}");
-        }
-    }
-    assert_eq!(parse_jsonl(&text).expect("parses").len(), lines);
 }
 
 #[test]

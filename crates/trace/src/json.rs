@@ -1,14 +1,12 @@
 //! A small, dependency-free JSON codec — the one parser in the tree.
 //!
 //! The offline build environment has no serde, so the repo carries its
-//! own codec here, in the lowest crate that reads JSON: the attempt
-//! trace ([`crate::parse_jsonl`]) and, in `flextm-sweep`, the matrix
-//! specs and store entries all flow through it. Two properties matter
-//! more than generality:
+//! own codec here: `flextm-sweep`'s matrix specs and store entries
+//! flow through it. Two properties matter more than generality:
 //!
 //! - **Numbers keep their source text.** A [`Json::Num`] stores the
 //!   raw token and only converts on access, so serializing a parsed
-//!   document reproduces it byte-for-byte, and a 128-bit commit mask
+//!   document reproduces it byte-for-byte, and a `u64` above 2^53
 //!   survives where an `f64` would not.
 //! - **Objects keep insertion order** (a `Vec` of pairs, not a map),
 //!   for the same reason.
@@ -62,15 +60,6 @@ impl Json {
                     t.parse().ok()
                 }
             }
-            _ => None,
-        }
-    }
-
-    /// The value as a `u128` (plain decimals only — the trace's commit
-    /// enemy mask is the one field wider than 64 bits).
-    pub fn as_u128(&self) -> Option<u128> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
             _ => None,
         }
     }

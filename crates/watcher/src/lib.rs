@@ -30,10 +30,8 @@
 
 pub mod measure;
 pub mod programs;
-pub mod racedetect;
 mod watcher;
 
 pub use measure::{measure_all, SlowdownRow};
 pub use programs::{bugbench, BugKind, Monitor, ProgramReport};
-pub use racedetect::{RaceMonitor, RaceReport};
 pub use watcher::{FlexWatcher, WatchHit, HANDLER_CYCLES};

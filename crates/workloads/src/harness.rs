@@ -125,12 +125,6 @@ impl RunResult {
             (self.attempts - self.committed) as f64 / self.attempts as f64
         }
     }
-
-    /// The abort-attribution and cycle-bucket breakdown of the timed
-    /// region, rendered for humans.
-    pub fn abort_table(&self) -> String {
-        flextm_trace::abort_table(&self.report)
-    }
 }
 
 /// Runs `workload` on `runtime` with `config`, returning the timed

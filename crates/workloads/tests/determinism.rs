@@ -19,9 +19,7 @@
 //!
 //! * per-core accounting invariants hold on every suite workload
 //!   (abort causes sum to the abort counters; the four cycle buckets
-//!   sum to the core clock),
-//! * an attempt trace taken from two identical runs serializes to
-//!   byte-identical JSONL and round-trips through the parser, and
+//!   sum to the core clock), and
 //! * turning the event log off does not perturb simulated counters.
 
 use flextm::Mode::{self, Eager, Lazy};
@@ -158,15 +156,14 @@ fn rbtree_accounting_invariants_hold() {
 }
 
 /// One measured run at an arbitrary machine width; returns the event
-/// log, the machine report, and the attempt trace as JSONL bytes.
-fn run_wide(threads: usize) -> (Vec<Event>, MachineReport, String) {
+/// log and the machine report.
+fn run_wide(threads: usize) -> (Vec<Event>, MachineReport) {
     let mut config = MachineConfig::paper_default().with_cores(threads);
     config.record_events = true;
     let machine = Machine::new(config);
     let mut workload: Box<dyn Workload> = Box::new(HashTable::paper());
     workload.setup(&machine);
     let tm = FlexTm::new(&machine, FlexTmConfig::lazy(threads));
-    tm.set_tracing(true);
     run_measured(
         &machine,
         &tm,
@@ -178,9 +175,8 @@ fn run_wide(threads: usize) -> (Vec<Event>, MachineReport, String) {
             seed: 0xF1E7,
         },
     );
-    let trace = flextm_trace::to_jsonl(&tm.take_trace());
     let events = machine.with_state(|st| st.log.take());
-    (events, machine.report(), trace)
+    (events, machine.report())
 }
 
 /// The determinism and accounting guarantees must not be a property of
@@ -191,8 +187,8 @@ fn run_wide(threads: usize) -> (Vec<Event>, MachineReport, String) {
 fn wide_machines_replay_identically_with_invariants() {
     for threads in [32usize, 64, 128] {
         let name = format!("HashTable/{threads}c");
-        let (events_a, report_a, trace_a) = run_wide(threads);
-        let (events_b, report_b, trace_b) = run_wide(threads);
+        let (events_a, report_a) = run_wide(threads);
+        let (events_b, report_b) = run_wide(threads);
         assert!(
             !events_a.is_empty(),
             "{name}: no protocol events recorded — the comparison is vacuous"
@@ -205,47 +201,8 @@ fn wide_machines_replay_identically_with_invariants() {
             report_a, report_b,
             "{name}: two identical runs diverged in machine counters"
         );
-        assert!(
-            !trace_a.is_empty(),
-            "{name}: traced run produced no records"
-        );
-        assert_eq!(
-            trace_a, trace_b,
-            "{name}: two identical runs serialized different attempt traces"
-        );
         assert_accounting_invariants(&name, &report_a);
     }
-}
-
-/// One traced measured run; returns the trace serialized as JSONL.
-fn traced_jsonl(mut workload: Box<dyn Workload>) -> String {
-    let config = MachineConfig::paper_default().with_cores(THREADS);
-    let machine = Machine::new(config);
-    workload.setup(&machine);
-    let tm = FlexTm::new(&machine, FlexTmConfig::lazy(THREADS));
-    tm.set_tracing(true);
-    run_measured(&machine, &tm, workload.as_ref(), small_run());
-    flextm_trace::to_jsonl(&tm.take_trace())
-}
-
-#[test]
-fn attempt_trace_is_deterministic_and_round_trips() {
-    let a = traced_jsonl(Box::new(HashTable::paper()));
-    let b = traced_jsonl(Box::new(HashTable::paper()));
-    assert!(!a.is_empty(), "traced run produced no records");
-    assert_eq!(a, b, "two identical traced runs serialized differently");
-    let records = flextm_trace::parse_jsonl(&a).expect("trace JSONL parses");
-    assert_eq!(
-        flextm_trace::to_jsonl(&records),
-        a,
-        "trace did not round-trip through the parser"
-    );
-    assert!(
-        records
-            .iter()
-            .any(|r| matches!(r.ev, flextm_trace::TraceEv::Abort { .. })),
-        "contended run traced no aborts"
-    );
 }
 
 /// The event log is pure observation: disabling it must not change

@@ -16,9 +16,9 @@
 #      cost per transition); a 3-core tx-alphabet run to
 #      its pinned fixpoint, with its kept states' peak memory
 #      (peak_frontier_mib) at most 640 MiB; and a wide 3-core
-#      bounded-depth equality check (the liveness pass, trace
-#      determinism, the 64/128-core smoke, the banked-directory
-#      properties and the allocation gate are tests step 1 runs)
+#      bounded-depth equality check (the liveness pass, the
+#      64/128-core smoke, the banked-directory properties and the
+#      allocation gate are tests step 1 runs)
 #   5. fingerprint gate: the 16-core HashTable event/counter digests
 #      at 96 and 384 transactions per thread, and the 64-core ones at
 #      32, must match the recorded values — any drift is a semantic
@@ -41,7 +41,8 @@
 #      package is outside the workspace, so nothing above builds it —
 #      its smoke run and its own tests keep a flextm-sim API change
 #      from silently breaking it (read-only: nothing under benchmark/
-#      is edited)
+#      is edited, and the step fails if building it rewrote
+#      benchmark/Cargo.lock)
 #
 # Every step's wall clock is printed as a table at the end (the "time
 # to run scripts/verify.sh" number of ROADMAP aim 1; a recorded table
@@ -284,8 +285,16 @@ for spec_cells in fig4_ws1:100 fig4_ws2:30 fig5_eager_lazy:40 fig4_conflicts:14 
 done
 
 step "repo benchmark: smoke run + the suite's own tests"
+# Cargo rewrites the benchmark's lockfile whenever a manifest edge it
+# can reach changes; that file is read-only (ROADMAP constraint (ii)).
+lock_before="$(cksum < benchmark/Cargo.lock)"
 bash benchmark/run.sh --quick > /dev/null
 (cd benchmark && cargo test -q --release --offline)
+if [ "$(cksum < benchmark/Cargo.lock)" != "$lock_before" ]; then
+    echo "building the benchmark rewrote benchmark/Cargo.lock, which is read-only (ROADMAP constraint (ii)):"
+    echo "a manifest edge the benchmark reaches changed; restore it"
+    exit 1
+fi
 
 step
 wall_table
