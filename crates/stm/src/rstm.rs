@@ -109,7 +109,12 @@ impl RstmTxn<'_, '_> {
         }
         for &(orec, seen) in &self.read_set {
             let o = self.th.proc.load(orec);
-            let still_mine = lockword::is_locked(o) && lockword::owner(o) == self.th.tid;
+            // An orec this transaction has locked since the read passes
+            // only at the version the read saw: a commit in between
+            // made the value read stale.
+            let still_mine = lockword::is_locked(o)
+                && lockword::owner(o) == self.th.tid
+                && lockword::version(o) == lockword::version(seen);
             if o != seen && !still_mine {
                 return false;
             }

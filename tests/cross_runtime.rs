@@ -15,18 +15,24 @@ use flextm_workloads::rng::WlRng;
 use flextm_workloads::tmap::TMap;
 use flextm_workloads::{HashTable, RandomGraph};
 
+/// Runtime `idx` of the six (FlexTM lazy and eager, CGL, TL2, RSTM,
+/// RTM-F) for `threads` threads on `m`.
+fn runtime(m: &Machine, idx: usize, threads: usize) -> Box<dyn TmRuntime> {
+    match idx {
+        0 => Box::new(FlexTm::new(m, FlexTmConfig::lazy(threads))),
+        1 => Box::new(FlexTm::new(m, FlexTmConfig::eager(threads))),
+        2 => Box::new(Cgl::new(m)),
+        3 => Box::new(Tl2::with_defaults(m)),
+        4 => Box::new(Rstm::new(m, threads, flextm::CmKind::Polka)),
+        _ => Box::new(RtmF::new(m, threads, flextm::CmKind::Polka)),
+    }
+}
+
 fn final_map_state(runtime_idx: usize, ops: &[(u8, u64, u64)]) -> Vec<(u64, u64)> {
     let m = Machine::new(MachineConfig::small_test().with_cores(1));
     let alloc = NodeAlloc::setup();
     let map = TMap::create(&alloc);
-    let rt: Box<dyn TmRuntime> = match runtime_idx {
-        0 => Box::new(FlexTm::new(&m, FlexTmConfig::lazy(1))),
-        1 => Box::new(FlexTm::new(&m, FlexTmConfig::eager(1))),
-        2 => Box::new(Cgl::new(&m)),
-        3 => Box::new(Tl2::with_defaults(&m)),
-        4 => Box::new(Rstm::new(&m, 1, flextm::CmKind::Polka)),
-        _ => Box::new(RtmF::new(&m, 1, flextm::CmKind::Polka)),
-    };
+    let rt = runtime(&m, runtime_idx, 1);
     let ops_ref = ops;
     m.run(1, |proc| {
         let mut th = rt.thread(0, proc);
@@ -74,12 +80,7 @@ fn all_runtimes_agree_on_single_thread_map_ops() {
 fn all_runtimes_agree_on_partitioned_counters() {
     let run = |runtime_idx: usize| -> Vec<u64> {
         let m = Machine::new(MachineConfig::small_test().with_cores(4));
-        let rt: Box<dyn TmRuntime> = match runtime_idx {
-            0 => Box::new(FlexTm::new(&m, FlexTmConfig::lazy(4))),
-            1 => Box::new(Cgl::new(&m)),
-            2 => Box::new(Tl2::with_defaults(&m)),
-            _ => Box::new(Rstm::new(&m, 4, flextm::CmKind::Polka)),
-        };
+        let rt = runtime(&m, runtime_idx, 4);
         m.run(4, |proc| {
             let base = flextm_sim::Addr::new(0x100_000 + proc.core() as u64 * 0x1000);
             let mut th = rt.thread(proc.core(), proc);
@@ -106,7 +107,7 @@ fn all_runtimes_agree_on_partitioned_counters() {
     };
     let reference = run(0);
     assert_eq!(reference.iter().sum::<u64>(), 4 * 30);
-    for rt in 1..4 {
+    for rt in [2, 3, 4] {
         assert_eq!(run(rt), reference, "runtime {rt} diverged");
     }
 }
@@ -136,20 +137,16 @@ fn bank_total(m: &Machine, rt: &dyn TmRuntime) -> u64 {
     m.with_state(|st| (0..16).map(|i| st.mem.read(account(i))).sum())
 }
 
-/// The two structural workloads keep their invariants, and a contended
-/// bank conserves its total, under the runtimes at 4 threads (sanity
-/// net over the generic API).
+/// The two structural workloads keep their invariants at 4 threads,
+/// and a contended bank conserves its total under all six runtimes
+/// (sanity net over the generic API).
 #[test]
 fn structural_invariants_hold_across_runtimes() {
-    for runtime_idx in 0..3 {
+    for runtime_idx in [0, 3, 4] {
         let m = Machine::new(MachineConfig::small_test().with_cores(4));
         let mut ht = HashTable::paper();
         ht.setup(&m);
-        let rt: Box<dyn TmRuntime> = match runtime_idx {
-            0 => Box::new(FlexTm::new(&m, FlexTmConfig::lazy(4))),
-            1 => Box::new(Tl2::with_defaults(&m)),
-            _ => Box::new(Rstm::new(&m, 4, flextm::CmKind::Polka)),
-        };
+        let rt = runtime(&m, runtime_idx, 4);
         let r = flextm_workloads::harness::run_measured(
             &m,
             rt.as_ref(),
@@ -162,12 +159,12 @@ fn structural_invariants_hold_across_runtimes() {
             },
         );
         assert_eq!(r.committed, 80);
-        // RSTM loses updates on the bank (ROADMAP item 16): left out
-        // until that is fixed.
-        if runtime_idx != 2 {
-            let total = bank_total(&m, rt.as_ref());
-            assert_eq!(total, 16_000, "runtime {runtime_idx} made or lost money");
-        }
+    }
+    for runtime_idx in 0..6 {
+        let m = Machine::new(MachineConfig::small_test().with_cores(4));
+        let rt = runtime(&m, runtime_idx, 4);
+        let total = bank_total(&m, rt.as_ref());
+        assert_eq!(total, 16_000, "{} made or lost money", rt.name());
     }
     // RandomGraph structural check under FlexTM eager (the harshest).
     let m = Machine::new(MachineConfig::small_test().with_cores(4));
